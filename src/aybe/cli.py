@@ -26,7 +26,9 @@ goes to stdout or ``--out`` and is byte-identical for a fixed
 numbers use fixed formats.
 
 Exit status: 0 when every requested check passed, 1 when at least one
-check failed, 2 on configuration or usage errors.  Pole-proximate
+check failed, 2 on configuration or usage errors and on typed numerical
+failures (a domain violation, or a procedure that did not converge, such
+as rejection sampling that ran out of draws).  Pole-proximate
 evaluation points are reported per point and do not change the exit
 status.
 """
@@ -44,7 +46,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .curve import BundleParams, TRIVIALIZATIONS, composite_map, tensor_from_linear_map
-from .errors import DomainError, PoleProximityError
+from .errors import DomainError, NonConvergenceError, PoleProximityError
 from .series import INFINITY, classify_scalar
 from .solutions import (
     SolutionHandle,
@@ -712,7 +714,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PoleProximityError, DomainError) as exc:
+    except (PoleProximityError, DomainError, NonConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError, PoleProximityError
 from .solutions import SolutionHandle, eval_aybe, in_domain
-from .tensors import MatrixTensor2, MatrixTensor3, from_pair
+from .tensors import MatrixTensor2, MatrixTensor3, from_pair, leg_product
 from .verify import ResidualReport, _make_report
 
 __all__ = [
@@ -420,7 +420,7 @@ def check_aux4(h: SolutionHandle, v: complex, vp: complex) -> complex:
 def _legged_coeffs(
     h: SolutionHandle, v: complex, vp: complex, order: int, radius: float
 ) -> dict:
-    """r_k tensors at v, v', v+v' embedded into legs 12, 23, 13."""
+    """r_k tensors at v, v', v+v', keyed by the legs 12, 23, 13 they occupy."""
     n = h.n
 
     def tensor(c: Coefficient) -> MatrixTensor2:
@@ -433,14 +433,9 @@ def _legged_coeffs(
     s_sum = extract_u_series(h, v + vp, order, radius=radius)
     out = {}
     for k in range(0, order + 1):
-        out[("12", k)] = tensor(s_v.coefficient(k)).embed("12")
-        out[("23", k)] = tensor(s_vp.coefficient(k)).embed("23")
-        out[("13", k)] = tensor(s_sum.coefficient(k)).embed("13")
-    out["pole"] = (
-        tensor(s_v.coefficient(-1)),
-        tensor(s_vp.coefficient(-1)),
-        tensor(s_sum.coefficient(-1)),
-    )
+        out[("12", k)] = tensor(s_v.coefficient(k))
+        out[("23", k)] = tensor(s_vp.coefficient(k))
+        out[("13", k)] = tensor(s_sum.coefficient(k))
     return out
 
 
@@ -456,12 +451,13 @@ def check_aux5(
     with all leg embeddings trivial)."""
     hn = pole_normalized_handle(h)
     c = _legged_coeffs(hn, v, vp, 1, radius)
+    a0, b0, c0 = c[("12", 0)], c[("13", 0)], c[("23", 0)]
     lhs = (
-        c[("12", 0)].mul(c[("13", 0)])
-        - c[("23", 0)].mul(c[("12", 0)])
-        + c[("13", 0)].mul(c[("23", 0)])
+        leg_product(a0, "12", b0, "13")
+        - leg_product(c0, "23", a0, "12")
+        + leg_product(b0, "13", c0, "23")
     )
-    rhs = c[("12", 1)] + c[("23", 1)] + c[("13", 1)]
+    rhs = c[("12", 1)].embed("12") + c[("23", 1)].embed("23") + c[("13", 1)].embed("13")
     return lhs - rhs
 
 
@@ -488,23 +484,23 @@ def reconstruction_residuals(
 
 
 def _reconstruction_from_coeffs(c: dict) -> Tuple[tuple, float]:
-    a0, a1, a2 = c[("12", 0)], c[("12", 1)], c[("12", 2)]
-    b0, b1, b2 = c[("13", 0)], c[("13", 1)], c[("13", 2)]
-    c0, c1, c2 = c[("23", 0)], c[("23", 1)], c[("23", 2)]
+    a0, a1, a2 = (c[("12", k)] for k in range(3))
+    b0, b1, b2 = (c[("13", k)] for k in range(3))
+    c0, c1, c2 = (c[("23", k)] for k in range(3))
+    a2, b2, c2 = a2.embed("12"), b2.embed("13"), c2.embed("23")
+    a0b1 = leg_product(a0, "12", b1, "13")
+    a1b0 = leg_product(a1, "12", b0, "13")
+    c1a0 = leg_product(c1, "23", a0, "12")
+    c0a1 = leg_product(c0, "23", a1, "12")
+    b1c0 = leg_product(b1, "13", c0, "23")
+    b0c1 = leg_product(b0, "13", c1, "23")
 
     lhs1 = b2 * 2.0 + c2 + a2
-    rhs1 = a0.mul(b1) - c1.mul(a0) - c0.mul(a1) + b1.mul(c0)
+    rhs1 = a0b1 - c1a0 - c0a1 + b1c0
     lhs2 = a2 - b2 - c2 * 2.0
-    rhs2 = -(a0.mul(b1) - a1.mul(b0) - c1.mul(a0) + b0.mul(c1))
+    rhs2 = -(a0b1 - a1b0 - c1a0 + b0c1)
     lhs3 = (b2 + c2) * 3.0
-    rhs3 = (
-        a0.mul(b1) * 2.0
-        - a1.mul(b0)
-        - c1.mul(a0) * 2.0
-        - c0.mul(a1)
-        + b1.mul(c0)
-        + b0.mul(c1)
-    )
+    rhs3 = a0b1 * 2.0 - a1b0 - c1a0 * 2.0 - c0a1 + b1c0 + b0c1
     scale = max(rhs1.frobenius(), rhs3.frobenius(), a2.frobenius(), 1.0)
     return (lhs1 - rhs1, lhs2 - rhs2, lhs3 - rhs3), scale
 

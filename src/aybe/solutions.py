@@ -549,7 +549,7 @@ def cybe_limit_of_aybe(
         raise NonConvergenceError(
             f"extrapolants disagree by {deviation:.3e} (> {rtol:.1e}); no finite limit"
         )
-    order = math.log2(d1 / d2) if d2 > 0 else math.inf
+    order = math.log2(d1 / d2) if d1 > 0 and d2 > 0 else math.inf
     return LimitResult(value=value, order=order, deviation=deviation, u_seq=u_seq)
 
 

@@ -4,6 +4,9 @@ A two-leg tensor stores coefficients r[i, j, k, l] for the element
 ``sum r[i,j,k,l] e_ij (x) e_kl`` of End(C^n) (x) End(C^n); a three-leg
 tensor extends this with one more matrix factor.  Products contract the
 matrix units factorwise: (e_ab)(e_cd) = delta_bc e_ad on every leg.
+A product of two two-leg tensors placed on different leg pairs of a
+three-leg tensor contracts only their shared leg; :func:`leg_product`
+computes it directly instead of embedding both factors and multiplying.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ __all__ = [
     "MatrixTensor3",
     "from_pair",
     "identity2",
+    "leg_product",
 ]
 
 
@@ -221,6 +225,35 @@ class MatrixTensor3:
     @classmethod
     def zeros(cls, n: int) -> "MatrixTensor3":
         return cls(np.zeros((n,) * 6, dtype=complex))
+
+
+# (legs of x, legs of y) -> einsum spec of x_legs y_legs in three legs; the
+# index pair of the shared leg contracts, the other two legs pass through.
+_LEG_PRODUCT_SPECS = {
+    ("12", "13"): "iakl,ajmn->ijklmn",
+    ("13", "12"): "iamn,ajkl->ijklmn",
+    ("12", "23"): "ijka,almn->ijklmn",
+    ("23", "12"): "kamn,ijal->ijklmn",
+    ("13", "23"): "ijma,klan->ijklmn",
+    ("23", "13"): "klma,ijan->ijklmn",
+}
+
+
+def leg_product(
+    x: MatrixTensor2, legs_x: str, y: MatrixTensor2, legs_y: str
+) -> MatrixTensor3:
+    """The product ``x_{legs_x} y_{legs_y}`` of two embedded two-leg tensors.
+
+    Equal entry for entry to ``x.embed(legs_x).mul(y.embed(legs_y))`` but
+    O(n^7) instead of O(n^9): only the leg the two pairs share contracts.
+    """
+    spec = _LEG_PRODUCT_SPECS.get((legs_x, legs_y))
+    if spec is None:
+        raise ValueError(
+            f"legs must be two different pairs of '12', '13', '23', "
+            f"got {legs_x!r} and {legs_y!r}"
+        )
+    return MatrixTensor3(np.einsum(spec, x.coeffs, y.coeffs))
 
 
 def from_pair(a: np.ndarray, b: np.ndarray) -> MatrixTensor2:

@@ -32,7 +32,7 @@ from .solutions import (
     in_domain,
     paired_cybe_handle,
 )
-from .tensors import MatrixTensor2, MatrixTensor3
+from .tensors import MatrixTensor2, MatrixTensor3, leg_product
 
 __all__ = [
     "ResidualReport",
@@ -158,10 +158,7 @@ def aybe_terms(
         T2 = r23(u+u', v')    r12(u, v)
         T3 = r13(u, v+v')     r23(u', v')
     """
-    t1 = eval_aybe(h, -up, v).embed("12").mul(eval_aybe(h, u + up, v + vp).embed("13"))
-    t2 = eval_aybe(h, u + up, vp).embed("23").mul(eval_aybe(h, u, v).embed("12"))
-    t3 = eval_aybe(h, u, v + vp).embed("13").mul(eval_aybe(h, up, vp).embed("23"))
-    return t1, t2, t3
+    return _aybe_products(_aybe_values(h, u, up, v, vp))
 
 
 def aybe_residual(
@@ -187,23 +184,22 @@ def aybe_commutator_residual(
     which is the mechanical step behind the classical limit.
     """
     _require_aybe_domain(h, u, up, v, vp)
-    a = eval_aybe(h, -up, v).embed("12")
-    b = eval_aybe(h, u + up, v + vp).embed("13")
-    c = eval_aybe(h, u + up, vp).embed("23")
-    d = eval_aybe(h, u, v).embed("12")
-    e = eval_aybe(h, u, v + vp).embed("13")
-    f = eval_aybe(h, up, vp).embed("23")
-    return _comm(a, b) - _comm(c, d) + _comm(e, f)
+    values = _aybe_values(h, u, up, v, vp)
+    return _aybe_commutators(values, _aybe_products(values))
 
 
 def cybe_terms(
     h: SolutionHandle, v: complex, vp: complex
 ) -> Tuple[MatrixTensor3, MatrixTensor3, MatrixTensor3]:
     """The three commutators of the one-variable identity at (x, y) = (v, v')."""
-    r12 = eval_cybe(h, v).embed("12")
-    r13 = eval_cybe(h, v + vp).embed("13")
-    r23 = eval_cybe(h, vp).embed("23")
-    return _comm(r12, r13), _comm(r12, r23), _comm(r13, r23)
+    r12 = eval_cybe(h, v)
+    r13 = eval_cybe(h, v + vp)
+    r23 = eval_cybe(h, vp)
+    return (
+        _comm(r12, "12", r13, "13"),
+        _comm(r12, "12", r23, "23"),
+        _comm(r13, "13", r23, "23"),
+    )
 
 
 def cybe_residual(h: SolutionHandle, v: complex, vp: complex) -> MatrixTensor3:
@@ -238,8 +234,38 @@ def limit_consistency_residual(
     return limit - target
 
 
-def _comm(x: MatrixTensor3, y: MatrixTensor3) -> MatrixTensor3:
-    return x.mul(y) - y.mul(x)
+def _comm(
+    x: MatrixTensor2, legs_x: str, y: MatrixTensor2, legs_y: str
+) -> MatrixTensor3:
+    return leg_product(x, legs_x, y, legs_y) - leg_product(y, legs_y, x, legs_x)
+
+
+def _aybe_values(
+    h: SolutionHandle, u: complex, up: complex, v: complex, vp: complex
+) -> tuple:
+    """r at the six points of :func:`_aybe_points`, in that order."""
+    return tuple(eval_aybe(h, a, b) for a, b in _aybe_points(u, up, v, vp))
+
+
+def _aybe_products(values: tuple) -> Tuple[MatrixTensor3, MatrixTensor3, MatrixTensor3]:
+    """T1, T2, T3 of :func:`aybe_terms` from the six values."""
+    a, b, c, d, e, f = values
+    return (
+        leg_product(a, "12", b, "13"),
+        leg_product(c, "23", d, "12"),
+        leg_product(e, "13", f, "23"),
+    )
+
+
+def _aybe_commutators(values: tuple, terms: tuple) -> MatrixTensor3:
+    """Commutator residual, reusing T1..T3 as the first half of each commutator."""
+    a, b, c, d, e, f = values
+    t1, t2, t3 = terms
+    return (
+        (t1 - leg_product(b, "13", a, "12"))
+        - (t2 - leg_product(d, "12", c, "23"))
+        + (t3 - leg_product(f, "23", e, "13"))
+    )
 
 
 def _require_aybe_domain(
@@ -361,8 +387,9 @@ def check_aybe_commutator(
     samples, skipped = _accept(rng, radius, config.n_aybe, 4, ok, config.max_draws)
     abs_res, rel_res = [], []
     for u, up, v, vp in samples:
-        t1, t2, t3 = aybe_terms(h, u, up, v, vp)
-        res = aybe_commutator_residual(h, u, up, v, vp)
+        values = _aybe_values(h, u, up, v, vp)
+        t1, t2, t3 = _aybe_products(values)
+        res = _aybe_commutators(values, (t1, t2, t3))
         scale = max(t1.frobenius(), t2.frobenius(), t3.frobenius(), 1e-300)
         abs_res.append(res.max_abs())
         rel_res.append(res.frobenius() / scale)
@@ -388,13 +415,13 @@ def check_cybe(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> Residu
     samples, skipped = _accept(rng, radius, config.n_cybe, 2, ok, config.max_draws)
     abs_res, rel_res = [], []
     for v, vp in samples:
-        r12 = eval_cybe(h, v).embed("12")
-        r13 = eval_cybe(h, v + vp).embed("13")
-        r23 = eval_cybe(h, vp).embed("23")
+        r12 = eval_cybe(h, v)
+        r13 = eval_cybe(h, v + vp)
+        r23 = eval_cybe(h, vp)
         products = [
-            r12.mul(r13), r13.mul(r12),
-            r12.mul(r23), r23.mul(r12),
-            r13.mul(r23), r23.mul(r13),
+            leg_product(r12, "12", r13, "13"), leg_product(r13, "13", r12, "12"),
+            leg_product(r12, "12", r23, "23"), leg_product(r23, "23", r12, "12"),
+            leg_product(r13, "13", r23, "23"), leg_product(r23, "23", r13, "13"),
         ]
         res = (products[0] - products[1]) + (products[2] - products[3]) + (
             products[4] - products[5]

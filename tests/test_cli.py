@@ -196,6 +196,26 @@ def test_verify_deterministic_for_fixed_seed(capsys):
     assert out3 != out1
 
 
+@pytest.mark.parametrize("seed", ["26", "39"])
+def test_verify_trig1_limit_with_exact_first_difference(seed, capsys):
+    # On these seeds the first Richardson difference of the limit is exactly
+    # zero; the convergence order must not take log2(0).
+    code, out, err = run_cli(["verify", "--family", "trig1", "--seed", seed], capsys)
+    assert code == 0, err
+    lines = out.splitlines()
+    assert len(lines) == 5
+    assert all(line.startswith("PASS ") for line in lines)
+
+
+def test_verify_non_convergence_is_reported_not_raised(capsys):
+    # A guard wider than the sampling disc rejects every draw.
+    code, out, err = run_cli(["verify", "--family", "trig1", "--guard", "10"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_verify_unknown_check_is_usage_error(capsys):
     code, _, err = run_cli(
         ["verify", "--family", "trig1", "--check", "bogus"], capsys

@@ -3,7 +3,18 @@
 import numpy as np
 import pytest
 
-from aybe.tensors import MatrixTensor2, MatrixTensor3, from_pair, identity2, matrix_unit
+from aybe.tensors import (
+    MatrixTensor2,
+    MatrixTensor3,
+    from_pair,
+    identity2,
+    leg_product,
+    matrix_unit,
+)
+
+LEG_PAIRS = [
+    ("12", "13"), ("13", "12"), ("12", "23"), ("23", "12"), ("13", "23"), ("23", "13"),
+]
 
 
 def random_tensor(rng, n):
@@ -76,6 +87,27 @@ def test_embed_products_respect_leg_structure(rng):
     prod23 = r.embed("13").mul(s.embed("23"))
     expected23 = np.einsum("ij,kl,mn->ijklmn", a1, a2, b1 @ b2)
     assert np.max(np.abs(prod23.coeffs - expected23)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("legs_x,legs_y", LEG_PAIRS)
+def test_leg_product_equals_embed_then_mul(legs_x, legs_y, n):
+    # Same entries, bit for bit, as the full three-leg product it replaces.
+    rng = np.random.default_rng(100 * n + LEG_PAIRS.index((legs_x, legs_y)))
+    x, y = random_tensor(rng, n), random_tensor(rng, n)
+    prod = leg_product(x, legs_x, y, legs_y)
+    assert isinstance(prod, MatrixTensor3)
+    assert np.array_equal(prod.coeffs, x.embed(legs_x).mul(y.embed(legs_y)).coeffs)
+
+
+@pytest.mark.parametrize(
+    "legs_x,legs_y",
+    [("12", "12"), ("13", "13"), ("21", "13"), ("12", "32"), ("", "")],
+)
+def test_leg_product_rejects_unsupported_legs(rng, legs_x, legs_y):
+    x, y = random_tensor(rng, 2), random_tensor(rng, 2)
+    with pytest.raises(ValueError):
+        leg_product(x, legs_x, y, legs_y)
 
 
 def test_embed_rejects_bad_legs(rng):

@@ -18,12 +18,15 @@ from aybe.solutions import (
     trig_aybe,
     trig_cybe,
 )
+import aybe.verify
 from aybe.tensors import MatrixTensor2, from_pair, identity2
 from aybe.verify import (
     ResidualReport,
     SuiteConfig,
+    aybe_commutator_residual,
     aybe_residual,
     check_aybe,
+    check_aybe_commutator,
     check_cybe,
     check_limit_consistency,
     check_rank,
@@ -222,3 +225,57 @@ def test_seed_determinism():
 def test_requested_check_filtering():
     reports = run_suite(trig_aybe(1), SuiteConfig(seed=1, n_aybe=4, checks=("aybe",)))
     assert [rep.tag for rep in reports] == ["aybe"]
+
+
+# ---------------------------------------------------------------------------
+# commutator check: one evaluation pass per sample, unchanged numbers
+# ---------------------------------------------------------------------------
+
+COMMUTATOR_HANDLES = [elliptic_aybe(3, 1, 1j), trig_aybe(1)]
+
+
+def test_commutator_check_evaluates_six_points_per_sample(monkeypatch):
+    calls = []
+    real_eval = aybe.verify.eval_aybe
+
+    def counting_eval(h, u, v):
+        calls.append((u, v))
+        return real_eval(h, u, v)
+
+    monkeypatch.setattr(aybe.verify, "eval_aybe", counting_eval)
+    report = check_aybe_commutator(trig_aybe(1), FAST)
+    assert len(report.points) == FAST.n_aybe
+    assert len(calls) == 6 * FAST.n_aybe
+
+
+def _embed_mul_commutator(h, u, up, v, vp):
+    """Terms and commutator residual built by embedding every operand into
+    three legs and taking the full six-index product."""
+    def r(a, b, legs):
+        return eval_aybe(h, a, b).embed(legs)
+
+    def comm(x, y):
+        return x.mul(y) - y.mul(x)
+
+    a, b = r(-up, v, "12"), r(u + up, v + vp, "13")
+    c, d = r(u + up, vp, "23"), r(u, v, "12")
+    e, f = r(u, v + vp, "13"), r(up, vp, "23")
+    terms = (a.mul(b), c.mul(d), e.mul(f))
+    return terms, comm(a, b) - comm(c, d) + comm(e, f)
+
+
+@pytest.mark.parametrize("h", COMMUTATOR_HANDLES, ids=str)
+def test_commutator_report_matches_embed_mul_reference(h):
+    report = check_aybe_commutator(h, FAST)
+    assert report.points == check_aybe(h, FAST).points
+    abs_res, rel_res = [], []
+    for u, up, v, vp in report.points:
+        terms, res = _embed_mul_commutator(h, u, up, v, vp)
+        scale = max(t.frobenius() for t in terms)
+        abs_res.append(res.max_abs())
+        rel_res.append(res.frobenius() / scale)
+        direct = aybe_commutator_residual(h, u, up, v, vp)
+        assert np.array_equal(direct.coeffs, res.coeffs)
+    assert report.max_abs_residual == max(abs_res)
+    assert report.max_rel_residual == max(rel_res)
+    assert report.passed
