@@ -1,11 +1,16 @@
 """Slow defining-series implementations used as oracles by the test suite.
 
-Every routine here evaluates one of the definitions head-on: truncated theta
-sums, the Kronecker double series, Eisenstein-summed lattice series.  Nothing
-is shared with the fast paths in :mod:`aybe.special`, so agreement between
-the two is a genuine cross-check.  Truncation orders are explicit arguments;
-callers pick them so the truncation error sits well below the comparison
-tolerance.
+Every series routine here evaluates one of the definitions head-on: truncated
+theta sums, the Kronecker double series, Eisenstein-summed lattice series.
+Nothing is shared with the fast paths in :mod:`aybe.special`, so agreement
+between the two is a genuine cross-check.  Truncation orders are explicit
+arguments; callers pick them so the truncation error sits well below the
+comparison tolerance.
+
+:func:`eval_cybe_alt` is the one exception: it assembles the elliptic CYBE
+tensor a second way, from the same :func:`aybe.special.zeta_char` as the fast
+path, so it cross-checks the tensor assembly in :mod:`aybe.solutions`, not
+zeta itself.
 """
 
 from __future__ import annotations
@@ -15,6 +20,11 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from .errors import DomainError
+from .solutions import SolutionHandle
+from .special import Characteristic, modular_param, zeta_char
+from .tensors import MatrixTensor2
 
 TWO_PI_I = 2j * math.pi
 
@@ -144,3 +154,64 @@ def g3_lattice_sum(tau: complex, n_max: int = 200) -> complex:
     """g3 = 140 * sum' w^-6 over the symmetric box."""
     w = _lattice_points(tau, n_max)
     return 140.0 * complex(np.sum(w**-6.0))
+
+
+def _eval_elliptic_cybe_alt(d: int, r: int, tau: complex, v: complex) -> MatrixTensor2:
+    """Same tensor as :func:`aybe.solutions._eval_elliptic_cybe`, assembled
+    on the small lattice with characteristic sums instead of the isogeny
+    lattice.
+
+    The characteristic sum carries an overall 1/d: the sum of d zeta terms
+    reproduces d times the isogeny-lattice F value (matching pole residues
+    on both sides, see :func:`aybe.special.identity_F_zeta`).
+    """
+    m1 = modular_param(r * tau)
+    x = -v
+    tau1 = m1.tau
+    coeffs = np.zeros((d,) * 4, dtype=complex)
+    for dj in range(1, d):
+        for di in range(d):
+            total = 0.0 + 0.0j
+            for aa in range(d):
+                phase = cmath.exp(-TWO_PI_I * aa * dj / d)
+                term = zeta_char(
+                    Characteristic.of(Fraction(aa, d), Fraction((di + dj) % d, d)),
+                    x,
+                    m1,
+                ) - zeta_char(
+                    Characteristic.of(Fraction(aa, d), 0),
+                    -Fraction(dj, d) * tau1,
+                    m1,
+                )
+                total += phase * term
+            val = total / (d * TWO_PI_I)
+            for i in range(d):
+                coeffs[i, (i + dj) % d, (i - di) % d, (i - di - dj) % d] += val
+    col = [
+        sum(
+            zeta_char(Characteristic.of(Fraction(aa, d), Fraction(bb, d)), x, m1)
+            for aa in range(d)
+        )
+        for bb in range(d)
+    ]
+    grand = sum(col)
+    for i in range(d):
+        for ip in range(d):
+            val = (col[(i - ip) % d] / d - grand / d**2) / TWO_PI_I
+            coeffs[i, i, ip, ip] += val
+    return MatrixTensor2(coeffs)
+
+
+def eval_cybe_alt(h: SolutionHandle, v: complex) -> MatrixTensor2:
+    """Alternative assembly of the elliptic CYBE tensor (characteristic sums
+    on the small lattice); must agree with :func:`aybe.solutions.eval_cybe`
+    entrywise."""
+    if h.family != "elliptic_cybe":
+        raise DomainError("alternative form exists for the elliptic CYBE family only")
+    c1, _, _, c4 = h.rescale
+    val = _eval_elliptic_cybe_alt(h.d, h.r, h.tau, c4 * v) * c1
+    if h.gauge is not None:
+        if h.gauge.kind != "constant":
+            raise DomainError("only constant gauges apply to CYBE families")
+        val = val.conjugate_legs(h.gauge.matrix, h.gauge.matrix)
+    return val

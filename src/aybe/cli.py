@@ -39,7 +39,7 @@ import argparse
 import cmath
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -47,21 +47,17 @@ import numpy as np
 
 from .curve import BundleParams, TRIVIALIZATIONS, composite_map, tensor_from_linear_map
 from .errors import DomainError, NonConvergenceError, PoleProximityError
-from .series import INFINITY, classify_scalar
+from .series import _TRIG_POINT, INFINITY, classify_scalar
 from .solutions import (
+    _FAMILIES,
     SolutionHandle,
-    elliptic_aybe,
-    elliptic_cybe,
     eval_aybe,
     eval_cybe,
     handle_from_dict,
     in_domain,
     paired_cybe_handle,
     scalar_kronecker,
-    scalar_rational,
-    scalar_trig,
     trig_aybe,
-    trig_cybe,
 )
 from .special import j_invariant, modular_param
 from .verify import (
@@ -72,25 +68,11 @@ from .verify import (
     unitarity_residual,
 )
 
-__all__ = ["CliConfig", "CliError", "main", "parse_complex"]
-
-_TRIG_POINT = -20.0 / 49.0
+__all__ = ["CliError", "main", "parse_complex"]
 
 
 class CliError(ValueError):
     """Configuration problem that maps to exit status 2."""
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Shared options of a parsed invocation (the seed fixes all draws)."""
-
-    command: str
-    family: Optional[str] = None
-    seed: int = 0
-    out: Optional[str] = None
-    csv: bool = False
-    tolerances: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -144,24 +126,16 @@ def _write(lines: Sequence[str], out: Optional[str]) -> None:
 # family construction
 # ---------------------------------------------------------------------------
 
-FAMILY_NAMES = (
-    "elliptic",
-    "elliptic-cybe",
-    "trig1",
-    "trig2",
-    "trig-cybe1",
-    "trig-cybe2",
-    "scalar-kronecker",
-    "scalar-trig",
-    "scalar-rational",
-)
-
-
-def _need(ns: argparse.Namespace, attr: str, family: str):
-    value = getattr(ns, attr, None)
-    if value is None:
-        raise CliError(f"family {family!r} requires --{attr}")
-    return value
+# command line name -> SolutionHandle.family, in the registry's order
+_CLI_FAMILIES = {
+    spec.cli_name: family for family, spec in _FAMILIES.items() if spec.cli_name
+}
+FAMILY_NAMES = tuple(_CLI_FAMILIES)
+# parser of each handle field a family's cli_args may name; a and b are optional
+_ARG_TYPES = {
+    "d": int, "r": int, "tau": parse_complex, "a": parse_complex, "b": parse_complex
+}
+_OPTIONAL_ARGS = ("a", "b")
 
 
 def _build_handle(ns: argparse.Namespace) -> SolutionHandle:
@@ -174,39 +148,25 @@ def _build_handle(ns: argparse.Namespace) -> SolutionHandle:
             return handle_from_dict(data)
         except (ValueError, KeyError, TypeError) as exc:
             raise CliError(f"bad handle file: {exc}") from exc
-    family = getattr(ns, "family", None)
-    if family is None:
+    name = getattr(ns, "family", None)
+    if name is None:
         raise CliError("one of --family or --handle-json is required")
-    if family in ("elliptic", "elliptic-cybe"):
-        d = int(_need(ns, "d", family))
-        r = int(_need(ns, "r", family))
-        tau = parse_complex(_need(ns, "tau", family))
-        maker = elliptic_aybe if family == "elliptic" else elliptic_cybe
-        try:
-            return maker(d, r, tau)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-    if family == "trig1":
-        return trig_aybe(1)
-    if family == "trig2":
-        return trig_aybe(2)
-    if family == "trig-cybe1":
-        return trig_cybe(1)
-    if family == "trig-cybe2":
-        return trig_cybe(2)
-    if family == "scalar-kronecker":
-        tau = parse_complex(_need(ns, "tau", family))
-        try:
-            return scalar_kronecker(tau)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-    if family == "scalar-trig":
-        return scalar_trig()
-    if family == "scalar-rational":
-        a = parse_complex(ns.a) if getattr(ns, "a", None) is not None else 1.0
-        b = parse_complex(ns.b) if getattr(ns, "b", None) is not None else 1.0
-        return scalar_rational(a, b)
-    raise CliError(f"unknown family {family!r}")
+    family = _CLI_FAMILIES.get(name)
+    if family is None:
+        raise CliError(f"unknown family {name!r}")
+    spec = _FAMILIES[family]
+    fields = {} if spec.n is None else {"d": spec.n}
+    for arg in spec.cli_args:
+        value = getattr(ns, arg, None)
+        if value is None:
+            if arg in _OPTIONAL_ARGS:
+                continue
+            raise CliError(f"family {name!r} requires --{arg}")
+        fields[arg] = _ARG_TYPES[arg](value)
+    try:
+        return SolutionHandle(family=family, **fields)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _add_family_args(sub: argparse.ArgumentParser, with_handle_file: bool = True) -> None:
@@ -233,7 +193,7 @@ def _add_common_args(sub: argparse.ArgumentParser) -> None:
 # eval
 # ---------------------------------------------------------------------------
 
-def _cmd_eval(ns: argparse.Namespace, cfg: CliConfig) -> int:
+def _cmd_eval(ns: argparse.Namespace) -> int:
     h = _build_handle(ns)
     if ns.v is None:
         raise CliError("eval requires --v")
@@ -248,9 +208,9 @@ def _cmd_eval(ns: argparse.Namespace, cfg: CliConfig) -> int:
         u_values = [parse_complex(t) for t in _tokens(ns.u)]
         points = [(u, v) for u in u_values for v in v_values]
 
-    n = h.d
+    n = h.n
     lines: List[str] = []
-    if cfg.csv:
+    if ns.csv:
         lines.append("u_re,u_im,v_re,v_im,i,j,k,l,re,im,status")
     for u, v in points:
         try:
@@ -258,7 +218,7 @@ def _cmd_eval(ns: argparse.Namespace, cfg: CliConfig) -> int:
                 raise PoleProximityError("point too close to the polar set")
             tensor = eval_cybe(h, v) if u is None else eval_aybe(h, u, v)
         except (PoleProximityError, DomainError, ZeroDivisionError, OverflowError):
-            if cfg.csv:
+            if ns.csv:
                 u_str = "," if u is None else f"{u.real!r},{u.imag!r}"
                 lines.append(f"{u_str},{v.real!r},{v.imag!r},,,,,,,pole-proximity")
             else:
@@ -268,7 +228,7 @@ def _cmd_eval(ns: argparse.Namespace, cfg: CliConfig) -> int:
                 lines.append(f"{head} n={n} pole-proximity")
             continue
         coeffs = tensor.coeffs
-        if cfg.csv:
+        if ns.csv:
             u_str = "," if u is None else f"{u.real!r},{u.imag!r}"
             for idx in np.ndindex(n, n, n, n):
                 z = complex(coeffs[idx])
@@ -285,7 +245,7 @@ def _cmd_eval(ns: argparse.Namespace, cfg: CliConfig) -> int:
             for idx in np.ndindex(n, n, n, n):
                 i, j, k, l = idx
                 lines.append(f"  [{i},{j},{k},{l}] = {_fmt_c(coeffs[idx])}")
-    _write(lines, cfg.out)
+    _write(lines, ns.out)
     return 0
 
 
@@ -310,7 +270,7 @@ def _suite_config(ns: argparse.Namespace, checks: Optional[tuple]) -> SuiteConfi
     return replace(config, **overrides) if overrides else config
 
 
-def _cmd_verify(ns: argparse.Namespace, cfg: CliConfig) -> int:
+def _cmd_verify(ns: argparse.Namespace) -> int:
     h = _build_handle(ns)
     requested = tuple(ns.check) if ns.check else None
     if requested:
@@ -332,7 +292,7 @@ def _cmd_verify(ns: argparse.Namespace, cfg: CliConfig) -> int:
         raise CliError("no requested check applies to this family")
 
     lines: List[str] = []
-    if cfg.csv:
+    if ns.csv:
         lines.append("tag,points,skipped,max_abs,max_rel,tolerance,passed")
         for rep in reports:
             lines.append(
@@ -342,7 +302,7 @@ def _cmd_verify(ns: argparse.Namespace, cfg: CliConfig) -> int:
             )
     else:
         lines.extend(rep.summary_line() for rep in reports)
-    _write(lines, cfg.out)
+    _write(lines, ns.out)
     return 0 if all(rep.passed for rep in reports) else 1
 
 
@@ -350,7 +310,7 @@ def _cmd_verify(ns: argparse.Namespace, cfg: CliConfig) -> int:
 # classify
 # ---------------------------------------------------------------------------
 
-def _cmd_classify(ns: argparse.Namespace, cfg: CliConfig) -> int:
+def _cmd_classify(ns: argparse.Namespace) -> int:
     h = _build_handle(ns)
     try:
         result = classify_scalar(h, radius=ns.radius)
@@ -362,7 +322,7 @@ def _cmd_classify(ns: argparse.Namespace, cfg: CliConfig) -> int:
         c_str = "infinity"
     else:
         c_str = _fmt_c(result.C)
-    if cfg.csv:
+    if ns.csv:
         lines = [
             "verdict,c3_re,c3_im,c5_re,c5_im,C_re,C_im",
             (
@@ -382,7 +342,7 @@ def _cmd_classify(ns: argparse.Namespace, cfg: CliConfig) -> int:
             f"c5={_fmt_c(result.c5)}",
             f"C={c_str}",
         ]
-    _write(lines, cfg.out)
+    _write(lines, ns.out)
     return 0
 
 
@@ -409,7 +369,7 @@ def _oracle_samples(rng: np.random.Generator, n: int):
         yield s, t, w1, w2, g1, g2
 
 
-def _cmd_oracle(ns: argparse.Namespace, cfg: CliConfig) -> int:
+def _cmd_oracle(ns: argparse.Namespace) -> int:
     case = int(ns.case)
     if case not in (1, 2):
         raise CliError("--case must be 1 or 2")
@@ -452,7 +412,7 @@ def _cmd_oracle(ns: argparse.Namespace, cfg: CliConfig) -> int:
         rows.append((k, dev, dep))
 
     lines: List[str] = []
-    if cfg.csv:
+    if ns.csv:
         lines.append("sample,closed_rel,dependence_rel")
         for k, dev, dep in rows:
             dev_str = "" if dev is None else repr(dev)
@@ -473,7 +433,7 @@ def _cmd_oracle(ns: argparse.Namespace, cfg: CliConfig) -> int:
             "(constant trivialization leaves the composite tied to the raw "
             "parameters; not a check failure)"
         )
-        _write(lines, cfg.out)
+        _write(lines, ns.out)
         return 0
     max_closed = max(closed_devs)
     ok_closed = max_closed < tol_closed
@@ -486,7 +446,7 @@ def _cmd_oracle(ns: argparse.Namespace, cfg: CliConfig) -> int:
         f"{'PASS' if ok_dep else 'FAIL'} dependence: "
         f"max_rel={_fmt_f(max_dep)} tol={tol_dep:.1e}"
     )
-    _write(lines, cfg.out)
+    _write(lines, ns.out)
     return 0 if (ok_closed and ok_dep) else 1
 
 
@@ -494,7 +454,7 @@ def _cmd_oracle(ns: argparse.Namespace, cfg: CliConfig) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _cmd_sweep(ns: argparse.Namespace, cfg: CliConfig) -> int:
+def _cmd_sweep(ns: argparse.Namespace) -> int:
     quantity = ns.quantity
     grid_tokens = _tokens(ns.grid)
     grid = [parse_complex(t) for t in grid_tokens]
@@ -506,7 +466,7 @@ def _cmd_sweep(ns: argparse.Namespace, cfg: CliConfig) -> int:
                 f"sweep {quantity} expects --family scalar-kronecker "
                 "(the grid is a list of tau values)"
             )
-        if cfg.csv:
+        if ns.csv:
             lines.append(
                 "tau,C_re,C_im,deviation" if quantity == "j-deviation"
                 else "tau,C_re,C_im"
@@ -515,7 +475,7 @@ def _cmd_sweep(ns: argparse.Namespace, cfg: CliConfig) -> int:
             result = classify_scalar(scalar_kronecker(tau), radius=ns.radius)
             c_val = complex(result.C)
             if quantity == "C":
-                if cfg.csv:
+                if ns.csv:
                     lines.append(f"{token},{c_val.real!r},{c_val.imag!r}")
                 else:
                     lines.append(f"tau={token} C={_fmt_c(c_val)}")
@@ -523,13 +483,13 @@ def _cmd_sweep(ns: argparse.Namespace, cfg: CliConfig) -> int:
                 j = j_invariant(modular_param(tau))
                 target = _TRIG_POINT * (1.0 - 1728.0 / j)
                 dev = abs(c_val - target)
-                if cfg.csv:
+                if ns.csv:
                     lines.append(f"{token},{c_val.real!r},{c_val.imag!r},{dev!r}")
                 else:
                     lines.append(
                         f"tau={token} C={_fmt_c(c_val)} deviation={_fmt_f(dev)}"
                     )
-        _write(lines, cfg.out)
+        _write(lines, ns.out)
         return 0
 
     h = _build_handle(ns)
@@ -540,36 +500,36 @@ def _cmd_sweep(ns: argparse.Namespace, cfg: CliConfig) -> int:
         u = parse_complex(ns.u)
 
     if quantity == "rank":
-        if cfg.csv:
+        if ns.csv:
             lines.append("v,rank")
         for token, v in zip(grid_tokens, grid):
             tensor = eval_cybe(h, v) if u is None else eval_aybe(h, u, v)
             rank = tensor.rank_as_map()
-            lines.append(f"{token},{rank}" if cfg.csv else f"v={token} rank={rank}")
-        _write(lines, cfg.out)
+            lines.append(f"{token},{rank}" if ns.csv else f"v={token} rank={rank}")
+        _write(lines, ns.out)
         return 0
 
     if quantity == "unitarity":
         tol = float(ns.tol) if ns.tol is not None else 1e-10
-        if cfg.csv:
+        if ns.csv:
             lines.append("v,residual,passed")
         all_ok = True
         for token, v in zip(grid_tokens, grid):
             residual = unitarity_residual(h, u, v).max_abs()
             ok = residual < tol
             all_ok = all_ok and ok
-            if cfg.csv:
+            if ns.csv:
                 lines.append(f"{token},{residual!r},{int(ok)}")
             else:
                 lines.append(
                     f"v={token} residual={_fmt_f(residual)} "
                     f"{'PASS' if ok else 'FAIL'}"
                 )
-        if not cfg.csv:
+        if not ns.csv:
             lines.append(
                 f"{'PASS' if all_ok else 'FAIL'} unitarity sweep: tol={tol:.1e}"
             )
-        _write(lines, cfg.out)
+        _write(lines, ns.out)
         return 0 if all_ok else 1
 
     raise CliError(f"unknown sweep quantity {quantity!r}")
@@ -697,20 +657,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    cfg = CliConfig(
-        command=ns.command,
-        family=getattr(ns, "family", None),
-        seed=getattr(ns, "seed", 0),
-        out=getattr(ns, "out", None),
-        csv=bool(getattr(ns, "csv", False)),
-        tolerances={
-            name: getattr(ns, name)
-            for name in ("tol_aybe", "tol_cybe", "tol_unitarity", "tol_limit", "tol")
-            if getattr(ns, name, None) is not None
-        },
-    )
     try:
-        return ns.func(ns, cfg)
+        return ns.func(ns)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

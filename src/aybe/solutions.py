@@ -22,7 +22,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .errors import DomainError, NonConvergenceError
 from .special import (
     TWO_PI_I,
     Characteristic,
-    ModularParam,
     kronecker_F,
     kronecker_F_char,
     lattice_distance,
@@ -53,7 +52,6 @@ __all__ = [
     "custom_handle",
     "eval_aybe",
     "eval_cybe",
-    "eval_cybe_alt",
     "cybe_limit_of_aybe",
     "equivalence_transform",
     "paired_cybe_handle",
@@ -62,13 +60,6 @@ __all__ = [
     "handle_to_dict",
     "handle_from_dict",
 ]
-
-AYBE_FAMILIES = frozenset(
-    {"elliptic_aybe", "trig_aybe1", "trig_aybe2",
-     "scalar_kronecker", "scalar_trig", "scalar_rational"}
-)
-CYBE_FAMILIES = frozenset({"elliptic_cybe", "trig_cybe1", "trig_cybe2"})
-ELLIPTIC_FAMILIES = frozenset({"elliptic_aybe", "elliptic_cybe", "scalar_kronecker"})
 
 _TWO_PI = 2.0 * math.pi
 
@@ -114,18 +105,18 @@ class SolutionHandle:
     eval_fn: Optional[Callable[[complex, complex], MatrixTensor2]] = None
 
     def __post_init__(self):
-        known = AYBE_FAMILIES | CYBE_FAMILIES | {"custom"}
-        if self.family not in known:
+        spec = _FAMILIES.get(self.family)
+        if spec is None:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.family in ("elliptic_aybe", "elliptic_cybe"):
+        if spec.elliptic and spec.n is None:  # the Mat(d) elliptic families
             if self.d < 1:
                 raise ValueError("d must be >= 1")
             if math.gcd(self.r, self.d) != 1:
                 raise ValueError("elliptic families require gcd(r, d) = 1")
-        if self.family in ELLIPTIC_FAMILIES:
+        if spec.elliptic:
             if self.tau is None or complex(self.tau).imag <= 0:
                 raise ValueError("elliptic families need tau with Im tau > 0")
-        if self.family == "custom" and self.eval_fn is None:
+        if spec.cli_name is None and self.eval_fn is None:
             raise ValueError("custom family needs eval_fn")
         c1, _, c3, c4 = self.rescale
         if c1 == 0 or c3 == 0 or c4 == 0:
@@ -133,19 +124,16 @@ class SolutionHandle:
 
     @property
     def n(self) -> int:
-        if self.family in ("elliptic_aybe", "elliptic_cybe", "custom"):
-            return self.d
-        if self.family.startswith("trig"):
-            return 2
-        return 1
+        n = _FAMILIES[self.family].n
+        return self.d if n is None else n
 
     @property
     def is_aybe(self) -> bool:
-        return self.family in AYBE_FAMILIES or self.family == "custom"
+        return _FAMILIES[self.family].two_variable
 
     @property
     def is_cybe(self) -> bool:
-        return self.family in CYBE_FAMILIES
+        return not _FAMILIES[self.family].two_variable
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +185,10 @@ def _scalar_tensor(value: complex) -> MatrixTensor2:
     return MatrixTensor2(np.array(value, dtype=complex).reshape(1, 1, 1, 1))
 
 
-def _eval_elliptic_aybe(d: int, r: int, tau: complex, u: complex, v: complex) -> MatrixTensor2:
+def _eval_elliptic_aybe(h: SolutionHandle, u: complex, v: complex) -> MatrixTensor2:
     # rank r reduces to the line-bundle case on the lattice with r*tau
-    m = modular_param(d * r * tau)
+    d, r = h.d, h.r
+    m = modular_param(d * r * h.tau)
     bigu = d * r * u
     bigv = -d * v
     coeffs = np.zeros((d,) * 4, dtype=complex)
@@ -215,8 +204,9 @@ def _eval_elliptic_aybe(d: int, r: int, tau: complex, u: complex, v: complex) ->
     return MatrixTensor2(coeffs)
 
 
-def _eval_elliptic_cybe(d: int, r: int, tau: complex, v: complex) -> MatrixTensor2:
-    m = modular_param(d * r * tau)
+def _eval_elliptic_cybe(h: SolutionHandle, v: complex) -> MatrixTensor2:
+    d = h.d
+    m = modular_param(d * h.r * h.tau)
     bigv = -d * v
     coeffs = np.zeros((d,) * 4, dtype=complex)
     for dj in range(1, d):
@@ -233,51 +223,6 @@ def _eval_elliptic_cybe(d: int, r: int, tau: complex, v: complex) -> MatrixTenso
     for i in range(d):
         for ip in range(d):
             coeffs[i, i, ip, ip] += (zs[(i - ip) % d] - mean) / TWO_PI_I
-    return MatrixTensor2(coeffs)
-
-
-def _eval_elliptic_cybe_alt(d: int, r: int, tau: complex, v: complex) -> MatrixTensor2:
-    """Same tensor as :func:`_eval_elliptic_cybe`, assembled on the small
-    lattice with characteristic sums instead of the isogeny lattice.
-
-    The characteristic sum carries an overall 1/d: the sum of d zeta terms
-    reproduces d times the isogeny-lattice F value (matching pole residues
-    on both sides, see :func:`aybe.special.identity_F_zeta`).
-    """
-    m1 = modular_param(r * tau)
-    x = -v
-    tau1 = m1.tau
-    coeffs = np.zeros((d,) * 4, dtype=complex)
-    for dj in range(1, d):
-        for di in range(d):
-            total = 0.0 + 0.0j
-            for aa in range(d):
-                phase = cmath.exp(-TWO_PI_I * aa * dj / d)
-                term = zeta_char(
-                    Characteristic.of(Fraction(aa, d), Fraction((di + dj) % d, d)),
-                    x,
-                    m1,
-                ) - zeta_char(
-                    Characteristic.of(Fraction(aa, d), 0),
-                    -Fraction(dj, d) * tau1,
-                    m1,
-                )
-                total += phase * term
-            val = total / (d * TWO_PI_I)
-            for i in range(d):
-                coeffs[i, (i + dj) % d, (i - di) % d, (i - di - dj) % d] += val
-    col = [
-        sum(
-            zeta_char(Characteristic.of(Fraction(aa, d), Fraction(bb, d)), x, m1)
-            for aa in range(d)
-        )
-        for bb in range(d)
-    ]
-    grand = sum(col)
-    for i in range(d):
-        for ip in range(d):
-            val = (col[(i - ip) % d] / d - grand / d**2) / TWO_PI_I
-            coeffs[i, i, ip, ip] += val
     return MatrixTensor2(coeffs)
 
 
@@ -336,27 +281,128 @@ def _trig_cybe_coeffs(which: int, v: complex) -> np.ndarray:
     return c
 
 
-def _base_eval_aybe(h: SolutionHandle, u: complex, v: complex) -> MatrixTensor2:
-    fam = h.family
-    if fam == "elliptic_aybe":
-        return _eval_elliptic_aybe(h.d, h.r, h.tau, u, v)
-    if fam == "trig_aybe1":
-        return MatrixTensor2(_trig_coeffs_1(u, v))
-    if fam == "trig_aybe2":
-        return MatrixTensor2(_trig_coeffs_2(u, v))
-    if fam == "scalar_kronecker":
-        return _scalar_tensor(kronecker_F(u, v, modular_param(h.tau)))
-    if fam == "scalar_trig":
-        # symmetric in u <-> v, simple poles with residue +1 in each
-        # variable: (exp(u+v) - 1) / ((exp(u) - 1) * (exp(v) - 1))
-        eu = cmath.exp(u)
-        ev = cmath.exp(v)
-        return _scalar_tensor(1.0 / (eu - 1.0) + 1.0 / (ev - 1.0) + 1.0)
-    if fam == "scalar_rational":
-        return _scalar_tensor(h.a / u + h.b / v)
-    if fam == "custom":
-        return h.eval_fn(u, v)
-    raise DomainError(f"{fam} is not an AYBE family")
+def _eval_scalar_trig(h: SolutionHandle, u: complex, v: complex) -> MatrixTensor2:
+    # symmetric in u <-> v, simple poles with residue +1 in each
+    # variable: (exp(u+v) - 1) / ((exp(u) - 1) * (exp(v) - 1))
+    eu = cmath.exp(u)
+    ev = cmath.exp(v)
+    return _scalar_tensor(1.0 / (eu - 1.0) + 1.0 / (ev - 1.0) + 1.0)
+
+
+# ---------------------------------------------------------------------------
+# polar loci (on the rescaled variables uu = c3*u, vv = c4*v)
+# ---------------------------------------------------------------------------
+
+def _dist_to_two_pi_i(x: complex) -> float:
+    k = round(x.imag / _TWO_PI)
+    return abs(x - complex(0.0, _TWO_PI * k))
+
+
+def _clear_of_two_pi_i(h: SolutionHandle, uu: complex, vv: complex, guard: float) -> bool:
+    return _dist_to_two_pi_i(uu) > guard and _dist_to_two_pi_i(vv) > guard
+
+
+def _clear_of_two_pi_i_v(
+    h: SolutionHandle, uu: Optional[complex], vv: complex, guard: float
+) -> bool:
+    return _dist_to_two_pi_i(vv) > guard
+
+
+def _clear_elliptic_aybe(h: SolutionHandle, uu: complex, vv: complex, guard: float) -> bool:
+    lat = h.r * h.tau
+    return (
+        lattice_distance(h.d * h.r * uu, lat) > guard
+        and lattice_distance(h.d * vv, lat) > guard
+        and lattice_distance(h.d * h.r * uu - h.d * vv, lat) > guard
+    )
+
+
+def _clear_kronecker(h: SolutionHandle, uu: complex, vv: complex, guard: float) -> bool:
+    t = h.tau
+    return (
+        lattice_distance(uu, t) > guard
+        and lattice_distance(vv, t) > guard
+        and lattice_distance(uu + vv, t) > guard
+    )
+
+
+# ---------------------------------------------------------------------------
+# the family registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Family:
+    """Everything the package knows about one value of ``SolutionHandle.family``."""
+
+    # (h, u, v), or (h, v) for a one-variable family -> value before rescale
+    # and gauge
+    base: Callable[..., MatrixTensor2]
+    # (h, uu, vv, guard) -> True when the rescaled point clears the polar loci
+    domain: Callable[[SolutionHandle, Optional[complex], complex, float], bool]
+    rho: Optional[Callable[[SolutionHandle], complex]] = None  # u-pole coefficient
+    # the CYBE handle of the u -> 0 limit
+    partner: Optional[Callable[[SolutionHandle], SolutionHandle]] = None
+    n: Optional[int] = None  # matrix size; None: h.d
+    two_variable: bool = True
+    elliptic: bool = False
+    # None for custom: a Python callable can be neither named on the command
+    # line nor serialized
+    cli_name: Optional[str] = None
+    # handle fields the command line supplies; only a and b are optional
+    cli_args: Tuple[str, ...] = ()
+
+
+# Insertion order is the order of the command line's family choices.
+_FAMILIES = {
+    "elliptic_aybe": _Family(
+        base=_eval_elliptic_aybe,
+        domain=_clear_elliptic_aybe,
+        rho=lambda h: 1.0 / (TWO_PI_I * h.d * h.r),
+        partner=lambda h: elliptic_cybe(h.d, h.r, h.tau),
+        elliptic=True, cli_name="elliptic", cli_args=("d", "r", "tau"),
+    ),
+    "elliptic_cybe": _Family(
+        base=_eval_elliptic_cybe,
+        domain=lambda h, uu, vv, guard: lattice_distance(h.d * vv, h.r * h.tau) > guard,
+        two_variable=False, elliptic=True,
+        cli_name="elliptic-cybe", cli_args=("d", "r", "tau"),
+    ),
+    "trig_aybe1": _Family(
+        base=lambda h, u, v: MatrixTensor2(_trig_coeffs_1(u, v)),
+        domain=_clear_of_two_pi_i, rho=lambda h: 1.0,
+        partner=lambda h: trig_cybe(1), n=2, cli_name="trig1",
+    ),
+    "trig_aybe2": _Family(
+        base=lambda h, u, v: MatrixTensor2(_trig_coeffs_2(u, v)),
+        domain=_clear_of_two_pi_i, rho=lambda h: -1.0,
+        partner=lambda h: trig_cybe(2), n=2, cli_name="trig2",
+    ),
+    "trig_cybe1": _Family(
+        base=lambda h, v: MatrixTensor2(_trig_cybe_coeffs(1, v)),
+        domain=_clear_of_two_pi_i_v, n=2, two_variable=False, cli_name="trig-cybe1",
+    ),
+    "trig_cybe2": _Family(
+        base=lambda h, v: MatrixTensor2(_trig_cybe_coeffs(2, v)),
+        domain=_clear_of_two_pi_i_v, n=2, two_variable=False, cli_name="trig-cybe2",
+    ),
+    "scalar_kronecker": _Family(
+        base=lambda h, u, v: _scalar_tensor(kronecker_F(u, v, modular_param(h.tau))),
+        domain=_clear_kronecker, rho=lambda h: 1.0 / TWO_PI_I, n=1,
+        elliptic=True, cli_name="scalar-kronecker", cli_args=("tau",),
+    ),
+    "scalar_trig": _Family(
+        base=_eval_scalar_trig, domain=_clear_of_two_pi_i, rho=lambda h: 1.0,
+        n=1, cli_name="scalar-trig",
+    ),
+    "scalar_rational": _Family(
+        base=lambda h, u, v: _scalar_tensor(h.a / u + h.b / v),
+        domain=lambda h, uu, vv, guard: abs(uu) > guard and abs(vv) > guard,
+        rho=lambda h: h.a, n=1, cli_name="scalar-rational", cli_args=("a", "b"),
+    ),
+    "custom": _Family(
+        base=lambda h, u, v: h.eval_fn(u, v), domain=lambda h, uu, vv, guard: True,
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +429,7 @@ def eval_aybe(h: SolutionHandle, u: complex, v: complex) -> MatrixTensor2:
     if not h.is_aybe:
         raise DomainError(f"{h.family} is not a two-variable (AYBE) family")
     c1, c2, c3, c4 = h.rescale
-    base = _base_eval_aybe(h, c3 * u, c4 * v)
+    base = _FAMILIES[h.family].base(h, c3 * u, c4 * v)
     val = base * (c1 * cmath.exp(c2 * u * v))
     return _apply_gauge(h, val, u, v)
 
@@ -393,108 +439,39 @@ def eval_cybe(h: SolutionHandle, v: complex) -> MatrixTensor2:
     if not h.is_cybe:
         raise DomainError(f"{h.family} is not a CYBE family")
     c1, _, _, c4 = h.rescale
-    vv = c4 * v
-    if h.family == "elliptic_cybe":
-        base = _eval_elliptic_cybe(h.d, h.r, h.tau, vv)
-    else:
-        which = int(h.family[-1])
-        base = MatrixTensor2(_trig_cybe_coeffs(which, vv))
-    val = base * c1
+    val = _FAMILIES[h.family].base(h, c4 * v) * c1
     if h.gauge is not None:
         if h.gauge.kind != "constant":
             raise DomainError("only constant gauges apply to CYBE families")
         val = val.conjugate_legs(h.gauge.matrix, h.gauge.matrix)
     return val
-
-
-def eval_cybe_alt(h: SolutionHandle, v: complex) -> MatrixTensor2:
-    """Alternative assembly of the elliptic CYBE tensor (characteristic sums
-    on the small lattice); must agree with :func:`eval_cybe` entrywise."""
-    if h.family != "elliptic_cybe":
-        raise DomainError("alternative form exists for the elliptic CYBE family only")
-    c1, _, _, c4 = h.rescale
-    val = _eval_elliptic_cybe_alt(h.d, h.r, h.tau, c4 * v) * c1
-    if h.gauge is not None:
-        if h.gauge.kind != "constant":
-            raise DomainError("only constant gauges apply to CYBE families")
-        val = val.conjugate_legs(h.gauge.matrix, h.gauge.matrix)
-    return val
-
-
-# ---------------------------------------------------------------------------
-# domain predicates
-# ---------------------------------------------------------------------------
-
-def _dist_to_two_pi_i(x: complex) -> float:
-    k = round(x.imag / _TWO_PI)
-    return abs(x - complex(0.0, _TWO_PI * k))
 
 
 def in_domain(h: SolutionHandle, u: Optional[complex], v: complex, guard: float = 1e-3) -> bool:
     """True when the evaluation point keeps clear of every pole/branch locus."""
     _, _, c3, c4 = h.rescale
-    fam = h.family
-    vv = c4 * v
-    if fam in ("elliptic_cybe",):
-        return lattice_distance(h.d * vv, h.r * h.tau) > guard
-    if fam in ("trig_cybe1", "trig_cybe2"):
-        return _dist_to_two_pi_i(vv) > guard
-    uu = c3 * u
-    if fam == "elliptic_aybe":
-        lat = h.r * h.tau
-        return (
-            lattice_distance(h.d * h.r * uu, lat) > guard
-            and lattice_distance(h.d * vv, lat) > guard
-            and lattice_distance(h.d * h.r * uu - h.d * vv, lat) > guard
-        )
-    if fam in ("trig_aybe1", "trig_aybe2"):
-        return _dist_to_two_pi_i(uu) > guard and _dist_to_two_pi_i(vv) > guard
-    if fam == "scalar_kronecker":
-        t = h.tau
-        return (
-            lattice_distance(uu, t) > guard
-            and lattice_distance(vv, t) > guard
-            and lattice_distance(uu + vv, t) > guard
-        )
-    if fam == "scalar_trig":
-        return _dist_to_two_pi_i(uu) > guard and _dist_to_two_pi_i(vv) > guard
-    if fam == "scalar_rational":
-        return abs(uu) > guard and abs(vv) > guard
-    return True
+    spec = _FAMILIES[h.family]
+    uu = c3 * u if spec.two_variable else None
+    return spec.domain(h, uu, c4 * v, guard)
 
 
 def paired_cybe_handle(h: SolutionHandle) -> SolutionHandle:
     """The CYBE family obtained from an AYBE family by the u -> 0 projection."""
-    if h.family == "elliptic_aybe":
-        return elliptic_cybe(h.d, h.r, h.tau)
-    if h.family == "trig_aybe1":
-        return trig_cybe(1)
-    if h.family == "trig_aybe2":
-        return trig_cybe(2)
-    raise DomainError(f"no CYBE partner for family {h.family}")
+    partner = _FAMILIES[h.family].partner
+    if partner is None:
+        raise DomainError(f"no CYBE partner for family {h.family}")
+    return partner(h)
 
 
 def rho_theoretical(h: SolutionHandle) -> complex:
     """Coefficient rho of the u-pole, r(u, v) = rho*(1 (x) 1)/u + O(1)."""
     if h.gauge is not None and h.gauge.kind == "callable":
         raise DomainError("pole coefficient undefined for callable gauges")
+    rho = _FAMILIES[h.family].rho
+    if rho is None:
+        raise DomainError(f"no pole data for family {h.family}")
     c1, _, c3, _ = h.rescale
-    fam = h.family
-    if fam == "elliptic_aybe":
-        rho = 1.0 / (TWO_PI_I * h.d * h.r)
-    elif fam == "trig_aybe1":
-        rho = 1.0
-    elif fam == "trig_aybe2":
-        rho = -1.0
-    elif fam == "scalar_kronecker":
-        rho = 1.0 / TWO_PI_I
-    elif fam == "scalar_trig":
-        rho = 1.0
-    elif fam == "scalar_rational":
-        rho = h.a
-    else:
-        raise DomainError(f"no pole data for family {fam}")
-    return c1 * rho / c3
+    return c1 * rho(h) / c3
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +557,7 @@ def _c2pair(z: complex) -> list:
 
 
 def handle_to_dict(h: SolutionHandle) -> dict:
-    if h.family == "custom":
+    if _FAMILIES[h.family].cli_name is None:
         raise ValueError("custom handles are not serializable")
     gauge = None
     if h.gauge is not None:

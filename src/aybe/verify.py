@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError
 from .solutions import (
-    ELLIPTIC_FAMILIES,
+    _FAMILIES,
     SolutionHandle,
     cybe_limit_of_aybe,
     eval_aybe,
@@ -314,7 +314,7 @@ CHECK_NAMES = ("aybe", "commutator", "cybe", "unitarity", "rank", "limit")
 
 
 def _sample_radius(h: SolutionHandle) -> float:
-    return 0.4 if h.family in ELLIPTIC_FAMILIES else 1.0
+    return 0.4 if _FAMILIES[h.family].elliptic else 1.0
 
 
 def _draw_point(rng: np.random.Generator, radius: float) -> complex:
@@ -349,10 +349,20 @@ def _accept(
     return accepted, skipped
 
 
-def check_aybe(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> ResidualReport:
-    """Sampled two-variable identity residual, relative to the product terms."""
+# the two forms of the two-variable identity, from the six values and T1..T3
+_AYBE_FORMS = {
+    "aybe": lambda values, terms: terms[0] - terms[1] + terms[2],
+    "commutator": _aybe_commutators,
+}
+
+
+def _check_aybe_forms(
+    h: SolutionHandle, config: SuiteConfig, tags: Tuple[str, ...]
+) -> List[ResidualReport]:
+    """One seeded sampling pass of the two-variable identity with one report
+    per form in ``tags``; the forms share each sample's six evaluations,
+    T1..T3 and the relative scale."""
     rng = np.random.default_rng(config.seed)
-    radius = _sample_radius(h)
 
     def ok(u, up, v, vp):
         return all(
@@ -360,42 +370,34 @@ def check_aybe(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> Residu
             for a, b in _aybe_points(u, up, v, vp)
         )
 
-    samples, skipped = _accept(rng, radius, config.n_aybe, 4, ok, config.max_draws)
-    abs_res, rel_res = [], []
-    for u, up, v, vp in samples:
-        t1, t2, t3 = aybe_terms(h, u, up, v, vp)
-        res = t1 - t2 + t3
-        scale = max(t1.frobenius(), t2.frobenius(), t3.frobenius(), 1e-300)
-        abs_res.append(res.max_abs())
-        rel_res.append(res.frobenius() / scale)
-    return _make_report("aybe", samples, abs_res, rel_res, config.tol_aybe, skipped)
+    samples, skipped = _accept(
+        rng, _sample_radius(h), config.n_aybe, 4, ok, config.max_draws
+    )
+    residuals = {tag: ([], []) for tag in tags}
+    for sample in samples:
+        values = _aybe_values(h, *sample)
+        terms = _aybe_products(values)
+        scale = max([t.frobenius() for t in terms] + [1e-300])
+        for tag in tags:
+            res = _AYBE_FORMS[tag](values, terms)
+            residuals[tag][0].append(res.max_abs())
+            residuals[tag][1].append(res.frobenius() / scale)
+    return [
+        _make_report(tag, samples, *residuals[tag], config.tol_aybe, skipped)
+        for tag in tags
+    ]
+
+
+def check_aybe(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> ResidualReport:
+    """Sampled two-variable identity residual, relative to the product terms."""
+    return _check_aybe_forms(h, config, ("aybe",))[0]
 
 
 def check_aybe_commutator(
     h: SolutionHandle, config: SuiteConfig = SuiteConfig()
 ) -> ResidualReport:
     """Sampled commutator form of the two-variable identity."""
-    rng = np.random.default_rng(config.seed)
-    radius = _sample_radius(h)
-
-    def ok(u, up, v, vp):
-        return all(
-            in_domain(h, a, b, guard=config.guard)
-            for a, b in _aybe_points(u, up, v, vp)
-        )
-
-    samples, skipped = _accept(rng, radius, config.n_aybe, 4, ok, config.max_draws)
-    abs_res, rel_res = [], []
-    for u, up, v, vp in samples:
-        values = _aybe_values(h, u, up, v, vp)
-        t1, t2, t3 = _aybe_products(values)
-        res = _aybe_commutators(values, (t1, t2, t3))
-        scale = max(t1.frobenius(), t2.frobenius(), t3.frobenius(), 1e-300)
-        abs_res.append(res.max_abs())
-        rel_res.append(res.frobenius() / scale)
-    return _make_report(
-        "commutator", samples, abs_res, rel_res, config.tol_aybe, skipped
-    )
+    return _check_aybe_forms(h, config, ("commutator",))[0]
 
 
 def check_cybe(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> ResidualReport:
@@ -405,7 +407,7 @@ def check_cybe(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> Residu
     radius = _sample_radius(h)
     tol = config.tol_cybe
     if tol is None:
-        tol = 1e-8 if h.family == "elliptic_cybe" else 1e-10
+        tol = 1e-8 if _FAMILIES[h.family].elliptic else 1e-10
 
     def ok(v, vp):
         return all(
@@ -571,13 +573,10 @@ _CHECK_FNS = {
 def _applicable_checks(h: SolutionHandle) -> Tuple[str, ...]:
     if h.is_cybe:
         return ("cybe", "unitarity")
-    checks = ["aybe", "commutator", "unitarity", "rank"]
-    has_pair = h.family in ("trig_aybe1", "trig_aybe2") or (
-        h.family == "elliptic_aybe" and h.d > 1
-    )
-    if has_pair:
-        checks.append("limit")
-    return tuple(checks)
+    checks = ("aybe", "commutator", "unitarity", "rank")
+    if _FAMILIES[h.family].partner is not None and h.n > 1:
+        checks += ("limit",)
+    return checks
 
 
 def run_suite(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> List[ResidualReport]:
@@ -588,4 +587,9 @@ def run_suite(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> List[Re
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
         names = tuple(c for c in names if c in config.checks)
-    return [_CHECK_FNS[name](h, config) for name in names]
+    reports = []
+    if "aybe" in names and "commutator" in names:
+        # both forms lead every two-variable check list and share one pass
+        reports = _check_aybe_forms(h, config, ("aybe", "commutator"))
+        names = names[2:]
+    return reports + [_CHECK_FNS[name](h, config) for name in names]

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from aybe import bruteforce as bf
+from aybe.bruteforce import eval_cybe_alt
 from aybe.curve import BundleParams, composite_map, tensor_from_linear_map
 from aybe.series import (
     check_aux4,
@@ -26,7 +27,6 @@ from aybe.solutions import (
     elliptic_cybe,
     eval_aybe,
     eval_cybe,
-    eval_cybe_alt,
     in_domain,
     scalar_kronecker,
     scalar_rational,

@@ -9,8 +9,19 @@ import math
 
 import pytest
 
-from aybe.cli import CliError, main, parse_complex
-from aybe.solutions import elliptic_aybe, handle_to_dict
+from aybe.cli import (
+    FAMILY_NAMES, CliError, _build_handle, _build_parser, main, parse_complex,
+)
+from aybe.solutions import (
+    elliptic_aybe,
+    elliptic_cybe,
+    handle_to_dict,
+    scalar_kronecker,
+    scalar_rational,
+    scalar_trig,
+    trig_aybe,
+    trig_cybe,
+)
 
 TRIG_C = -20.0 / 49.0
 
@@ -106,6 +117,21 @@ def test_eval_pole_proximity_is_reported_not_fatal(capsys):
     lines = out.strip().splitlines()
     assert lines[0].endswith("pole-proximity")
     assert "point u=3.000000000000e-01" in out
+
+
+@pytest.mark.parametrize(
+    "data,n",
+    [({"family": "trig_aybe1", "d": 5}, 2), ({"family": "scalar_trig", "d": 3}, 1)],
+)
+def test_eval_handle_json_sizes_by_family_not_d(data, n, tmp_path, capsys):
+    path = tmp_path / "handle.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run_cli(
+        ["eval", "--handle-json", str(path), "--u", "0.3", "--v", "0.5"], capsys
+    )
+    assert code == 0
+    assert out.splitlines()[0].endswith(f" n={n}")
+    assert len(out.splitlines()) == 1 + n**4
 
 
 def test_eval_csv_layout(capsys):
@@ -431,3 +457,57 @@ def test_usage_errors_exit_2(args, capsys):
 def test_unknown_family_rejected_by_parser(capsys):
     assert main(["eval", "--family", "nope", "--u", "1", "--v", "2"]) == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# family construction from the command line
+# ---------------------------------------------------------------------------
+
+ELLIPTIC_ARGS = ["--d", "3", "--r", "2", "--tau", "0.2+1.1i"]
+FAMILY_CASES = [
+    ("elliptic", ELLIPTIC_ARGS, elliptic_aybe(3, 2, 0.2 + 1.1j)),
+    ("elliptic-cybe", ELLIPTIC_ARGS, elliptic_cybe(3, 2, 0.2 + 1.1j)),
+    ("trig1", [], trig_aybe(1)),
+    ("trig2", [], trig_aybe(2)),
+    ("trig-cybe1", [], trig_cybe(1)),
+    ("trig-cybe2", [], trig_cybe(2)),
+    ("scalar-kronecker", ["--tau", "i"], scalar_kronecker(1j)),
+    ("scalar-trig", [], scalar_trig()),
+    ("scalar-rational", ["--a", "2", "--b", "0.5+i"], scalar_rational(2, 0.5 + 1j)),
+]
+
+
+def test_family_names_keep_their_order():
+    assert FAMILY_NAMES == tuple(name for name, _, _ in FAMILY_CASES)
+
+
+@pytest.mark.parametrize(
+    "name,args,expected", FAMILY_CASES, ids=[c[0] for c in FAMILY_CASES]
+)
+def test_build_handle_matches_factory(name, args, expected):
+    ns = _build_parser().parse_args(["verify", "--family", name] + args)
+    assert _build_handle(ns) == expected
+
+
+def test_build_handle_rational_defaults():
+    ns = _build_parser().parse_args(["verify", "--family", "scalar-rational", "--b", "3"])
+    assert _build_handle(ns) == scalar_rational(1.0, 3)
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--family", "elliptic"], "family 'elliptic' requires --d"),
+        (["--family", "elliptic", "--d", "2", "--tau", "i"], "family 'elliptic' requires --r"),
+        (["--family", "elliptic-cybe", "--d", "2", "--r", "1"],
+         "family 'elliptic-cybe' requires --tau"),
+        (["--family", "elliptic-cybe", "--r", "1", "--tau", "i"],
+         "family 'elliptic-cybe' requires --d"),
+        (["--family", "scalar-kronecker"], "family 'scalar-kronecker' requires --tau"),
+    ],
+)
+def test_missing_family_argument_message(args, message, capsys):
+    code, out, err = run_cli(["verify"] + args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"

@@ -10,10 +10,12 @@ import math
 import numpy as np
 import pytest
 
+from aybe.bruteforce import eval_cybe_alt
 from aybe.errors import DomainError
 from aybe.series import extract_u_series
 from aybe.solutions import (
     GaugeSpec,
+    SolutionHandle,
     custom_handle,
     cybe_limit_of_aybe,
     elliptic_aybe,
@@ -21,7 +23,6 @@ from aybe.solutions import (
     equivalence_transform,
     eval_aybe,
     eval_cybe,
-    eval_cybe_alt,
     handle_from_dict,
     handle_to_dict,
     in_domain,
@@ -302,3 +303,46 @@ def test_handle_validation():
         elliptic_aybe(2, 1, -1j)  # lower half plane
     with pytest.raises(ValueError):
         trig_aybe(3)
+
+
+@pytest.mark.parametrize(
+    "h,n,two_variable",
+    [
+        (elliptic_aybe(3, 2, 1j), 3, True),
+        (elliptic_cybe(2, 1, 1j), 2, False),
+        (trig_aybe(2), 2, True),
+        (trig_cybe(1), 2, False),
+        (scalar_kronecker(1j), 1, True),
+        (scalar_trig(), 1, True),
+        (scalar_rational(), 1, True),
+        (custom_handle(lambda u, v: identity2(3), 3), 3, True),
+    ],
+    ids=str,
+)
+def test_family_size_and_arity(h, n, two_variable):
+    assert (h.n, h.is_aybe, h.is_cybe) == (n, two_variable, not two_variable)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"family": "nope"},
+        {"family": "custom"},  # no eval_fn
+        {"family": "elliptic_cybe", "d": 0, "tau": 1j},
+        {"family": "elliptic_cybe", "d": 2, "r": 4, "tau": 1j},
+        {"family": "scalar_kronecker"},  # no tau
+    ],
+)
+def test_handle_validation_by_family(fields):
+    with pytest.raises(ValueError):
+        SolutionHandle(**fields)
+
+
+@pytest.mark.parametrize(
+    "h", [trig_cybe(1), custom_handle(lambda u, v: identity2(2), 2)], ids=str
+)
+def test_families_without_pole_data(h):
+    with pytest.raises(DomainError):
+        rho_theoretical(h)
+    with pytest.raises(DomainError):
+        paired_cybe_handle(h)

@@ -279,3 +279,57 @@ def test_commutator_report_matches_embed_mul_reference(h):
     assert report.max_abs_residual == max(abs_res)
     assert report.max_rel_residual == max(rel_res)
     assert report.passed
+
+
+# ---------------------------------------------------------------------------
+# what the family registry decides, and the shared aybe/commutator pass
+# ---------------------------------------------------------------------------
+
+TWO_VAR = ("aybe", "commutator", "unitarity", "rank")
+ONE_VAR = ("cybe", "unitarity")
+TINY = SuiteConfig(seed=4, n_aybe=2, n_cybe=2, n_unitarity=2, n_rank=2, n_limit=2)
+
+
+@pytest.mark.parametrize(
+    "h,tags,radius",
+    [
+        (elliptic_aybe(1, 1, 1j), TWO_VAR, 0.4),
+        (elliptic_aybe(2, 1, 1j), TWO_VAR + ("limit",), 0.4),
+        (elliptic_cybe(2, 1, 1j), ONE_VAR, 0.4),
+        (trig_aybe(1), TWO_VAR + ("limit",), 1.0),
+        (trig_cybe(2), ONE_VAR, 1.0),
+        (scalar_kronecker(1j), TWO_VAR, 0.4),
+        (scalar_trig(), TWO_VAR, 1.0),
+        (scalar_rational(), TWO_VAR, 1.0),
+        (custom_handle(lambda u, v: eval_aybe(trig_aybe(1), u, v), 2), TWO_VAR, 1.0),
+    ],
+    ids=str,
+)
+def test_suite_checks_radius_and_cybe_tolerance_per_family(h, tags, radius):
+    reports = run_suite(h, TINY)
+    assert tuple(rep.tag for rep in reports) == tags
+    for rep in reports:
+        if rep.tag != "limit":
+            assert all(abs(z) <= radius for p in rep.points for z in p), rep.tag
+        if rep.tag == "cybe":
+            assert rep.tolerance == (1e-8 if radius == 0.4 else 1e-10)
+
+
+@pytest.mark.parametrize("h", COMMUTATOR_HANDLES, ids=str)
+def test_suite_samples_aybe_identity_once_for_both_reports(h, monkeypatch):
+    config = SuiteConfig(seed=7, n_aybe=5, checks=("aybe", "commutator"))
+    separate = [check_aybe(h, config), check_aybe_commutator(h, config)]
+    calls = []
+    real_eval = aybe.verify.eval_aybe
+
+    def counting_eval(h, u, v):
+        calls.append((u, v))
+        return real_eval(h, u, v)
+
+    monkeypatch.setattr(aybe.verify, "eval_aybe", counting_eval)
+    reports = run_suite(h, config)
+    assert len(calls) == 6 * config.n_aybe
+    assert reports == separate
+    calls.clear()
+    check_aybe(h, config)
+    assert len(calls) == 6 * config.n_aybe
