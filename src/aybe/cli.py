@@ -18,7 +18,11 @@ Subcommands
 Conventions
 -----------
 Complex tokens are parsed as ``re+imj`` with ``i`` accepted as the
-imaginary unit (``i``, ``2i``, ``0.5+0.9i``).  A JSON config file passed
+imaginary unit (``i``, ``2i``, ``0.5+0.9i``).  The value of ``--u``,
+``--v``, ``--tau``, ``--grid``, ``--a`` or ``--b`` may start with ``-``,
+either as the next argument (``--u -0.3i``) or attached (``--u=-0.3i``):
+a next argument that starts with ``-`` and then a digit, ``.``, ``i`` or
+``j`` is taken as that option's value.  A JSON config file passed
 via ``--config`` may supply any long option of the subcommand (keys with
 dashes or underscores); explicit command line flags override it.  Output
 goes to stdout or ``--out`` and is byte-identical for a fixed
@@ -96,6 +100,27 @@ def parse_complex(token: str) -> complex:
         return complex(text)
     except ValueError as exc:
         raise CliError(f"bad complex token {token!r}") from exc
+
+
+# options whose value is a complex token or a comma-separated list of them
+_COMPLEX_OPTIONS = ("--u", "--v", "--tau", "--grid", "--a", "--b")
+
+
+def _attach_negative_values(argv: List[str]) -> List[str]:
+    """Write ``--u -0.3i`` as ``--u=-0.3i``: argparse reads a separate
+    argument that starts with ``-`` and is not a plain number as an option."""
+    out: List[str] = []
+    k = 0
+    while k < len(argv):
+        tok = argv[k]
+        nxt = argv[k + 1] if k + 1 < len(argv) else ""
+        if tok in _COMPLEX_OPTIONS and nxt[:1] == "-" and nxt[1:2] in tuple("0123456789.ij"):
+            out.append(f"{tok}={nxt}")
+            k += 2
+        else:
+            out.append(tok)
+            k += 1
+    return out
 
 
 def _tokens(arg: str) -> List[str]:
@@ -653,7 +678,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -2,8 +2,19 @@
 
 Coefficients of r(u, v) around u = 0 are extracted by trapezoidal contour
 quadrature (spectrally accurate for analytic integrands), starting at 64
-nodes and doubling until two successive node counts agree.  On top of the
-extraction sit:
+nodes and doubling until two successive node counts agree.
+
+The extraction works on rows: one call integrates many functions, each on
+its own circle, and evaluates the integrand once per node count on the
+nodes of every row that has not settled.  Each row doubles and applies the
+agreement test on its own and leaves the grid once it settles, so it ends
+at the node count a lone extraction would, with the same nodes; the values
+at the even nodes of a doubled count are the previous count's, and only the
+odd nodes are evaluated afresh.  The nested contours (r0' is a contour of
+r0, the v-series of r0 is another) pass their whole outer x inner node grid
+down as rows of one extraction, and the scalar families evaluate such a
+grid through ``solutions.eval_aybe_array`` on whole arrays, 2048 points at
+a time.  On top of the extraction sit:
 
 * the scalar normal form r0(v) = 1/v + c3*v^3 + c5*v^5 + ... and the
   classification invariant C = c5^2 / c3^3,
@@ -22,7 +33,6 @@ which is what check_reconstruction_chain verifies.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -30,7 +40,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, PoleProximityError
-from .solutions import SolutionHandle, eval_aybe, in_domain
+from .solutions import SolutionHandle, eval_aybe_array
 from .tensors import MatrixTensor2, MatrixTensor3, from_pair, leg_product
 from .verify import ResidualReport, _make_report
 
@@ -117,33 +127,56 @@ _TRIG_POINT = -20.0 / 49.0
 
 
 def _contour_coefficients(
-    fn: Callable[[complex], np.ndarray],
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     powers: Sequence[int],
-    radius: float,
+    radius,
     tol: float = 1e-10,
-) -> List[np.ndarray]:
-    """Coefficients of fn at the given powers, doubling the node count
-    until two successive estimates agree to ``tol`` (relative)."""
-    previous = None
+) -> Tuple[List[np.ndarray], np.ndarray]:
+    """Coefficients at the given powers of one function per row.
+
+    Row k is sampled on the circle of radius ``radius[k]`` about 0:
+    ``fn(rows, z)`` gets the row indices and their nodes, shape
+    (len(rows), m), and returns the values there, shape (len(rows), m, ...).
+    Each row doubles its node count until two successive estimates agree to
+    ``tol`` (relative).  Returns one array of shape (rows, ...) per power and
+    the node count each row settled at.
+    """
+    radius = np.asarray(radius, dtype=float).reshape(-1)
+    powers = np.asarray(powers)
+    active = np.arange(radius.size)
+    nodes = np.zeros(radius.size, dtype=int)
+    coeffs = values = previous = None
     n = _N_START
     while n <= _N_MAX:
         theta = 2.0 * math.pi * np.arange(n) / n
-        nodes = radius * np.exp(1j * theta)
-        values = np.stack([np.asarray(fn(z), dtype=complex) for z in nodes])
-        current = []
-        for m in powers:
-            weights = np.exp(-1j * m * theta) * radius ** (-m) / n
-            current.append(np.tensordot(weights, values, axes=(0, 0)))
+        r = radius[active, None]
+        if values is None:
+            values = np.asarray(fn(active, r * np.exp(1j * theta)), dtype=complex)
+            shape = values.shape[2:]
+            coeffs = np.empty((radius.size, powers.size) + shape, dtype=complex)
+        else:
+            # the even nodes of n are the nodes of n/2
+            fresh = np.asarray(fn(active, r * np.exp(1j * theta[1::2])), dtype=complex)
+            merged = np.empty((active.size, n) + shape, dtype=complex)
+            merged[:, 0::2] = values
+            merged[:, 1::2] = fresh
+            values = merged
+        flat = values.reshape(active.size, n, -1)
+        # weights[row, power, node], as exp(-i*m*theta) * radius^-m / n
+        weights = np.exp(-1j * powers[:, None] * theta) * r[:, :, None] ** -powers[:, None]
+        current = np.matmul(weights / n, flat)
         if previous is not None:
             # compare successive estimates in the sup metric on the circle
             # (weight c_m by radius^m) so the test is radius-independent
-            scale = max(float(np.max(np.abs(values))), 1.0)
-            gap = max(
-                float(np.max(np.abs(c - p))) * radius ** m
-                for m, c, p in zip(powers, current, previous)
-            )
-            if gap <= tol * scale:
-                return current
+            scale = np.maximum(np.max(np.abs(flat), axis=(1, 2)), 1.0)
+            gap = np.max(np.abs(current - previous) * (r**powers)[:, :, None], axis=(1, 2))
+            done = gap <= tol * scale
+            coeffs[active[done]] = current[done].reshape((-1, powers.size) + shape)
+            nodes[active[done]] = n
+            keep = ~done
+            active, values, current = active[keep], values[keep], current[keep]
+            if not active.size:
+                return [coeffs[:, i] for i in range(powers.size)], nodes
         previous = current
         n *= 2
     raise NonConvergenceError(
@@ -168,11 +201,11 @@ def extract_u_series(
         raise ValueError("order must be at least -1")
     n = h.n
 
-    def fn(z: complex) -> np.ndarray:
-        return eval_aybe(h, z, v).coeffs
+    def fn(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return eval_aybe_array(h, z, v).reshape(z.shape + (n,) * 4)
 
     powers = list(range(-2, order + 1))
-    raw = _contour_coefficients(fn, powers, radius)
+    raw = [c[0] for c in _contour_coefficients(fn, powers, radius)[0]]
     scale = max(max(np.max(np.abs(c)) for c in raw), 1.0)
     if np.max(np.abs(raw[0])) > 1e-9 * scale:
         raise PoleProximityError(
@@ -181,7 +214,7 @@ def extract_u_series(
         )
     coeffs = raw[1:]
     if self_check:
-        again = _contour_coefficients(fn, powers, radius / 2.0)[1:]
+        again = [c[0] for c in _contour_coefficients(fn, powers, radius / 2.0)[0][1:]]
         gap = max(np.max(np.abs(c - p)) for c, p in zip(coeffs, again))
         if gap > 1e-9 * scale:
             raise PoleProximityError(
@@ -207,38 +240,54 @@ def _require_scalar(h: SolutionHandle) -> None:
         raise DomainError(f"{h.family} is not a scalar family")
 
 
-def _scalar_u_coeff(h: SolutionHandle, v: complex, power: int, radius: float) -> complex:
-    def fn(z: complex) -> np.ndarray:
-        return eval_aybe(h, z, v).coeffs
-
-    return complex(_contour_coefficients(fn, [power], radius)[0].reshape(-1)[0])
+def _u_radius_for(v):
+    return np.where(v != 0, np.minimum(0.02, np.abs(v) / 4.0), 0.02)
 
 
-def _u_radius_for(v: complex) -> float:
-    return min(0.02, abs(v) / 4.0) if v != 0 else 0.02
+def _scalar_u_coeffs(h: SolutionHandle, v: np.ndarray, power: int) -> np.ndarray:
+    """The u^power coefficient at every point of the array ``v``, one row of
+    a single extraction per point, on the circle of radius
+    ``_u_radius_for(v)`` about u = 0."""
+    flat = v.reshape(-1)
+
+    def fn(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return eval_aybe_array(h, z, flat[rows, None]).reshape(z.shape)
+
+    (c,), _ = _contour_coefficients(fn, [power], _u_radius_for(flat))
+    return c.reshape(v.shape)
 
 
-def scalar_r0(h: SolutionHandle, v: complex) -> complex:
-    """The u^0 coefficient of a scalar family at fixed v."""
+def _as_given(v, values: np.ndarray):
+    """``values`` at the points of ``v``: a complex number when v is one."""
+    return values if np.ndim(v) else complex(values)
+
+
+def scalar_r0(h: SolutionHandle, v):
+    """The u^0 coefficient of a scalar family at fixed v (or at every point
+    of an array v)."""
     _require_scalar(h)
-    return _scalar_u_coeff(h, v, 0, _u_radius_for(v))
+    return _as_given(v, _scalar_u_coeffs(h, np.asarray(v, dtype=complex), 0))
 
 
-def scalar_r1(h: SolutionHandle, v: complex) -> complex:
-    """The u^1 coefficient of a scalar family at fixed v."""
+def scalar_r1(h: SolutionHandle, v):
+    """The u^1 coefficient of a scalar family at fixed v (or at every point
+    of an array v)."""
     _require_scalar(h)
-    return _scalar_u_coeff(h, v, 1, _u_radius_for(v))
+    return _as_given(v, _scalar_u_coeffs(h, np.asarray(v, dtype=complex), 1))
 
 
-def scalar_r0_derivative(h: SolutionHandle, v: complex) -> complex:
-    """d/dv of the u^0 coefficient, by a second contour around v."""
+def scalar_r0_derivative(h: SolutionHandle, v):
+    """d/dv of the u^0 coefficient, by a second contour around v (or around
+    every point of an array v)."""
     _require_scalar(h)
-    rad = min(0.02, abs(v) / 3.0)
+    pts = np.asarray(v, dtype=complex)
+    flat = pts.reshape(-1)
 
-    def fn(w: complex) -> np.ndarray:
-        return np.array(scalar_r0(h, v + w))
+    def fn(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return _scalar_u_coeffs(h, flat[rows, None] + w, 0)
 
-    return complex(_contour_coefficients(fn, [1], rad)[0].reshape(-1)[0])
+    (c,), _ = _contour_coefficients(fn, [1], np.minimum(0.02, np.abs(flat) / 3.0))
+    return _as_given(v, c.reshape(pts.shape))
 
 
 def scalar_r0_series(
@@ -247,19 +296,20 @@ def scalar_r0_series(
     """Laurent coefficients of v -> r0(v) around v = 0, powers -1..order."""
     _require_scalar(h)
 
-    def fn(x: complex) -> np.ndarray:
-        return np.array(scalar_r0(h, x))
+    def fn(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return _scalar_u_coeffs(h, x, 0)
 
     powers = list(range(-2, order + 1))
-    raw = _contour_coefficients(fn, powers, radius)
-    scale = max(max(abs(complex(c)) for c in raw), 1.0)
-    if abs(complex(raw[0])) > 1e-8 * scale:
+    raw = [complex(c[0]) for c in _contour_coefficients(fn, powers, radius)[0]]
+    scale = max(max(abs(c) for c in raw), 1.0)
+    if abs(raw[0]) > 1e-8 * scale:
         raise PoleProximityError("r0 does not have a simple pole at v = 0")
-    return LaurentSeries(
-        leading_order=-1,
-        coeffs=tuple(complex(c) for c in raw[1:]),
-        radius=radius,
-    )
+    return LaurentSeries(leading_order=-1, coeffs=tuple(raw[1:]), radius=radius)
+
+
+def _u_pole(h: SolutionHandle) -> complex:
+    """The u-pole coefficient, read off at one v."""
+    return complex(_scalar_u_coeffs(h, np.asarray(0.31 + 0.07j), -1))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +332,7 @@ def normalize_scalar_r0(
     a = {k: series.coefficient(k) for k in range(-1, order + 1)}
     if abs(a[-1]) < 1e-12:
         raise DomainError("r0 has no simple pole at v = 0; cannot normalize")
-    rho = _scalar_u_coeff(h, 0.31 + 0.07j, -1, _u_radius_for(0.31))
+    rho = _u_pole(h)
     c = 1.0 / a[-1]
     c2 = -c * a[1] / rho
     normalized = []
@@ -366,7 +416,7 @@ def _normal_form_handle(h: SolutionHandle) -> SolutionHandle:
     _require_scalar(h)
     _, rescale = normalize_scalar_r0(h)
     hn = replace(h, rescale=rescale)
-    rho = _scalar_u_coeff(hn, 0.31 + 0.07j, -1, _u_radius_for(0.31))
+    rho = _u_pole(hn)
     if abs(rho) < 1e-14:
         raise DomainError("u-pole coefficient vanishes; cannot normalize")
     c1, c2, c3, c4 = hn.rescale
@@ -389,11 +439,13 @@ def check_r1_relation(
     is not invariant under the exp(c2*u*v) part of the rescale group.
     """
     hn = _normal_form_handle(h)
+    v_all = np.array(pts, dtype=complex)
+    r0_all = _scalar_u_coeffs(hn, v_all, 0)
+    r1_all = _scalar_u_coeffs(hn, v_all, 1)
+    r0p_all = scalar_r0_derivative(hn, v_all)
     abs_res, rel_res, samples = [], [], []
-    for v in pts:
-        r0 = scalar_r0(hn, v)
-        r1 = scalar_r1(hn, v)
-        r0p = scalar_r0_derivative(hn, v)
+    for v, r0, r1, r0p in zip(pts, r0_all, r1_all, r0p_all):
+        r0, r1, r0p = complex(r0), complex(r1), complex(r0p)
         expected = 0.5 * (r0p + r0 * r0)
         res = abs(r1 - expected)
         scale = max(abs(r1), abs(expected), 1.0)
@@ -411,9 +463,9 @@ def check_aux4(h: SolutionHandle, v: complex, vp: complex) -> complex:
     vanishes in that gauge.
     """
     hn = _normal_form_handle(h)
-    points = (v, vp, v + vp)
-    r0 = [scalar_r0(hn, x) for x in points]
-    r0p = [scalar_r0_derivative(hn, x) for x in points]
+    points = np.array([v, vp, v + vp], dtype=complex)
+    r0 = [complex(x) for x in _scalar_u_coeffs(hn, points, 0)]
+    r0p = [complex(x) for x in scalar_r0_derivative(hn, points)]
     return (r0[0] + r0[1] - r0[2]) ** 2 + r0p[0] + r0p[1] + r0p[2]
 
 

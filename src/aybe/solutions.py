@@ -51,6 +51,7 @@ __all__ = [
     "scalar_rational",
     "custom_handle",
     "eval_aybe",
+    "eval_aybe_array",
     "eval_cybe",
     "cybe_limit_of_aybe",
     "equivalence_transform",
@@ -62,6 +63,10 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+
+# points per array evaluation of a scalar formula in eval_aybe_array; bounds
+# the points x theta-index temporaries of the Kronecker family
+_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -281,12 +286,15 @@ def _trig_cybe_coeffs(which: int, v: complex) -> np.ndarray:
     return c
 
 
-def _eval_scalar_trig(h: SolutionHandle, u: complex, v: complex) -> MatrixTensor2:
+def _exp(z):
+    """cmath.exp on a number, np.exp on an array."""
+    return np.exp(z) if isinstance(z, np.ndarray) else cmath.exp(z)
+
+
+def _scalar_trig_value(h: SolutionHandle, u, v):
     # symmetric in u <-> v, simple poles with residue +1 in each
     # variable: (exp(u+v) - 1) / ((exp(u) - 1) * (exp(v) - 1))
-    eu = cmath.exp(u)
-    ev = cmath.exp(v)
-    return _scalar_tensor(1.0 / (eu - 1.0) + 1.0 / (ev - 1.0) + 1.0)
+    return 1.0 / (_exp(u) - 1.0) + 1.0 / (_exp(v) - 1.0) + 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +347,9 @@ class _Family:
     base: Callable[..., MatrixTensor2]
     # (h, uu, vv, guard) -> True when the rescaled point clears the polar loci
     domain: Callable[[SolutionHandle, Optional[complex], complex, float], bool]
+    # (h, u, v) -> value of a scalar family before rescale and gauge, on
+    # numbers or elementwise on arrays; its base is _scalar_base
+    scalar: Optional[Callable] = None
     rho: Optional[Callable[[SolutionHandle], complex]] = None  # u-pole coefficient
     # the CYBE handle of the u -> 0 limit
     partner: Optional[Callable[[SolutionHandle], SolutionHandle]] = None
@@ -350,6 +361,10 @@ class _Family:
     cli_name: Optional[str] = None
     # handle fields the command line supplies; only a and b are optional
     cli_args: Tuple[str, ...] = ()
+
+
+def _scalar_base(h: SolutionHandle, u: complex, v: complex) -> MatrixTensor2:
+    return _scalar_tensor(_FAMILIES[h.family].scalar(h, u, v))
 
 
 # Insertion order is the order of the command line's family choices.
@@ -386,16 +401,17 @@ _FAMILIES = {
         domain=_clear_of_two_pi_i_v, n=2, two_variable=False, cli_name="trig-cybe2",
     ),
     "scalar_kronecker": _Family(
-        base=lambda h, u, v: _scalar_tensor(kronecker_F(u, v, modular_param(h.tau))),
+        base=_scalar_base,
+        scalar=lambda h, u, v: kronecker_F(u, v, modular_param(h.tau)),
         domain=_clear_kronecker, rho=lambda h: 1.0 / TWO_PI_I, n=1,
         elliptic=True, cli_name="scalar-kronecker", cli_args=("tau",),
     ),
     "scalar_trig": _Family(
-        base=_eval_scalar_trig, domain=_clear_of_two_pi_i, rho=lambda h: 1.0,
-        n=1, cli_name="scalar-trig",
+        base=_scalar_base, scalar=_scalar_trig_value,
+        domain=_clear_of_two_pi_i, rho=lambda h: 1.0, n=1, cli_name="scalar-trig",
     ),
     "scalar_rational": _Family(
-        base=lambda h, u, v: _scalar_tensor(h.a / u + h.b / v),
+        base=_scalar_base, scalar=lambda h, u, v: h.a / u + h.b / v,
         domain=lambda h, uu, vv, guard: abs(uu) > guard and abs(vv) > guard,
         rho=lambda h: h.a, n=1, cli_name="scalar-rational", cli_args=("a", "b"),
     ),
@@ -432,6 +448,42 @@ def eval_aybe(h: SolutionHandle, u: complex, v: complex) -> MatrixTensor2:
     base = _FAMILIES[h.family].base(h, c3 * u, c4 * v)
     val = base * (c1 * cmath.exp(c2 * u * v))
     return _apply_gauge(h, val, u, v)
+
+
+def eval_aybe_array(h: SolutionHandle, u, v) -> np.ndarray:
+    """Values of the two-variable solution at the points (u[k], v[k]).
+
+    ``u`` and ``v`` are broadcast against each other and flattened to N
+    points; the result has shape (N, n, n, n, n), entry k equal to
+    ``eval_aybe(h, u[k], v[k]).coeffs`` up to rounding.  A scalar family
+    evaluates its formula, the rescale and a scalar_exp or constant gauge on
+    whole arrays, 2048 points at a time; every other family, and any
+    callable gauge, goes point by point through :func:`eval_aybe`.
+    """
+    if not h.is_aybe:
+        raise DomainError(f"{h.family} is not a two-variable (AYBE) family")
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
+    u, v = u.reshape(-1), v.reshape(-1)
+    n = h.n
+    scalar = _FAMILIES[h.family].scalar
+    g = h.gauge
+    if scalar is None or (g is not None and g.kind == "callable"):
+        out = np.empty((u.size,) + (n,) * 4, dtype=complex)
+        for k in range(u.size):
+            out[k] = eval_aybe(h, u[k], v[k]).coeffs
+        return out
+    c1, c2, c3, c4 = h.rescale
+    out = np.empty(u.size, dtype=complex)
+    for s in range(0, u.size, _CHUNK):
+        uc, vc = u[s:s + _CHUNK], v[s:s + _CHUNK]
+        out[s:s + _CHUNK] = scalar(h, c3 * uc, c4 * vc) * (c1 * np.exp(c2 * uc * vc))
+    if g is not None and g.kind == "scalar_exp":
+        out *= np.exp(-g.c * u * v)
+    out = out.reshape((-1, 1, 1, 1, 1))
+    if g is not None and g.kind == "constant":
+        gi = np.linalg.inv(g.matrix)
+        out = np.einsum("ia,kc,nabcd,bj,dl->nijkl", g.matrix, g.matrix, out, gi, gi)
+    return out
 
 
 def eval_cybe(h: SolutionHandle, v: complex) -> MatrixTensor2:

@@ -87,6 +87,16 @@ def split_lattice(x: complex, tau: complex) -> tuple[complex, int, int]:
     return x - a - b * tau, a, b
 
 
+def _split_lattice_grid(x: np.ndarray, tau: complex) -> tuple:
+    """:func:`split_lattice` on an array; ``a`` and ``b`` come back as
+    integer-valued floats."""
+    beta = x.imag / tau.imag
+    alpha = x.real - beta * tau.real
+    a = np.rint(alpha)
+    b = np.rint(beta)
+    return x - a - b * tau, a, b
+
+
 def lattice_distance(x: complex, tau: complex) -> float:
     """Distance from ``x`` to the nearest point of Z + Z*tau."""
     x0, _, _ = split_lattice(x, tau)
@@ -101,6 +111,12 @@ def _check_finite(*values: complex) -> None:
     for z in values:
         if not (cmath.isfinite(complex(z))):
             raise ValueError(f"non-finite input {z!r}")
+
+
+def _reduced_distance_grid(x0: np.ndarray, tau: complex) -> np.ndarray:
+    """:func:`lattice_distance` of the points whose reductions are ``x0``."""
+    corners = np.array([da + db * tau for da in (-1, 0, 1) for db in (-1, 0, 1)])
+    return np.min(np.abs(x0[..., None] - corners), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +150,31 @@ def _theta_raw(u0: complex, tau: complex, orders: tuple[int, ...]) -> tuple[comp
     return tuple(out)
 
 
+def _theta_raw_grid(u0: np.ndarray, tau: complex) -> np.ndarray:
+    """theta11 at lattice-reduced points ``u0``: the series of
+    :func:`_theta_raw` broadcast over points x the index range, uncached."""
+    n = _theta_index_range(tau)
+    half = n + 0.5
+    signs = np.where(np.mod(n, 2.0) == 0.0, 1.0, -1.0)
+    exponent = 1j * math.pi * half * half * tau + (TWO_PI_I * half) * u0[..., None]
+    return np.sum(signs * np.exp(exponent), axis=-1)
+
+
 def _quasi_factor(u0: complex, tau: complex, a: int, b: int) -> complex:
     # theta11(u0 + a + b*tau) = (-1)^(a+b) exp(-pi*i*b^2*tau - 2*pi*i*b*u0) theta11(u0)
     sign = -1.0 if (a + b) % 2 else 1.0
     return sign * cmath.exp(-1j * math.pi * b * b * tau - TWO_PI_I * b * u0)
+
+
+def _kronecker_quasi_exponent(tau, u0, bu, v0, bv, w0, bw):
+    """Exponent of the quasi-periodicity factor of theta11(w) / (theta11(u)
+    theta11(v)), w = u + v, combined before exponentiation: each theta
+    factor alone overflows once |Im u| exceeds about 20*Im(tau), although
+    their quotient is O(1).  Numbers or arrays; the b are integers
+    (integer-valued floats on arrays)."""
+    return -1j * math.pi * (bw * bw - bu * bu - bv * bv) * tau - TWO_PI_I * (
+        bw * w0 - bu * u0 - bv * v0
+    )
 
 
 def theta11(u: complex, m: "ModularParam") -> complex:
@@ -277,24 +314,58 @@ class Characteristic:
 # Kronecker function and characteristic twists
 
 
-def kronecker_F(u: complex, v: complex, m: ModularParam, *, guard: float = POLE_GUARD) -> complex:
+def kronecker_F(u, v, m: ModularParam, *, guard: float = POLE_GUARD):
     """Kronecker's elliptic function F(u, v) on the lattice of ``m``.
 
     Raises :class:`PoleProximityError` when u, v or u+v falls within
     ``guard`` of a lattice point (u+v on the lattice is a zero rather than a
     pole, but is excluded too so callers always sit at regular, nonzero
     values).
+
+    ``u`` and ``v`` may be numpy arrays (broadcast against each other); the
+    theta series is then summed over points x the index range at once,
+    without the per-point cache, and the pole guard raises for the first
+    offending point.
     """
+    if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
+        return _kronecker_F_grid(u, v, m, guard)
     _check_finite(u, v)
-    for label, z in (("u", u), ("v", v), ("u+v", u + v)):
-        if lattice_distance(z, m.tau) < guard:
+    tau = m.tau
+    points = (("u", u), ("v", v), ("u+v", u + v))
+    for label, z in points:
+        if lattice_distance(z, tau) < guard:
             raise PoleProximityError(
-                f"{label} = {z!r} is within {guard} of the lattice for tau = {m.tau!r}"
+                f"{label} = {z!r} is within {guard} of the lattice for tau = {tau!r}"
             )
-    tu = theta11(u, m)
-    tv = theta11(v, m)
-    tuv = theta11(u + v, m)
-    return m.theta_prime0 / TWO_PI_I * tuv / (tu * tv)
+    parts = []
+    for _, z in points:
+        z0, a, b = split_lattice(z, tau)
+        parts.append((z0, a, b, _theta_raw(z0, tau, (0,))[0]))
+    (u0, au, bu, tu), (v0, av, bv, tv), (w0, aw, bw, tuv) = parts
+    sign = -1.0 if (au + bu + av + bv + aw + bw) % 2 else 1.0
+    quasi = sign * cmath.exp(_kronecker_quasi_exponent(tau, u0, bu, v0, bv, w0, bw))
+    return m.theta_prime0 / TWO_PI_I * tuv / (tu * tv) * quasi
+
+
+def _kronecker_F_grid(u, v, m: ModularParam, guard: float) -> np.ndarray:
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise ValueError("non-finite input")
+    tau = m.tau
+    parts = []
+    for label, z in (("u", u), ("v", v), ("u+v", u + v)):
+        z0, a, b = _split_lattice_grid(z, tau)
+        near = _reduced_distance_grid(z0, tau) < guard
+        if near.any():
+            raise PoleProximityError(
+                f"{label} = {complex(z[near][0])!r} is within {guard} of the "
+                f"lattice for tau = {tau!r}"
+            )
+        parts.append((z0, a, b, _theta_raw_grid(z0, tau)))
+    (u0, au, bu, tu), (v0, av, bv, tv), (w0, aw, bw, tuv) = parts
+    sign = 1.0 - 2.0 * np.mod(au + bu + av + bv + aw + bw, 2.0)
+    quasi = sign * np.exp(_kronecker_quasi_exponent(tau, u0, bu, v0, bv, w0, bw))
+    return m.theta_prime0 / TWO_PI_I * tuv / (tu * tv) * quasi
 
 
 def kronecker_F_char(

@@ -120,6 +120,63 @@ def test_eval_pole_proximity_is_reported_not_fatal(capsys):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        ["eval", "--family", "trig1", "--u", "-0.3i", "--v", "0.5"],
+        ["eval", "--family", "trig1", "--u", "0.3", "--v", "-0.5i,0.2"],
+        ["eval", "--family", "scalar-kronecker", "--tau", "-0.5+0.9i",
+         "--u", "-.2", "--v", "-i"],
+        ["eval", "--family", "scalar-rational", "--a", "-2i", "--b", "-1-1i",
+         "--u", "0.3", "--v", "0.4"],
+        ["sweep", "--quantity", "rank", "--family", "trig1", "--u", "0.2",
+         "--grid", "-0.3i,0.4"],
+    ],
+)
+def test_negative_complex_token_as_separate_argument(args, capsys):
+    # a value after a complex option may start with '-'; it must read the
+    # same as the attached form --opt=value
+    code, out, err = run_cli(args, capsys)
+    assert code == 0, err
+    attached = []
+    k = 0
+    while k < len(args):
+        if args[k] in ("--u", "--v", "--tau", "--grid", "--a", "--b"):
+            attached.append(f"{args[k]}={args[k + 1]}")
+            k += 2
+        else:
+            attached.append(args[k])
+            k += 1
+    assert run_cli(attached, capsys) == (0, out, "")
+
+
+def test_missing_value_before_option_is_still_a_usage_error(capsys):
+    code, _, err = run_cli(["eval", "--family", "trig1", "--u", "--v", "0.5"], capsys)
+    assert code == 2
+    assert "expected one argument" in err
+
+
+def test_eval_kronecker_far_from_real_axis_is_finite(capsys):
+    # Im u = 30*Im tau used to overflow in the theta factors and print
+    # pole-proximity; F(u + 30i, v) = exp(-60*pi*i*v) F(u, v) at tau = i
+    code, out, _ = run_cli(
+        ["eval", "--family", "scalar-kronecker", "--tau", "i",
+         "--u", "0.1+30i", "--v", "0.23"],
+        capsys,
+    )
+    assert code == 0
+    assert "pole-proximity" not in out
+    value = complex(out.strip().splitlines()[1].split("=")[1].strip())
+    _, near, _ = run_cli(
+        ["eval", "--family", "scalar-kronecker", "--tau", "i",
+         "--u", "0.1", "--v", "0.23"],
+        capsys,
+    )
+    expected = complex(near.strip().splitlines()[1].split("=")[1].strip())
+    expected *= complex(math.cos(60 * math.pi * 0.23), -math.sin(60 * math.pi * 0.23))
+    assert abs(value - expected) < 1e-10 * abs(expected)
+
+
+@pytest.mark.parametrize(
     "data,n",
     [({"family": "trig_aybe1", "d": 5}, 2), ({"family": "scalar_trig", "d": 3}, 1)],
 )

@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from aybe.errors import DomainError
+import aybe.series
+from aybe.errors import DomainError, PoleProximityError
 from aybe.series import (
     INFINITY,
+    _contour_coefficients,
     check_aux4,
     check_aux5,
     check_r1_relation,
@@ -17,12 +19,14 @@ from aybe.series import (
     extract_u_series,
     normalize_scalar_r0,
     scalar_r0,
+    scalar_r0_derivative,
     scalar_r0_series,
     scalar_r1,
 )
 from aybe.solutions import (
     custom_handle,
     elliptic_aybe,
+    eval_aybe_array,
     scalar_kronecker,
     scalar_rational,
     scalar_trig,
@@ -209,3 +213,70 @@ def test_r0_odd_r1_even(h):
     for v in (0.29, 0.17 + 0.21j):
         assert abs(scalar_r0(h, -v) + scalar_r0(h, v)) < 1e-9
         assert abs(scalar_r1(h, -v) - scalar_r1(h, v)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# batched extraction
+# ---------------------------------------------------------------------------
+
+BATCH_V = np.array([0.31, 0.22 - 0.11j, -0.17 + 0.29j, 0.4j, 0.05 + 0.02j])
+
+
+@pytest.mark.parametrize(
+    "h", [scalar_kronecker(1j), scalar_trig(), scalar_rational(2.0, 3.0)], ids=str
+)
+@pytest.mark.parametrize("fn", [scalar_r0, scalar_r1, scalar_r0_derivative])
+def test_array_coefficients_match_pointwise(h, fn):
+    values = fn(h, BATCH_V)
+    assert isinstance(values, np.ndarray) and values.shape == BATCH_V.shape
+    for v, value in zip(BATCH_V, values):
+        point = fn(h, complex(v))
+        assert isinstance(point, complex)
+        assert abs(value - point) <= 1e-13 * max(abs(point), 1.0)
+    grid = fn(h, BATCH_V[:4].reshape(2, 2))
+    assert grid.shape == (2, 2)
+    assert np.allclose(grid.reshape(-1), values[:4], rtol=1e-13, atol=1e-13)
+
+
+def test_rows_settle_at_the_node_count_of_a_lone_extraction():
+    # row k is 1/(z - p_k) + 1/z on the unit circle; the nearer the pole p_k
+    # outside it, the more nodes the row needs
+    poles = np.array([1.5, 1.2, 1.1, 1.05 + 0.02j])
+    radius = np.ones(poles.size)
+
+    def fn(rows, z):
+        return 1.0 / (z - poles[rows, None]) + 1.0 / z
+
+    (batch,), nodes = _contour_coefficients(fn, [0], radius)
+    assert len(set(nodes)) == poles.size
+    assert np.allclose(batch, -1.0 / poles, rtol=1e-9)
+    for k in range(poles.size):
+        def lone(rows, z, k=k):
+            return 1.0 / (z - poles[k]) + 1.0 / z
+
+        (alone,), lone_nodes = _contour_coefficients(lone, [0], radius[k:k + 1])
+        assert lone_nodes[0] == nodes[k]
+        assert abs(alone[0] - batch[k]) <= 1e-13 * abs(alone[0])
+
+
+def test_grid_point_near_the_lattice_raises():
+    h = scalar_kronecker(1j)
+    with pytest.raises(PoleProximityError):
+        eval_aybe_array(h, np.array([0.1, 0.2, 1.0 - 0.25 + 1e-9]), 0.25)
+    # the u-circle of radius 0.02 about 0 at v = 1.02 has the node u = -0.02,
+    # where u + v sits on the lattice point 1
+    with pytest.raises(PoleProximityError):
+        scalar_r0(h, np.array([0.3, 1.02]))
+
+
+def test_aux4_calls_the_array_entry_a_bounded_number_of_times(monkeypatch):
+    calls = []
+
+    def counting(h, u, v):
+        calls.append(np.broadcast(u, v).size)
+        return eval_aybe_array(h, u, v)
+
+    monkeypatch.setattr(aybe.series, "eval_aybe_array", counting)
+    assert abs(check_aux4(scalar_trig(), 0.4j, 0.3)) < 1e-9
+    # the per-point extraction evaluated r at 148,416 points, one call each
+    assert len(calls) <= 100

@@ -6,6 +6,7 @@ itself pinned against defining-series summation in test_special.py.
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from aybe.solutions import (
     elliptic_cybe,
     equivalence_transform,
     eval_aybe,
+    eval_aybe_array,
     eval_cybe,
     handle_from_dict,
     handle_to_dict,
@@ -242,6 +244,45 @@ def test_paired_cybe_handle_rejects_scalars():
 # ---------------------------------------------------------------------------
 # transforms and serialization
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        scalar_trig(),
+        scalar_kronecker(0.5 + 0.9j),
+        scalar_rational(0.7 + 0.2j, 1.3),
+        replace(scalar_trig(), rescale=(1.3 + 0.1j, 0.2 - 0.1j, 0.8, 1.1)),
+        equivalence_transform(scalar_kronecker(1j), GaugeSpec(kind="scalar_exp", c=0.3)),
+        equivalence_transform(scalar_rational(), [[2.0 + 1.0j]]),
+        equivalence_transform(
+            scalar_trig(), GaugeSpec(kind="callable", fn=lambda x, y: np.eye(1))
+        ),
+        trig_aybe(1),
+        elliptic_aybe(2, 1, 1j),
+        custom_handle(lambda u, v: eval_aybe(scalar_trig(), v, u), 1),
+    ],
+    ids=lambda h: h.family,
+)
+def test_eval_aybe_array_matches_points(h, rng):
+    # scalar formulas run on arrays, the other families point by point
+    u = draw_disc(rng, 0.4, 30)
+    v = draw_disc(rng, 0.4, 30) + 0.05
+    values = eval_aybe_array(h, u, v)
+    assert values.shape == (30,) + (h.n,) * 4
+    for k in range(30):
+        point = eval_aybe(h, u[k], v[k]).coeffs
+        assert np.max(np.abs(values[k] - point)) <= 1e-13 * max(np.max(np.abs(point)), 1.0)
+    # broadcasting: one v against a column of u
+    column = eval_aybe_array(h, u[:4, None], v[0])
+    assert column.shape == (4,) + (h.n,) * 4
+    points = np.stack([eval_aybe(h, u[k], v[0]).coeffs for k in range(4)])
+    assert np.allclose(column, points, rtol=1e-13, atol=1e-13)
+
+
+def test_eval_aybe_array_rejects_cybe_families():
+    with pytest.raises(DomainError):
+        eval_aybe_array(trig_cybe(1), np.array([0.1]), np.array([0.2]))
+
 
 def test_constant_gauge_keeps_aybe(rng):
     from aybe.verify import aybe_residual

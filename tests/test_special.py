@@ -118,6 +118,55 @@ def test_kronecker_F_pole_guard(m_square):
         kronecker_F(0.3, 0.2, m_square, guard=0.6)
 
 
+@pytest.mark.parametrize("height", [15, 20, 30])
+@pytest.mark.parametrize("tau", [1j, 0.5 + 0.9j])
+def test_kronecker_F_quasi_periodic_far_from_real_axis(tau, height):
+    # F(u + tau, v) = exp(-2*pi*i*v) F(u, v); the theta factors of F grow
+    # like exp(pi*b^2*Im tau) and overflowed separately at Im u ~ 20*Im tau
+    m = modular_param(tau)
+    u = 0.1 + 0.2 * tau.real + 1j * height * tau.imag
+    v = 0.23 + 0.05j
+    base = kronecker_F(u, v, m)
+    shifted = kronecker_F(u + tau, v, m)
+    expected = cmath.exp(-TWO_PI_I * v) * base
+    assert cmath.isfinite(base)
+    assert abs(shifted - expected) < 1e-10 * abs(expected)
+
+
+def test_kronecker_F_finite_at_im_u_15(m_square):
+    value = kronecker_F(0.1 + 15j, 0.23 + 0.05j, m_square)
+    # 15 shifts by tau multiply F(0.1, v) by exp(-2*pi*i*15*v)
+    expected = cmath.exp(-TWO_PI_I * 15 * (0.23 + 0.05j)) * kronecker_F(
+        0.1, 0.23 + 0.05j, m_square
+    )
+    assert abs(value - expected) < 1e-10 * abs(expected)
+
+
+def test_kronecker_F_on_arrays_matches_points(m_generic):
+    u = np.array([0.17 + 0.05j, -0.42 + 0.31j, 2.31 + 1.72j, 0.3 - 9.5j])
+    v = np.array([0.23 - 0.11j, 0.1 + 0.4j, -1.6 + 0.95j, 0.21])
+    values = kronecker_F(u, v, m_generic)
+    assert values.shape == (4,)
+    for k in range(4):
+        point = kronecker_F(complex(u[k]), complex(v[k]), m_generic)
+        assert abs(values[k] - point) < 1e-13 * abs(point)
+    # one v broadcast against many u
+    row = kronecker_F(u, 0.23 - 0.11j, m_generic)
+    assert abs(row[0] - values[0]) < 1e-13 * abs(values[0])
+
+
+def test_kronecker_F_array_pole_guard(m_square):
+    u = np.array([0.3, 0.2 + 0.1j, 1.0 + 1j + 1e-9])
+    with pytest.raises(PoleProximityError, match="u = "):
+        kronecker_F(u, 0.25, m_square)
+    with pytest.raises(PoleProximityError, match="u\\+v = "):
+        kronecker_F(np.array([0.3, 0.4]), np.array([0.2, -0.4 + 2j]), m_square)
+    with pytest.raises(PoleProximityError):
+        kronecker_F(np.array([0.3, 0.4]), 0.2, m_square, guard=0.6)
+    with pytest.raises(ValueError):
+        kronecker_F(np.array([0.3, np.inf]), 0.2, m_square)
+
+
 def test_kronecker_F_symmetry(m_generic):
     u, v = 0.27 + 0.13j, -0.19 + 0.21j
     assert abs(
