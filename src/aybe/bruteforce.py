@@ -7,10 +7,14 @@ between the two is a genuine cross-check.  Truncation orders are explicit
 arguments; callers pick them so the truncation error sits well below the
 comparison tolerance.
 
-:func:`eval_cybe_alt` is the one exception: it assembles the elliptic CYBE
-tensor a second way, from the same :func:`aybe.special.zeta_char` as the fast
-path, so it cross-checks the tensor assembly in :mod:`aybe.solutions`, not
-zeta itself.
+:func:`eval_elliptic_aybe_per_char` and :func:`eval_elliptic_cybe_per_char`
+are the exceptions: they assemble the elliptic tensors one rational
+characteristic at a time from the scalar :func:`aybe.special.kronecker_F_char`
+and :func:`aybe.special.zeta_char`, where :mod:`aybe.solutions` evaluates all
+characteristics on one theta grid.  :func:`eval_cybe_alt` assembles the
+elliptic CYBE tensor a third way, from the same scalar ``zeta_char``.  These
+cross-check the tensor assembly and the grid path, not theta or zeta
+themselves.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError
 from .solutions import SolutionHandle
-from .special import Characteristic, modular_param, zeta_char
+from .special import Characteristic, kronecker_F_char, modular_param, zeta_char
 from .tensors import MatrixTensor2
 
 TWO_PI_I = 2j * math.pi
@@ -156,8 +160,57 @@ def g3_lattice_sum(tau: complex, n_max: int = 200) -> complex:
     return 140.0 * complex(np.sum(w**-6.0))
 
 
+def eval_elliptic_aybe_per_char(h: SolutionHandle, u: complex, v: complex) -> MatrixTensor2:
+    """Base value of an ``elliptic_aybe`` handle (before rescale and gauge),
+    one characteristic at a time through the scalar
+    :func:`aybe.special.kronecker_F_char`: the reference assembly for the
+    grid path of :mod:`aybe.solutions`."""
+    # rank r reduces to the line-bundle case on the lattice with r*tau
+    d, r = h.d, h.r
+    m = modular_param(d * r * h.tau)
+    bigu = d * r * u
+    bigv = -d * v
+    coeffs = np.zeros((d,) * 4, dtype=complex)
+    for dj in range(d):
+        for dq in range(d):
+            ch = Characteristic.of(Fraction(dj, d), Fraction(dq, d))
+            val = kronecker_F_char(ch, bigu, bigv, m)
+            for i in range(d):
+                j = (i + dj) % d
+                ip = (j - dq) % d
+                jp = (i - dq) % d
+                coeffs[i, j, ip, jp] += val
+    return MatrixTensor2(coeffs)
+
+
+def eval_elliptic_cybe_per_char(h: SolutionHandle, v: complex) -> MatrixTensor2:
+    """Base value of an ``elliptic_cybe`` handle, one characteristic at a
+    time through the scalar :func:`aybe.special.kronecker_F_char` and
+    :func:`aybe.special.zeta_char`: the reference assembly for the grid
+    path of :mod:`aybe.solutions`."""
+    d = h.d
+    m = modular_param(d * h.r * h.tau)
+    bigv = -d * v
+    coeffs = np.zeros((d,) * 4, dtype=complex)
+    for dj in range(1, d):
+        for di in range(d):
+            ch = Characteristic.of(Fraction(dj, d), Fraction((di + dj) % d, d))
+            val = kronecker_F_char(ch, 0.0, bigv, m)
+            for i in range(d):
+                coeffs[i, (i + dj) % d, (i - di) % d, (i - di - dj) % d] += val
+    zs = [
+        zeta_char(Characteristic.of(0, Fraction(k, d)), bigv, m)
+        for k in range(d)
+    ]
+    mean = sum(zs) / d
+    for i in range(d):
+        for ip in range(d):
+            coeffs[i, i, ip, ip] += (zs[(i - ip) % d] - mean) / TWO_PI_I
+    return MatrixTensor2(coeffs)
+
+
 def _eval_elliptic_cybe_alt(d: int, r: int, tau: complex, v: complex) -> MatrixTensor2:
-    """Same tensor as :func:`aybe.solutions._eval_elliptic_cybe`, assembled
+    """Same tensor as :func:`eval_elliptic_cybe_per_char`, assembled
     on the small lattice with characteristic sums instead of the isogeny
     lattice.
 

@@ -33,7 +33,8 @@ Exit status: 0 when every requested check passed, 1 when at least one
 check failed, 2 on configuration or usage errors and on typed numerical
 failures (a domain violation, or a procedure that did not converge, such
 as rejection sampling that ran out of draws).  Pole-proximate
-evaluation points are reported per point and do not change the exit
+evaluation points (``pole-proximity``) and points whose value overflows a
+float (``overflow``) are reported per point and do not change the exit
 status.
 """
 
@@ -242,15 +243,22 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
             if not in_domain(h, u, v, guard=1e-9):
                 raise PoleProximityError("point too close to the polar set")
             tensor = eval_cybe(h, v) if u is None else eval_aybe(h, u, v)
-        except (PoleProximityError, DomainError, ZeroDivisionError, OverflowError):
+        except (PoleProximityError, DomainError, ZeroDivisionError):
+            status = "pole-proximity"
+        except OverflowError:
+            # a value too large for a float, which need not be near a pole
+            status = "overflow"
+        else:
+            status = None
+        if status is not None:
             if ns.csv:
                 u_str = "," if u is None else f"{u.real!r},{u.imag!r}"
-                lines.append(f"{u_str},{v.real!r},{v.imag!r},,,,,,,pole-proximity")
+                lines.append(f"{u_str},{v.real!r},{v.imag!r},,,,,,,{status}")
             else:
                 head = f"point v={_fmt_c(v)}" if u is None else (
                     f"point u={_fmt_c(u)} v={_fmt_c(v)}"
                 )
-                lines.append(f"{head} n={n} pole-proximity")
+                lines.append(f"{head} n={n} {status}")
             continue
         coeffs = tensor.coeffs
         if ns.csv:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,12 +29,10 @@ import numpy as np
 from .errors import DomainError, NonConvergenceError
 from .special import (
     TWO_PI_I,
-    Characteristic,
+    _kronecker_twist_grid,
     kronecker_F,
-    kronecker_F_char,
     lattice_distance,
     modular_param,
-    zeta_char,
 )
 from .tensors import MatrixTensor2
 
@@ -190,45 +188,49 @@ def _scalar_tensor(value: complex) -> MatrixTensor2:
     return MatrixTensor2(np.array(value, dtype=complex).reshape(1, 1, 1, 1))
 
 
+@lru_cache(maxsize=64)
+def _twist_layout(d: int, first: int) -> tuple:
+    """Where F_{j/d, k/d} goes: the flat positions (i, i+j, i+j-k, i-k) mod d
+    of a (d, d, d, d) tensor, and of (j - first, k) in the twist table, for
+    i < d, first <= j < d, k < d.  No two triples share a position, so one
+    assignment places every term."""
+    i, j, k = np.ix_(range(d), range(first, d), range(d))
+    dest = ((i * d + (i + j) % d) * d + (i + j - k) % d) * d + (i - k) % d
+    src = np.broadcast_to((j - first) * d + k, dest.shape)
+    return dest.ravel(), src.ravel()
+
+
+@lru_cache(maxsize=64)
+def _zeta_layout(d: int) -> tuple:
+    """Flat positions (i, i, i', i') of a (d, d, d, d) tensor and the index
+    (i - i') mod d of their zeta term."""
+    i, ip = np.ix_(range(d), range(d))
+    return ((i * d + i) * d + ip) * d + ip, (i - ip) % d
+
+
 def _eval_elliptic_aybe(h: SolutionHandle, u: complex, v: complex) -> MatrixTensor2:
     # rank r reduces to the line-bundle case on the lattice with r*tau
-    d, r = h.d, h.r
-    m = modular_param(d * r * h.tau)
-    bigu = d * r * u
-    bigv = -d * v
-    coeffs = np.zeros((d,) * 4, dtype=complex)
-    for dj in range(d):
-        for dq in range(d):
-            ch = Characteristic.of(Fraction(dj, d), Fraction(dq, d))
-            val = kronecker_F_char(ch, bigu, bigv, m)
-            for i in range(d):
-                j = (i + dj) % d
-                ip = (j - dq) % d
-                jp = (i - dq) % d
-                coeffs[i, j, ip, jp] += val
-    return MatrixTensor2(coeffs)
+    d = h.d
+    m = modular_param(d * h.r * h.tau)
+    table = _kronecker_twist_grid(d * h.r * u, -d * v, d, m)
+    dest, src = _twist_layout(d, 0)
+    coeffs = np.zeros(d**4, dtype=complex)
+    coeffs[dest] = table.reshape(-1)[src]
+    return MatrixTensor2(coeffs.reshape((d,) * 4))
 
 
 def _eval_elliptic_cybe(h: SolutionHandle, v: complex) -> MatrixTensor2:
+    # the F twists with p = j/d != 0 at u = 0, plus the zeta terms on the
+    # diagonal blocks (i, i, i', i')
     d = h.d
     m = modular_param(d * h.r * h.tau)
-    bigv = -d * v
-    coeffs = np.zeros((d,) * 4, dtype=complex)
-    for dj in range(1, d):
-        for di in range(d):
-            ch = Characteristic.of(Fraction(dj, d), Fraction((di + dj) % d, d))
-            val = kronecker_F_char(ch, 0.0, bigv, m)
-            for i in range(d):
-                coeffs[i, (i + dj) % d, (i - di) % d, (i - di - dj) % d] += val
-    zs = [
-        zeta_char(Characteristic.of(0, Fraction(k, d)), bigv, m)
-        for k in range(d)
-    ]
-    mean = sum(zs) / d
-    for i in range(d):
-        for ip in range(d):
-            coeffs[i, i, ip, ip] += (zs[(i - ip) % d] - mean) / TWO_PI_I
-    return MatrixTensor2(coeffs)
+    table, zetas = _kronecker_twist_grid(0.0, -d * v, d, m, first=1, zeta=True)
+    dest, src = _twist_layout(d, 1)
+    coeffs = np.zeros(d**4, dtype=complex)
+    coeffs[dest] = table.reshape(-1)[src]
+    diag, shift = _zeta_layout(d)
+    coeffs[diag] = ((zetas - np.add.reduce(zetas) / d) / TWO_PI_I)[shift]
+    return MatrixTensor2(coeffs.reshape((d,) * 4))
 
 
 def _trig_coeffs_1(u: complex, v: complex) -> np.ndarray:

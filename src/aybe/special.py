@@ -113,10 +113,20 @@ def _check_finite(*values: complex) -> None:
             raise ValueError(f"non-finite input {z!r}")
 
 
+@lru_cache(maxsize=256)
+def _cell_corners(tau: complex) -> np.ndarray:
+    return np.array([da + db * tau for da in (-1, 0, 1) for db in (-1, 0, 1)])
+
+
 def _reduced_distance_grid(x0: np.ndarray, tau: complex) -> np.ndarray:
     """:func:`lattice_distance` of the points whose reductions are ``x0``."""
-    corners = np.array([da + db * tau for da in (-1, 0, 1) for db in (-1, 0, 1)])
-    return np.min(np.abs(x0[..., None] - corners), axis=-1)
+    return np.minimum.reduce(np.abs(x0[..., None] - _cell_corners(tau)), axis=-1)
+
+
+def _pole_error(label: str, z: complex, guard: float, tau: complex) -> PoleProximityError:
+    return PoleProximityError(
+        f"{label} = {z!r} is within {guard} of the lattice for tau = {tau!r}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +160,23 @@ def _theta_raw(u0: complex, tau: complex, orders: tuple[int, ...]) -> tuple[comp
     return tuple(out)
 
 
-def _theta_raw_grid(u0: np.ndarray, tau: complex) -> np.ndarray:
-    """theta11 at lattice-reduced points ``u0``: the series of
-    :func:`_theta_raw` broadcast over points x the index range, uncached."""
+@lru_cache(maxsize=256)
+def _theta_grid_terms(tau: complex) -> tuple:
+    """Signs, u-independent exponents and weights 2*pi*i*(n+1/2) of the
+    theta series over the index range of ``tau``."""
     n = _theta_index_range(tau)
     half = n + 0.5
     signs = np.where(np.mod(n, 2.0) == 0.0, 1.0, -1.0)
-    exponent = 1j * math.pi * half * half * tau + (TWO_PI_I * half) * u0[..., None]
-    return np.sum(signs * np.exp(exponent), axis=-1)
+    return signs, 1j * math.pi * half * half * tau, TWO_PI_I * half
+
+
+def _theta_raw_grid(u0: np.ndarray, tau: complex, orders: tuple = (0,)) -> list:
+    """Termwise u-derivatives of theta11 at lattice-reduced points ``u0``,
+    one array per order: the series of :func:`_theta_raw` broadcast over
+    points x the index range, uncached."""
+    signs, const, weight = _theta_grid_terms(tau)
+    terms = signs * np.exp(const + weight * u0[..., None])
+    return [np.add.reduce(terms * weight**k if k else terms, axis=-1) for k in orders]
 
 
 def _quasi_factor(u0: complex, tau: complex, a: int, b: int) -> complex:
@@ -334,9 +353,7 @@ def kronecker_F(u, v, m: ModularParam, *, guard: float = POLE_GUARD):
     points = (("u", u), ("v", v), ("u+v", u + v))
     for label, z in points:
         if lattice_distance(z, tau) < guard:
-            raise PoleProximityError(
-                f"{label} = {z!r} is within {guard} of the lattice for tau = {tau!r}"
-            )
+            raise _pole_error(label, z, guard, tau)
     parts = []
     for _, z in points:
         z0, a, b = split_lattice(z, tau)
@@ -357,11 +374,8 @@ def _kronecker_F_grid(u, v, m: ModularParam, guard: float) -> np.ndarray:
         z0, a, b = _split_lattice_grid(z, tau)
         near = _reduced_distance_grid(z0, tau) < guard
         if near.any():
-            raise PoleProximityError(
-                f"{label} = {complex(z[near][0])!r} is within {guard} of the "
-                f"lattice for tau = {tau!r}"
-            )
-        parts.append((z0, a, b, _theta_raw_grid(z0, tau)))
+            raise _pole_error(label, complex(z[near][0]), guard, tau)
+        parts.append((z0, a, b, _theta_raw_grid(z0, tau)[0]))
     (u0, au, bu, tu), (v0, av, bv, tv), (w0, aw, bw, tuv) = parts
     sign = 1.0 - 2.0 * np.mod(au + bu + av + bv + aw + bw, 2.0)
     quasi = sign * np.exp(_kronecker_quasi_exponent(tau, u0, bu, v0, bv, w0, bw))
@@ -386,6 +400,69 @@ def kronecker_F_char(
     return prefactor * kronecker_F(shift_u, shift_v, m, guard=guard)
 
 
+@lru_cache(maxsize=256)
+def _twist_plan(d: int, first: int, tau: complex) -> tuple:
+    """The shifts (j/d)*tau, first <= j < d, and (k/d)*tau, k < d, as
+    :func:`kronecker_F_char` forms p*tau and q*tau, with p = j/d as a column,
+    q = k/d and p*q*tau."""
+    shifts = (np.arange(d) / d) * tau
+    p = (np.arange(first, d) / d)[:, None]
+    q = np.arange(d) / d
+    return shifts[first:], shifts, p, q, p * q * tau
+
+
+def _twist_blocks(x: np.ndarray, rows: int, d: int) -> tuple:
+    """Split values on the twist grid's points into the u's as a column, the
+    v's as a row and the (rows, d) table of their sums."""
+    return x[:rows, None], x[rows:rows + d], x[rows + d:].reshape(rows, d)
+
+
+def _kronecker_twist_grid(u, v, d: int, m: ModularParam, *, first: int = 0,
+                          zeta: bool = False, guard: float = POLE_GUARD):
+    """F_{j/d, k/d}(u, v) for first <= j < d and 0 <= k < d, as a
+    (d - first, d) array: :func:`kronecker_F_char` on every pair, from one
+    theta grid.
+
+    The twisted arguments u + (j/d)*tau and v + (k/d)*tau, and their sum for
+    every pair, are reduced, guarded and summed as one grid of
+    d - first + d + (d - first)*d points.  Each pair's quasi-periodicity
+    exponent and its prefactor exp(2*pi*i*(p*q*tau + p*v + q*u)) are added
+    before one exp.  :class:`PoleProximityError` is raised where some pair's
+    :func:`kronecker_F` would raise it.
+
+    With ``zeta``, also returns zeta_{0, k/d}(v) (:func:`zeta_char`) for
+    k < d: its arguments v + (k/d)*tau are the twisted v's, so theta' on the
+    same grid serves it.
+    """
+    _check_finite(u, v)
+    tau = m.tau
+    u_shifts, v_shifts, p, q, pq_tau = _twist_plan(d, first, tau)
+    rows = d - first
+    zu = u + u_shifts
+    zv = v + v_shifts
+    z = np.concatenate((zu, zv, (zu[:, None] + zv).reshape(-1)))
+    z0, a, b = _split_lattice_grid(z, tau)
+    dist = _reduced_distance_grid(z0, tau)
+    if np.minimum.reduce(dist) < guard:
+        k = int((dist < guard).argmax())
+        label = "u" if k < rows else "v" if k < rows + d else "u+v"
+        raise _pole_error(label, complex(z[k]), guard, tau)
+    theta = _theta_raw_grid(z0, tau, (0, 1) if zeta else (0,))
+    # the arithmetic of kronecker_F, with the sign (-1)^(a+b) on each theta
+    # and the prefactor's exponent added to the quasi-periodicity exponent
+    u0, v0, w0 = _twist_blocks(z0, rows, d)
+    bu, bv, bw = _twist_blocks(b, rows, d)
+    tu, tv, tuv = _twist_blocks((1.0 - 2.0 * np.mod(a + b, 2.0)) * theta[0], rows, d)
+    exponent = _kronecker_quasi_exponent(tau, u0, bu, v0, bv, w0, bw) + TWO_PI_I * (
+        pq_tau + p * v + q * u
+    )
+    table = m.theta_prime0 / TWO_PI_I * tuv / (tu * tv) * np.exp(exponent)
+    if not zeta:
+        return table
+    zetas = _zeta_reduced(m, z0, a, b, theta[0], theta[1])[rows:rows + d]
+    return table, zetas - q * m.eta2
+
+
 def kronecker_weierstrass_limit(y: complex, m: ModularParam, x: complex = 1e-5) -> complex:
     """Residual of the small-x limit [2*pi*i*F(x, y) - 1/x] -> zeta(y) - y*eta1."""
     lhs = TWO_PI_I * kronecker_F(x, y, m) - 1.0 / x
@@ -397,6 +474,11 @@ def kronecker_weierstrass_limit(y: complex, m: ModularParam, x: complex = 1e-5) 
 # Weierstrass functions
 
 
+def _zeta_reduced(m: ModularParam, x0, a, b, t0, t1):
+    # zeta(x0 + a + b*tau) from theta11 and theta11' at the reduced point x0
+    return m.eta1 * x0 + t1 / t0 + a * m.eta1 + b * m.eta2
+
+
 def weierstrass_zeta(x: complex, m: ModularParam, *, guard: float = POLE_GUARD) -> complex:
     """Weierstrass zeta function for the lattice Z + Z*tau."""
     _check_finite(x)
@@ -404,7 +486,7 @@ def weierstrass_zeta(x: complex, m: ModularParam, *, guard: float = POLE_GUARD) 
     if lattice_distance(x, m.tau) < guard:
         raise PoleProximityError(f"x = {x!r} is within {guard} of the lattice")
     t0, t1 = _theta_raw(x0, m.tau, (0, 1))
-    return m.eta1 * x0 + t1 / t0 + a * m.eta1 + b * m.eta2
+    return _zeta_reduced(m, x0, a, b, t0, t1)
 
 
 def weierstrass_p(x: complex, m: ModularParam, *, guard: float = POLE_GUARD) -> complex:

@@ -119,6 +119,45 @@ def test_eval_pole_proximity_is_reported_not_fatal(capsys):
     assert "point u=3.000000000000e-01" in out
 
 
+@pytest.mark.parametrize("family", ["trig1", "scalar-trig"])
+def test_eval_overflow_far_from_poles_is_not_pole_proximity(family, capsys):
+    # exp(800) overflows a float; u = 800 is 800 away from the nearest pole
+    code, out, _ = run_cli(["eval", "--family", family, "--u", "800", "--v", "0.5"], capsys)
+    n = 2 if family == "trig1" else 1
+    assert (code, out) == (
+        0, f"point u=8.000000000000e+02+0.000000000000e+00j "
+        f"v=5.000000000000e-01+0.000000000000e+00j n={n} overflow\n")
+    code, out, _ = run_cli(
+        ["eval", "--family", family, "--u", "800,0.3", "--v", "0.5", "--csv"], capsys
+    )
+    rows = out.splitlines()
+    assert code == 0
+    assert rows[1] == "800.0,0.0,0.5,0.0,,,,,,,overflow"
+    assert all(row.endswith(",ok") for row in rows[2:])
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # u = -tau/2 at tau = 0.2+1.1i: U + tau'/2 = 0 for U = 2u, tau' = 2 tau
+        ["eval", "--family", "elliptic", "--d", "2", "--r", "1", "--tau", "0.2+1.1i",
+         "--u=-0.1-0.55i", "--v", "0.3"],
+        # v = tau/2: V + tau'/2 = 0 for V = -2v
+        ["eval", "--family", "elliptic-cybe", "--d", "2", "--r", "1", "--tau", "0.2+1.1i",
+         "--v", "0.1+0.55i"],
+        # u - v = -tau/3: U + V + tau'/3 = 0 for d = 3
+        ["eval", "--family", "elliptic", "--d", "3", "--r", "1", "--tau", "0.2+1.1i",
+         "--u", "0.06666666666666668-0.18333333333333335i",
+         "--v", "0.13333333333333333+0.18333333333333335i"],
+    ],
+)
+def test_eval_pole_on_twisted_argument_is_pole_proximity(args, capsys):
+    # only a characteristic-shifted argument meets the lattice here
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert out.splitlines()[0].endswith("pole-proximity")
+
+
 @pytest.mark.parametrize(
     "args",
     [

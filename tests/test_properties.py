@@ -1,4 +1,5 @@
-"""Property tests of theta11 and the Kronecker function, and an mpmath oracle.
+"""Property tests of theta11, the Kronecker function and the Weierstrass
+functions, and mpmath oracles.
 
 Both third-party libraries are optional test dependencies (the ``test``
 extra); each test is skipped when its library is missing.
@@ -6,12 +7,15 @@ extra); each test is skipped when its library is missing.
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from aybe.errors import PoleProximityError
 from aybe.special import (
+    Characteristic,
+    _kronecker_twist_grid,
     _theta_raw,
     _theta_raw_grid,
     kronecker_F,
@@ -19,6 +23,9 @@ from aybe.special import (
     modular_param,
     split_lattice,
     theta11,
+    weierstrass_p,
+    weierstrass_zeta,
+    zeta_char,
 )
 
 TWO_PI_I = 2j * math.pi
@@ -93,3 +100,103 @@ def test_theta11_matches_mpmath_jtheta(tau):
         for u in (0.17 + 0.05j, -0.42 + 0.31j, 2.31 + 1.72j, 0.3 - 2.5j):
             ref = complex(1j * mpmath.jtheta(1, mpmath.pi * mpmath.mpc(u), q))
             assert abs(theta11(u, m) - ref) < 1e-12 * abs(ref)
+
+
+# the same lattices and points for the zeta and wp properties
+zeta_points = dict(
+    tau_re=st.floats(-0.5, 0.5),
+    tau_im=st.floats(0.05, 2.0),
+    x_re=st.floats(-0.5, 0.5),
+    x_height=st.floats(-3.0, 3.0),
+)
+
+
+def grid_zeta(x, m):
+    # zeta(x) from the theta grid of the elliptic families (d = 1)
+    _, (zeta,) = _kronecker_twist_grid(0.0, x, 1, m, first=1, zeta=True)
+    return zeta
+
+
+def _zeta_setup(tau_re, tau_im, x_re, x_height):
+    tau = complex(tau_re, tau_im)
+    x = complex(x_re, 0.0) + x_height * tau
+    hypothesis.assume(lattice_distance(x, tau) > 0.05 * min(1.0, tau_im))
+    m = modular_param(tau)
+    # the scale of the terms zeta is summed from: eta1 grows like 1/Im(tau)^2
+    scale = max(1.0, abs(m.eta1), abs(m.eta2), abs(m.eta1 * x))
+    return tau, x, m, scale
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(**zeta_points)
+def test_grid_zeta_matches_points_and_is_quasi_periodic_and_odd(tau_re, tau_im, x_re, x_height):
+    tau, x, m, scale = _zeta_setup(tau_re, tau_im, x_re, x_height)
+    points = (x, x + 1.0, x + tau, -x)
+    grid = [grid_zeta(z, m) for z in points]
+    for z, value in zip(points, grid):
+        assert abs(value - weierstrass_zeta(z, m)) <= 1e-13 * scale
+    # zeta loses digits at small Im(tau) as F does (see above; measured
+    # worst: 1.7e-12 of this bound's scale at tau = 0.05i, x = 0.0025i)
+    tol = 1e-11 * scale / min(1.0, tau_im) ** 2
+    z, z_one, z_tau, z_neg = grid
+    assert abs(z_one - (z + m.eta1)) <= tol
+    assert abs(z_tau - (z + m.eta2)) <= tol
+    assert abs(z_neg + z) <= tol
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(**zeta_points)
+def test_wp_is_even_and_doubly_periodic(tau_re, tau_im, x_re, x_height):
+    tau, x, m, _ = _zeta_setup(tau_re, tau_im, x_re, x_height)
+    p = weierstrass_p(x, m)
+    # wp = -eta1 - theta''/theta + (theta'/theta)^2 is summed from terms of
+    # size eta1 and 1/x^2; as a second derivative it loses more digits at
+    # small Im(tau) than zeta (measured worst: 5e-9 relative at tau = 0.05i,
+    # |x| = 0.0033)
+    tol = 1e-11 * max(1.0, abs(p), abs(m.eta1), 1.0 / abs(x) ** 2) / min(1.0, tau_im) ** 3
+    for other in (weierstrass_p(-x, m), weierstrass_p(x + 1.0, m), weierstrass_p(x + tau, m)):
+        assert abs(other - p) <= tol
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    tau_re=st.floats(-0.5, 0.5),
+    tau_im=st.floats(0.05, 2.0),
+    d=st.integers(1, 6),
+    v_re=st.floats(-0.5, 0.5),
+    v_height=st.floats(-1.5, 1.5),
+)
+def test_twist_grid_zeta_matches_zeta_char(tau_re, tau_im, d, v_re, v_height):
+    # the zeta terms of the elliptic CYBE family, from the shared theta grid
+    tau = complex(tau_re, tau_im)
+    m = modular_param(tau)
+    v = complex(v_re, 0.0) + v_height * tau
+    hypothesis.assume(
+        min(lattice_distance(v + s * tau / d, tau) for s in range(2 * d - 1))
+        > 0.05 * min(1.0, tau_im)
+    )
+    _, zetas = _kronecker_twist_grid(0.0, v, d, m, first=1, zeta=True)
+    scale = max(1.0, abs(m.eta1), abs(m.eta2), abs(m.eta1 * v))
+    for k in range(d):
+        ref = zeta_char(Characteristic.of(0, Fraction(k, d)), v, m)
+        assert abs(zetas[k] - ref) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("tau", [1j, 0.5 + 0.9j, 0.1 + 0.3j])
+def test_zeta_matches_mpmath_jtheta(tau):
+    # zeta(x) = eta1*x + theta11'(x)/theta11(x) with eta1 the ratio of the
+    # third and first derivatives of theta11 at 0, over -3; theta11(u) is
+    # i*theta_1(pi*u, q), so theta11'/theta11 = pi*theta_1'/theta_1
+    mpmath = pytest.importorskip("mpmath")
+    m = modular_param(tau)
+    points = (0.17 + 0.05j, -0.42 + 0.31j, 2.31 + 1.72j, 0.3 - 2.5j)
+    grid = [grid_zeta(x, m) for x in points]
+    with mpmath.workdps(30):
+        pi = mpmath.pi
+        q = mpmath.exp(1j * pi * mpmath.mpc(tau))
+        eta1 = -pi**2 * mpmath.jtheta(1, 0, q, 3) / (3 * mpmath.jtheta(1, 0, q, 1))
+        for x, fast in zip(points, grid):
+            w = pi * mpmath.mpc(x)
+            ref = complex(eta1 * mpmath.mpc(x) + pi * mpmath.jtheta(1, w, q, 1) / mpmath.jtheta(1, w, q))
+            assert abs(fast - ref) < 1e-12 * max(1.0, abs(ref))
+            assert abs(weierstrass_zeta(x, m) - ref) < 1e-12 * max(1.0, abs(ref))

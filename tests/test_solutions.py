@@ -7,12 +7,14 @@ itself pinned against defining-series summation in test_special.py.
 import cmath
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from aybe import bruteforce as bf
 from aybe.bruteforce import eval_cybe_alt
-from aybe.errors import DomainError
+from aybe.errors import DomainError, PoleProximityError
 from aybe.series import extract_u_series
 from aybe.solutions import (
     GaugeSpec,
@@ -36,7 +38,7 @@ from aybe.solutions import (
     trig_aybe,
     trig_cybe,
 )
-from aybe.special import kronecker_F, modular_param
+from aybe.special import kronecker_F, lattice_distance, modular_param
 from aybe.tensors import identity2
 
 from conftest import draw_disc
@@ -198,6 +200,121 @@ def test_in_domain_guards():
 def test_eval_on_pole_raises(m_square):
     with pytest.raises(Exception):
         eval_aybe(elliptic_aybe(1, 1, 1j), 1e-14, 0.3)
+
+
+# ---------------------------------------------------------------------------
+# elliptic families: one theta grid against the per-characteristic assembly
+# ---------------------------------------------------------------------------
+
+GRID_TAUS = (0.2 + 1.1j, 0.5 + 0.6j, -0.5 + 0.55j)
+
+
+def _unit_handles(factory, d, tau):
+    return [factory(d, r, tau) for r in range(1, max(d, 2)) if math.gcd(r, d) == 1]
+
+
+def _rel_gap(value, reference):
+    # the d = 1 CYBE tensor is 0 on both sides
+    return np.max(np.abs(value - reference)) / max(np.max(np.abs(reference)), 1e-300)
+
+
+@pytest.mark.parametrize("tau", GRID_TAUS)
+@pytest.mark.parametrize("d", range(1, 8))
+def test_elliptic_grid_matches_per_characteristic_assembly(d, tau):
+    rng = np.random.default_rng(1000 * d + 7)
+    for h, hc in zip(_unit_handles(elliptic_aybe, d, tau), _unit_handles(elliptic_cybe, d, tau)):
+        count = 0
+        while count < 20:
+            u, v = draw_disc(rng, 0.4, 2)
+            if not (in_domain(h, u, v) and in_domain(hc, None, v)):
+                continue
+            count += 1
+            assert _rel_gap(eval_aybe(h, u, v).coeffs,
+                            bf.eval_elliptic_aybe_per_char(h, u, v).coeffs) <= 1e-12
+            assert _rel_gap(eval_cybe(hc, v).coeffs,
+                            bf.eval_elliptic_cybe_per_char(hc, v).coeffs) <= 1e-12
+
+
+def _twist_tensor(d, twist):
+    # F_{j/d, k/d} at (i, i+j, i+j-k, i-k) for all i, j, k
+    coeffs = np.zeros((d,) * 4, dtype=complex)
+    for j in range(d):
+        for k in range(d):
+            val = twist(j, k)
+            for i in range(d):
+                coeffs[i, (i + j) % d, (i + j - k) % d, (i - k) % d] += val
+    return coeffs
+
+
+@pytest.mark.parametrize("d,r", [(1, 1), (2, 1), (3, 1), (3, 2)])
+def test_elliptic_aybe_matches_characteristic_double_series(d, r):
+    # the double series for F_pq converges for 0 < Im U, Im V < Im(tau')/d
+    tau = 0.2 + 1.1j
+    big_tau = d * r * tau
+    h = elliptic_aybe(d, r, tau)
+    for big_u, big_v in [(0.31 + 0.3j * r * tau.imag, -0.17 + 0.35j * r * tau.imag),
+                         (-0.44 + 0.2j * r * tau.imag, 0.26 + 0.25j * r * tau.imag)]:
+        ref = _twist_tensor(d, lambda j, k: bf.kronecker_char_series(
+            Fraction(j, d), Fraction(k, d), big_u, big_v, big_tau))
+        value = eval_aybe(h, big_u / (d * r), -big_v / d).coeffs
+        assert _rel_gap(value, ref) <= 1e-10
+
+
+@pytest.mark.parametrize("d,r", [(1, 1), (2, 1), (3, 2)])
+def test_elliptic_cybe_matches_double_series_and_lattice_zeta(d, r):
+    # F_{j/d, q} at u = 0 from the double series (it converges there for
+    # j != 0), zeta from the extrapolated Eisenstein lattice sum
+    tau = 0.2 + 1.1j
+    big_tau = d * r * tau
+    eta1 = bf.eta1_lattice_sum(big_tau)
+    eta2 = eta1 * big_tau - 2j * math.pi
+    big_v = 0.23 + 0.3j * r * tau.imag
+    zetas = [bf.zeta_lattice_extrapolated(big_v + k * big_tau / d, big_tau) - k / d * eta2
+             for k in range(d)]
+    ref = _twist_tensor(d, lambda j, k: bf.kronecker_char_series(
+        Fraction(j, d), Fraction(k, d), 0.0, big_v, big_tau) if j else 0.0)
+    for i in range(d):
+        for ip in range(d):
+            ref[i, i, ip, ip] += (zetas[(i - ip) % d] - sum(zetas) / d) / (2j * math.pi)
+    value = eval_cybe(elliptic_cybe(d, r, tau), -big_v / d).coeffs
+    assert np.max(np.abs(value - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+
+
+# Points where only a twisted argument meets the lattice Z + (d*r*tau)Z, with
+# tau = 0.2+1.1i: plain u, v and u - v stay clear of Z + tau*Z.
+POLE_TAU = 0.2 + 1.1j
+TWISTED_POLES = [
+    # U + (1/2)*tau' = 0 with U = 2u
+    ("aybe", 2, 1, -POLE_TAU / 2, 0.3),
+    # U + V + (1/3)*tau' = 0 with U + V = 3(u - v)
+    ("aybe", 3, 1, 0.1 - POLE_TAU / 6, 0.1 + POLE_TAU / 6),
+    # V + (1/2)*tau' = 0 with V = -2v
+    ("cybe", 2, 1, None, POLE_TAU / 2),
+    # V + (1/3)*tau' = 0 with V = -3v
+    ("cybe", 3, 1, None, POLE_TAU / 3),
+]
+
+
+@pytest.mark.parametrize("kind,d,r,u,v", TWISTED_POLES)
+def test_pole_guard_on_twisted_arguments(kind, d, r, u, v):
+    m = modular_param(POLE_TAU)
+    for z in [x for x in (u, v, None if u is None else u - v) if x is not None]:
+        assert lattice_distance(z, m.tau) > 0.1
+    if kind == "aybe":
+        h = elliptic_aybe(d, r, POLE_TAU)
+        evaluators = [lambda w: eval_aybe(h, u + w, v),
+                      lambda w: bf.eval_elliptic_aybe_per_char(h, u + w, v)]
+    else:
+        h = elliptic_cybe(d, r, POLE_TAU)
+        evaluators = [lambda w: eval_cybe(h, v + w), lambda w: bf.eval_elliptic_cybe_per_char(h, v + w)]
+    # the shifted argument moves by d*r*w (or -d*w): inside and just outside
+    # the 1e-6 guard, both assemblies agree on raising
+    for fn in evaluators:
+        for w in (0.0, 1e-8, 1e-7 * (1 + 1j)):
+            with pytest.raises(PoleProximityError):
+                fn(w)
+        fn(1e-5)
+        fn(2e-5j)
 
 
 # ---------------------------------------------------------------------------
