@@ -45,6 +45,7 @@ import cmath
 import json
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -572,7 +573,17 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
 # parser assembly
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _config_parser() -> argparse.ArgumentParser:
+    """Reads ``--config`` alone, before the full parse."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", default=None)
+    return pre
+
+
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The full parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="aybe",
         description="Evaluate, verify, classify and sweep Yang-Baxter solution families.",
@@ -668,9 +679,7 @@ def _config_tokens(path: str) -> List[str]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", default=None)
-    pre_ns, _ = pre.parse_known_args(argv)
+    pre_ns, _ = _config_parser().parse_known_args(argv)
     if pre_ns.config:
         try:
             extra = _config_tokens(pre_ns.config)
@@ -684,9 +693,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         argv = argv[:split] + extra + argv[split:]
 
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(_attach_negative_values(argv))
+        ns = _build_parser().parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -354,9 +354,13 @@ def normalize_scalar_r0(
 def classify_scalar(h: SolutionHandle, radius: float = 0.3) -> ScalarClassification:
     """Normal-form invariants (c3, c5) and the classification parameter C.
 
-    The default circle is wide (all shipped scalar families have their
-    nearest r0 pole at distance >= 1) because the v^5 coefficient controls
-    the invariant and benefits from the extra headroom.
+    The coefficients are read off a circle of the given ``radius``; an
+    error e in r0 becomes about e/radius^5 in c5, which controls C.  Every
+    shipped scalar family has its nearest r0 pole at distance >= 1, so the
+    default 0.3 is safe for all of them, but it is not wide: for
+    scalar-trig (nearest pole 2*pi*i) it gives
+    C = -4.081632646901e-01+1.6e-9j, 1.7e-9 from -20/49, while
+    ``radius=1.5`` gives C within 2.6e-13 of it.
     """
     series, _ = normalize_scalar_r0(h, order=5, radius=radius)
     c3 = series.coefficient(3)

@@ -33,6 +33,11 @@ Inputs are reduced modulo the lattice before series evaluation (the exact
 quasi-periodicity factors are restored afterwards), so accuracy is uniform
 across the plane.  Evaluation within ``POLE_GUARD`` of a pole raises
 :class:`~aybe.errors.PoleProximityError`.
+
+The theta series is summed in one place, over an array of reduced points
+at once.  The scalar functions (theta11, F, zeta, wp and the lattice
+constants) read it at one point; only per-tau constants are cached, no
+per-point values.
 """
 
 from __future__ import annotations
@@ -133,38 +138,14 @@ def _pole_error(label: str, z: complex, guard: float, tau: complex) -> PoleProxi
 # theta series core
 
 
-def _theta_cutoff(tau: complex) -> int:
-    # |n|-range needed for a relative tail below ~1e-18 after reduction
-    c = (18.0 * math.log(10.0) + 4.0) / (math.pi * tau.imag)
-    x = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * c))
-    return int(math.ceil(x)) + 3
-
-
-@lru_cache(maxsize=256)
-def _theta_index_range(tau: complex) -> np.ndarray:
-    n = _theta_cutoff(tau)
-    return np.arange(-n, n, dtype=float)
-
-
-@lru_cache(maxsize=1 << 16)
-def _theta_raw(u0: complex, tau: complex, orders: tuple[int, ...]) -> tuple[complex, ...]:
-    """Termwise u-derivatives of theta11 at a lattice-reduced point ``u0``."""
-    n = _theta_index_range(tau)
-    half = n + 0.5
-    signs = np.where(np.mod(n, 2.0) == 0.0, 1.0, -1.0)
-    base = signs * np.exp(1j * math.pi * half * half * tau + TWO_PI_I * half * u0)
-    weight = TWO_PI_I * half
-    out = []
-    for k in orders:
-        out.append(complex(np.sum(base * weight**k)))
-    return tuple(out)
-
-
 @lru_cache(maxsize=256)
 def _theta_grid_terms(tau: complex) -> tuple:
     """Signs, u-independent exponents and weights 2*pi*i*(n+1/2) of the
-    theta series over the index range of ``tau``."""
-    n = _theta_index_range(tau)
+    theta series, over the n-range that leaves a relative tail below ~1e-18
+    after lattice reduction."""
+    c = (18.0 * math.log(10.0) + 4.0) / (math.pi * tau.imag)
+    cutoff = int(math.ceil(0.5 * (1.0 + math.sqrt(1.0 + 4.0 * c)))) + 3
+    n = np.arange(-cutoff, cutoff, dtype=float)
     half = n + 0.5
     signs = np.where(np.mod(n, 2.0) == 0.0, 1.0, -1.0)
     return signs, 1j * math.pi * half * half * tau, TWO_PI_I * half
@@ -172,17 +153,16 @@ def _theta_grid_terms(tau: complex) -> tuple:
 
 def _theta_raw_grid(u0: np.ndarray, tau: complex, orders: tuple = (0,)) -> list:
     """Termwise u-derivatives of theta11 at lattice-reduced points ``u0``,
-    one array per order: the series of :func:`_theta_raw` broadcast over
-    points x the index range, uncached."""
+    one array per order.  This is the only place the theta series is
+    summed: over points x the index range at once, uncached."""
     signs, const, weight = _theta_grid_terms(tau)
     terms = signs * np.exp(const + weight * u0[..., None])
     return [np.add.reduce(terms * weight**k if k else terms, axis=-1) for k in orders]
 
 
-def _quasi_factor(u0: complex, tau: complex, a: int, b: int) -> complex:
-    # theta11(u0 + a + b*tau) = (-1)^(a+b) exp(-pi*i*b^2*tau - 2*pi*i*b*u0) theta11(u0)
-    sign = -1.0 if (a + b) % 2 else 1.0
-    return sign * cmath.exp(-1j * math.pi * b * b * tau - TWO_PI_I * b * u0)
+def _theta_at(u0: complex, tau: complex, orders: tuple) -> list:
+    """:func:`_theta_raw_grid` at one lattice-reduced point, as complex numbers."""
+    return [complex(t) for t in _theta_raw_grid(np.asarray(u0), tau, orders)]
 
 
 def _kronecker_quasi_exponent(tau, u0, bu, v0, bv, w0, bw):
@@ -200,17 +180,15 @@ def theta11(u: complex, m: "ModularParam") -> complex:
     """Odd Jacobi theta function theta11(u, tau)."""
     _check_finite(u)
     u0, a, b = split_lattice(u, m.tau)
-    (val,) = _theta_raw(u0, m.tau, (0,))
-    return _quasi_factor(u0, m.tau, a, b) * val
+    (val,) = _theta_at(u0, m.tau, (0,))
+    # theta11(u0 + a + b*tau) = (-1)^(a+b) exp(-pi*i*b^2*tau - 2*pi*i*b*u0) theta11(u0)
+    sign = -1.0 if (a + b) % 2 else 1.0
+    return sign * cmath.exp(-1j * math.pi * b * b * m.tau - TWO_PI_I * b * u0) * val
 
 
 def theta11_derivative_at_zero(m: "ModularParam", order: int = 1) -> complex:
-    """Termwise u-derivative of theta11 at u = 0 (orders 1 and 3 cached)."""
-    if order == 1:
-        return m.theta_prime0
-    if order == 3:
-        return m.theta_triple0
-    (val,) = _theta_raw(0.0, m.tau, (order,))
+    """Termwise u-derivative of theta11 at u = 0."""
+    (val,) = _theta_at(0.0, m.tau, (order,))
     return val
 
 
@@ -234,7 +212,6 @@ class ModularParam:
     eta2: complex
     eisenstein: Mapping[int, complex]
     theta_prime0: complex
-    theta_triple0: complex
 
     @classmethod
     def from_tau(cls, tau: complex) -> "ModularParam":
@@ -243,12 +220,11 @@ class ModularParam:
         if tau.imag <= 0.0:
             raise ValueError(f"tau must lie in the upper half plane, got {tau!r}")
         q = cmath.exp(TWO_PI_I * tau)
-        tp, tppp = _theta_raw(0.0, tau, (1, 3))
+        tp, tppp = _theta_at(0.0, tau, (1, 3))
         eta1 = -tppp / (3.0 * tp)
         eta2 = eta1 * tau - TWO_PI_I
         eis = {k: _eisenstein_series(k, q) for k in (2, 4, 6)}
-        return cls(tau=tau, q=q, eta1=eta1, eta2=eta2, eisenstein=eis,
-                   theta_prime0=tp, theta_triple0=tppp)
+        return cls(tau=tau, q=q, eta1=eta1, eta2=eta2, eisenstein=eis, theta_prime0=tp)
 
 
 @lru_cache(maxsize=512)
@@ -342,26 +318,13 @@ def kronecker_F(u, v, m: ModularParam, *, guard: float = POLE_GUARD):
     values).
 
     ``u`` and ``v`` may be numpy arrays (broadcast against each other); the
-    theta series is then summed over points x the index range at once,
-    without the per-point cache, and the pole guard raises for the first
-    offending point.
+    theta series is then summed over points x the index range at once, and
+    the pole guard raises for the first offending point.  At one point, F is
+    the d = 1 twist of :func:`_kronecker_twist_grid`.
     """
     if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
         return _kronecker_F_grid(u, v, m, guard)
-    _check_finite(u, v)
-    tau = m.tau
-    points = (("u", u), ("v", v), ("u+v", u + v))
-    for label, z in points:
-        if lattice_distance(z, tau) < guard:
-            raise _pole_error(label, z, guard, tau)
-    parts = []
-    for _, z in points:
-        z0, a, b = split_lattice(z, tau)
-        parts.append((z0, a, b, _theta_raw(z0, tau, (0,))[0]))
-    (u0, au, bu, tu), (v0, av, bv, tv), (w0, aw, bw, tuv) = parts
-    sign = -1.0 if (au + bu + av + bv + aw + bw) % 2 else 1.0
-    quasi = sign * cmath.exp(_kronecker_quasi_exponent(tau, u0, bu, v0, bv, w0, bw))
-    return m.theta_prime0 / TWO_PI_I * tuv / (tu * tv) * quasi
+    return complex(_kronecker_twist_grid(u, v, 1, m, guard=guard)[0, 0])
 
 
 def _kronecker_F_grid(u, v, m: ModularParam, guard: float) -> np.ndarray:
@@ -479,23 +442,24 @@ def _zeta_reduced(m: ModularParam, x0, a, b, t0, t1):
     return m.eta1 * x0 + t1 / t0 + a * m.eta1 + b * m.eta2
 
 
-def weierstrass_zeta(x: complex, m: ModularParam, *, guard: float = POLE_GUARD) -> complex:
-    """Weierstrass zeta function for the lattice Z + Z*tau."""
+def _guarded_theta_at(x: complex, m: ModularParam, guard: float, orders: tuple) -> tuple:
+    """The reduction (x0, a, b) of ``x`` followed by the termwise theta11
+    derivatives of ``orders`` at x0; raises within ``guard`` of the lattice."""
     _check_finite(x)
-    x0, a, b = split_lattice(x, m.tau)
     if lattice_distance(x, m.tau) < guard:
         raise PoleProximityError(f"x = {x!r} is within {guard} of the lattice")
-    t0, t1 = _theta_raw(x0, m.tau, (0, 1))
-    return _zeta_reduced(m, x0, a, b, t0, t1)
+    x0, a, b = split_lattice(x, m.tau)
+    return (x0, a, b, *_theta_at(x0, m.tau, orders))
+
+
+def weierstrass_zeta(x: complex, m: ModularParam, *, guard: float = POLE_GUARD) -> complex:
+    """Weierstrass zeta function for the lattice Z + Z*tau."""
+    return _zeta_reduced(m, *_guarded_theta_at(x, m, guard, (0, 1)))
 
 
 def weierstrass_p(x: complex, m: ModularParam, *, guard: float = POLE_GUARD) -> complex:
     """Weierstrass elliptic function wp(x) = -zeta'(x); doubly periodic."""
-    _check_finite(x)
-    x0, _, _ = split_lattice(x, m.tau)
-    if lattice_distance(x, m.tau) < guard:
-        raise PoleProximityError(f"x = {x!r} is within {guard} of the lattice")
-    t0, t1, t2 = _theta_raw(x0, m.tau, (0, 1, 2))
+    _, _, _, t0, t1, t2 = _guarded_theta_at(x, m, guard, (0, 1, 2))
     ratio = t1 / t0
     return -m.eta1 - t2 / t0 + ratio * ratio
 

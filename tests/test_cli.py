@@ -10,7 +10,8 @@ import math
 import pytest
 
 from aybe.cli import (
-    FAMILY_NAMES, CliError, _build_handle, _build_parser, main, parse_complex,
+    FAMILY_NAMES, CliError, _build_handle, _build_parser, _config_parser, main,
+    parse_complex,
 )
 from aybe.solutions import (
     elliptic_aybe,
@@ -527,6 +528,30 @@ def test_missing_config_file_is_usage_error(capsys):
     )
     assert code == 2
     assert "config" in err
+
+
+def test_repeated_main_calls_match_calls_on_fresh_parsers(tmp_path, capsys):
+    # main builds its parsers once per process; calls that share them must
+    # print and return exactly what each call does on newly built ones
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"family": "scalar-rational", "a": "2", "b": "3", "u": "0.5", "v": "0.25"}
+    ))
+    commands = [
+        ["verify", "--family", "trig1", "--points", "4", "--seed", "3"],
+        ["eval", "--family", "scalar-kronecker", "--tau", "i", "--u", "0.2", "--v", "0.3"],
+        ["verify", "--family", "elliptic", "--d", "x", "--r", "1", "--tau", "i"],
+        ["eval", "--config", str(cfg), "--a", "4"],
+        ["eval", "--config", str(cfg)],
+    ]
+    fresh = []
+    for args in commands:
+        _config_parser.cache_clear()
+        _build_parser.cache_clear()
+        fresh.append(run_cli(args, capsys))
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0]
+    assert "invalid int value: 'x'" in fresh[2][2]
+    assert [run_cli(args, capsys) for args in commands * 2] == fresh * 2
 
 
 @pytest.mark.parametrize(

@@ -112,10 +112,22 @@ def test_kronecker_F_char_is_periodic_in_characteristic(m_square):
 
 
 def test_kronecker_F_pole_guard(m_square):
-    with pytest.raises(PoleProximityError):
-        kronecker_F(1e-12, 0.3, m_square)
-    with pytest.raises(PoleProximityError):
-        kronecker_F(0.3, 0.2, m_square, guard=0.6)
+    # the message names the argument that is on the lattice
+    for u, v, guard, label in [
+        (1e-12, 0.3, 1e-6, "u"),
+        (0.3, 1.0 + 1j + 1e-9, 1e-6, "v"),
+        (0.3 + 0.1j, 0.7 - 1.1j, 1e-6, "u\\+v"),
+        (0.3, 0.2, 0.6, "u"),  # every argument is within 0.6; u is named first
+    ]:
+        with pytest.raises(PoleProximityError, match=f"^{label} = "):
+            kronecker_F(u, v, m_square, guard=guard)
+
+
+@pytest.mark.parametrize("fn", [weierstrass_zeta, weierstrass_p])
+@pytest.mark.parametrize("x", [1e-12, -1.0 + 2j + 1e-9j], ids=["origin", "-1+2i"])
+def test_weierstrass_pole_guard(fn, x, m_square):
+    with pytest.raises(PoleProximityError, match="^x = "):
+        fn(x, m_square)
 
 
 @pytest.mark.parametrize("height", [15, 20, 30])
