@@ -14,7 +14,9 @@ and :func:`aybe.special.zeta_char`, where :mod:`aybe.solutions` evaluates all
 characteristics on one theta grid.  :func:`eval_cybe_alt` assembles the
 elliptic CYBE tensor a third way, from the same scalar ``zeta_char``.  These
 cross-check the tensor assembly and the grid path, not theta or zeta
-themselves.
+themselves.  :func:`leg_product_einsum` is the reference for
+:func:`aybe.tensors.leg_product`: the same contraction as an ``einsum``
+of the spec table, where the fast path makes it one BLAS matrix product.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from .errors import DomainError
 from .solutions import SolutionHandle
 from .special import Characteristic, kronecker_F_char, modular_param, zeta_char
-from .tensors import MatrixTensor2
+from .tensors import _LEG_PRODUCT_SPECS, MatrixTensor2, MatrixTensor3
 
 TWO_PI_I = 2j * math.pi
 
@@ -99,6 +101,17 @@ def kronecker_char_series(
                 continue
             total += sign * cmath.exp(TWO_PI_I * (mm * nn * tau + mm * v + nn * u))
     return -total
+
+
+def leg_product_einsum(
+    x: MatrixTensor2, legs_x: str, y: MatrixTensor2, legs_y: str
+) -> MatrixTensor3:
+    """``x_{legs_x} y_{legs_y}`` as the ``einsum`` of the leg-product spec
+    table: the reference for :func:`aybe.tensors.leg_product`."""
+    spec = _LEG_PRODUCT_SPECS.get((legs_x, legs_y))
+    if spec is None:
+        raise ValueError(f"unsupported leg pairs {legs_x!r} and {legs_y!r}")
+    return MatrixTensor3(np.einsum(spec, x.coeffs, y.coeffs))
 
 
 def _lattice_points(tau: complex, n_max: int) -> np.ndarray:

@@ -576,7 +576,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
 @lru_cache(maxsize=None)
 def _config_parser() -> argparse.ArgumentParser:
     """Reads ``--config`` alone, before the full parse."""
-    pre = argparse.ArgumentParser(add_help=False)
+    pre = argparse.ArgumentParser(prog="aybe", add_help=False)
     pre.add_argument("--config", default=None)
     return pre
 
@@ -679,7 +679,10 @@ def _config_tokens(path: str) -> List[str]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    pre_ns, _ = _config_parser().parse_known_args(argv)
+    try:
+        pre_ns, _ = _config_parser().parse_known_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
     if pre_ns.config:
         try:
             extra = _config_tokens(pre_ns.config)

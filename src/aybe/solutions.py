@@ -18,7 +18,6 @@ Conventions
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -29,12 +28,13 @@ import numpy as np
 from .errors import DomainError, NonConvergenceError
 from .special import (
     TWO_PI_I,
+    _flat_points,
     _kronecker_twist_grid,
     kronecker_F,
     lattice_distance,
     modular_param,
 )
-from .tensors import MatrixTensor2
+from .tensors import MatrixTensor2, _sandwich
 
 __all__ = [
     "SolutionHandle",
@@ -51,6 +51,7 @@ __all__ = [
     "eval_aybe",
     "eval_aybe_array",
     "eval_cybe",
+    "eval_cybe_array",
     "cybe_limit_of_aybe",
     "equivalence_transform",
     "paired_cybe_handle",
@@ -62,8 +63,10 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
-# points per array evaluation of a scalar formula in eval_aybe_array; bounds
-# the points x theta-index temporaries of the Kronecker family
+# an array evaluation calls a family's base on _CHUNK // n^2 points at a
+# time (n x n matrices): bounds the points x theta-index temporaries of the
+# Kronecker families, where an elliptic point sums its theta series on about
+# n^2 twisted arguments
 _CHUNK = 2048
 
 
@@ -181,12 +184,9 @@ def custom_handle(fn: Callable[[complex, complex], MatrixTensor2], n: int) -> So
 
 
 # ---------------------------------------------------------------------------
-# base evaluations (before rescale and gauge)
+# base evaluations (before rescale and gauge), on arrays of N points; each
+# returns the (N, n, n, n, n) coefficients
 # ---------------------------------------------------------------------------
-
-def _scalar_tensor(value: complex) -> MatrixTensor2:
-    return MatrixTensor2(np.array(value, dtype=complex).reshape(1, 1, 1, 1))
-
 
 @lru_cache(maxsize=64)
 def _twist_layout(d: int, first: int) -> tuple:
@@ -208,95 +208,105 @@ def _zeta_layout(d: int) -> tuple:
     return ((i * d + i) * d + ip) * d + ip, (i - ip) % d
 
 
-def _eval_elliptic_aybe(h: SolutionHandle, u: complex, v: complex) -> MatrixTensor2:
+def _place_twists(table: np.ndarray, d: int, first: int) -> np.ndarray:
+    """(N, d^4) coefficients with each point's twist table in place."""
+    dest, src = _twist_layout(d, first)
+    coeffs = np.zeros((len(table), d**4), dtype=complex)
+    coeffs[:, dest] = table.reshape(len(table), -1)[:, src]
+    return coeffs
+
+
+def _eval_elliptic_aybe(h: SolutionHandle, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     # rank r reduces to the line-bundle case on the lattice with r*tau
     d = h.d
     m = modular_param(d * h.r * h.tau)
-    table = _kronecker_twist_grid(d * h.r * u, -d * v, d, m)
-    dest, src = _twist_layout(d, 0)
-    coeffs = np.zeros(d**4, dtype=complex)
-    coeffs[dest] = table.reshape(-1)[src]
-    return MatrixTensor2(coeffs.reshape((d,) * 4))
+    coeffs = _place_twists(_kronecker_twist_grid(d * h.r * u, -d * v, d, m), d, 0)
+    return coeffs.reshape((-1,) + (d,) * 4)
 
 
-def _eval_elliptic_cybe(h: SolutionHandle, v: complex) -> MatrixTensor2:
+def _eval_elliptic_cybe(h: SolutionHandle, v: np.ndarray) -> np.ndarray:
     # the F twists with p = j/d != 0 at u = 0, plus the zeta terms on the
     # diagonal blocks (i, i, i', i')
     d = h.d
     m = modular_param(d * h.r * h.tau)
     table, zetas = _kronecker_twist_grid(0.0, -d * v, d, m, first=1, zeta=True)
-    dest, src = _twist_layout(d, 1)
-    coeffs = np.zeros(d**4, dtype=complex)
-    coeffs[dest] = table.reshape(-1)[src]
+    coeffs = _place_twists(table, d, 1)
     diag, shift = _zeta_layout(d)
-    coeffs[diag] = ((zetas - np.add.reduce(zetas) / d) / TWO_PI_I)[shift]
-    return MatrixTensor2(coeffs.reshape((d,) * 4))
+    mean = np.add.reduce(zetas, axis=1)[:, None] / d
+    coeffs[:, diag] = ((zetas - mean) / TWO_PI_I)[:, shift]
+    return coeffs.reshape((-1,) + (d,) * 4)
 
 
-def _trig_coeffs_1(u: complex, v: complex) -> np.ndarray:
-    lam = cmath.exp(u)
-    mu = cmath.exp(v)
+def _trig_coeffs_1(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    lam = np.exp(u)
+    mu = np.exp(v)
     one_l = 1.0 - lam
     one_m = 1.0 - mu
     k = (mu - lam) / (one_l * one_m)
-    c = np.zeros((2,) * 4, dtype=complex)
-    c[0, 0, 0, 0] = k
-    c[1, 1, 1, 1] = k
-    c[0, 0, 1, 1] = -lam / one_l
-    c[1, 1, 0, 0] = -1.0 / one_l
-    c[1, 0, 0, 1] = 1.0 / one_m
-    c[0, 1, 1, 0] = mu / one_m
+    c = np.zeros((len(u),) + (2,) * 4, dtype=complex)
+    c[:, 0, 0, 0, 0] = k
+    c[:, 1, 1, 1, 1] = k
+    c[:, 0, 0, 1, 1] = -lam / one_l
+    c[:, 1, 1, 0, 0] = -1.0 / one_l
+    c[:, 1, 0, 0, 1] = 1.0 / one_m
+    c[:, 0, 1, 1, 0] = mu / one_m
     return c
 
 
-def _trig_coeffs_2(u: complex, v: complex) -> np.ndarray:
-    lam = cmath.exp(u)
-    mu = cmath.exp(v)
-    smu = cmath.exp(v / 2.0)
-    slm = cmath.exp((u + v) / 2.0)
+def _trig_coeffs_2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    lam = np.exp(u)
+    mu = np.exp(v)
+    smu = np.exp(v / 2.0)
+    slm = np.exp((u + v) / 2.0)
     one_l = 1.0 - lam
     one_m = 1.0 - mu
     k = (1.0 - lam * mu) / (one_l * one_m)
-    c = np.zeros((2,) * 4, dtype=complex)
-    c[0, 0, 0, 0] = k
-    c[1, 1, 1, 1] = k
-    c[0, 0, 1, 1] = lam / one_l
-    c[1, 1, 0, 0] = 1.0 / one_l
-    c[1, 0, 0, 1] = smu / one_m
-    c[0, 1, 1, 0] = smu / one_m
-    c[1, 0, 1, 0] = slm - 1.0 / slm
+    c = np.zeros((len(u),) + (2,) * 4, dtype=complex)
+    c[:, 0, 0, 0, 0] = k
+    c[:, 1, 1, 1, 1] = k
+    c[:, 0, 0, 1, 1] = lam / one_l
+    c[:, 1, 1, 0, 0] = 1.0 / one_l
+    c[:, 1, 0, 0, 1] = smu / one_m
+    c[:, 0, 1, 1, 0] = smu / one_m
+    c[:, 1, 0, 1, 0] = slm - 1.0 / slm
     return c
 
 
-def _trig_cybe_coeffs(which: int, v: complex) -> np.ndarray:
-    mu = cmath.exp(v)
+def _trig_cybe_coeffs(which: int, v: np.ndarray) -> np.ndarray:
+    mu = np.exp(v)
     one_m = 1.0 - mu
     hh = (1.0 + mu) / (4.0 * one_m)
-    c = np.zeros((2,) * 4, dtype=complex)
-    c[0, 0, 0, 0] = hh
-    c[1, 1, 1, 1] = hh
-    c[0, 0, 1, 1] = -hh
-    c[1, 1, 0, 0] = -hh
+    c = np.zeros((len(v),) + (2,) * 4, dtype=complex)
+    c[:, 0, 0, 0, 0] = hh
+    c[:, 1, 1, 1, 1] = hh
+    c[:, 0, 0, 1, 1] = -hh
+    c[:, 1, 1, 0, 0] = -hh
     if which == 1:
-        c[1, 0, 0, 1] = 1.0 / one_m
-        c[0, 1, 1, 0] = mu / one_m
+        c[:, 1, 0, 0, 1] = 1.0 / one_m
+        c[:, 0, 1, 1, 0] = mu / one_m
     else:
-        smu = cmath.exp(v / 2.0)
-        c[1, 0, 0, 1] = smu / one_m
-        c[0, 1, 1, 0] = smu / one_m
-        c[1, 0, 1, 0] = smu - 1.0 / smu
+        smu = np.exp(v / 2.0)
+        c[:, 1, 0, 0, 1] = smu / one_m
+        c[:, 0, 1, 1, 0] = smu / one_m
+        c[:, 1, 0, 1, 0] = smu - 1.0 / smu
     return c
 
 
-def _exp(z):
-    """cmath.exp on a number, np.exp on an array."""
-    return np.exp(z) if isinstance(z, np.ndarray) else cmath.exp(z)
+def _scalar(formula: Callable) -> Callable:
+    """Base of a scalar family from its value formula(h, u, v) on arrays."""
+    return lambda h, u, v: formula(h, u, v).reshape(-1, 1, 1, 1, 1)
 
 
-def _scalar_trig_value(h: SolutionHandle, u, v):
+def _scalar_trig_value(h: SolutionHandle, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     # symmetric in u <-> v, simple poles with residue +1 in each
     # variable: (exp(u+v) - 1) / ((exp(u) - 1) * (exp(v) - 1))
-    return 1.0 / (_exp(u) - 1.0) + 1.0 / (_exp(v) - 1.0) + 1.0
+    return 1.0 / (np.exp(u) - 1.0) + 1.0 / (np.exp(v) - 1.0) + 1.0
+
+
+def _custom_base(h: SolutionHandle, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # an arbitrary Python callable: one call per point
+    values = [h.eval_fn(complex(a), complex(b)).coeffs for a, b in zip(u, v)]
+    return np.array(values, dtype=complex).reshape((len(u),) + (h.n,) * 4)
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +354,11 @@ def _clear_kronecker(h: SolutionHandle, uu: complex, vv: complex, guard: float) 
 class _Family:
     """Everything the package knows about one value of ``SolutionHandle.family``."""
 
-    # (h, u, v), or (h, v) for a one-variable family -> value before rescale
-    # and gauge
-    base: Callable[..., MatrixTensor2]
+    # (h, u, v), or (h, v) for a one-variable family, on 1-d arrays of N
+    # points -> the (N, n, n, n, n) values before rescale and gauge
+    base: Callable[..., np.ndarray]
     # (h, uu, vv, guard) -> True when the rescaled point clears the polar loci
     domain: Callable[[SolutionHandle, Optional[complex], complex, float], bool]
-    # (h, u, v) -> value of a scalar family before rescale and gauge, on
-    # numbers or elementwise on arrays; its base is _scalar_base
-    scalar: Optional[Callable] = None
     rho: Optional[Callable[[SolutionHandle], complex]] = None  # u-pole coefficient
     # the CYBE handle of the u -> 0 limit
     partner: Optional[Callable[[SolutionHandle], SolutionHandle]] = None
@@ -363,10 +370,6 @@ class _Family:
     cli_name: Optional[str] = None
     # handle fields the command line supplies; only a and b are optional
     cli_args: Tuple[str, ...] = ()
-
-
-def _scalar_base(h: SolutionHandle, u: complex, v: complex) -> MatrixTensor2:
-    return _scalar_tensor(_FAMILIES[h.family].scalar(h, u, v))
 
 
 # Insertion order is the order of the command line's family choices.
@@ -385,40 +388,39 @@ _FAMILIES = {
         cli_name="elliptic-cybe", cli_args=("d", "r", "tau"),
     ),
     "trig_aybe1": _Family(
-        base=lambda h, u, v: MatrixTensor2(_trig_coeffs_1(u, v)),
+        base=lambda h, u, v: _trig_coeffs_1(u, v),
         domain=_clear_of_two_pi_i, rho=lambda h: 1.0,
         partner=lambda h: trig_cybe(1), n=2, cli_name="trig1",
     ),
     "trig_aybe2": _Family(
-        base=lambda h, u, v: MatrixTensor2(_trig_coeffs_2(u, v)),
+        base=lambda h, u, v: _trig_coeffs_2(u, v),
         domain=_clear_of_two_pi_i, rho=lambda h: -1.0,
         partner=lambda h: trig_cybe(2), n=2, cli_name="trig2",
     ),
     "trig_cybe1": _Family(
-        base=lambda h, v: MatrixTensor2(_trig_cybe_coeffs(1, v)),
+        base=lambda h, v: _trig_cybe_coeffs(1, v),
         domain=_clear_of_two_pi_i_v, n=2, two_variable=False, cli_name="trig-cybe1",
     ),
     "trig_cybe2": _Family(
-        base=lambda h, v: MatrixTensor2(_trig_cybe_coeffs(2, v)),
+        base=lambda h, v: _trig_cybe_coeffs(2, v),
         domain=_clear_of_two_pi_i_v, n=2, two_variable=False, cli_name="trig-cybe2",
     ),
     "scalar_kronecker": _Family(
-        base=_scalar_base,
-        scalar=lambda h, u, v: kronecker_F(u, v, modular_param(h.tau)),
+        base=_scalar(lambda h, u, v: kronecker_F(u, v, modular_param(h.tau))),
         domain=_clear_kronecker, rho=lambda h: 1.0 / TWO_PI_I, n=1,
         elliptic=True, cli_name="scalar-kronecker", cli_args=("tau",),
     ),
     "scalar_trig": _Family(
-        base=_scalar_base, scalar=_scalar_trig_value,
+        base=_scalar(_scalar_trig_value),
         domain=_clear_of_two_pi_i, rho=lambda h: 1.0, n=1, cli_name="scalar-trig",
     ),
     "scalar_rational": _Family(
-        base=_scalar_base, scalar=lambda h, u, v: h.a / u + h.b / v,
+        base=_scalar(lambda h, u, v: h.a / u + h.b / v),
         domain=lambda h, uu, vv, guard: abs(uu) > guard and abs(vv) > guard,
         rho=lambda h: h.a, n=1, cli_name="scalar-rational", cli_args=("a", "b"),
     ),
     "custom": _Family(
-        base=lambda h, u, v: h.eval_fn(u, v), domain=lambda h, uu, vv, guard: True,
+        base=_custom_base, domain=lambda h, uu, vv, guard: True,
     ),
 }
 
@@ -427,78 +429,99 @@ _FAMILIES = {
 # public evaluation API
 # ---------------------------------------------------------------------------
 
-def _apply_gauge(h: SolutionHandle, val: MatrixTensor2, u: complex, v: complex) -> MatrixTensor2:
+def _raise_float_error(kind: str, flag: int) -> None:
+    # numpy's error flags: 1 divide by zero, 2 overflow, 8 invalid value
+    error = OverflowError if flag & 2 else ZeroDivisionError
+    raise error(f"{kind} in a family evaluation")
+
+
+# A float overflow in an evaluation raises OverflowError and a division by
+# zero ZeroDivisionError, as Python's complex arithmetic does, instead of
+# leaving an inf or nan in the values.
+_FLOAT_ERRORS = dict(divide="call", over="call", invalid="call", call=_raise_float_error)
+
+
+def _evaluate(h: SolutionHandle, *args: np.ndarray) -> np.ndarray:
+    """The family's base values at the rescaled points ``args``, ``_CHUNK //
+    n^2`` points per call."""
+    n = h.n
+    base = _FAMILIES[h.family].base
+    size = args[-1].size
+    step = max(1, _CHUNK // (n * n))
+    if size <= step:
+        return base(h, *args)
+    out = np.empty((size,) + (n,) * 4, dtype=complex)
+    for s in range(0, size, step):
+        out[s:s + step] = base(h, *(a[s:s + step] for a in args))
+    return out
+
+
+def _apply_gauge(h: SolutionHandle, val: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     g = h.gauge
     if g is None:
         return val
     if g.kind == "constant":
-        return val.conjugate_legs(g.matrix, g.matrix)
+        return _sandwich(g.matrix, g.matrix, val, g.matrix, g.matrix)
     if g.kind == "scalar_exp":
-        return val * cmath.exp(-g.c * u * v)
-    left1 = g.fn(0.0, v)
-    left2 = g.fn(u, 0.0)
-    right1 = g.fn(u, v)
-    right2 = g.fn(0.0, 0.0)
-    return val.sandwich(left1, left2, right1, right2)
+        return val * np.exp(-g.c * u * v).reshape(-1, 1, 1, 1, 1)
 
+    def at(x, y):
+        return np.stack([np.asarray(g.fn(complex(a), complex(b)), dtype=complex)
+                         for a, b in zip(x, y)])
 
-def eval_aybe(h: SolutionHandle, u: complex, v: complex) -> MatrixTensor2:
-    """Value of the two-variable solution at (u, v), with transforms."""
-    if not h.is_aybe:
-        raise DomainError(f"{h.family} is not a two-variable (AYBE) family")
-    c1, c2, c3, c4 = h.rescale
-    base = _FAMILIES[h.family].base(h, c3 * u, c4 * v)
-    val = base * (c1 * cmath.exp(c2 * u * v))
-    return _apply_gauge(h, val, u, v)
+    zero = np.zeros_like(u)
+    return _sandwich(at(zero, v), at(u, zero), val, at(u, v), at(zero, zero))
 
 
 def eval_aybe_array(h: SolutionHandle, u, v) -> np.ndarray:
     """Values of the two-variable solution at the points (u[k], v[k]).
 
     ``u`` and ``v`` are broadcast against each other and flattened to N
-    points; the result has shape (N, n, n, n, n), entry k equal to
-    ``eval_aybe(h, u[k], v[k]).coeffs`` up to rounding.  A scalar family
-    evaluates its formula, the rescale and a scalar_exp or constant gauge on
-    whole arrays, 2048 points at a time; every other family, and any
-    callable gauge, goes point by point through :func:`eval_aybe`.
+    points; the result has shape (N, n, n, n, n).  Every family evaluates
+    its formula, the rescale and the gauge on whole arrays, up to 2048 / n^2
+    points at a time (a custom family and a callable gauge call their
+    Python callable once per point).  A pole raises the error of the first
+    offending point, as a loop over the points would; a float overflow
+    raises OverflowError and a division by zero ZeroDivisionError, as
+    Python's complex arithmetic does, instead of leaving an inf or nan.
     """
     if not h.is_aybe:
         raise DomainError(f"{h.family} is not a two-variable (AYBE) family")
-    u, v = np.broadcast_arrays(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
-    u, v = u.reshape(-1), v.reshape(-1)
-    n = h.n
-    scalar = _FAMILIES[h.family].scalar
-    g = h.gauge
-    if scalar is None or (g is not None and g.kind == "callable"):
-        out = np.empty((u.size,) + (n,) * 4, dtype=complex)
-        for k in range(u.size):
-            out[k] = eval_aybe(h, u[k], v[k]).coeffs
-        return out
+    u, v = _flat_points(u, v)
     c1, c2, c3, c4 = h.rescale
-    out = np.empty(u.size, dtype=complex)
-    for s in range(0, u.size, _CHUNK):
-        uc, vc = u[s:s + _CHUNK], v[s:s + _CHUNK]
-        out[s:s + _CHUNK] = scalar(h, c3 * uc, c4 * vc) * (c1 * np.exp(c2 * uc * vc))
-    if g is not None and g.kind == "scalar_exp":
-        out *= np.exp(-g.c * u * v)
-    out = out.reshape((-1, 1, 1, 1, 1))
-    if g is not None and g.kind == "constant":
-        gi = np.linalg.inv(g.matrix)
-        out = np.einsum("ia,kc,nabcd,bj,dl->nijkl", g.matrix, g.matrix, out, gi, gi)
-    return out
+    with np.errstate(**_FLOAT_ERRORS):
+        val = _evaluate(h, c3 * u, c4 * v)
+        # with c2 = 0 the factor is c1 exactly, and the exp is skipped
+        val *= c1 if c2 == 0 else (c1 * np.exp(c2 * u * v)).reshape(-1, 1, 1, 1, 1)
+        return _apply_gauge(h, val, u, v)
+
+
+def eval_aybe(h: SolutionHandle, u: complex, v: complex) -> MatrixTensor2:
+    """Value of the two-variable solution at (u, v), with transforms: the
+    one-point :func:`eval_aybe_array`."""
+    return MatrixTensor2(eval_aybe_array(h, u, v)[0])
+
+
+def eval_cybe_array(h: SolutionHandle, v) -> np.ndarray:
+    """Values of the one-variable (CYBE) solution at the N points of the
+    flattened ``v``, shape (N, n, n, n, n); the array counterpart of
+    :func:`eval_aybe_array`."""
+    if not h.is_cybe:
+        raise DomainError(f"{h.family} is not a CYBE family")
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    c1, _, _, c4 = h.rescale
+    with np.errstate(**_FLOAT_ERRORS):
+        val = _evaluate(h, c4 * v)
+        val *= c1
+    if h.gauge is not None and h.gauge.kind != "constant":
+        raise DomainError("only constant gauges apply to CYBE families")
+    return _apply_gauge(h, val, None, v)
 
 
 def eval_cybe(h: SolutionHandle, v: complex) -> MatrixTensor2:
-    """Value of the one-variable (CYBE) solution at v; traceless legs."""
-    if not h.is_cybe:
-        raise DomainError(f"{h.family} is not a CYBE family")
-    c1, _, _, c4 = h.rescale
-    val = _FAMILIES[h.family].base(h, c4 * v) * c1
-    if h.gauge is not None:
-        if h.gauge.kind != "constant":
-            raise DomainError("only constant gauges apply to CYBE families")
-        val = val.conjugate_legs(h.gauge.matrix, h.gauge.matrix)
-    return val
+    """Value of the one-variable (CYBE) solution at v; traceless legs.  The
+    one-point :func:`eval_cybe_array`."""
+    return MatrixTensor2(eval_cybe_array(h, v)[0])
 
 
 def in_domain(h: SolutionHandle, u: Optional[complex], v: complex, guard: float = 1e-3) -> bool:
@@ -561,11 +584,10 @@ def cybe_limit_of_aybe(
     u_seq = tuple(u_seq)
     if len(u_seq) != 3:
         raise ValueError("u_seq must contain exactly three points")
-    samples = []
     for uk in u_seq:
         if not in_domain(h, uk, v, guard=1e-9):
             raise DomainError(f"limit sample point u={uk} hits a pole")
-        samples.append(eval_aybe(h, uk, v).project_sl())
+    samples = [MatrixTensor2(c).project_sl() for c in eval_aybe_array(h, u_seq, v)]
     p0, p1, p2 = samples
     d1 = (p1 - p0).frobenius()
     d2 = (p2 - p1).frobenius()

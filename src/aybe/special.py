@@ -319,12 +319,13 @@ def kronecker_F(u, v, m: ModularParam, *, guard: float = POLE_GUARD):
 
     ``u`` and ``v`` may be numpy arrays (broadcast against each other); the
     theta series is then summed over points x the index range at once, and
-    the pole guard raises for the first offending point.  At one point, F is
-    the d = 1 twist of :func:`_kronecker_twist_grid`.
+    the pole guard raises for the first offending point, as a loop over the
+    points would.  At one point, F is the d = 1 twist of
+    :func:`_kronecker_twist_grid`.
     """
     if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
         return _kronecker_F_grid(u, v, m, guard)
-    return complex(_kronecker_twist_grid(u, v, 1, m, guard=guard)[0, 0])
+    return complex(_kronecker_twist_grid(u, v, 1, m, guard=guard)[0, 0, 0])
 
 
 def _kronecker_F_grid(u, v, m: ModularParam, guard: float) -> np.ndarray:
@@ -332,14 +333,16 @@ def _kronecker_F_grid(u, v, m: ModularParam, guard: float) -> np.ndarray:
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise ValueError("non-finite input")
     tau = m.tau
-    parts = []
-    for label, z in (("u", u), ("v", v), ("u+v", u + v)):
-        z0, a, b = _split_lattice_grid(z, tau)
-        near = _reduced_distance_grid(z0, tau) < guard
-        if near.any():
-            raise _pole_error(label, complex(z[near][0]), guard, tau)
-        parts.append((z0, a, b, _theta_raw_grid(z0, tau)[0]))
-    (u0, au, bu, tu), (v0, av, bv, tv), (w0, aw, bw, tuv) = parts
+    blocks = [(z, *_split_lattice_grid(z, tau)) for z in (u, v, u + v)]
+    near = np.stack([_reduced_distance_grid(z0, tau) < guard for _, z0, _, _ in blocks])
+    if near.any():
+        # the first offending point, and its first offending argument
+        flat = near.reshape(3, -1)
+        k = int(flat.any(axis=0).argmax())
+        j = int(flat[:, k].argmax())
+        raise _pole_error(("u", "v", "u+v")[j], complex(blocks[j][0].reshape(-1)[k]), guard, tau)
+    (u0, au, bu), (v0, av, bv), (w0, aw, bw) = (blk[1:] for blk in blocks)
+    tu, tv, tuv = (_theta_raw_grid(z0, tau)[0] for z0 in (u0, v0, w0))
     sign = 1.0 - 2.0 * np.mod(au + bu + av + bv + aw + bw, 2.0)
     quasi = sign * np.exp(_kronecker_quasi_exponent(tau, u0, bu, v0, bv, w0, bw))
     return m.theta_prime0 / TWO_PI_I * tuv / (tu * tv) * quasi
@@ -374,42 +377,63 @@ def _twist_plan(d: int, first: int, tau: complex) -> tuple:
     return shifts[first:], shifts, p, q, p * q * tau
 
 
+def _flat_points(u, v) -> tuple:
+    """``u`` and ``v`` as complex arrays broadcast against each other and
+    flattened to N points."""
+    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    if u.shape != v.shape:
+        u, v = np.broadcast_arrays(u, v)
+    return u.reshape(-1), v.reshape(-1)
+
+
 def _twist_blocks(x: np.ndarray, rows: int, d: int) -> tuple:
-    """Split values on the twist grid's points into the u's as a column, the
-    v's as a row and the (rows, d) table of their sums."""
-    return x[:rows, None], x[rows:rows + d], x[rows + d:].reshape(rows, d)
+    """Split values on the twist grid's (N, points) array into the u's as
+    (N, rows, 1), the v's as (N, 1, d) and the (N, rows, d) table of their
+    sums."""
+    return (
+        x[:, :rows, None],
+        x[:, None, rows:rows + d],
+        x[:, rows + d:].reshape(len(x), rows, d),
+    )
 
 
 def _kronecker_twist_grid(u, v, d: int, m: ModularParam, *, first: int = 0,
                           zeta: bool = False, guard: float = POLE_GUARD):
-    """F_{j/d, k/d}(u, v) for first <= j < d and 0 <= k < d, as a
-    (d - first, d) array: :func:`kronecker_F_char` on every pair, from one
-    theta grid.
+    """F_{j/d, k/d}(u[s], v[s]) for first <= j < d and 0 <= k < d, as an
+    (N, d - first, d) array: :func:`kronecker_F_char` on every pair at each
+    of the N points, from one theta grid.
 
-    The twisted arguments u + (j/d)*tau and v + (k/d)*tau, and their sum for
-    every pair, are reduced, guarded and summed as one grid of
-    d - first + d + (d - first)*d points.  Each pair's quasi-periodicity
-    exponent and its prefactor exp(2*pi*i*(p*q*tau + p*v + q*u)) are added
-    before one exp.  :class:`PoleProximityError` is raised where some pair's
-    :func:`kronecker_F` would raise it.
+    ``u`` and ``v`` are broadcast against each other and flattened to the N
+    points.  The twisted arguments u + (j/d)*tau and v + (k/d)*tau, and
+    their sum for every pair, are reduced, guarded and summed as one grid
+    of d - first + d + (d - first)*d points per point.  Each pair's
+    quasi-periodicity exponent and its prefactor
+    exp(2*pi*i*(p*q*tau + p*v + q*u)) are added before one exp.
+    :class:`PoleProximityError` is raised where some pair's
+    :func:`kronecker_F` would raise it, with the message of the first
+    offending point, as a loop over the points would.
 
-    With ``zeta``, also returns zeta_{0, k/d}(v) (:func:`zeta_char`) for
-    k < d: its arguments v + (k/d)*tau are the twisted v's, so theta' on the
-    same grid serves it.
+    With ``zeta``, also returns the (N, d) array zeta_{0, k/d}(v[s])
+    (:func:`zeta_char`) for k < d: its arguments v + (k/d)*tau are the
+    twisted v's, so theta' on the same grid serves it.
     """
-    _check_finite(u, v)
+    u, v = _flat_points(u, v)
+    finite = np.isfinite(u) & np.isfinite(v)
+    if not finite.all():
+        k = int(finite.argmin())
+        raise ValueError(f"non-finite input {complex(v[k] if np.isfinite(u[k]) else u[k])!r}")
     tau = m.tau
     u_shifts, v_shifts, p, q, pq_tau = _twist_plan(d, first, tau)
     rows = d - first
-    zu = u + u_shifts
-    zv = v + v_shifts
-    z = np.concatenate((zu, zv, (zu[:, None] + zv).reshape(-1)))
+    zu = u[:, None] + u_shifts
+    zv = v[:, None] + v_shifts
+    z = np.concatenate((zu, zv, (zu[:, :, None] + zv[:, None, :]).reshape(len(u), -1)), axis=1)
     z0, a, b = _split_lattice_grid(z, tau)
-    dist = _reduced_distance_grid(z0, tau)
-    if np.minimum.reduce(dist) < guard:
-        k = int((dist < guard).argmax())
-        label = "u" if k < rows else "v" if k < rows + d else "u+v"
-        raise _pole_error(label, complex(z[k]), guard, tau)
+    near = _reduced_distance_grid(z0, tau) < guard
+    if near.any():
+        k, j = divmod(int(near.argmax()), z.shape[1])
+        label = "u" if j < rows else "v" if j < rows + d else "u+v"
+        raise _pole_error(label, complex(z[k, j]), guard, tau)
     theta = _theta_raw_grid(z0, tau, (0, 1) if zeta else (0,))
     # the arithmetic of kronecker_F, with the sign (-1)^(a+b) on each theta
     # and the prefactor's exponent added to the quasi-periodicity exponent
@@ -417,12 +441,13 @@ def _kronecker_twist_grid(u, v, d: int, m: ModularParam, *, first: int = 0,
     bu, bv, bw = _twist_blocks(b, rows, d)
     tu, tv, tuv = _twist_blocks((1.0 - 2.0 * np.mod(a + b, 2.0)) * theta[0], rows, d)
     exponent = _kronecker_quasi_exponent(tau, u0, bu, v0, bv, w0, bw) + TWO_PI_I * (
-        pq_tau + p * v + q * u
+        pq_tau + p * v[:, None, None] + q * u[:, None, None]
     )
     table = m.theta_prime0 / TWO_PI_I * tuv / (tu * tv) * np.exp(exponent)
     if not zeta:
         return table
-    zetas = _zeta_reduced(m, z0, a, b, theta[0], theta[1])[rows:rows + d]
+    vs = slice(rows, rows + d)
+    zetas = _zeta_reduced(m, z0[:, vs], a[:, vs], b[:, vs], theta[0][:, vs], theta[1][:, vs])
     return table, zetas - q * m.eta2
 
 

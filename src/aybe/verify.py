@@ -10,7 +10,9 @@ Four checks are implemented on top of :mod:`aybe.solutions`:
 Each check comes in a pointwise flavour returning the raw residual tensor
 and a sampled flavour returning a :class:`ResidualReport`.  Sampling is
 seeded and deterministic; points that fall inside a pole guard are redrawn
-and counted in the report's ``skipped`` field.
+and counted in the report's ``skipped`` field.  A sampled check draws all
+its samples first, evaluates all their points in one array call, and forms
+the three-leg products of blocks of samples as batched matrix products.
 """
 
 from __future__ import annotations
@@ -27,12 +29,23 @@ from .solutions import (
     _FAMILIES,
     SolutionHandle,
     cybe_limit_of_aybe,
-    eval_aybe,
+    eval_aybe_array,
     eval_cybe,
+    eval_cybe_array,
     in_domain,
     paired_cybe_handle,
 )
-from .tensors import MatrixTensor2, MatrixTensor3, leg_product
+from .tensors import (
+    MatrixTensor2,
+    MatrixTensor3,
+    _ranks_as_maps,
+    leg_product,
+    leg_product_array,
+)
+
+# three-leg entries (samples x n^6) per block of a sampled check's products:
+# about 2 MB per array, one sample per block at n = 7
+_BLOCK = 1 << 17
 
 __all__ = [
     "ResidualReport",
@@ -130,8 +143,8 @@ def _make_report(
     tolerance: float,
     skipped: int,
 ) -> ResidualReport:
-    max_abs = max(abs_residuals) if abs_residuals else 0.0
-    max_rel = max(rel_residuals) if rel_residuals else 0.0
+    max_abs = max(abs_residuals) if len(abs_residuals) else 0.0
+    max_rel = max(rel_residuals) if len(rel_residuals) else 0.0
     return ResidualReport(
         tag=tag,
         points=tuple(samples),
@@ -158,16 +171,19 @@ def aybe_terms(
         T2 = r23(u+u', v')    r12(u, v)
         T3 = r13(u, v+v')     r23(u', v')
     """
-    return _aybe_products(_aybe_values(h, u, up, v, vp))
+    a, b, c, d, e, f = (MatrixTensor2(x[0]) for x in _aybe_values(h, [(u, up, v, vp)]))
+    return (
+        leg_product(a, "12", b, "13"),
+        leg_product(c, "23", d, "12"),
+        leg_product(e, "13", f, "23"),
+    )
 
 
 def aybe_residual(
     h: SolutionHandle, u: complex, up: complex, v: complex, vp: complex
 ) -> MatrixTensor3:
     """Residual tensor ``T1 - T2 + T3`` (zero for genuine solutions)."""
-    _require_aybe_domain(h, u, up, v, vp)
-    t1, t2, t3 = aybe_terms(h, u, up, v, vp)
-    return t1 - t2 + t3
+    return _aybe_form_at(h, (u, up, v, vp), "aybe")
 
 
 def aybe_commutator_residual(
@@ -183,18 +199,14 @@ def aybe_commutator_residual(
 
     which is the mechanical step behind the classical limit.
     """
-    _require_aybe_domain(h, u, up, v, vp)
-    values = _aybe_values(h, u, up, v, vp)
-    return _aybe_commutators(values, _aybe_products(values))
+    return _aybe_form_at(h, (u, up, v, vp), "commutator")
 
 
 def cybe_terms(
     h: SolutionHandle, v: complex, vp: complex
 ) -> Tuple[MatrixTensor3, MatrixTensor3, MatrixTensor3]:
     """The three commutators of the one-variable identity at (x, y) = (v, v')."""
-    r12 = eval_cybe(h, v)
-    r13 = eval_cybe(h, v + vp)
-    r23 = eval_cybe(h, vp)
+    r12, r13, r23 = (MatrixTensor2(x[0]) for x in _cybe_values(h, [(v, vp)]))
     return (
         _comm(r12, "12", r13, "13"),
         _comm(r12, "12", r23, "23"),
@@ -207,8 +219,8 @@ def cybe_residual(h: SolutionHandle, v: complex, vp: complex) -> MatrixTensor3:
     for point in (v, vp, v + vp):
         if not in_domain(h, None, point, guard=1e-9):
             raise DomainError(f"point {point} is outside the domain of {h.family}")
-    c1, c2, c3 = cybe_terms(h, v, vp)
-    return c1 + c2 + c3
+    _, forms = _cybe_forms(_cybe_values(h, [(v, vp)]))
+    return MatrixTensor3(forms["cybe"][0])
 
 
 def unitarity_residual(h: SolutionHandle, u: complex, v: complex) -> MatrixTensor2:
@@ -218,10 +230,10 @@ def unitarity_residual(h: SolutionHandle, u: complex, v: complex) -> MatrixTenso
         for point in (v, -v):
             if not in_domain(h, None, point, guard=1e-9):
                 raise DomainError(f"point {point} is outside the domain of {h.family}")
-        return eval_cybe(h, -v).swap_legs() + eval_cybe(h, v)
-    if not (in_domain(h, u, v, guard=1e-9) and in_domain(h, -u, -v, guard=1e-9)):
+    elif not (in_domain(h, u, v, guard=1e-9) and in_domain(h, -u, -v, guard=1e-9)):
         raise DomainError("evaluation point or its negative hits a pole")
-    return eval_aybe(h, -u, -v).swap_legs() + eval_aybe(h, u, v)
+    direct, swapped = _unitarity_values(h, [(u, v)])
+    return MatrixTensor2(swapped[0] + direct[0])
 
 
 def limit_consistency_residual(
@@ -240,42 +252,6 @@ def _comm(
     return leg_product(x, legs_x, y, legs_y) - leg_product(y, legs_y, x, legs_x)
 
 
-def _aybe_values(
-    h: SolutionHandle, u: complex, up: complex, v: complex, vp: complex
-) -> tuple:
-    """r at the six points of :func:`_aybe_points`, in that order."""
-    return tuple(eval_aybe(h, a, b) for a, b in _aybe_points(u, up, v, vp))
-
-
-def _aybe_products(values: tuple) -> Tuple[MatrixTensor3, MatrixTensor3, MatrixTensor3]:
-    """T1, T2, T3 of :func:`aybe_terms` from the six values."""
-    a, b, c, d, e, f = values
-    return (
-        leg_product(a, "12", b, "13"),
-        leg_product(c, "23", d, "12"),
-        leg_product(e, "13", f, "23"),
-    )
-
-
-def _aybe_commutators(values: tuple, terms: tuple) -> MatrixTensor3:
-    """Commutator residual, reusing T1..T3 as the first half of each commutator."""
-    a, b, c, d, e, f = values
-    t1, t2, t3 = terms
-    return (
-        (t1 - leg_product(b, "13", a, "12"))
-        - (t2 - leg_product(d, "12", c, "23"))
-        + (t3 - leg_product(f, "23", e, "13"))
-    )
-
-
-def _require_aybe_domain(
-    h: SolutionHandle, u: complex, up: complex, v: complex, vp: complex
-) -> None:
-    for a, b in _aybe_points(u, up, v, vp):
-        if not in_domain(h, a, b, guard=1e-9):
-            raise DomainError(f"evaluation point ({a}, {b}) hits a pole of {h.family}")
-
-
 def _aybe_points(u: complex, up: complex, v: complex, vp: complex) -> tuple:
     return (
         (-up, v),
@@ -285,6 +261,128 @@ def _aybe_points(u: complex, up: complex, v: complex, vp: complex) -> tuple:
         (u, v + vp),
         (up, vp),
     )
+
+
+def _aybe_values(h: SolutionHandle, samples: Sequence[tuple]) -> np.ndarray:
+    """r at the six points of :func:`_aybe_points` of every (u, u', v, v')
+    sample, as a (6, N, n, n, n, n) array: one evaluation call for all 6*N
+    points."""
+    pts = np.array([_aybe_points(*s) for s in samples], dtype=complex)
+    pts = pts.reshape(len(samples), 6, 2).transpose(1, 0, 2)
+    return eval_aybe_array(h, pts[..., 0], pts[..., 1]).reshape((6, len(samples)) + (h.n,) * 4)
+
+
+def _cybe_values(h: SolutionHandle, samples: Sequence[tuple]) -> np.ndarray:
+    """r12 = r(v), r13 = r(v + v') and r23 = r(v') of every (v, v') sample,
+    as a (3, N, n, n, n, n) array from one evaluation call."""
+    pts = np.array([(v, v + vp, vp) for v, vp in samples], dtype=complex).reshape(-1, 3).T
+    return eval_cybe_array(h, pts).reshape((3, len(samples)) + (h.n,) * 4)
+
+
+def _unitarity_values(h: SolutionHandle, pairs: Sequence[tuple]) -> tuple:
+    """r(u, v) and swap_legs(r(-u, -v)) of every (u, v) pair (u is None for a
+    one-variable family), each (N, n, n, n, n), from one evaluation call."""
+    v = np.array([p[1] for p in pairs], dtype=complex)
+    if h.is_cybe:
+        values = eval_cybe_array(h, np.concatenate((v, -v)))
+    else:
+        u = np.array([p[0] for p in pairs], dtype=complex)
+        values = eval_aybe_array(h, np.concatenate((u, -u)), np.concatenate((v, -v)))
+    return values[:len(pairs)], values[len(pairs):].transpose(0, 3, 4, 1, 2)
+
+
+def _block_norms(values: np.ndarray, forms: Callable) -> dict:
+    """{tag: (max_abs list, relative Frobenius list)} over the samples of
+    ``values`` (k, N, n, n, n, n), where ``forms(block)`` gives (scale,
+    {tag: residual}) for a block of samples.  A block holds _BLOCK // n^6
+    samples, and only one block's three-leg arrays are alive at a time."""
+    step = max(1, _BLOCK // values.shape[-1] ** 6)
+    norms: dict = {}
+    for s in range(0, values.shape[1], step):
+        _extend_norms(norms, *forms(values[:, s:s + step]))
+    return norms
+
+
+def _extend_norms(norms: dict, scale: np.ndarray, residuals: dict) -> None:
+    # a function of its own, so that a block's residuals are freed before
+    # the next block's products are formed
+    for tag, res in residuals.items():
+        abs_res, rel_res = norms.setdefault(tag, ([], []))
+        abs_res.extend(_max_abs(res))
+        rel_res.extend(_frobenius(res) / scale)
+
+
+def _aybe_forms(values: np.ndarray, tags: Tuple[str, ...]) -> tuple:
+    """(scale, {tag: residual}) for the samples of the six values of
+    :func:`_aybe_values`.  Each sample's scale is the largest Frobenius norm
+    of T1..T3.  The forms are ``aybe``, T1 - T2 + T3, and ``commutator``,
+    the same with every product replaced by a commutator.  Each product is
+    added into its residual as soon as it is formed, so besides the two
+    residuals at most two three-leg arrays per sample are alive at a time."""
+    a, b, c, d, e, f = values
+    res = com = None
+    scale = np.full(len(a), 1e-300)
+    for sign, x, lx, y, ly in (
+        (1, a, "12", b, "13"), (-1, c, "23", d, "12"), (1, e, "13", f, "23")
+    ):
+        term = leg_product_array(x, lx, y, ly)
+        scale = np.maximum(scale, _frobenius(term))
+        res = _accumulate(res, sign, term)
+        if "commutator" in tags:
+            term -= leg_product_array(y, ly, x, lx)
+            com = _accumulate(com, sign, term)
+    forms = {"aybe": res, "commutator": com}
+    return scale, {tag: forms[tag] for tag in tags}
+
+
+def _cybe_forms(values: np.ndarray) -> tuple:
+    """(scale, {"cybe": residual}) for the samples of the three values of
+    :func:`_cybe_values`: the residual is the sum of the three commutators,
+    the scale the largest Frobenius norm of their six products."""
+    r12, r13, r23 = values
+    res = None
+    scale = np.full(len(r12), 1e-300)
+    for x, lx, y, ly in ((r12, "12", r13, "13"), (r12, "12", r23, "23"), (r13, "13", r23, "23")):
+        forward = leg_product_array(x, lx, y, ly)
+        backward = leg_product_array(y, ly, x, lx)
+        scale = np.maximum(scale, np.maximum(_frobenius(forward), _frobenius(backward)))
+        forward -= backward
+        res = _accumulate(res, 1, forward)
+    return scale, {"cybe": res}
+
+
+def _accumulate(total: Optional[np.ndarray], sign: int, term: np.ndarray) -> np.ndarray:
+    """total + sign * term, in place; a C-contiguous copy of ``term`` when
+    ``total`` is None (the first term of a sum, with sign +1)."""
+    if total is None:
+        return term.copy()
+    if sign > 0:
+        total += term
+    else:
+        total -= term
+    return total
+
+
+def _aybe_form_at(h: SolutionHandle, sample: tuple, tag: str) -> MatrixTensor3:
+    """One form of :func:`_aybe_forms` at one sample, after the domain guard."""
+    for a, b in _aybe_points(*sample):
+        if not in_domain(h, a, b, guard=1e-9):
+            raise DomainError(f"evaluation point ({a}, {b}) hits a pole of {h.family}")
+    _, forms = _aybe_forms(_aybe_values(h, [sample]), (tag,))
+    return MatrixTensor3(forms[tag][0])
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each x[k].  The entries are read in memory order, so
+    the permuted view a leg product returns costs no copy."""
+    axes = sorted(range(1, x.ndim), key=lambda k: -x.strides[k])
+    flat = x.transpose([0] + axes).reshape(len(x), math.prod(x.shape[1:])).view(float)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
+
+
+def _max_abs(x: np.ndarray) -> np.ndarray:
+    """Largest entry modulus of each x[k]."""
+    return np.abs(x).reshape(len(x), math.prod(x.shape[1:])).max(axis=1, initial=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -349,18 +447,11 @@ def _accept(
     return accepted, skipped
 
 
-# the two forms of the two-variable identity, from the six values and T1..T3
-_AYBE_FORMS = {
-    "aybe": lambda values, terms: terms[0] - terms[1] + terms[2],
-    "commutator": _aybe_commutators,
-}
-
-
 def _check_aybe_forms(
     h: SolutionHandle, config: SuiteConfig, tags: Tuple[str, ...]
 ) -> List[ResidualReport]:
     """One seeded sampling pass of the two-variable identity with one report
-    per form in ``tags``; the forms share each sample's six evaluations,
+    per form in ``tags``; the forms share the 6*N evaluations (one call),
     T1..T3 and the relative scale."""
     rng = np.random.default_rng(config.seed)
 
@@ -373,17 +464,9 @@ def _check_aybe_forms(
     samples, skipped = _accept(
         rng, _sample_radius(h), config.n_aybe, 4, ok, config.max_draws
     )
-    residuals = {tag: ([], []) for tag in tags}
-    for sample in samples:
-        values = _aybe_values(h, *sample)
-        terms = _aybe_products(values)
-        scale = max([t.frobenius() for t in terms] + [1e-300])
-        for tag in tags:
-            res = _AYBE_FORMS[tag](values, terms)
-            residuals[tag][0].append(res.max_abs())
-            residuals[tag][1].append(res.frobenius() / scale)
+    norms = _block_norms(_aybe_values(h, samples), lambda block: _aybe_forms(block, tags))
     return [
-        _make_report(tag, samples, *residuals[tag], config.tol_aybe, skipped)
+        _make_report(tag, samples, *norms.get(tag, ([], [])), config.tol_aybe, skipped)
         for tag in tags
     ]
 
@@ -415,23 +498,8 @@ def check_cybe(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> Residu
         )
 
     samples, skipped = _accept(rng, radius, config.n_cybe, 2, ok, config.max_draws)
-    abs_res, rel_res = [], []
-    for v, vp in samples:
-        r12 = eval_cybe(h, v)
-        r13 = eval_cybe(h, v + vp)
-        r23 = eval_cybe(h, vp)
-        products = [
-            leg_product(r12, "12", r13, "13"), leg_product(r13, "13", r12, "12"),
-            leg_product(r12, "12", r23, "23"), leg_product(r23, "23", r12, "12"),
-            leg_product(r13, "13", r23, "23"), leg_product(r23, "23", r13, "13"),
-        ]
-        res = (products[0] - products[1]) + (products[2] - products[3]) + (
-            products[4] - products[5]
-        )
-        scale = max([p.frobenius() for p in products] + [1e-300])
-        abs_res.append(res.max_abs())
-        rel_res.append(res.frobenius() / scale)
-    return _make_report("cybe", samples, abs_res, rel_res, tol, skipped)
+    norms = _block_norms(_cybe_values(h, samples), _cybe_forms)
+    return _make_report("cybe", samples, *norms.get("cybe", ([], [])), tol, skipped)
 
 
 def check_unitarity(
@@ -462,20 +530,12 @@ def check_unitarity(
         )
         pairs = samples
 
-    abs_res, rel_res = [], []
-    for u, v in pairs:
-        if h.is_cybe:
-            direct = eval_cybe(h, v)
-            swapped = eval_cybe(h, -v).swap_legs()
-        else:
-            direct = eval_aybe(h, u, v)
-            swapped = eval_aybe(h, -u, -v).swap_legs()
-        res = swapped + direct
-        scale = max(direct.frobenius(), swapped.frobenius(), 1e-300)
-        abs_res.append(res.max_abs())
-        rel_res.append(res.frobenius() / scale)
+    direct, swapped = _unitarity_values(h, pairs)
+    res = swapped + direct
+    scale = np.maximum(np.maximum(_frobenius(direct), _frobenius(swapped)), 1e-300)
     return _make_report(
-        "unitarity", samples, abs_res, rel_res, config.tol_unitarity, skipped
+        "unitarity", samples, _max_abs(res), _frobenius(res) / scale,
+        config.tol_unitarity, skipped,
     )
 
 
@@ -491,22 +551,22 @@ def nondegeneracy_check(
     n^2 - rank, so a report passes exactly when every point has full rank.
     """
     samples = []
-    deficits = []
-    target = h.n * h.n
     for p in pts:
         if isinstance(p, tuple):
             u, v = p
         else:
             u, v = None, p
         if h.is_cybe:
-            value = eval_cybe(h, v)
             samples.append((v,))
         else:
             if u is None:
                 raise DomainError("two-variable families need (u, v) points")
-            value = eval_aybe(h, u, v)
             samples.append((u, v))
-        deficits.append(float(target - value.rank_as_map()))
+    if h.is_cybe:
+        values = eval_cybe_array(h, [v for (v,) in samples])
+    else:
+        values = eval_aybe_array(h, [u for u, _ in samples], [v for _, v in samples])
+    deficits = [float(h.n * h.n - rank) for rank in _ranks_as_maps(values)]
     return _make_report("rank", samples, deficits, deficits, tolerance, 0)
 
 
@@ -550,14 +610,13 @@ def check_limit_consistency(
         return all(in_domain(h, uk, v, guard=1e-6) for uk in _u_seq(v))
 
     samples, skipped = _accept(rng, radius, config.n_limit, 1, ok, config.max_draws)
-    abs_res, rel_res = [], []
-    for (v,) in samples:
-        res = limit_consistency_residual(h, v, u_seq=_u_seq(v))
-        target = eval_cybe(paired, v)
-        scale = max(target.frobenius(), 1e-300)
-        abs_res.append(res.max_abs())
-        rel_res.append(res.frobenius() / scale)
-    return _make_report("limit", samples, abs_res, rel_res, config.tol_limit, skipped)
+    limits = [cybe_limit_of_aybe(h, v, u_seq=_u_seq(v)).value.coeffs for (v,) in samples]
+    targets = eval_cybe_array(paired, [v for (v,) in samples])
+    res = np.array(limits, dtype=complex).reshape(targets.shape) - targets
+    scale = np.maximum(_frobenius(targets), 1e-300)
+    return _make_report(
+        "limit", samples, _max_abs(res), _frobenius(res) / scale, config.tol_limit, skipped
+    )
 
 
 _CHECK_FNS = {

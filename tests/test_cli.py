@@ -530,6 +530,16 @@ def test_missing_config_file_is_usage_error(capsys):
     assert "config" in err
 
 
+def test_config_without_value_is_usage_error(capsys):
+    # the --config pre-parser's usage error returns 2 like every other one,
+    # under the program's name
+    code, out, err = run_cli(["eval", "--config"], capsys)
+    assert (code, out) == (2, "")
+    usage, message = err.splitlines()[:2]
+    assert usage.startswith("usage: aybe ")
+    assert message == "aybe: error: argument --config: expected one argument"
+
+
 def test_repeated_main_calls_match_calls_on_fresh_parsers(tmp_path, capsys):
     # main builds its parsers once per process; calls that share them must
     # print and return exactly what each call does on newly built ones

@@ -116,7 +116,7 @@ zeta_points = dict(
 
 def grid_zeta(x, m):
     # zeta(x) from the theta grid of the elliptic families (d = 1)
-    _, (zeta,) = _kronecker_twist_grid(0.0, x, 1, m, first=1, zeta=True)
+    _, ((zeta,),) = _kronecker_twist_grid(0.0, x, 1, m, first=1, zeta=True)
     return zeta
 
 
@@ -178,7 +178,7 @@ def test_twist_grid_zeta_matches_zeta_char(tau_re, tau_im, d, v_re, v_height):
         min(lattice_distance(v + s * tau / d, tau) for s in range(2 * d - 1))
         > 0.05 * min(1.0, tau_im)
     )
-    _, zetas = _kronecker_twist_grid(0.0, v, d, m, first=1, zeta=True)
+    _, (zetas,) = _kronecker_twist_grid(0.0, v, d, m, first=1, zeta=True)
     scale = max(1.0, abs(m.eta1), abs(m.eta2), abs(m.eta1 * v))
     for k in range(d):
         ref = zeta_char(Characteristic.of(0, Fraction(k, d)), v, m)

@@ -27,6 +27,7 @@ from aybe.solutions import (
     eval_aybe,
     eval_aybe_array,
     eval_cybe,
+    eval_cybe_array,
     handle_from_dict,
     handle_to_dict,
     in_domain,
@@ -381,7 +382,8 @@ def test_paired_cybe_handle_rejects_scalars():
     ids=lambda h: h.family,
 )
 def test_eval_aybe_array_matches_points(h, rng):
-    # scalar formulas run on arrays, the other families point by point
+    # every family runs on arrays; custom handles and callable gauges call
+    # their Python callable point by point
     u = draw_disc(rng, 0.4, 30)
     v = draw_disc(rng, 0.4, 30) + 0.05
     values = eval_aybe_array(h, u, v)
@@ -394,6 +396,112 @@ def test_eval_aybe_array_matches_points(h, rng):
     assert column.shape == (4,) + (h.n,) * 4
     points = np.stack([eval_aybe(h, u[k], v[0]).coeffs for k in range(4)])
     assert np.allclose(column, points, rtol=1e-13, atol=1e-13)
+
+
+def _assert_rows_match_points(values, points):
+    # each row equals its one-point evaluation to 1e-14 relative
+    assert values.shape == points.shape
+    for row, point in zip(values, points):
+        assert np.max(np.abs(row - point)) <= 1e-14 * max(np.max(np.abs(point)), 1e-300)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_batched_elliptic_evaluation_matches_pointwise(d):
+    # one theta grid for all points against one call per point, every unit r
+    rng = np.random.default_rng(50 + d)
+    tau = 0.2 + 1.1j
+    for h, hc in zip(_unit_handles(elliptic_aybe, d, tau), _unit_handles(elliptic_cybe, d, tau)):
+        u = draw_disc(rng, 0.4, 12)
+        v = draw_disc(rng, 0.4, 12) + 0.05
+        _assert_rows_match_points(
+            eval_aybe_array(h, u, v), np.stack([eval_aybe(h, a, b).coeffs for a, b in zip(u, v)])
+        )
+        _assert_rows_match_points(
+            eval_cybe_array(hc, v), np.stack([eval_cybe(hc, b).coeffs for b in v])
+        )
+
+
+BATCH_TAU = 0.3 + 0.9j
+GAUGE = np.array([[1.0, 0.3j], [-0.2, 1.1]])
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        trig_aybe(1),
+        trig_aybe(2),
+        replace(trig_aybe(1), rescale=(1.3 + 0.1j, 0.2 - 0.1j, 0.8, 1.1)),
+        equivalence_transform(trig_aybe(2), GAUGE),
+        equivalence_transform(elliptic_aybe(3, 2, BATCH_TAU), GaugeSpec(kind="scalar_exp", c=0.3 - 0.1j)),
+        replace(elliptic_aybe(2, 1, BATCH_TAU), rescale=(0.9j, 0.4, 1.2, 0.7 - 0.1j)),
+        equivalence_transform(
+            trig_aybe(1), GaugeSpec(kind="callable", fn=lambda x, y: np.eye(2) + 0.1 * x * GAUGE)
+        ),
+        trig_cybe(1),
+        trig_cybe(2),
+        replace(trig_cybe(1), rescale=(1.3 + 0.1j, 0.0, 1.0, 1.1)),
+        equivalence_transform(trig_cybe(2), GAUGE),
+        equivalence_transform(elliptic_cybe(3, 1, BATCH_TAU), np.diag([1.0, 2.0, 0.5j])),
+    ],
+    ids=lambda h: f"{h.family}-{h.gauge.kind if h.gauge else 'none'}-{h.rescale[0]}",
+)
+def test_batched_evaluation_with_transforms_matches_pointwise(h, rng):
+    u = draw_disc(rng, 0.4, 16)
+    v = draw_disc(rng, 0.4, 16) + 0.05
+    if h.is_cybe:
+        values = eval_cybe_array(h, v)
+        points = np.stack([eval_cybe(h, b).coeffs for b in v])
+    else:
+        values = eval_aybe_array(h, u, v)
+        points = np.stack([eval_aybe(h, a, b).coeffs for a, b in zip(u, v)])
+    _assert_rows_match_points(values, points)
+
+
+def _first_error(fn, points):
+    for p in points:
+        try:
+            fn(*p)
+        except PoleProximityError as exc:
+            return str(exc)
+    raise AssertionError("no point raised")
+
+
+@pytest.mark.parametrize(
+    "h,bad",
+    [
+        # a v pole (V + tau'/2 = 0, V = -2v) before a twisted u pole (U = 2u)
+        (elliptic_aybe(2, 1, BATCH_TAU), [(0.1, BATCH_TAU / 2), (-BATCH_TAU / 2, 0.3)]),
+        # u on the lattice after u + v on it
+        (scalar_kronecker(BATCH_TAU), [(0.2, -0.2), (1.0, 0.3)]),
+        (elliptic_cybe(3, 1, BATCH_TAU), [(None, BATCH_TAU / 3), (None, 0.0)]),
+    ],
+    ids=lambda x: getattr(x, "family", ""),
+)
+def test_batch_pole_raises_first_offending_points_error(h, bad):
+    good = [(0.11 + 0.05j, 0.23), (-0.17, 0.31 - 0.02j)]
+    points = good + bad[:1] + good + bad[1:]
+    if h.is_cybe:
+        expected = _first_error(lambda u, v: eval_cybe(h, v), points)
+        call = lambda: eval_cybe_array(h, [v for _, v in points])  # noqa: E731
+    else:
+        expected = _first_error(lambda u, v: eval_aybe(h, u, v), points)
+        call = lambda: eval_aybe_array(h, *zip(*points))  # noqa: E731
+    assert expected.startswith(("u = ", "v = ", "u+v = "))
+    with pytest.raises(PoleProximityError) as info:
+        call()
+    assert str(info.value) == expected
+
+
+def test_batch_overflow_and_zero_division_raise_like_python_arithmetic():
+    # exp(800) overflows a float; 1 - exp(0) is an exact zero denominator
+    with pytest.raises(OverflowError):
+        eval_aybe_array(trig_aybe(1), [0.3, 800.0], [0.5, 0.5])
+    with pytest.raises(OverflowError):
+        eval_aybe(scalar_trig(), 800.0, 0.5)
+    with pytest.raises(ZeroDivisionError):
+        eval_aybe_array(trig_aybe(1), [0.3, 0.0], [0.5, 0.5])
+    with pytest.raises(ZeroDivisionError):
+        eval_cybe(trig_cybe(1), 0.0)
 
 
 def test_eval_aybe_array_rejects_cybe_families():

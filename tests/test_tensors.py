@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from aybe.bruteforce import leg_product_einsum
 from aybe.tensors import (
     MatrixTensor2,
     MatrixTensor3,
     from_pair,
     identity2,
     leg_product,
+    leg_product_array,
     matrix_unit,
 )
 
@@ -89,15 +91,36 @@ def test_embed_products_respect_leg_structure(rng):
     assert np.max(np.abs(prod23.coeffs - expected23)) < 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 @pytest.mark.parametrize("legs_x,legs_y", LEG_PAIRS)
 def test_leg_product_equals_embed_then_mul(legs_x, legs_y, n):
-    # Same entries, bit for bit, as the full three-leg product it replaces.
+    # The same entries as the full three-leg product it replaces and as the
+    # einsum reference, up to the rounding of a BLAS matrix product.
     rng = np.random.default_rng(100 * n + LEG_PAIRS.index((legs_x, legs_y)))
     x, y = random_tensor(rng, n), random_tensor(rng, n)
     prod = leg_product(x, legs_x, y, legs_y)
     assert isinstance(prod, MatrixTensor3)
-    assert np.array_equal(prod.coeffs, x.embed(legs_x).mul(y.embed(legs_y)).coeffs)
+    full = x.embed(legs_x).mul(y.embed(legs_y)).coeffs
+    bound = 1e-14 * np.linalg.norm(full)
+    assert np.max(np.abs(prod.coeffs - full)) <= bound
+    reference = leg_product_einsum(x, legs_x, y, legs_y).coeffs
+    assert np.max(np.abs(prod.coeffs - reference)) <= bound
+
+
+@pytest.mark.parametrize("legs_x,legs_y", LEG_PAIRS)
+def test_leg_product_array_is_leg_product_per_entry(legs_x, legs_y):
+    # a stack of four pairs in one batched product, entry k as leg_product
+    # of x[k] and y[k]
+    rng = np.random.default_rng(LEG_PAIRS.index((legs_x, legs_y)))
+    xs = [random_tensor(rng, 3) for _ in range(4)]
+    ys = [random_tensor(rng, 3) for _ in range(4)]
+    stack = leg_product_array(
+        np.stack([x.coeffs for x in xs]), legs_x, np.stack([y.coeffs for y in ys]), legs_y
+    )
+    assert stack.shape == (4,) + (3,) * 6
+    for k in range(4):
+        single = leg_product(xs[k], legs_x, ys[k], legs_y).coeffs
+        assert np.max(np.abs(stack[k] - single)) <= 1e-14 * np.linalg.norm(single)
 
 
 @pytest.mark.parametrize(
