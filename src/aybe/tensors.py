@@ -96,19 +96,7 @@ class MatrixTensor2:
     # --- projections and maps ----------------------------------------
     def project_sl(self) -> "MatrixTensor2":
         """Project both legs onto trace-free matrices (sl_n (x) sl_n part)."""
-        n = self.n
-        c = self.coeffs
-        eye = np.eye(n)
-        tr1 = np.einsum("iikl->kl", c)
-        tr2 = np.einsum("ijkk->ij", c)
-        tr12 = np.einsum("iikk->", c)
-        out = (
-            c
-            - np.einsum("ij,kl->ijkl", eye, tr1) / n
-            - np.einsum("ij,kl->ijkl", tr2, eye) / n
-            + tr12 * np.einsum("ij,kl->ijkl", eye, eye) / n**2
-        )
-        return MatrixTensor2(out)
+        return MatrixTensor2(_project_sl(self.coeffs))
 
     def as_map(self) -> np.ndarray:
         """Matrix of the induced linear map on n x n matrices.
@@ -189,6 +177,22 @@ def _sandwich(g1, g2, coeffs: np.ndarray, h1, h2) -> np.ndarray:
         coeffs,
         h1i,
         h2i,
+    )
+
+
+def _project_sl(c: np.ndarray) -> np.ndarray:
+    """:meth:`MatrixTensor2.project_sl` of every two-leg coefficient array of
+    the stack ``c`` (..., n, n, n, n)."""
+    n = c.shape[-1]
+    eye = np.eye(n)
+    tr1 = np.einsum("...iikl->...kl", c)
+    tr2 = np.einsum("...ijkk->...ij", c)
+    tr12 = np.einsum("...iikk->...", c)[..., None, None, None, None]
+    return (
+        c
+        - np.einsum("ij,...kl->...ijkl", eye, tr1) / n
+        - np.einsum("...ij,kl->...ijkl", tr2, eye) / n
+        + tr12 * np.einsum("ij,kl->ijkl", eye, eye) / n**2
     )
 
 

@@ -28,6 +28,7 @@ from .errors import DomainError, NonConvergenceError
 from .solutions import (
     _FAMILIES,
     SolutionHandle,
+    _cybe_limits,
     cybe_limit_of_aybe,
     eval_aybe_array,
     eval_cybe,
@@ -236,12 +237,10 @@ def unitarity_residual(h: SolutionHandle, u: complex, v: complex) -> MatrixTenso
     return MatrixTensor2(swapped[0] + direct[0])
 
 
-def limit_consistency_residual(
-    h: SolutionHandle, v: complex, u_seq: Optional[Sequence[complex]] = None
-) -> MatrixTensor2:
+def limit_consistency_residual(h: SolutionHandle, v: complex) -> MatrixTensor2:
     """Difference between the u -> 0 limit of a two-variable family and its
     paired one-variable solution at the same v."""
-    limit = cybe_limit_of_aybe(h, v, u_seq=u_seq).value
+    limit = cybe_limit_of_aybe(h, v).value
     target = eval_cybe(paired_cybe_handle(h), v)
     return limit - target
 
@@ -594,25 +593,19 @@ def check_limit_consistency(
 ) -> ResidualReport:
     """Sampled comparison of the u -> 0 limit against the paired family."""
     rng = np.random.default_rng(config.seed)
-    radius = _sample_radius(h)
     paired = paired_cybe_handle(h)
-    # keep samples a comfortable distance from the pole set: the Laurent
-    # coefficients that control the extrapolation error blow up at the guard
+    # keep v off the partner's poles: the limit's circle shrinks with the
+    # distance R(v) from u = 0 to the nearest other u-pole, and this guard
+    # keeps R(v) >= min(1e-2, r Im tau) / (d r) for the elliptic family
     guard = max(config.guard, 1e-2)
 
-    def _u_seq(v):
-        s = 2.5e-3 * max(abs(v), 1e-2)
-        return (s, s / 2.0, s / 4.0)
-
     def ok(v):
-        if not in_domain(paired, None, v, guard=guard):
-            return False
-        return all(in_domain(h, uk, v, guard=1e-6) for uk in _u_seq(v))
+        return in_domain(paired, None, v, guard=guard)
 
-    samples, skipped = _accept(rng, radius, config.n_limit, 1, ok, config.max_draws)
-    limits = [cybe_limit_of_aybe(h, v, u_seq=_u_seq(v)).value.coeffs for (v,) in samples]
-    targets = eval_cybe_array(paired, [v for (v,) in samples])
-    res = np.array(limits, dtype=complex).reshape(targets.shape) - targets
+    samples, skipped = _accept(rng, _sample_radius(h), config.n_limit, 1, ok, config.max_draws)
+    points = [v for (v,) in samples]
+    targets = eval_cybe_array(paired, points)
+    res = _cybe_limits(h, points)[0] - targets
     scale = np.maximum(_frobenius(targets), 1e-300)
     return _make_report(
         "limit", samples, _max_abs(res), _frobenius(res) / scale, config.tol_limit, skipped

@@ -342,16 +342,63 @@ def test_cybe_alt_formula_agrees(d, r, rng):
 # u -> 0 limits
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize(
-    "h", [elliptic_aybe(2, 1, 1j), trig_aybe(1), trig_aybe(2)], ids=str
-)
+LIMIT_HANDLES = [
+    elliptic_aybe(2, 1, 1j),
+    elliptic_aybe(7, 3, 0.2 + 1.1j),
+    trig_aybe(1),
+    trig_aybe(2),
+    replace(elliptic_aybe(3, 2, 0.2 + 1.1j), rescale=(0.9j, 0.4, 1.2, 0.7 - 0.1j)),
+]
+
+
+def _u_pole_gap(h, v):
+    # distance R(v) from u = 0 to the nearest other u-pole
+    _, _, c3, c4 = h.rescale
+    gap = 2.0 * math.pi
+    if h.family == "elliptic_aybe":
+        gap = min(1.0, h.r * h.tau.imag, lattice_distance(h.d * c4 * v, h.r * h.tau)) / (h.d * h.r)
+    return gap / abs(c3)
+
+
+@pytest.mark.parametrize("h", LIMIT_HANDLES, ids=str)
 def test_limit_matches_paired_cybe(h):
-    partner = paired_cybe_handle(h)
+    # the limit of c1 exp(c2 u v) r(c3 u, c4 v) is c1 times the partner at c4 v
+    c1, _, _, c4 = h.rescale
+    partner = replace(paired_cybe_handle(h), rescale=(c1, 0.0, 1.0, c4))
     for v in (0.31, 0.27 + 0.06j):
         res = cybe_limit_of_aybe(h, v)
         target = eval_cybe(partner, v).project_sl()
         gap = (res.value - target).max_abs()
-        assert gap < 1e-7 * max(1.0, target.max_abs())
+        assert gap < 1e-12 * max(1.0, target.max_abs())
+        # the adaptive contour of the series module as an independent oracle
+        contour = extract_u_series(h, v, order=0, radius=2.0 * res.radius).coefficient(0)
+        gap = (res.value - contour.project_sl()).max_abs()
+        assert gap < 1e-12 * max(1.0, target.max_abs())
+        assert 0.0 < res.radius < _u_pole_gap(h, v)
+        # the 4 even nodes miss the limit by about 50^-4 = 1.6e-7 relative
+        assert math.isfinite(res.gap) and res.gap < 1e-6
+
+
+@pytest.mark.parametrize(
+    "h,v",
+    [
+        (scalar_trig(), 0.3),
+        (custom_handle(lambda u, v: eval_aybe(trig_aybe(1), u, v), 2), 0.3),
+        (elliptic_cybe(2, 1, 1j), 0.3),
+        (equivalence_transform(
+            trig_aybe(1), GaugeSpec(kind="callable", fn=lambda x, y: np.eye(2))
+        ), 0.3),
+        # on the polar locus of the CYBE partner
+        (elliptic_aybe(2, 1, 1j), 0.5),
+        (elliptic_aybe(3, 2, 0.2 + 1.1j), (0.2 + 1.1j) * 2 / 3),
+        (trig_aybe(1), 2j * math.pi),
+        (trig_aybe(2), 0.0),
+    ],
+    ids=lambda x: getattr(x, "family", str(x)),
+)
+def test_limit_rejects_families_without_pole_data_and_polar_v(h, v):
+    with pytest.raises(DomainError):
+        cybe_limit_of_aybe(h, v)
 
 
 def test_paired_cybe_handle_rejects_scalars():

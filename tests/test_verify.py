@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -76,6 +77,19 @@ def test_cybe_suite_green(h):
     assert "cybe" in tags and "unitarity" in tags
     for rep in reports:
         assert rep.passed, rep.summary_line()
+
+
+ELLIPTIC_UNIT_HANDLES = [
+    elliptic_aybe(d, r, 0.2 + 1.1j)
+    for d in range(2, 8) for r in range(1, d) if math.gcd(r, d) == 1
+]
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+@pytest.mark.parametrize("h", ELLIPTIC_UNIT_HANDLES, ids=lambda h: f"d{h.d}r{h.r}")
+def test_limit_consistency_to_roundoff_on_every_elliptic_unit(h, seed):
+    rep = check_limit_consistency(h, SuiteConfig(seed=seed))
+    assert rep.max_rel_residual <= 1e-12, rep.summary_line()
 
 
 def test_scalar_rational_general_pole_weights():
