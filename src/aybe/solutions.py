@@ -363,7 +363,8 @@ class _Family:
     # the CYBE handle of the u -> 0 limit
     partner: Optional[Callable[[SolutionHandle], SolutionHandle]] = None
     # (h, vv) -> distance from uu = 0 to the nearest other pole of uu -> r at
-    # the rescaled vv; None: the u -> 0 limit is not taken
+    # the rescaled vv, or zero that ``domain`` rejects; None: no pole data, so
+    # neither the u -> 0 limit nor a pole-free u-circle of the series module
     u_pole_gap: Optional[Callable[[SolutionHandle, complex], float]] = None
     n: Optional[int] = None  # matrix size; None: h.d
     two_variable: bool = True
@@ -416,17 +417,24 @@ _FAMILIES = {
     ),
     "scalar_kronecker": _Family(
         base=_scalar(lambda h, u, v: kronecker_F(u, v, modular_param(h.tau))),
-        domain=_clear_kronecker, rho=lambda h: 1.0 / TWO_PI_I, n=1,
+        domain=_clear_kronecker, rho=lambda h: 1.0 / TWO_PI_I,
+        # the poles uu in Z + Z tau and the zeros uu in -vv + Z + Z tau: the
+        # elliptic gap at d = r = 1
+        u_pole_gap=lambda h, vv: min(1.0, h.tau.imag, lattice_distance(vv, h.tau)),
+        n=1,
         elliptic=True, cli_name="scalar-kronecker", cli_args=("tau",),
     ),
     "scalar_trig": _Family(
         base=_scalar(_scalar_trig_value),
-        domain=_clear_of_two_pi_i, rho=lambda h: 1.0, n=1, cli_name="scalar-trig",
+        domain=_clear_of_two_pi_i, rho=lambda h: 1.0, u_pole_gap=lambda h, vv: _TWO_PI,
+        n=1, cli_name="scalar-trig",
     ),
     "scalar_rational": _Family(
         base=_scalar(lambda h, u, v: h.a / u + h.b / v),
         domain=lambda h, uu, vv, guard: abs(uu) > guard and abs(vv) > guard,
-        rho=lambda h: h.a, n=1, cli_name="scalar-rational", cli_args=("a", "b"),
+        # no other pole: any finite gap will do
+        rho=lambda h: h.a, u_pole_gap=lambda h, vv: 1.0,
+        n=1, cli_name="scalar-rational", cli_args=("a", "b"),
     ),
     "custom": _Family(
         base=_custom_base, domain=lambda h, uu, vv, guard: True,
@@ -581,15 +589,28 @@ class LimitResult:
     gap: float
 
 
+def _u_circle_radii(h: SolutionHandle, v: np.ndarray, share: float) -> Optional[np.ndarray]:
+    """R(v) / share at the points of the 1-d array ``v``, R(v) the distance
+    from u = 0 to the nearest other u-pole (or zero) of u -> r(u, v) on the
+    handle; None for a family without u-pole data and for a callable gauge.
+
+    A circle |u| = R(v)/share holds no singularity but u = 0, so the
+    trapezoid rule on it converges like share^-nodes.
+    """
+    gap = _FAMILIES[h.family].u_pole_gap
+    if gap is None or (h.gauge is not None and h.gauge.kind == "callable"):
+        return None
+    _, _, c3, c4 = h.rescale
+    return np.array([gap(h, c4 * x) for x in v]) / (share * abs(c3))
+
+
 def _cybe_limits(h: SolutionHandle, v) -> tuple:
     """(values (N, n, n, n, n), radii (N,), gaps (N,)) of the u -> 0 limit at
     the N points of the flattened ``v``, from one evaluation call."""
-    spec = _FAMILIES[h.family]
-    if spec.u_pole_gap is None or (h.gauge is not None and h.gauge.kind == "callable"):
-        raise DomainError(f"no u-pole data for family {h.family}")
     v = np.asarray(v, dtype=complex).reshape(-1)
-    _, _, c3, c4 = h.rescale
-    radii = np.array([spec.u_pole_gap(h, c4 * x) for x in v]) / (50.0 * abs(c3))
+    radii = _u_circle_radii(h, v, 50.0)
+    if radii is None or _FAMILIES[h.family].partner is None:
+        raise DomainError(f"no u-pole data or CYBE partner for family {h.family}")
     for x, radius in zip(v, radii):
         # the circle keeps clear of the u-poles, so this tests the v-locus
         if not in_domain(h, radius, x, guard=1e-9):
@@ -609,8 +630,9 @@ def cybe_limit_of_aybe(h: SolutionHandle, v: complex) -> LimitResult:
     the circle |u| = R(v)/50, R(v) the distance from u = 0 to the nearest
     other u-pole.  project_sl(r) is analytic on |u| < R(v), so the mean
     misses the u^0 coefficient by about 50^-8 = 2.6e-14 relative (Trefethen &
-    Weideman, SIAM Review 2014).  A family without u-pole data, a callable
-    gauge and a v on the polar locus of the CYBE partner raise DomainError.
+    Weideman, SIAM Review 2014).  A family without u-pole data or without a
+    CYBE partner, a callable gauge and a v on the polar locus of the CYBE
+    partner raise DomainError.
     """
     limits, radii, gaps = _cybe_limits(h, [v])
     return LimitResult(value=MatrixTensor2(limits[0]), radius=float(radii[0]), gap=float(gaps[0]))

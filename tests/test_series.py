@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from aybe.solutions import (
     scalar_trig,
     trig_aybe,
 )
-from aybe.special import modular_param, weierstrass_zeta
+from aybe.special import modular_param, weierstrass_p, weierstrass_zeta
 from aybe.tensors import MatrixTensor2
 
 TWO_PI_I = 2j * math.pi
@@ -67,10 +68,14 @@ def test_scalar_r0_closed_forms(m_square):
     assert abs(
         scalar_r0(scalar_trig(), v) - 0.5 / cmath.tanh(v / 2.0)
     ) < 1e-11
-    zeta = weierstrass_zeta(v, m_square)
-    expected = (zeta - v * m_square.eta1) / TWO_PI_I
-    assert abs(scalar_r0(scalar_kronecker(1j), v) - expected) < 1e-11
     assert abs(scalar_r0(scalar_rational(2.0, -0.7j), v) - (-0.7j) / v) < 1e-11
+    # at v = 1.02 a fixed u-circle of radius 0.02 has the node u = -0.02,
+    # where u + v sits on the lattice point 1; the circle of radius R(v)/16
+    # keeps 15/16 of the distance to it
+    for v in (0.37 - 0.12j, 1.02):
+        zeta = weierstrass_zeta(v, m_square)
+        expected = (zeta - v * m_square.eta1) / TWO_PI_I
+        assert abs(scalar_r0(scalar_kronecker(1j), v) - expected) < 1e-11
 
 
 def test_scalar_r1_rational_vanishes():
@@ -94,8 +99,6 @@ def test_extract_u_series_matrix_pole(m_square):
 
 
 def test_normalize_scalar_r0_postconditions():
-    from dataclasses import replace
-
     for h in (scalar_kronecker(1j), scalar_trig(), scalar_rational(2.0, 3.0)):
         _, rescale = normalize_scalar_r0(h)
         hn = replace(h, rescale=rescale)
@@ -130,6 +133,11 @@ def test_classify_trig():
     assert abs(result.c3 + 1.0 / 720.0) < 1e-12
     assert abs(result.c5 - 1.0 / 30240.0) < 1e-12
     assert abs(result.C - TRIG_POINT) < 1e-10
+    # on the default 0.3 circle an error e in r0 is about e/0.3^5 in c5, and
+    # the verdict must still find the trigonometric point
+    result = classify_scalar(scalar_trig())
+    assert result.family_verdict == "trigonometric-like"
+    assert abs(result.C - TRIG_POINT) < 1e-8
 
 
 def test_classify_rational():
@@ -263,10 +271,10 @@ def test_grid_point_near_the_lattice_raises():
     h = scalar_kronecker(1j)
     with pytest.raises(PoleProximityError):
         eval_aybe_array(h, np.array([0.1, 0.2, 1.0 - 0.25 + 1e-9]), 0.25)
-    # the u-circle of radius 0.02 about 0 at v = 1.02 has the node u = -0.02,
-    # where u + v sits on the lattice point 1
+    # at v = 1 + 1e-8 the zero u = -v + 1 is 1e-8 from u = 0, so every node
+    # of the u-circle has u + v within the guard of the lattice point 1
     with pytest.raises(PoleProximityError):
-        scalar_r0(h, np.array([0.3, 1.02]))
+        scalar_r0(h, np.array([0.3, 1.0 + 1e-8]))
 
 
 def test_aux4_calls_the_array_entry_a_bounded_number_of_times(monkeypatch):
@@ -280,3 +288,47 @@ def test_aux4_calls_the_array_entry_a_bounded_number_of_times(monkeypatch):
     assert abs(check_aux4(scalar_trig(), 0.4j, 0.3)) < 1e-9
     # the per-point extraction evaluated r at 148,416 points, one call each
     assert len(calls) <= 100
+
+
+def test_classify_calls_the_array_entry_on_a_bounded_number_of_points(monkeypatch):
+    points = []
+
+    def counting(h, u, v):
+        points.append(np.broadcast(u, v).size)
+        return eval_aybe_array(h, u, v)
+
+    monkeypatch.setattr(aybe.series, "eval_aybe_array", counting)
+    assert abs(classify_scalar(scalar_kronecker(1j)).C) < 1e-12
+    # 128 outer v-nodes x 128 inner u-nodes on fixed 0.02 circles evaluated
+    # r at 16,512 points
+    assert sum(points) <= 2048
+
+
+def _kronecker_u_coeffs(h, vv):
+    # F(u, v) = (1/u + L + u (L^2 - wp(v))/2 + ...) / (2 pi i), L = zeta(v) - eta1 v
+    m = modular_param(h.tau)
+    big_l = weierstrass_zeta(vv, m) - vv * m.eta1
+    return big_l / TWO_PI_I, (big_l * big_l - weierstrass_p(vv, m)) / (2.0 * TWO_PI_I)
+
+
+def _trig_u_coeffs(h, vv):
+    # 1/(e^u - 1) + 1/(e^v - 1) + 1 = 1/u + coth(v/2)/2 + u/12 + ...
+    return 0.5 / cmath.tanh(vv / 2.0), 1.0 / 12.0
+
+
+@pytest.mark.parametrize("c3", [1.7, 24.0])
+@pytest.mark.parametrize(
+    "base,u_coeffs",
+    [(scalar_trig(), _trig_u_coeffs), (scalar_kronecker(0.6 + 1.1j), _kronecker_u_coeffs)],
+    ids=["scalar_trig", "scalar_kronecker"],
+)
+def test_rescaled_u_coefficients_match_closed_forms(base, u_coeffs, c3):
+    # r(c3 u, c4 v) has the u^k coefficient c3^k a_k(c4 v); the u-circle is
+    # R(c4 v)/(16 |c3|), and at c3 = 24 a radius not divided by |c3| would
+    # hold the scalar_trig poles c3 u = +-2 pi i
+    c4 = 0.8 - 0.1j
+    h = replace(base, rescale=(1.0, 0.0, c3, c4))
+    for v in (0.37 - 0.12j, 0.29 + 0.21j, 1.02):
+        a0, a1 = u_coeffs(h, c4 * v)
+        assert abs(scalar_r0(h, v) - a0) < 1e-11 * max(1.0, abs(a0))
+        assert abs(scalar_r1(h, v) - c3 * a1) < 1e-11 * max(1.0, abs(c3 * a1))
