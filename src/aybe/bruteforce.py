@@ -17,6 +17,10 @@ cross-check the tensor assembly and the grid path, not theta or zeta
 themselves.  :func:`leg_product_einsum` is the reference for
 :func:`aybe.tensors.leg_product`: the same contraction as an ``einsum``
 of the spec table, where the fast path makes it one BLAS matrix product.
+:func:`composite_columns` is the reference for
+:func:`aybe.curve.composite_stack`: one sample's residue and evaluation
+maps built column by column from each basis section's endpoint values,
+glued with ``inv``, framed, and composed by one ``solve``.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .curve import BundleParams
 from .errors import DomainError
 from .solutions import SolutionHandle
 from .special import Characteristic, kronecker_F_char, modular_param, zeta_char
@@ -281,3 +286,94 @@ def eval_cybe_alt(h: SolutionHandle, v: complex) -> MatrixTensor2:
             raise DomainError("only constant gauges apply to CYBE families")
         val = val.conjugate_legs(h.gauge.matrix, h.gauge.matrix)
     return val
+
+
+# ---------------------------------------------------------------------------
+# nodal-curve composites, one basis section at a time
+# ---------------------------------------------------------------------------
+
+_E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+
+def _s_matrix(lam: complex) -> np.ndarray:
+    return np.array([[0.0, lam], [1.0, 0.0]], dtype=complex)
+
+
+def _f_factor(lam: complex, y: complex, trivialization: str) -> complex:
+    if trivialization == "constant":
+        return 1.0
+    if trivialization == "exp-sqrt":
+        return cmath.exp((cmath.log(lam) - cmath.log(y)) / 2.0)
+    raise DomainError(f"unknown trivialization {trivialization!r}")
+
+
+def _frame(raw: np.ndarray, p: BundleParams, y: complex, trivialization: str) -> np.ndarray:
+    """Conjugate a raw value into the chosen fiber frames at y."""
+    framed = raw.copy()
+    framed[0, 1] = raw[0, 1] / _f_factor(p.lambda1, y, trivialization)
+    framed[1, 0] = raw[1, 0] * _f_factor(p.lambda2, y, trivialization)
+    return framed
+
+
+def _endpoint_values(k: int) -> tuple:
+    """(a, b, c, d) of the k-th basis section and its values at 0 and at
+    infinity: [[a, 0], [b*z0 + c*z1, d]] keeps b at 0 and c at infinity."""
+    a, b, c, d = (1.0 if k == m else 0.0 for m in range(4))
+    at_zero = np.array([[a, 0.0], [b, d]], dtype=complex)
+    at_inf = np.array([[a, 0.0], [c, d]], dtype=complex)
+    return (a, b, c, d), at_zero, at_inf
+
+
+def _case1_columns(p: BundleParams) -> tuple:
+    """Residue at y1 (S2^{-1} B_inf S1 - B_0) and evaluation at y2 of each
+    basis section, case 1."""
+    s1 = _s_matrix(p.lambda1)
+    s2_inv = np.linalg.inv(_s_matrix(p.lambda2))
+    w0 = p.y1 / (p.y1 - p.y2)
+    w_inf = p.y2 / (p.y2 - p.y1)
+    res, ev = [], []
+    for k in range(4):
+        _, b0, binf = _endpoint_values(k)
+        glued = s2_inv @ binf @ s1
+        res.append(glued - b0)
+        ev.append(w0 * b0 + w_inf * glued)
+    return res, ev
+
+
+def _case2_columns(p: BundleParams, trivialization: str) -> tuple:
+    """Residue at y1 and evaluation at y2 of each basis section, case 2.
+
+    A section with a first-order pole at y1 decomposes as
+    B'(z)/(z - y1) + z B''(z)/(z - y1) + t(z) e12 with B' constant, B'' =
+    [[a'', 0], [b''*z0 + c''*z1, d'']] and t fixed by matching the endpoint
+    values through the gluings: B'_0 + t e12 = -y1 S2^{-1} (B''_inf + t e12) S1.
+    """
+    y, y2 = p.y1, p.y2
+    res, ev = [], []
+    for k in range(4):
+        (a2, b2, c2, d2), at_zero, at_inf = _endpoint_values(k)
+        t = -y * p.lambda1 * c2
+        b_prime = np.array(
+            [[-y * d2, 0.0], [y * y * p.lam * c2, -y * p.lam * a2]], dtype=complex
+        )
+        at_y, at_y2 = at_zero.copy(), at_zero.copy()
+        at_y[1, 0] = at_zero[1, 0] + at_inf[1, 0] * y
+        at_y2[1, 0] = at_zero[1, 0] + at_inf[1, 0] * y2
+        raw_res = b_prime / y + at_y + (t / y) * _E12
+        raw_ev = (b_prime + y2 * at_y2 + t * _E12) / (y2 - y)
+        res.append(_frame(raw_res, p, y, trivialization))
+        ev.append(_frame(raw_ev, p, y2, trivialization))
+    return res, ev
+
+
+def composite_columns(p: BundleParams, trivialization: str = "exp-sqrt") -> np.ndarray:
+    """ev_{y2} o Res_{y1}^{-1} of one sample as a 4x4 matrix, its maps built
+    one basis section (column) at a time: the reference for
+    :func:`aybe.curve.composite_stack`."""
+    if p.case == 1:
+        res, ev = _case1_columns(p)
+    else:
+        res, ev = _case2_columns(p, trivialization)
+    res_m = np.stack([c.reshape(4) for c in res], axis=1)
+    ev_m = np.stack([c.reshape(4) for c in ev], axis=1)
+    return np.linalg.solve(res_m.T, ev_m.T).T

@@ -4,11 +4,14 @@ The curve has two rational components glued at 0 and at infinity.  A
 rank-2 bundle V^lambda is trivial on the first component, O + O(1) on the
 second, glued by the identity at 0 and by S_lambda = [[0, lambda], [1, 0]]
 at infinity.  A morphism V^{lambda1} -> V^{lambda2}(y) is encoded by four
-coefficients of a matrix-valued section; this module builds the residue
-map Res_{y1} and the evaluation map ev_{y2} on that coefficient space as
-explicit 4x4 matrices, forms the composite ev_{y2} o Res_{y1}^{-1}
-numerically (by a linear solve, never from a transcribed closed form),
-and converts composites to ``MatrixTensor2`` via the trace pairing.
+coefficients of a matrix-valued section.  :func:`composite_stack` takes N
+parameter sets at once: it builds the residue maps Res_{y1} and the
+evaluation maps ev_{y2} on that coefficient space as (N, 4, 4) stacks with
+array arithmetic, and forms the composites ev_{y2} o Res_{y1}^{-1} by one
+batched linear solve (never from a transcribed closed form of the
+composite).  :func:`tensors_from_maps` turns composites into tensors via
+the trace pairing, one index permutation.  The per-sample functions
+(``residue_map_case1``, ``composite_map``, ...) are its one-sample views.
 
 Conventions
 -----------
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -52,6 +55,8 @@ __all__ = [
     "ev_map_case2",
     "composite_case2",
     "composite_map",
+    "composite_stack",
+    "tensors_from_maps",
     "tensor_from_linear_map",
     "linear_map_from_tensor",
     "aybe_handle_from_curve",
@@ -60,7 +65,7 @@ __all__ = [
 FLAT_BASIS = ("e11", "e12", "e21", "e22")
 TRIVIALIZATIONS = ("exp-sqrt", "constant")
 
-_E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+_PARAM_NAMES = ("lambda1", "lambda2", "y1", "y2")
 
 
 @dataclass(frozen=True)
@@ -81,14 +86,9 @@ class BundleParams:
     def __post_init__(self) -> None:
         if self.case not in (1, 2):
             raise DomainError(f"case must be 1 or 2, got {self.case!r}")
-        for name in ("lambda1", "lambda2", "y1", "y2"):
-            value = complex(getattr(self, name))
-            if value == 0:
-                raise DomainError(f"{name} must be nonzero")
-            if not (cmath.isfinite(value.real) and cmath.isfinite(value.imag)):
-                raise DomainError(f"{name} must be finite")
-        if complex(self.y1) == complex(self.y2):
-            raise DomainError("y1 and y2 must be distinct")
+        failure = _param_failure(_param_arrays(*_one_sample(self)))
+        if failure is not None:
+            raise DomainError(failure[1])
 
     @property
     def lam(self) -> complex:
@@ -130,191 +130,193 @@ class LinearMap4:
         return LinearMap4(self.matrix - other.matrix)
 
 
-def _flat(i: int, j: int) -> int:
-    return 2 * i + j
+def _param_failure(params) -> Optional[Tuple[int, str]]:
+    """(sample, message) of the first sample, in order, whose (lambda1,
+    lambda2, y1, y2) break a :class:`BundleParams` rule, with the first
+    rule it breaks; None when every sample passes."""
+    rules = []
+    for name, x in zip(_PARAM_NAMES, params):
+        rules.append((x == 0, f"{name} must be nonzero"))
+        rules.append((~np.isfinite(x), f"{name} must be finite"))
+    rules.append((params[2] == params[3], "y1 and y2 must be distinct"))
+    broken = np.array([mask for mask, _ in rules])
+    if not broken.any():
+        return None
+    k = int(broken.any(axis=0).argmax())
+    return k, rules[int(broken[:, k].argmax())][1]
 
 
-def _s_matrix(lam: complex) -> np.ndarray:
-    return np.array([[0.0, lam], [1.0, 0.0]], dtype=complex)
-
-
-def _f_factor(lam: complex, y: complex, trivialization: str) -> complex:
-    """Trivialization factor of the degree-1 summand at the point y."""
+def _f_factors(lam: np.ndarray, y: np.ndarray, trivialization: str):
+    """Trivialization factors of the degree-1 summand at the points y."""
     if trivialization == "constant":
         return 1.0
     if trivialization == "exp-sqrt":
-        return cmath.exp((cmath.log(lam) - cmath.log(y)) / 2.0)
+        return np.exp((np.log(lam) - np.log(y)) / 2.0)
     raise DomainError(
         f"unknown trivialization {trivialization!r}; expected one of {TRIVIALIZATIONS}"
     )
 
 
-def _frame(raw: np.ndarray, p: BundleParams, y: complex, trivialization: str) -> np.ndarray:
-    """Conjugate a raw value into the chosen fiber frames at y."""
-    f1 = _f_factor(p.lambda1, y, trivialization)
-    f2 = _f_factor(p.lambda2, y, trivialization)
-    framed = raw.copy()
-    framed[0, 1] = raw[0, 1] / f1
-    framed[1, 0] = raw[1, 0] * f2
-    return framed
+# The (row, column) of every entry a residue or evaluation map may have
+# (rows in FLAT_BASIS order, columns the section coefficients (a, b, c, d));
+# the other nine entries vanish in both cases.
+_ENTRIES = ((0, 0), (3, 0), (2, 1), (1, 2), (2, 2), (0, 3), (3, 3))
 
 
-def _columns_to_map(columns) -> LinearMap4:
-    return LinearMap4(np.stack([c.reshape(4) for c in columns], axis=1))
+def _stack(n: int, values) -> np.ndarray:
+    """(n, 4, 4) maps with ``values`` (scalars or (n,) arrays) at _ENTRIES."""
+    m = np.zeros((n, 4, 4), dtype=complex)
+    for (row, col), value in zip(_ENTRIES, values):
+        m[:, row, col] = value
+    return m
 
 
-# ---------------------------------------------------------------------------
-# Case 1: marked points on the component where both bundles are trivial
-# ---------------------------------------------------------------------------
+def _map_stacks(l1, l2, y1, y2, case: int, trivialization: str) -> Tuple[np.ndarray, np.ndarray]:
+    """(Res_{y1}, ev_{y2}) on the section coefficients of every sample, each
+    (N, 4, 4), from the 1-d parameter arrays; lam = lambda1/lambda2.
 
-def _case1_endpoint_values(k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Values at 0 and infinity of the k-th basis section (a, b, c, d).
+    Case 1: the section is [[a, 0], [b*z0 + c*z1, d]] on the trivial
+    component, with value B_0 at 0 (b kept) and B_inf at infinity (c kept).
+    Res = S2^{-1} B_inf S1 - B_0 with S = [[0, lambda], [1, 0]] (dz/z
+    trivialization; independent of y1), and ev_{y2} = w0 B_0 + w_inf
+    S2^{-1} B_inf S1 with the interpolation weights w0 = y1/(y1 - y2) and
+    w_inf = y2/(y2 - y1).
 
-    The section is [[a, 0], [b*z0 + c*z1, d]]: the lower-left entry has a
-    constant part b and a degree-1 part c, so the value at 0 keeps b and
-    the value at infinity keeps c.
+    Case 2: a section with a first-order pole at y1 decomposes as
+    B'(z)/(z - y1) + z B''(z)/(z - y1) + t(z) e12 with B' constant (its
+    value at infinity is forced diagonal), B'' = [[a'', 0], [b''*z0 +
+    c''*z1, d'']], and the scalar t fixed by matching the endpoint values
+    through the gluings: B'_0 + t e12 = -y1 S2^{-1} (B''_inf + t e12) S1.
+    That gives t = -y1 lambda1 c'' and B' = [[-y1 d'', 0], [y1^2 lam c'',
+    -y1 lam a'']].  The values at y are conjugated into the chosen fiber
+    frames: the e12 entry divided by f(lambda1, y), the e21 entry
+    multiplied by f(lambda2, y).
     """
-    a, b, c, d = (1.0 if k == m else 0.0 for m in range(4))
-    at_zero = np.array([[a, 0.0], [b, d]], dtype=complex)
-    at_inf = np.array([[a, 0.0], [c, d]], dtype=complex)
-    return at_zero, at_inf
+    n = len(l1)
+    lam = l1 / l2
+    if case == 1:
+        w0 = y1 / (y1 - y2)
+        w_inf = y2 / (y2 - y1)
+        res = _stack(n, (-1.0, lam, -1.0, l1, 0.0, 1.0, -1.0))
+        ev = _stack(n, (w0, w_inf * lam, w0, w_inf * l1, 0.0, w_inf, w0))
+        return res, ev
+    f1, f2 = (_f_factors(x, y1, trivialization) for x in (l1, l2))
+    g1, g2 = (_f_factors(x, y2, trivialization) for x in (l1, l2))
+    delta = y2 - y1
+    res = _stack(n, (1.0, -lam, f2, -l1 / f1, y1 * (lam + 1.0) * f2, -1.0, 1.0))
+    ev = _stack(n, (
+        y2 / delta, -y1 * lam / delta, g2 * y2 / delta, -y1 * l1 / (delta * g1),
+        (y1 * y1 * lam + y2 * y2) * g2 / delta, -y1 / delta, y2 / delta,
+    ))
+    return res, ev
+
+
+def _param_arrays(lambda1, lambda2, y1, y2) -> list:
+    return np.broadcast_arrays(
+        *(np.asarray(x, dtype=complex).reshape(-1) for x in (lambda1, lambda2, y1, y2))
+    )
+
+
+def composite_stack(
+    lambda1, lambda2, y1, y2, case: int, trivialization: str = "exp-sqrt"
+) -> np.ndarray:
+    """ev_{y2} o Res_{y1}^{-1} of every sample, as an (N, 4, 4) stack.
+
+    The parameters are 1-d arrays (broadcast against each other), one entry
+    per sample.  The residue and evaluation maps of all samples are formed
+    with array arithmetic, and one batched solve of Res^T M^T = ev^T gives
+    M = ev Res^{-1}.  Each sample is validated as :class:`BundleParams`
+    would, then against a unit gluing ratio (where Res is singular), and
+    the result against non-finite entries; a :class:`DomainError` names the
+    first offending sample.  ``trivialization`` matters in case 2 only.
+    """
+    if case not in (1, 2):
+        raise DomainError(f"case must be 1 or 2, got {case!r}")
+    params = _param_arrays(lambda1, lambda2, y1, y2)
+    failure = _param_failure(params)
+    if failure is not None:
+        raise DomainError(f"sample {failure[0]}: {failure[1]}")
+    unit = np.abs(params[0] / params[1] - 1.0) < 1e-12
+    if unit.any():
+        raise DomainError(
+            f"sample {int(unit.argmax())}: residue map is singular when "
+            "lambda1/lambda2 = 1; cannot invert"
+        )
+    res, ev = _map_stacks(*params, case, trivialization)
+    m = np.linalg.solve(res.transpose(0, 2, 1), ev.transpose(0, 2, 1)).transpose(0, 2, 1)
+    finite = np.isfinite(m).all(axis=(1, 2))
+    if not finite.all():
+        raise DomainError(f"sample {int(finite.argmin())}: matrix entries must be finite")
+    return m
+
+
+# ---------------------------------------------------------------------------
+# one-sample views
+# ---------------------------------------------------------------------------
+
+def _one_sample(p: BundleParams) -> tuple:
+    return p.lambda1, p.lambda2, p.y1, p.y2
+
+
+def _maps_of(p: BundleParams, case: int, trivialization: str = "exp-sqrt") -> tuple:
+    res, ev = _map_stacks(*_param_arrays(*_one_sample(p)), case, trivialization)
+    return LinearMap4(res[0]), LinearMap4(ev[0])
 
 
 def residue_map_case1(p: BundleParams) -> LinearMap4:
-    """Residue at y1 on the (a, b, c, d) coefficient space, case 1.
-
-    Built from the endpoint data as S2^{-1} B_inf S1 - B_0 (dz/z
-    trivialization); independent of y1 itself.
-    """
-    s1 = _s_matrix(p.lambda1)
-    s2_inv = np.linalg.inv(_s_matrix(p.lambda2))
-    cols = []
-    for k in range(4):
-        b0, binf = _case1_endpoint_values(k)
-        cols.append(s2_inv @ binf @ s1 - b0)
-    return _columns_to_map(cols)
+    """Residue at y1 on the (a, b, c, d) coefficient space, case 1:
+    S2^{-1} B_inf S1 - B_0, independent of y1 itself."""
+    return _maps_of(p, 1)[0]
 
 
 def ev_map_case1(p: BundleParams) -> LinearMap4:
     """Evaluation at y2 of the section with a first-order pole at y1."""
-    s1 = _s_matrix(p.lambda1)
-    s2_inv = np.linalg.inv(_s_matrix(p.lambda2))
-    w0 = p.y1 / (p.y1 - p.y2)
-    w_inf = p.y2 / (p.y2 - p.y1)
-    cols = []
-    for k in range(4):
-        b0, binf = _case1_endpoint_values(k)
-        cols.append(w0 * b0 + w_inf * (s2_inv @ binf @ s1))
-    return _columns_to_map(cols)
-
-
-# ---------------------------------------------------------------------------
-# Case 2: marked points on the component carrying the degree-1 summand
-# ---------------------------------------------------------------------------
-
-def _case2_parts(p: BundleParams, k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, complex]:
-    """Pole-part data of the k-th basis section (a'', b'', c'', d'').
-
-    A section with a first-order pole at y1 decomposes as
-    B'(z)/(z - y1) + z B''(z)/(z - y1) + t(z) e12 with B' constant (its
-    value at infinity is forced diagonal), B'' = [[a'', 0],
-    [b''*z0 + c''*z1, d'']], and the scalar t fixed by matching the
-    endpoint values through the gluings:
-        B'_0 + t e12 = -y1 S2^{-1} (B''_inf + t e12) S1.
-    Returns (B', B''_at_0_coeffs, B''_at_inf_coeffs, t).
-    """
-    a2, b2, c2, d2 = (1.0 if k == m else 0.0 for m in range(4))
-    lam = p.lam
-    y = p.y1
-    t = -y * p.lambda1 * c2
-    b_prime = np.array(
-        [[-y * d2, 0.0], [y * y * lam * c2, -y * lam * a2]], dtype=complex
-    )
-    at_zero = np.array([[a2, 0.0], [b2, d2]], dtype=complex)
-    at_inf = np.array([[a2, 0.0], [c2, d2]], dtype=complex)
-    return b_prime, at_zero, at_inf, t
-
-
-def _case2_affine(at_zero: np.ndarray, at_inf: np.ndarray, z: complex) -> np.ndarray:
-    """Value of [[a, 0], [b*z0 + c*z1, d]] at the affine point z."""
-    value = at_zero.copy()
-    value[1, 0] = at_zero[1, 0] + at_inf[1, 0] * z
-    return value
+    return _maps_of(p, 1)[1]
 
 
 def residue_map_case2(p: BundleParams, trivialization: str = "exp-sqrt") -> LinearMap4:
     """Residue at y1 on the (a'', b'', c'', d'') coefficient space, case 2."""
-    y = p.y1
-    cols = []
-    for k in range(4):
-        b_prime, at_zero, at_inf, t = _case2_parts(p, k)
-        raw = b_prime / y + _case2_affine(at_zero, at_inf, y) + (t / y) * _E12
-        cols.append(_frame(raw, p, y, trivialization))
-    return _columns_to_map(cols)
+    return _maps_of(p, 2, trivialization)[0]
 
 
 def ev_map_case2(p: BundleParams, trivialization: str = "exp-sqrt") -> LinearMap4:
     """Evaluation at y2 of the case-2 section with a pole at y1."""
-    y2 = p.y2
-    denom = y2 - p.y1
-    cols = []
-    for k in range(4):
-        b_prime, at_zero, at_inf, t = _case2_parts(p, k)
-        raw = (b_prime + y2 * _case2_affine(at_zero, at_inf, y2) + t * _E12) / denom
-        cols.append(_frame(raw, p, y2, trivialization))
-    return _columns_to_map(cols)
-
-
-# ---------------------------------------------------------------------------
-# composites
-# ---------------------------------------------------------------------------
-
-def _compose(ev: LinearMap4, res: LinearMap4, p: BundleParams) -> LinearMap4:
-    if abs(p.lam - 1.0) < 1e-12:
-        raise DomainError(
-            "residue map is singular when lambda1/lambda2 = 1; cannot invert"
-        )
-    # M = EV @ RES^{-1}, via a solve on the transposed system.
-    m = np.linalg.solve(res.matrix.T, ev.matrix.T).T
-    return LinearMap4(m)
+    return _maps_of(p, 2, trivialization)[1]
 
 
 def composite_case1(p: BundleParams) -> LinearMap4:
     """ev_{y2} o Res_{y1}^{-1} on Mat(2), case 1 (numeric inverse)."""
-    return _compose(ev_map_case1(p), residue_map_case1(p), p)
+    return LinearMap4(composite_stack(*_one_sample(p), 1)[0])
 
 
 def composite_case2(p: BundleParams, trivialization: str = "exp-sqrt") -> LinearMap4:
     """ev_{y2} o Res_{y1}^{-1} on Mat(2), case 2 (numeric inverse)."""
-    return _compose(
-        ev_map_case2(p, trivialization), residue_map_case2(p, trivialization), p
-    )
+    return LinearMap4(composite_stack(*_one_sample(p), 2, trivialization)[0])
 
 
 def composite_map(p: BundleParams, trivialization: str = "exp-sqrt") -> LinearMap4:
     """Case-dispatching composite ev_{y2} o Res_{y1}^{-1}."""
-    if p.case == 1:
-        return composite_case1(p)
-    return composite_case2(p, trivialization)
+    return LinearMap4(composite_stack(*_one_sample(p), p.case, trivialization)[0])
 
 
 # ---------------------------------------------------------------------------
 # trace-pairing dictionary between End(Mat(2)) and Mat(2) (x) Mat(2)
 # ---------------------------------------------------------------------------
 
-def tensor_from_linear_map(m: LinearMap4) -> MatrixTensor2:
-    """The tensor r with M(X) = sum over legs of tr(A_k X) B_k.
+def tensors_from_maps(maps: np.ndarray) -> np.ndarray:
+    """The (N, 2, 2, 2, 2) coefficients of the tensors r with
+    M(X) = sum over legs of tr(A_k X) B_k, for an (N, 4, 4) stack of M.
 
     For r = sum A_k (x) B_k the matrix element reads
-    coeffs[i, j, k, l] = matrix[flat(k, l), flat(j, i)].
+    coeffs[i, j, k, l] = matrix[flat(k, l), flat(j, i)], one index
+    permutation.
     """
-    coeffs = np.zeros((2, 2, 2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    coeffs[i, j, k, l] = m.matrix[_flat(k, l), _flat(j, i)]
-    return MatrixTensor2(coeffs)
+    return maps.reshape(-1, 2, 2, 2, 2).transpose(0, 4, 3, 1, 2)
+
+
+def tensor_from_linear_map(m: LinearMap4) -> MatrixTensor2:
+    """The tensor of one linear map: :func:`tensors_from_maps` of one."""
+    return MatrixTensor2(tensors_from_maps(m.matrix)[0])
 
 
 def linear_map_from_tensor(t: MatrixTensor2) -> LinearMap4:
@@ -322,13 +324,7 @@ def linear_map_from_tensor(t: MatrixTensor2) -> LinearMap4:
     coeffs = t.coeffs
     if coeffs.shape != (2, 2, 2, 2):
         raise DomainError(f"expected 2x2 tensor legs, got shape {coeffs.shape}")
-    matrix = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    matrix[_flat(k, l), _flat(j, i)] = coeffs[i, j, k, l]
-    return LinearMap4(matrix)
+    return LinearMap4(coeffs.transpose(2, 3, 1, 0).reshape(4, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +343,7 @@ def aybe_handle_from_curve(case: int, trivialization: str = "exp-sqrt") -> Solut
         raise DomainError(f"case must be 1 or 2, got {case!r}")
 
     def fn(u: complex, v: complex) -> MatrixTensor2:
-        p = BundleParams(
-            lambda1=cmath.exp(u), lambda2=1.0, y1=cmath.exp(v), y2=1.0, case=case
-        )
-        return tensor_from_linear_map(composite_map(p, trivialization))
+        m = composite_stack(cmath.exp(u), 1.0, cmath.exp(v), 1.0, case, trivialization)
+        return MatrixTensor2(tensors_from_maps(m)[0])
 
     return custom_handle(fn, 2)

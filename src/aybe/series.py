@@ -46,6 +46,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError, PoleProximityError
 from .solutions import SolutionHandle, _u_circle_radii, eval_aybe_array
+from .special import POLE_GUARD, _pole_error
 from .tensors import MatrixTensor2, MatrixTensor3, from_pair, leg_product
 from .verify import ResidualReport, _make_report
 
@@ -253,11 +254,20 @@ def _scalar_u_coeffs(h: SolutionHandle, v: np.ndarray, power: int) -> np.ndarray
     a single extraction per point.  The circle about u = 0 has radius
     R(v)/16, R(v) the distance to the nearest other u-pole or zero, so its
     first 8 nodes already carry the coefficient to about 16^-8; a family
-    without pole data (custom, callable gauge) gets min(0.02, |v|/4)."""
+    without pole data (custom, callable gauge) gets min(0.02, |v|/4).  An
+    R(v) within the pole guard puts v itself on the lattice, and v is named
+    as the pole."""
     flat = v.reshape(-1)
     radius = _u_circle_radii(h, flat, 16.0)
     if radius is None:
         radius = np.where(flat != 0, np.minimum(0.02, np.abs(flat) / 4.0), 0.02)
+    else:
+        _, _, c3, c4 = h.rescale
+        # a Python min: on the few to a hundred radii of a call it costs a
+        # third of numpy's reduction, and classify calls this per contour
+        if min(radius.tolist()) * (16.0 * abs(c3)) < POLE_GUARD:
+            k = int((radius * (16.0 * abs(c3)) < POLE_GUARD).argmax())
+            raise _pole_error("v", complex(c4 * flat[k]), POLE_GUARD, h.tau)
 
     def fn(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
         return eval_aybe_array(h, z, flat[rows, None]).reshape(z.shape)

@@ -224,17 +224,25 @@ def cybe_residual(h: SolutionHandle, v: complex, vp: complex) -> MatrixTensor3:
     return MatrixTensor3(forms["cybe"][0])
 
 
+def _unitarity_residuals(h: SolutionHandle, pairs: Sequence[tuple]) -> np.ndarray:
+    """swap_legs(r(-u, -v)) + r(u, v) at every (u, v) pair, (N, n, n, n, n):
+    each pair is guarded against the polar locus in order, then all are
+    evaluated in one call (u is ignored for one-variable families)."""
+    for u, v in pairs:
+        if h.is_cybe:
+            for point in (v, -v):
+                if not in_domain(h, None, point, guard=1e-9):
+                    raise DomainError(f"point {point} is outside the domain of {h.family}")
+        elif not (in_domain(h, u, v, guard=1e-9) and in_domain(h, -u, -v, guard=1e-9)):
+            raise DomainError("evaluation point or its negative hits a pole")
+    direct, swapped = _unitarity_values(h, pairs)
+    return swapped + direct
+
+
 def unitarity_residual(h: SolutionHandle, u: complex, v: complex) -> MatrixTensor2:
     """swap_legs(r(-u, -v)) + r(u, v); for one-variable families u is ignored
     and the check is swap_legs(r(-v)) + r(v)."""
-    if h.is_cybe:
-        for point in (v, -v):
-            if not in_domain(h, None, point, guard=1e-9):
-                raise DomainError(f"point {point} is outside the domain of {h.family}")
-    elif not (in_domain(h, u, v, guard=1e-9) and in_domain(h, -u, -v, guard=1e-9)):
-        raise DomainError("evaluation point or its negative hits a pole")
-    direct, swapped = _unitarity_values(h, [(u, v)])
-    return MatrixTensor2(swapped[0] + direct[0])
+    return MatrixTensor2(_unitarity_residuals(h, [(u, v)])[0])
 
 
 def limit_consistency_residual(h: SolutionHandle, v: complex) -> MatrixTensor2:

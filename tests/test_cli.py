@@ -7,8 +7,12 @@ and output; no subprocesses, so failures carry real tracebacks.
 import json
 import math
 
+import numpy as np
 import pytest
 
+import aybe.cli
+import aybe.solutions
+import aybe.verify
 from aybe.cli import (
     FAMILY_NAMES, CliError, _build_handle, _build_parser, _config_parser, main,
     parse_complex,
@@ -401,6 +405,18 @@ def test_classify_rational_has_no_c(capsys):
     assert fields["C"] == "none"
 
 
+def test_classify_names_a_lattice_v_as_the_pole(capsys):
+    # the v-circle of radius 1.5 passes through the lattice point 1.5i; the
+    # error names that v, not the u = 0 its shrunken u-circle lands on
+    code, _, err = run_cli(
+        ["classify", "--family", "scalar-kronecker", "--tau=1.5i", "--radius", "1.5"],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error: v = ")
+    assert "of the lattice for tau = 1.5j" in err
+
+
 def test_classify_matrix_family_is_usage_error(capsys):
     code, _, err = run_cli(
         ["classify", "--family", "elliptic", "--d", "2", "--r", "1",
@@ -435,6 +451,30 @@ def test_oracle_constant_trivialization_flagged_not_failed(capsys):
     assert code == 0
     assert "flag=expected-dependence-failure" in out
     assert "PASS closed-form" not in out
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_oracle_builds_each_composite_stack_with_one_solve(case, monkeypatch, capsys):
+    # the 20 samples' composites (and their shifted copies) come from two
+    # batched solves, and the closed forms from one array evaluation
+    solves, evals = [], []
+    solve, evaluate = np.linalg.solve, aybe.cli.eval_aybe_array
+
+    def counting_solve(a, b):
+        solves.append(len(a))
+        return solve(a, b)
+
+    def counting_eval(h, u, v):
+        evals.append(len(u))
+        return evaluate(h, u, v)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(aybe.cli, "eval_aybe_array", counting_eval)
+    code, out, _ = run_cli(["oracle", "--case", str(case), "--samples", "20"], capsys)
+    assert code == 0
+    assert len(out.strip().splitlines()) == 22
+    assert solves == [20, 20]
+    assert evals == [20]
 
 
 def test_oracle_rejects_bad_case(capsys):
@@ -495,6 +535,27 @@ def test_sweep_unitarity_pass(capsys):
     )
     assert code == 0
     assert out.strip().splitlines()[-1].startswith("PASS unitarity sweep:")
+
+
+@pytest.mark.parametrize("quantity", ["rank", "unitarity"])
+def test_sweep_evaluates_its_grid_in_one_call(quantity, monkeypatch, capsys):
+    sizes = []
+    evaluate = aybe.solutions.eval_aybe_array
+
+    def counting(h, u, v):
+        sizes.append(np.broadcast(u, v).size)
+        return evaluate(h, u, v)
+
+    for module in (aybe.cli, aybe.verify):
+        monkeypatch.setattr(module, "eval_aybe_array", counting)
+    code, out, _ = run_cli(
+        ["sweep", "--quantity", quantity, "--family", "trig1", "--u", "0.31",
+         "--grid", "0.4,0.5,0.6i"],
+        capsys,
+    )
+    assert code == 0
+    # unitarity evaluates each point and its negative
+    assert sizes == [3 if quantity == "rank" else 6]
 
 
 def test_sweep_c_requires_kronecker_family(capsys):

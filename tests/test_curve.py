@@ -12,18 +12,23 @@ import math
 import numpy as np
 import pytest
 
+from aybe.bruteforce import composite_columns
 from aybe.curve import (
     BundleParams,
     LinearMap4,
+    _map_stacks,
     aybe_handle_from_curve,
     composite_case1,
     composite_case2,
     composite_map,
+    composite_stack,
     ev_map_case1,
+    ev_map_case2,
     linear_map_from_tensor,
     residue_map_case1,
     residue_map_case2,
     tensor_from_linear_map,
+    tensors_from_maps,
 )
 from aybe.errors import DomainError
 from aybe.solutions import eval_aybe, trig_aybe
@@ -323,3 +328,63 @@ def test_curve_handle_matches_trig_values():
 def test_curve_handle_validates_case():
     with pytest.raises(DomainError):
         aybe_handle_from_curve(3)
+
+
+# ---------------------------------------------------------------------------
+# stacks against the column-by-column reference
+# ---------------------------------------------------------------------------
+
+
+def _cut_safe_stack(seed, case, n=50):
+    rng = np.random.default_rng(seed)
+    params = [_cut_safe_params(rng, case)[2] for _ in range(n)]
+    names = ("lambda1", "lambda2", "y1", "y2")
+    return params, [np.array([getattr(p, name) for p in params]) for name in names]
+
+
+@pytest.mark.parametrize(
+    "case,trivialization", [(1, "exp-sqrt"), (2, "exp-sqrt"), (2, "constant")]
+)
+def test_composite_stack_matches_column_reference(case, trivialization):
+    params, arrays = _cut_safe_stack(RNG_SEED + 20 + case, case)
+    stack = composite_stack(*arrays, case, trivialization)
+    assert stack.shape == (50, 4, 4)
+    for p, m in zip(params, stack):
+        ref = composite_columns(p, trivialization)
+        assert np.linalg.norm(m - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_one_sample_wrappers_equal_their_stack_rows(case):
+    params, arrays = _cut_safe_stack(RNG_SEED + 30 + case, case, n=8)
+    stack = composite_stack(*arrays, case)
+    res, ev = _map_stacks(*arrays, case, "exp-sqrt")
+    residue_map = residue_map_case1 if case == 1 else residue_map_case2
+    ev_map = ev_map_case1 if case == 1 else ev_map_case2
+    composite = composite_case1 if case == 1 else composite_case2
+    tensors = tensors_from_maps(stack)
+    for k, p in enumerate(params):
+        assert np.array_equal(residue_map(p).matrix, res[k])
+        assert np.array_equal(ev_map(p).matrix, ev[k])
+        assert np.array_equal(composite(p).matrix, stack[k])
+        assert np.array_equal(composite_map(p).matrix, stack[k])
+        assert np.array_equal(tensor_from_linear_map(composite_map(p)).coeffs, tensors[k])
+
+
+@pytest.mark.parametrize(
+    "column,spoiled,message",
+    [
+        (1, lambda arrays, k: arrays[0][k], "residue map is singular"),
+        (3, lambda arrays, k: arrays[2][k], "y1 and y2 must be distinct"),
+        (0, lambda arrays, k: 0.0, "lambda1 must be nonzero"),
+        (2, lambda arrays, k: np.nan, "y1 must be finite"),
+    ],
+    ids=["unit-ratio", "equal-points", "zero", "non-finite"],
+)
+def test_composite_stack_names_the_first_offending_sample(column, spoiled, message):
+    _, arrays = _cut_safe_stack(RNG_SEED + 40, 1, n=6)
+    for k in (3, 5):
+        arrays[column][k] = spoiled(arrays, k)
+    with pytest.raises(DomainError, match=f"^sample 3: {message}"):
+        composite_stack(*arrays, 1)
+

@@ -290,6 +290,12 @@ def test_aux4_calls_the_array_entry_a_bounded_number_of_times(monkeypatch):
     assert len(calls) <= 100
 
 
+@pytest.mark.parametrize("v", [1.0, 1j, 1.0 + 1j])
+def test_scalar_r0_names_a_lattice_v_as_the_pole(v):
+    with pytest.raises(PoleProximityError, match=r"^v = .* of the lattice for tau = 1j$"):
+        scalar_r0(scalar_kronecker(1j), v)
+
+
 def test_classify_calls_the_array_entry_on_a_bounded_number_of_points(monkeypatch):
     points = []
 
