@@ -528,6 +528,10 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
         u = parse_complex(ns.u)
 
     if quantity == "rank":
+        for token, v in zip(grid_tokens, grid):
+            if not in_domain(h, u, v, guard=1e-9):
+                at = f"v={token}" if u is None else f"u={ns.u}, v={token}"
+                raise DomainError(f"evaluation point {at} hits a pole of {h.family}")
         if ns.csv:
             lines.append("v,rank")
         values = eval_cybe_array(h, grid) if u is None else eval_aybe_array(h, u, grid)

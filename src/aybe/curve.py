@@ -146,15 +146,18 @@ def _param_failure(params) -> Optional[Tuple[int, str]]:
     return k, rules[int(broken[:, k].argmax())][1]
 
 
+def _check_trivialization(trivialization: str) -> None:
+    if trivialization not in TRIVIALIZATIONS:
+        raise DomainError(
+            f"unknown trivialization {trivialization!r}; expected one of {TRIVIALIZATIONS}"
+        )
+
+
 def _f_factors(lam: np.ndarray, y: np.ndarray, trivialization: str):
     """Trivialization factors of the degree-1 summand at the points y."""
     if trivialization == "constant":
         return 1.0
-    if trivialization == "exp-sqrt":
-        return np.exp((np.log(lam) - np.log(y)) / 2.0)
-    raise DomainError(
-        f"unknown trivialization {trivialization!r}; expected one of {TRIVIALIZATIONS}"
-    )
+    return np.exp((np.log(lam) - np.log(y)) / 2.0)
 
 
 # The (row, column) of every entry a residue or evaluation map may have
@@ -190,8 +193,10 @@ def _map_stacks(l1, l2, y1, y2, case: int, trivialization: str) -> Tuple[np.ndar
     That gives t = -y1 lambda1 c'' and B' = [[-y1 d'', 0], [y1^2 lam c'',
     -y1 lam a'']].  The values at y are conjugated into the chosen fiber
     frames: the e12 entry divided by f(lambda1, y), the e21 entry
-    multiplied by f(lambda2, y).
+    multiplied by f(lambda2, y).  Case 1 has no such factor, but an unknown
+    trivialization name raises DomainError in both cases.
     """
+    _check_trivialization(trivialization)
     n = len(l1)
     lam = l1 / l2
     if case == 1:
@@ -228,7 +233,8 @@ def composite_stack(
     M = ev Res^{-1}.  Each sample is validated as :class:`BundleParams`
     would, then against a unit gluing ratio (where Res is singular), and
     the result against non-finite entries; a :class:`DomainError` names the
-    first offending sample.  ``trivialization`` matters in case 2 only.
+    first offending sample.  ``trivialization`` matters in case 2 only, but
+    must be one of TRIVIALIZATIONS in both.
     """
     if case not in (1, 2):
         raise DomainError(f"case must be 1 or 2, got {case!r}")
@@ -341,6 +347,7 @@ def aybe_handle_from_curve(case: int, trivialization: str = "exp-sqrt") -> Solut
     """
     if case not in (1, 2):
         raise DomainError(f"case must be 1 or 2, got {case!r}")
+    _check_trivialization(trivialization)
 
     def fn(u: complex, v: complex) -> MatrixTensor2:
         m = composite_stack(cmath.exp(u), 1.0, cmath.exp(v), 1.0, case, trivialization)

@@ -537,10 +537,9 @@ def check_aux5(
     return lhs - rhs
 
 
-def reconstruction_residuals(
-    h: SolutionHandle, v: complex, vp: complex, radius: float = 0.04
-) -> Tuple[MatrixTensor3, MatrixTensor3, MatrixTensor3]:
-    """The three degree-4 coefficient relations pinning r2.
+def _reconstruction_from_coeffs(c: dict) -> Tuple[tuple, float]:
+    """The three degree-4 coefficient relations pinning r2, from the legged
+    coefficients of :func:`_legged_coeffs` (order 2), and their scale.
 
     Expanding the two-variable identity with the pole coefficient equal to
     the identity and clearing u*u'*(u+u'), the coefficients of u^3*u',
@@ -553,13 +552,6 @@ def reconstruction_residuals(
     where the third is the sum of the first two.  All three residuals
     (LHS - RHS) are returned.
     """
-    hn = pole_normalized_handle(h)
-    c = _legged_coeffs(hn, v, vp, 2, radius)
-    residuals, _ = _reconstruction_from_coeffs(c)
-    return residuals
-
-
-def _reconstruction_from_coeffs(c: dict) -> Tuple[tuple, float]:
     a0, a1, a2 = (c[("12", k)] for k in range(3))
     b0, b1, b2 = (c[("13", k)] for k in range(3))
     c0, c1, c2 = (c[("23", k)] for k in range(3))

@@ -369,6 +369,12 @@ class _Family:
     n: Optional[int] = None  # matrix size; None: h.d
     two_variable: bool = True
     elliptic: bool = False
+    # r is zero off the charge-0 entries of tensors._graded_support (the
+    # positions of _twist_layout(d, 0)), and each entry depends only on the
+    # differences of its indices: the (Z/d)^2 Heisenberg symmetry of the
+    # theta functions with characteristics.  Rescales and scalar_exp gauges
+    # keep it, constant and callable gauges do not.
+    heisenberg: bool = False
     # None for custom: a Python callable can be neither named on the command
     # line nor serialized
     cli_name: Optional[str] = None
@@ -387,12 +393,12 @@ _FAMILIES = {
         u_pole_gap=lambda h, vv: min(
             1.0, h.r * h.tau.imag, lattice_distance(h.d * vv, h.r * h.tau)
         ) / (h.d * h.r),
-        elliptic=True, cli_name="elliptic", cli_args=("d", "r", "tau"),
+        elliptic=True, heisenberg=True, cli_name="elliptic", cli_args=("d", "r", "tau"),
     ),
     "elliptic_cybe": _Family(
         base=_eval_elliptic_cybe,
         domain=lambda h, uu, vv, guard: lattice_distance(h.d * vv, h.r * h.tau) > guard,
-        two_variable=False, elliptic=True,
+        two_variable=False, elliptic=True, heisenberg=True,
         cli_name="elliptic-cybe", cli_args=("d", "r", "tau"),
     ),
     "trig_aybe1": _Family(

@@ -12,12 +12,26 @@ full three-leg product.  It is a BLAS product, so its entries differ from
 the ``einsum`` contraction of :mod:`aybe.bruteforce` by rounding, within
 1e-14 of the product's Frobenius norm.  :func:`leg_product_array` does
 the same for stacks of tensors, one batched product per call.
+
+Graded products.  Give the matrix unit e_ab of End(C^d) the charge
+b - a mod d, and a tensor of matrix units the sum of its legs' charges.
+The elliptic solutions are nonzero only at the d^3 charge-0 entries of
+their d^4 (:func:`_graded_support`), and each entry depends only on the
+differences of its indices: the (Z/d)^2 Heisenberg symmetry of Belavin's
+elliptic r-matrix.  A leg product of two such tensors is again of
+charge 0, each of its d^5 charge-0 entries is a single multiplication,
+and each is a shift (a, b, ...) -> (a + s, b + s, ...) of one of the d^4
+entries with first index 0 (:func:`_graded_slice`).
+:func:`_graded_plan` gives the index arrays that form those d^4 entries
+from the factors' charge-0 entries: O(d^4) against the O(n^7) of the BLAS
+product.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -303,6 +317,53 @@ def leg_product_array(x: np.ndarray, legs_x: str, y: np.ndarray, legs_y: str) ->
     ym = y.transpose(lead + tuple(len(batch) + k for k in y_axes)).reshape(batch + (n, n**3))
     prod = np.matmul(xm, ym).reshape(batch + (n,) * 6)
     return prod.transpose(lead + tuple(len(batch) + k for k in perm))
+
+
+@lru_cache(maxsize=16)
+def _graded_support(d: int) -> np.ndarray:
+    """Flat positions of the charge-0 entries of a (d, d, d, d) two-leg
+    tensor, ascending: the d^3 entries (a, b, c, e) with
+    (b - a) + (e - c) = 0 mod d.  The one of index t has (a, b, c) the t-th
+    triple in lexicographic order, so t = (a d + b) d + c."""
+    a, b, c = np.indices((d,) * 3).reshape(3, -1)
+    return ((a * d + b) * d + c) * d + (a - b + c) % d
+
+
+@lru_cache(maxsize=16)
+def _graded_slice(d: int) -> np.ndarray:
+    """The (6, d^4) indices of the charge-0 entries of a three-leg tensor
+    whose first index is 0, in ascending flat order."""
+    idx = np.zeros((6, d**4), dtype=np.intp)
+    idx[1:5] = np.indices((d,) * 4).reshape(4, -1)
+    idx[5] = (idx[4] - idx[1] + idx[2] - idx[3]) % d
+    return idx
+
+
+def _balance(letters: str, value: dict, d: int) -> np.ndarray:
+    """The value of the one letter of the index string ``letters`` missing
+    from ``value`` that gives it charge 0; the charge is the sum of the
+    column indices (odd positions) minus the row indices (even ones)."""
+    (missing,) = [c for c in letters if c not in value]
+    rest = sum(value[c] * (1 if p % 2 else -1) for p, c in enumerate(letters) if c != missing)
+    return (-rest if letters.index(missing) % 2 else rest) % d
+
+
+@lru_cache(maxsize=96)
+def _graded_plan(d: int, legs_x: str, legs_y: str) -> tuple:
+    """Index arrays (px, py) into the charge-0 entries (:func:`_graded_support`)
+    of x and y such that x[px] * y[py] is the product ``x_{legs_x} y_{legs_y}``
+    at the entries of :func:`_graded_slice`, in that order.
+
+    Products add charges, so both factors of charge 0 give a product of
+    charge 0.  Given an output entry, the shared index is the one that gives
+    x charge 0, so of the d terms of its sum at most one is nonzero, and an
+    entry is one multiplication."""
+    inputs, out = _LEG_PRODUCT_SPECS[(legs_x, legs_y)].split("->")
+    xs, ys = inputs.split(",")
+    value = dict(zip(out, _graded_slice(d)))
+    (shared,) = set(xs) & set(ys)
+    value[shared] = _balance(xs, value, d)
+    return tuple((value[s[0]] * d + value[s[1]]) * d + value[s[2]] for s in (xs, ys))
 
 
 def leg_product(

@@ -11,8 +11,14 @@ Each check comes in a pointwise flavour returning the raw residual tensor
 and a sampled flavour returning a :class:`ResidualReport`.  Sampling is
 seeded and deterministic; points that fall inside a pole guard are redrawn
 and counted in the report's ``skipped`` field.  A sampled check draws all
-its samples first, evaluates all their points in one array call, and forms
-the three-leg products of blocks of samples as batched matrix products.
+its samples first and evaluates their points in one array call per block
+of samples (one call unless the check is large).  For an elliptic handle
+with no gauge or a scalar one, it keeps only the d^3 charge-0 entries of
+each value and forms only the d^4 entries of each product whose first
+index is 0, one multiplication each (see :func:`_products`).  Any other
+handle keeps its dense values and forms each product of a block of
+samples as one batched BLAS matrix product.  The pointwise residuals are
+dense for every handle.
 """
 
 from __future__ import annotations
@@ -39,23 +45,24 @@ from .solutions import (
 from .tensors import (
     MatrixTensor2,
     MatrixTensor3,
+    _graded_plan,
+    _graded_support,
     _ranks_as_maps,
-    leg_product,
     leg_product_array,
 )
 
-# three-leg entries (samples x n^6) per block of a sampled check's products:
-# about 2 MB per array, one sample per block at n = 7
+# entries per block of a sampled check: about 2 MB per array.  A block of
+# samples is evaluated at once (k values of n^4 entries per sample), and its
+# products are formed at once (n^6 entries per sample, one sample per block
+# at n = 7; d^4 on the graded path)
 _BLOCK = 1 << 17
 
 __all__ = [
     "ResidualReport",
     "SuiteConfig",
     "aybe_residual",
-    "aybe_terms",
     "aybe_commutator_residual",
     "cybe_residual",
-    "cybe_terms",
     "unitarity_residual",
     "limit_consistency_residual",
     "nondegeneracy_check",
@@ -161,29 +168,16 @@ def _make_report(
 # pointwise residuals
 # ---------------------------------------------------------------------------
 
-def aybe_terms(
+def aybe_residual(
     h: SolutionHandle, u: complex, up: complex, v: complex, vp: complex
-) -> Tuple[MatrixTensor3, MatrixTensor3, MatrixTensor3]:
-    """The three product terms of the two-variable identity.
-
-    The identity is ``T1 - T2 + T3 = 0`` with::
+) -> MatrixTensor3:
+    """Residual tensor ``T1 - T2 + T3`` of the two-variable identity (zero
+    for genuine solutions), with::
 
         T1 = r12(-u', v)      r13(u+u', v+v')
         T2 = r23(u+u', v')    r12(u, v)
         T3 = r13(u, v+v')     r23(u', v')
     """
-    a, b, c, d, e, f = (MatrixTensor2(x[0]) for x in _aybe_values(h, [(u, up, v, vp)]))
-    return (
-        leg_product(a, "12", b, "13"),
-        leg_product(c, "23", d, "12"),
-        leg_product(e, "13", f, "23"),
-    )
-
-
-def aybe_residual(
-    h: SolutionHandle, u: complex, up: complex, v: complex, vp: complex
-) -> MatrixTensor3:
-    """Residual tensor ``T1 - T2 + T3`` (zero for genuine solutions)."""
     return _aybe_form_at(h, (u, up, v, vp), "aybe")
 
 
@@ -203,24 +197,12 @@ def aybe_commutator_residual(
     return _aybe_form_at(h, (u, up, v, vp), "commutator")
 
 
-def cybe_terms(
-    h: SolutionHandle, v: complex, vp: complex
-) -> Tuple[MatrixTensor3, MatrixTensor3, MatrixTensor3]:
-    """The three commutators of the one-variable identity at (x, y) = (v, v')."""
-    r12, r13, r23 = (MatrixTensor2(x[0]) for x in _cybe_values(h, [(v, vp)]))
-    return (
-        _comm(r12, "12", r13, "13"),
-        _comm(r12, "12", r23, "23"),
-        _comm(r13, "13", r23, "23"),
-    )
-
-
 def cybe_residual(h: SolutionHandle, v: complex, vp: complex) -> MatrixTensor3:
     """Residual [r12(v), r13(v+v')] + [r12(v), r23(v')] + [r13(v+v'), r23(v')]."""
     for point in (v, vp, v + vp):
         if not in_domain(h, None, point, guard=1e-9):
             raise DomainError(f"point {point} is outside the domain of {h.family}")
-    _, forms = _cybe_forms(_cybe_values(h, [(v, vp)]))
+    _, forms = _cybe_forms(_cybe_values(h, [(v, vp)]), leg_product_array)
     return MatrixTensor3(forms["cybe"][0])
 
 
@@ -253,12 +235,6 @@ def limit_consistency_residual(h: SolutionHandle, v: complex) -> MatrixTensor2:
     return limit - target
 
 
-def _comm(
-    x: MatrixTensor2, legs_x: str, y: MatrixTensor2, legs_y: str
-) -> MatrixTensor3:
-    return leg_product(x, legs_x, y, legs_y) - leg_product(y, legs_y, x, legs_x)
-
-
 def _aybe_points(u: complex, up: complex, v: complex, vp: complex) -> tuple:
     return (
         (-up, v),
@@ -270,20 +246,43 @@ def _aybe_points(u: complex, up: complex, v: complex, vp: complex) -> tuple:
     )
 
 
-def _aybe_values(h: SolutionHandle, samples: Sequence[tuple]) -> np.ndarray:
+def _aybe_values(
+    h: SolutionHandle, samples: Sequence[tuple], keep: Optional[np.ndarray] = None
+) -> np.ndarray:
     """r at the six points of :func:`_aybe_points` of every (u, u', v, v')
-    sample, as a (6, N, n, n, n, n) array: one evaluation call for all 6*N
-    points."""
+    sample, as a (6, N, n, n, n, n) array, or (6, N, len(keep)) with only
+    the flat positions ``keep`` (see :func:`_sample_values`)."""
     pts = np.array([_aybe_points(*s) for s in samples], dtype=complex)
     pts = pts.reshape(len(samples), 6, 2).transpose(1, 0, 2)
-    return eval_aybe_array(h, pts[..., 0], pts[..., 1]).reshape((6, len(samples)) + (h.n,) * 4)
+    return _sample_values(h, pts, lambda p: eval_aybe_array(h, p[..., 0], p[..., 1]), keep)
 
 
-def _cybe_values(h: SolutionHandle, samples: Sequence[tuple]) -> np.ndarray:
+def _cybe_values(
+    h: SolutionHandle, samples: Sequence[tuple], keep: Optional[np.ndarray] = None
+) -> np.ndarray:
     """r12 = r(v), r13 = r(v + v') and r23 = r(v') of every (v, v') sample,
-    as a (3, N, n, n, n, n) array from one evaluation call."""
+    as a (3, N, n, n, n, n) array, or (3, N, len(keep)) with only the flat
+    positions ``keep`` (see :func:`_sample_values`)."""
     pts = np.array([(v, v + vp, vp) for v, vp in samples], dtype=complex).reshape(-1, 3).T
-    return eval_cybe_array(h, pts).reshape((3, len(samples)) + (h.n,) * 4)
+    return _sample_values(h, pts, lambda p: eval_cybe_array(h, p), keep)
+
+
+def _sample_values(
+    h: SolutionHandle, points: np.ndarray, evaluate: Callable, keep: Optional[np.ndarray]
+) -> np.ndarray:
+    """The values at the (k, N) sample ``points``, from one ``evaluate``
+    call per block of samples of at most _BLOCK dense entries: all k*N
+    points in one call unless the check is large.  With ``keep`` only the
+    entries at those flat positions of each value are stored, and no array
+    holds the dense values of more than one block."""
+    k, count = points.shape[:2]
+    size = h.n**4
+    out = np.empty((k, count, size if keep is None else len(keep)), dtype=complex)
+    step = max(1, _BLOCK // (k * size))
+    for s in range(0, count, step):
+        block = evaluate(points[:, s:s + step]).reshape(k, -1, size)
+        out[:, s:s + step] = block if keep is None else block[..., keep]
+    return out if keep is not None else out.reshape((k, count) + (h.n,) * 4)
 
 
 def _unitarity_values(h: SolutionHandle, pairs: Sequence[tuple]) -> tuple:
@@ -298,12 +297,13 @@ def _unitarity_values(h: SolutionHandle, pairs: Sequence[tuple]) -> tuple:
     return values[:len(pairs)], values[len(pairs):].transpose(0, 3, 4, 1, 2)
 
 
-def _block_norms(values: np.ndarray, forms: Callable) -> dict:
+def _block_norms(values: np.ndarray, forms: Callable, entries: int) -> dict:
     """{tag: (max_abs list, relative Frobenius list)} over the samples of
-    ``values`` (k, N, n, n, n, n), where ``forms(block)`` gives (scale,
-    {tag: residual}) for a block of samples.  A block holds _BLOCK // n^6
-    samples, and only one block's three-leg arrays are alive at a time."""
-    step = max(1, _BLOCK // values.shape[-1] ** 6)
+    ``values`` (k, N, ...), where ``forms(block)`` gives (scale,
+    {tag: residual}) for a block of samples.  A block holds _BLOCK //
+    ``entries`` samples, ``entries`` the size of one sample's product, and
+    only one block's three-leg arrays are alive at a time."""
+    step = max(1, _BLOCK // entries)
     norms: dict = {}
     for s in range(0, values.shape[1], step):
         _extend_norms(norms, *forms(values[:, s:s + step]))
@@ -319,39 +319,42 @@ def _extend_norms(norms: dict, scale: np.ndarray, residuals: dict) -> None:
         rel_res.extend(_frobenius(res) / scale)
 
 
-def _aybe_forms(values: np.ndarray, tags: Tuple[str, ...]) -> tuple:
+def _aybe_forms(values: np.ndarray, tags: Tuple[str, ...], product: Callable) -> tuple:
     """(scale, {tag: residual}) for the samples of the six values of
-    :func:`_aybe_values`.  Each sample's scale is the largest Frobenius norm
-    of T1..T3.  The forms are ``aybe``, T1 - T2 + T3, and ``commutator``,
-    the same with every product replaced by a commutator.  Each product is
-    added into its residual as soon as it is formed, so besides the two
-    residuals at most two three-leg arrays per sample are alive at a time."""
+    :func:`_aybe_values`, with ``product(x, legs_x, y, legs_y)`` the leg
+    product on them (see :func:`_products`).  Each sample's scale is the
+    largest Frobenius norm of T1..T3.  The forms are ``aybe``,
+    T1 - T2 + T3, and ``commutator``, the same with every product replaced
+    by a commutator.  Each product is added into its residual as soon as it
+    is formed, so besides the two residuals at most two three-leg arrays per
+    sample are alive at a time."""
     a, b, c, d, e, f = values
     res = com = None
     scale = np.full(len(a), 1e-300)
     for sign, x, lx, y, ly in (
         (1, a, "12", b, "13"), (-1, c, "23", d, "12"), (1, e, "13", f, "23")
     ):
-        term = leg_product_array(x, lx, y, ly)
+        term = product(x, lx, y, ly)
         scale = np.maximum(scale, _frobenius(term))
         res = _accumulate(res, sign, term)
         if "commutator" in tags:
-            term -= leg_product_array(y, ly, x, lx)
+            term -= product(y, ly, x, lx)
             com = _accumulate(com, sign, term)
     forms = {"aybe": res, "commutator": com}
     return scale, {tag: forms[tag] for tag in tags}
 
 
-def _cybe_forms(values: np.ndarray) -> tuple:
+def _cybe_forms(values: np.ndarray, product: Callable) -> tuple:
     """(scale, {"cybe": residual}) for the samples of the three values of
-    :func:`_cybe_values`: the residual is the sum of the three commutators,
+    :func:`_cybe_values`, with the leg product ``product`` as in
+    :func:`_aybe_forms`: the residual is the sum of the three commutators,
     the scale the largest Frobenius norm of their six products."""
     r12, r13, r23 = values
     res = None
     scale = np.full(len(r12), 1e-300)
     for x, lx, y, ly in ((r12, "12", r13, "13"), (r12, "12", r23, "23"), (r13, "13", r23, "23")):
-        forward = leg_product_array(x, lx, y, ly)
-        backward = leg_product_array(y, ly, x, lx)
+        forward = product(x, lx, y, ly)
+        backward = product(y, ly, x, lx)
         scale = np.maximum(scale, np.maximum(_frobenius(forward), _frobenius(backward)))
         forward -= backward
         res = _accumulate(res, 1, forward)
@@ -375,8 +378,37 @@ def _aybe_form_at(h: SolutionHandle, sample: tuple, tag: str) -> MatrixTensor3:
     for a, b in _aybe_points(*sample):
         if not in_domain(h, a, b, guard=1e-9):
             raise DomainError(f"evaluation point ({a}, {b}) hits a pole of {h.family}")
-    _, forms = _aybe_forms(_aybe_values(h, [sample]), (tag,))
+    _, forms = _aybe_forms(_aybe_values(h, [sample]), (tag,), leg_product_array)
     return MatrixTensor3(forms[tag][0])
+
+
+def _products(h: SolutionHandle) -> tuple:
+    """(keep, product, entries) for the sampled checks of ``h``: the flat
+    positions of the values they keep (None: all), the leg product they form
+    on those values, and the entries of one sample's product.
+
+    A Heisenberg-graded handle (``_Family.heisenberg``, with no gauge or a
+    scalar one) keeps the d^3 charge-0 entries of each value, and each of
+    its products forms, one multiplication per entry, only the d^4 charge-0
+    entries with first index 0 (:func:`aybe.tensors._graded_plan`).  Its
+    entries depend only on index differences, so every product and residual
+    is invariant under shifting all six indices at once, and those entries
+    are a copy of every other shift of the first index: the max modulus is
+    the same, and every Frobenius norm is 1/sqrt(d) of the full one, which
+    the relative residual cancels.  Any other handle keeps its dense values
+    and forms n^6 entries per product as one BLAS matrix product."""
+    g = h.gauge
+    if not _FAMILIES[h.family].heisenberg or (g is not None and g.kind != "scalar_exp"):
+        return None, leg_product_array, h.n**6
+    d = h.n
+
+    def product(x: np.ndarray, legs_x: str, y: np.ndarray, legs_y: str) -> np.ndarray:
+        # np.take, not x[:, px]: the fancy index returns an array that is
+        # not C-contiguous, which _frobenius cannot view as floats
+        px, py = _graded_plan(d, legs_x, legs_y)
+        return np.take(x, px, axis=1) * np.take(y, py, axis=1)
+
+    return _graded_support(d), product, d**4
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
@@ -471,7 +503,10 @@ def _check_aybe_forms(
     samples, skipped = _accept(
         rng, _sample_radius(h), config.n_aybe, 4, ok, config.max_draws
     )
-    norms = _block_norms(_aybe_values(h, samples), lambda block: _aybe_forms(block, tags))
+    keep, product, entries = _products(h)
+    norms = _block_norms(
+        _aybe_values(h, samples, keep), lambda block: _aybe_forms(block, tags, product), entries
+    )
     return [
         _make_report(tag, samples, *norms.get(tag, ([], [])), config.tol_aybe, skipped)
         for tag in tags
@@ -505,7 +540,10 @@ def check_cybe(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> Residu
         )
 
     samples, skipped = _accept(rng, radius, config.n_cybe, 2, ok, config.max_draws)
-    norms = _block_norms(_cybe_values(h, samples), _cybe_forms)
+    keep, product, entries = _products(h)
+    norms = _block_norms(
+        _cybe_values(h, samples, keep), lambda block: _cybe_forms(block, product), entries
+    )
     return _make_report("cybe", samples, *norms.get("cybe", ([], [])), tol, skipped)
 
 

@@ -537,6 +537,20 @@ def test_sweep_unitarity_pass(capsys):
     assert out.strip().splitlines()[-1].startswith("PASS unitarity sweep:")
 
 
+@pytest.mark.parametrize(
+    "family_args", [("--family", "trig1", "--u", "0.31"), ("--family", "trig-cybe1")]
+)
+def test_sweep_rank_at_a_pole_is_a_domain_error(family_args, capsys):
+    # v = 0 is a pole of both families: an error line and exit 2, as
+    # sweep unitarity gives, not an arithmetic error from the evaluation
+    code, out, err = run_cli(
+        ["sweep", "--quantity", "rank", *family_args, "--grid", "0.4,0"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: evaluation point") and "v=0 hits a pole" in err
+
+
 @pytest.mark.parametrize("quantity", ["rank", "unitarity"])
 def test_sweep_evaluates_its_grid_in_one_call(quantity, monkeypatch, capsys):
     sizes = []

@@ -194,6 +194,17 @@ def test_unknown_trivialization_rejected():
         composite_case2(BundleParams(2.0, 1.0, 3.0, 1.0, case=2), "fancy")
 
 
+@pytest.mark.parametrize("case", [1, 2])
+def test_unknown_trivialization_rejected_in_both_cases(case):
+    # case 1 has no framing factor, but a misspelt name is still an error
+    with pytest.raises(DomainError, match="unknown trivialization 'fancy'"):
+        composite_stack(2.0, 1.0, 3.0, 1.0, case, "fancy")
+    with pytest.raises(DomainError, match="unknown trivialization 'fancy'"):
+        composite_map(BundleParams(2.0, 1.0, 3.0, 1.0, case), "fancy")
+    with pytest.raises(DomainError, match="unknown trivialization 'fancy'"):
+        aybe_handle_from_curve(case, "fancy")
+
+
 # ---------------------------------------------------------------------------
 # composites agree with the trigonometric families at log-parameters
 # ---------------------------------------------------------------------------

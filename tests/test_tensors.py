@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from aybe.bruteforce import leg_product_einsum
+from aybe.solutions import _twist_layout
 from aybe.tensors import (
     MatrixTensor2,
     MatrixTensor3,
+    _graded_plan,
+    _graded_slice,
+    _graded_support,
     from_pair,
     identity2,
     leg_product,
@@ -121,6 +125,45 @@ def test_leg_product_array_is_leg_product_per_entry(legs_x, legs_y):
     for k in range(4):
         single = leg_product(xs[k], legs_x, ys[k], legs_y).coeffs
         assert np.max(np.abs(stack[k] - single)) <= 1e-14 * np.linalg.norm(single)
+
+
+def heisenberg_tensor(rng, d):
+    """Dense (d, d, d, d) coefficients that vanish off the charge-0 entries
+    (b - a) + (e - c) = 0 mod d and depend only on (b - a, a - e) there."""
+    table = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    a, b, c, e = np.indices((d,) * 4)
+    return np.where((b - a + e - c) % d == 0, table[(b - a) % d, (a - e) % d], 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7])
+def test_graded_support_is_the_twist_layout(d):
+    support = _graded_support(d)
+    assert np.array_equal(support, np.sort(_twist_layout(d, 0)[0]))
+    idx = _graded_slice(d)
+    assert idx.shape == (6, d**4) and not idx[0].any()
+    assert not ((idx[1] - idx[0] + idx[3] - idx[2] + idx[5] - idx[4]) % d).any()
+    flat = np.ravel_multi_index(tuple(idx), (d,) * 6)
+    assert np.all(np.diff(flat) > 0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("legs_x,legs_y", LEG_PAIRS)
+def test_graded_plan_scattered_to_dense_is_the_einsum(legs_x, legs_y, d):
+    # the d^4 graded entries, shifted along the diagonal to all d^5 charge-0
+    # entries, are the whole product: one multiplication per entry, so equal
+    # to the einsum up to the rounding of one complex product
+    rng = np.random.default_rng(10 * d + LEG_PAIRS.index((legs_x, legs_y)))
+    x, y = heisenberg_tensor(rng, d), heisenberg_tensor(rng, d)
+    support = _graded_support(d)
+    px, py = _graded_plan(d, legs_x, legs_y)
+    graded = x.reshape(-1)[support][px] * y.reshape(-1)[support][py]
+    dense = np.zeros((d,) * 6, dtype=complex)
+    idx = _graded_slice(d)
+    for shift in range(d):
+        dense[tuple((idx + shift) % d)] = graded
+    reference = leg_product_einsum(MatrixTensor2(x), legs_x, MatrixTensor2(y), legs_y).coeffs
+    bound = 4 * np.finfo(float).eps * np.abs(x).max() * np.abs(y).max()
+    assert np.max(np.abs(dense - reference)) <= bound
 
 
 @pytest.mark.parametrize(

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from aybe.solutions import (
+    GaugeSpec,
     custom_handle,
     elliptic_aybe,
     elliptic_cybe,
+    equivalence_transform,
     eval_aybe,
     handle_from_dict,
     handle_to_dict,
@@ -21,7 +23,7 @@ from aybe.solutions import (
     trig_cybe,
 )
 import aybe.verify
-from aybe.tensors import MatrixTensor2, from_pair, identity2
+from aybe.tensors import MatrixTensor2, from_pair, identity2, leg_product_array
 from aybe.verify import (
     ResidualReport,
     SuiteConfig,
@@ -382,3 +384,72 @@ def test_seed5_report_points_are_unchanged(h, digests):
         (rep.tag, hashlib.sha256(repr(rep.points).encode()).hexdigest()[:16])
         for rep in reports
     ] == digests
+
+
+# ---------------------------------------------------------------------------
+# Heisenberg-graded products: the same reports as the dense BLAS path
+# ---------------------------------------------------------------------------
+
+GRADED_CONFIG = SuiteConfig(seed=9, n_aybe=3, n_cybe=3, checks=("aybe", "commutator", "cybe"))
+
+
+def _dense_products(h):
+    return None, leg_product_array, h.n**6
+
+
+def _report_scale(h, report):
+    """The largest scale of the report's samples (T1..T3, or the six
+    commutator products), from dense values and dense products."""
+    if h.is_cybe:
+        scale, _ = aybe.verify._cybe_forms(
+            aybe.verify._cybe_values(h, report.points), leg_product_array
+        )
+    else:
+        scale, _ = aybe.verify._aybe_forms(
+            aybe.verify._aybe_values(h, report.points), ("aybe",), leg_product_array
+        )
+    return float(scale.max())
+
+
+def _assert_graded_matches_dense(h, monkeypatch):
+    assert aybe.verify._products(h)[0] is not None
+    graded = run_suite(h, GRADED_CONFIG)
+    with monkeypatch.context() as patch:
+        patch.setattr(aybe.verify, "_products", _dense_products)
+        dense = run_suite(h, GRADED_CONFIG)
+    assert graded and [rep.tag for rep in graded] == [rep.tag for rep in dense]
+    for g, r in zip(graded, dense):
+        assert (g.points, g.skipped, g.passed) == (r.points, r.skipped, r.passed)
+        assert abs(g.max_rel_residual - r.max_rel_residual) <= 1e-14
+        assert abs(g.max_abs_residual - r.max_abs_residual) <= 1e-14 * _report_scale(h, r)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("factory", [elliptic_aybe, elliptic_cybe], ids=["aybe", "cybe"])
+def test_graded_reports_match_the_dense_path(factory, d, monkeypatch):
+    _assert_graded_matches_dense(factory(d, d - 1, 0.2 + 1.1j), monkeypatch)
+
+
+def test_rescales_and_scalar_gauges_stay_graded(monkeypatch):
+    h = elliptic_aybe(3, 2, 0.2 + 1.1j)
+    rescaled = handle_from_dict(
+        {**handle_to_dict(h), "rescale": [[1.5, 0], [0.2, 0], [0.7, 0], [1.1, 0]]}
+    )
+    for graded in (rescaled, equivalence_transform(h, GaugeSpec(kind="scalar_exp", c=0.3))):
+        _assert_graded_matches_dense(graded, monkeypatch)
+    for dense in (trig_aybe(1), scalar_kronecker(1j), custom_handle(lambda u, v: identity2(2), 2)):
+        assert aybe.verify._products(dense)[0] is None
+
+
+def test_constant_gauge_elliptic_stays_dense_and_green():
+    g = np.array([[1.0, 0.3, 0.0], [0.2, 1.1, 0.1], [0.0, 0.4, 0.9]])
+    for h in (equivalence_transform(elliptic_aybe(3, 1, 0.2 + 1.1j), g),
+              equivalence_transform(elliptic_cybe(3, 1, 0.2 + 1.1j), g)):
+        assert aybe.verify._products(h)[0] is None
+        # the limit check compares with the ungauged partner, which a
+        # constant gauge moves off the handle's u -> 0 limit
+        checks = ("aybe", "commutator", "cybe", "unitarity", "rank")
+        reports = run_suite(h, SuiteConfig(seed=3, n_aybe=4, n_cybe=4, n_rank=2, checks=checks))
+        assert reports
+        for rep in reports:
+            assert rep.passed, rep.summary_line()
