@@ -21,6 +21,10 @@ of the spec table, where the fast path makes it one BLAS matrix product.
 :func:`aybe.curve.composite_stack`: one sample's residue and evaluation
 maps built column by column from each basis section's endpoint values,
 glued with ``inv``, framed, and composed by one ``solve``.
+:func:`in_domain_pointwise` and :func:`check_samples_pointwise` are the
+references for the array polar-locus tests of :mod:`aybe.solutions` and the
+block rejection sampling of :mod:`aybe.verify`: one point at a time, in
+Python's complex arithmetic.
 """
 
 from __future__ import annotations
@@ -32,9 +36,15 @@ from fractions import Fraction
 import numpy as np
 
 from .curve import BundleParams
-from .errors import DomainError
-from .solutions import SolutionHandle
-from .special import Characteristic, kronecker_F_char, modular_param, zeta_char
+from .errors import DomainError, NonConvergenceError
+from .solutions import SolutionHandle, paired_cybe_handle
+from .special import (
+    Characteristic,
+    kronecker_F_char,
+    lattice_distance,
+    modular_param,
+    zeta_char,
+)
 from .tensors import _LEG_PRODUCT_SPECS, MatrixTensor2, MatrixTensor3
 
 TWO_PI_I = 2j * math.pi
@@ -377,3 +387,82 @@ def composite_columns(p: BundleParams, trivialization: str = "exp-sqrt") -> np.n
     res_m = np.stack([c.reshape(4) for c in res], axis=1)
     ev_m = np.stack([c.reshape(4) for c in ev], axis=1)
     return np.linalg.solve(res_m.T, ev_m.T).T
+
+
+def in_domain_pointwise(h: SolutionHandle, u, v: complex, guard: float) -> bool:
+    """The polar-locus test of :func:`aybe.solutions.in_domain` at one
+    point, in Python's complex arithmetic with ``abs`` and the scalar
+    :func:`aybe.special.lattice_distance`: the reference for the array
+    tests of the family records."""
+    _, _, c3, c4 = h.rescale
+    vv = c4 * v
+    uu = c3 * u if h.is_aybe else None
+    if h.family == "elliptic_aybe":
+        lat = h.r * h.tau
+        x, y = h.d * h.r * uu, h.d * vv
+        return all(lattice_distance(z, lat) > guard for z in (x, y, x - y))
+    if h.family == "elliptic_cybe":
+        return lattice_distance(h.d * vv, h.r * h.tau) > guard
+    if h.family == "scalar_kronecker":
+        return all(lattice_distance(z, h.tau) > guard for z in (uu, vv, uu + vv))
+    if h.family == "scalar_rational":
+        return abs(uu) > guard and abs(vv) > guard
+    if h.family == "custom":
+        return True
+    # the trigonometric families: clear of 2*pi*i*Z in every variable
+    points = (vv,) if uu is None else (uu, vv)
+    return all(abs(z - complex(0.0, 2.0 * math.pi * round(z.imag / (2.0 * math.pi)))) > guard
+               for z in points)
+
+
+def _guarded_points(h: SolutionHandle, check: str, draw: tuple) -> tuple:
+    """The (u, v) points, u None on a one-variable family, that a sampled
+    check of :mod:`aybe.verify` guards for one candidate ``draw``."""
+    if check in ("aybe", "commutator"):
+        u, up, v, vp = draw
+        return ((-up, v), (u + up, v + vp), (u + up, vp), (u, v), (u, v + vp), (up, vp))
+    if check == "cybe":
+        v, vp = draw
+        return ((None, v), (None, vp), (None, v + vp))
+    if check == "unitarity":
+        u, v = (None,) + draw if h.is_cybe else draw
+        return ((u, v), (None if u is None else -u, -v))
+    if check == "rank":
+        return ((None,) + draw if h.is_cybe else draw,)
+    return ((None,) + draw,)  # limit: v on the CYBE partner
+
+
+def check_samples_pointwise(h: SolutionHandle, check: str, config) -> tuple:
+    """(points, skipped) of one sampled check of :mod:`aybe.verify` under
+    the :class:`aybe.verify.SuiteConfig` ``config``: candidates drawn one at
+    a time, one point after another (r = radius*sqrt(x), then phi =
+    2*pi*x'), each guarded point by point with :func:`in_domain_pointwise`.
+    The reference for the block sampling of ``verify._accept``; raises
+    :class:`NonConvergenceError` once ``config.max_draws`` candidates hold
+    too few accepted ones."""
+    rng = np.random.default_rng(config.seed)
+    radius = 0.4 if h.family in ("elliptic_aybe", "elliptic_cybe", "scalar_kronecker") else 1.0
+    target, guard = h, config.guard
+    if check == "limit":
+        target, guard = paired_cybe_handle(h), max(config.guard, 1e-2)
+    width = {"aybe": 4, "commutator": 4, "cybe": 2, "limit": 1}.get(check, 1 if h.is_cybe else 2)
+    count = {
+        "aybe": config.n_aybe, "commutator": config.n_aybe, "cybe": config.n_cybe,
+        "unitarity": config.n_unitarity, "rank": config.n_rank, "limit": config.n_limit,
+    }[check]
+    points, skipped, draws = [], 0, 0
+    while len(points) < count:
+        if draws >= config.max_draws:
+            raise NonConvergenceError(f"rejection sampling exhausted {config.max_draws} draws")
+        draws += 1
+        draw = []
+        for _ in range(width):
+            r = radius * math.sqrt(rng.uniform())
+            phi = 2.0 * math.pi * rng.uniform()
+            draw.append(complex(r * math.cos(phi), r * math.sin(phi)))
+        draw = tuple(draw)
+        if all(in_domain_pointwise(target, u, v, guard) for u, v in _guarded_points(h, check, draw)):
+            points.append(draw)
+        else:
+            skipped += 1
+    return points, skipped

@@ -56,12 +56,12 @@ from .series import _TRIG_POINT, INFINITY, classify_scalar
 from .solutions import (
     _FAMILIES,
     SolutionHandle,
+    _domain_mask,
     eval_aybe,
     eval_aybe_array,
     eval_cybe,
     eval_cybe_array,
     handle_from_dict,
-    in_domain,
     paired_cybe_handle,
     scalar_kronecker,
     trig_aybe,
@@ -242,9 +242,10 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
     lines: List[str] = []
     if ns.csv:
         lines.append("u_re,u_im,v_re,v_im,i,j,k,l,re,im,status")
-    for u, v in points:
+    clear = _domain_mask(h, [p[0] for p in points], [p[1] for p in points], 1e-9)
+    for (u, v), point_clear in zip(points, clear):
         try:
-            if not in_domain(h, u, v, guard=1e-9):
+            if not point_clear:
                 raise PoleProximityError("point too close to the polar set")
             tensor = eval_cybe(h, v) if u is None else eval_aybe(h, u, v)
         except (PoleProximityError, DomainError, ZeroDivisionError):
@@ -528,10 +529,11 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
         u = parse_complex(ns.u)
 
     if quantity == "rank":
-        for token, v in zip(grid_tokens, grid):
-            if not in_domain(h, u, v, guard=1e-9):
-                at = f"v={token}" if u is None else f"u={ns.u}, v={token}"
-                raise DomainError(f"evaluation point {at} hits a pole of {h.family}")
+        clear = _domain_mask(h, [u] * len(grid), grid, 1e-9)
+        if not clear.all():
+            token = grid_tokens[clear.argmin()]
+            at = f"v={token}" if u is None else f"u={ns.u}, v={token}"
+            raise DomainError(f"evaluation point {at} hits a pole of {h.family}")
         if ns.csv:
             lines.append("v,rank")
         values = eval_cybe_array(h, grid) if u is None else eval_aybe_array(h, u, grid)

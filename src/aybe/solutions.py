@@ -30,8 +30,8 @@ from .special import (
     TWO_PI_I,
     _flat_points,
     _kronecker_twist_grid,
+    _lattice_distance_grid,
     kronecker_F,
-    lattice_distance,
     modular_param,
 )
 from .tensors import MatrixTensor2, _project_sl, _sandwich
@@ -310,40 +310,46 @@ def _custom_base(h: SolutionHandle, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# polar loci (on the rescaled variables uu = c3*u, vv = c4*v)
+# polar loci (on the rescaled variables uu = c3*u, vv = c4*v), on complex
+# arrays of any shape: each test returns the boolean array of the points that
+# clear the loci by more than ``guard``.  Moduli are ``np.hypot`` of the real
+# and imaginary parts, which is what Python's ``abs`` of a complex computes
+# (numpy's complex ``abs`` can differ in the last bit), so that a point is
+# accepted exactly when a scalar test with ``abs`` and
+# :func:`aybe.special.lattice_distance` accepts it.
 # ---------------------------------------------------------------------------
 
-def _dist_to_two_pi_i(x: complex) -> float:
-    k = round(x.imag / _TWO_PI)
-    return abs(x - complex(0.0, _TWO_PI * k))
+def _dist_to_two_pi_i(x: np.ndarray) -> np.ndarray:
+    return np.hypot(x.real, x.imag - _TWO_PI * np.rint(x.imag / _TWO_PI))
 
 
-def _clear_of_two_pi_i(h: SolutionHandle, uu: complex, vv: complex, guard: float) -> bool:
-    return _dist_to_two_pi_i(uu) > guard and _dist_to_two_pi_i(vv) > guard
+def _clear_of_two_pi_i(h: SolutionHandle, uu: np.ndarray, vv: np.ndarray, guard: float) -> np.ndarray:
+    return (_dist_to_two_pi_i(uu) > guard) & (_dist_to_two_pi_i(vv) > guard)
 
 
 def _clear_of_two_pi_i_v(
-    h: SolutionHandle, uu: Optional[complex], vv: complex, guard: float
-) -> bool:
+    h: SolutionHandle, uu: Optional[np.ndarray], vv: np.ndarray, guard: float
+) -> np.ndarray:
     return _dist_to_two_pi_i(vv) > guard
 
 
-def _clear_elliptic_aybe(h: SolutionHandle, uu: complex, vv: complex, guard: float) -> bool:
-    lat = h.r * h.tau
-    return (
-        lattice_distance(h.d * h.r * uu, lat) > guard
-        and lattice_distance(h.d * vv, lat) > guard
-        and lattice_distance(h.d * h.r * uu - h.d * vv, lat) > guard
-    )
+def _clear_of_lattice(tau: complex, guard: float, *points: np.ndarray) -> np.ndarray:
+    """The points clear of Z + Z tau at every one of ``points``, from one
+    lattice-distance call on their stack."""
+    return (_lattice_distance_grid(np.array(points), tau, guard) > guard).all(axis=0)
 
 
-def _clear_kronecker(h: SolutionHandle, uu: complex, vv: complex, guard: float) -> bool:
-    t = h.tau
-    return (
-        lattice_distance(uu, t) > guard
-        and lattice_distance(vv, t) > guard
-        and lattice_distance(uu + vv, t) > guard
-    )
+def _clear_elliptic_aybe(h: SolutionHandle, uu: np.ndarray, vv: np.ndarray, guard: float) -> np.ndarray:
+    x, y = h.d * h.r * uu, h.d * vv
+    return _clear_of_lattice(h.r * h.tau, guard, x, y, x - y)
+
+
+def _clear_kronecker(h: SolutionHandle, uu: np.ndarray, vv: np.ndarray, guard: float) -> np.ndarray:
+    return _clear_of_lattice(h.tau, guard, uu, vv, uu + vv)
+
+
+def _clear_of_zero(h: SolutionHandle, uu: np.ndarray, vv: np.ndarray, guard: float) -> np.ndarray:
+    return (np.hypot(uu.real, uu.imag) > guard) & (np.hypot(vv.real, vv.imag) > guard)
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +363,18 @@ class _Family:
     # (h, u, v), or (h, v) for a one-variable family, on 1-d arrays of N
     # points -> the (N, n, n, n, n) values before rescale and gauge
     base: Callable[..., np.ndarray]
-    # (h, uu, vv, guard) -> True when the rescaled point clears the polar loci
-    domain: Callable[[SolutionHandle, Optional[complex], complex, float], bool]
+    # (h, uu, vv, guard) on complex arrays of one shape (uu None for a
+    # one-variable family) -> the boolean array of the rescaled points that
+    # clear the polar loci
+    domain: Callable[[SolutionHandle, Optional[np.ndarray], np.ndarray, float], np.ndarray]
     rho: Optional[Callable[[SolutionHandle], complex]] = None  # u-pole coefficient
     # the CYBE handle of the u -> 0 limit
     partner: Optional[Callable[[SolutionHandle], SolutionHandle]] = None
     # (h, vv) -> distance from uu = 0 to the nearest other pole of uu -> r at
-    # the rescaled vv, or zero that ``domain`` rejects; None: no pole data, so
-    # neither the u -> 0 limit nor a pole-free u-circle of the series module
-    u_pole_gap: Optional[Callable[[SolutionHandle, complex], float]] = None
+    # each rescaled vv of a 1-d array (or one number for all), or zero that
+    # ``domain`` rejects; None: no pole data, so neither the u -> 0 limit nor
+    # a pole-free u-circle of the series module
+    u_pole_gap: Optional[Callable[[SolutionHandle, np.ndarray], np.ndarray]] = None
     n: Optional[int] = None  # matrix size; None: h.d
     two_variable: bool = True
     elliptic: bool = False
@@ -390,14 +399,14 @@ _FAMILIES = {
         rho=lambda h: 1.0 / (TWO_PI_I * h.d * h.r),
         partner=lambda h: elliptic_cybe(h.d, h.r, h.tau),
         # the poles uu in (Z + Z r tau) / (d r) and (d vv + Z + Z r tau) / (d r)
-        u_pole_gap=lambda h, vv: min(
-            1.0, h.r * h.tau.imag, lattice_distance(h.d * vv, h.r * h.tau)
+        u_pole_gap=lambda h, vv: np.minimum(
+            min(1.0, h.r * h.tau.imag), _lattice_distance_grid(h.d * vv, h.r * h.tau)
         ) / (h.d * h.r),
         elliptic=True, heisenberg=True, cli_name="elliptic", cli_args=("d", "r", "tau"),
     ),
     "elliptic_cybe": _Family(
         base=_eval_elliptic_cybe,
-        domain=lambda h, uu, vv, guard: lattice_distance(h.d * vv, h.r * h.tau) > guard,
+        domain=lambda h, uu, vv, guard: _lattice_distance_grid(h.d * vv, h.r * h.tau, guard) > guard,
         two_variable=False, elliptic=True, heisenberg=True,
         cli_name="elliptic-cybe", cli_args=("d", "r", "tau"),
     ),
@@ -426,7 +435,7 @@ _FAMILIES = {
         domain=_clear_kronecker, rho=lambda h: 1.0 / TWO_PI_I,
         # the poles uu in Z + Z tau and the zeros uu in -vv + Z + Z tau: the
         # elliptic gap at d = r = 1
-        u_pole_gap=lambda h, vv: min(1.0, h.tau.imag, lattice_distance(vv, h.tau)),
+        u_pole_gap=lambda h, vv: np.minimum(min(1.0, h.tau.imag), _lattice_distance_grid(vv, h.tau)),
         n=1,
         elliptic=True, cli_name="scalar-kronecker", cli_args=("tau",),
     ),
@@ -437,13 +446,13 @@ _FAMILIES = {
     ),
     "scalar_rational": _Family(
         base=_scalar(lambda h, u, v: h.a / u + h.b / v),
-        domain=lambda h, uu, vv, guard: abs(uu) > guard and abs(vv) > guard,
+        domain=_clear_of_zero,
         # no other pole: any finite gap will do
         rho=lambda h: h.a, u_pole_gap=lambda h, vv: 1.0,
         n=1, cli_name="scalar-rational", cli_args=("a", "b"),
     ),
     "custom": _Family(
-        base=_custom_base, domain=lambda h, uu, vv, guard: True,
+        base=_custom_base, domain=lambda h, uu, vv, guard: np.ones(vv.shape, dtype=bool),
     ),
 }
 
@@ -547,12 +556,33 @@ def eval_cybe(h: SolutionHandle, v: complex) -> MatrixTensor2:
     return MatrixTensor2(eval_cybe_array(h, v)[0])
 
 
-def in_domain(h: SolutionHandle, u: Optional[complex], v: complex, guard: float = 1e-3) -> bool:
-    """True when the evaluation point keeps clear of every pole/branch locus."""
+def _scaled(c: complex, z: np.ndarray) -> np.ndarray:
+    """c*z on a complex array, rounded as Python's complex product rounds it:
+    numpy's complex multiply can differ in the last bit."""
+    if c == 1:
+        return z
+    out = np.empty(z.shape, dtype=complex)
+    out.real = c.real * z.real - c.imag * z.imag
+    out.imag = c.real * z.imag + c.imag * z.real
+    return out
+
+
+def _domain_mask(h: SolutionHandle, u, v, guard: float) -> np.ndarray:
+    """The boolean array of the points (u, v), complex arrays of one shape,
+    that keep clear of every pole/branch locus by more than ``guard`` (u is
+    ignored for a one-variable family).  A point that is not finite is not
+    clear."""
     _, _, c3, c4 = h.rescale
     spec = _FAMILIES[h.family]
-    uu = c3 * u if spec.two_variable else None
-    return spec.domain(h, uu, c4 * v, guard)
+    with np.errstate(invalid="ignore", over="ignore"):
+        uu = _scaled(c3, np.asarray(u, dtype=complex)) if spec.two_variable else None
+        return spec.domain(h, uu, _scaled(c4, np.asarray(v, dtype=complex)), guard)
+
+
+def in_domain(h: SolutionHandle, u: Optional[complex], v: complex, guard: float = 1e-3) -> bool:
+    """True when the evaluation point keeps clear of every pole/branch locus:
+    the one-point :func:`_domain_mask`."""
+    return bool(_domain_mask(h, u, v, guard))
 
 
 def paired_cybe_handle(h: SolutionHandle) -> SolutionHandle:
@@ -560,6 +590,10 @@ def paired_cybe_handle(h: SolutionHandle) -> SolutionHandle:
     partner = _FAMILIES[h.family].partner
     if partner is None:
         raise DomainError(f"no CYBE partner for family {h.family}")
+    # project_sl commutes with (g (x) g)-conjugation, so a constant gauge g
+    # carries over to the limit
+    if h.gauge is not None and h.gauge.kind == "constant":
+        return replace(partner(h), gauge=h.gauge)
     return partner(h)
 
 
@@ -607,7 +641,10 @@ def _u_circle_radii(h: SolutionHandle, v: np.ndarray, share: float) -> Optional[
     if gap is None or (h.gauge is not None and h.gauge.kind == "callable"):
         return None
     _, _, c3, c4 = h.rescale
-    return np.array([gap(h, c4 * x) for x in v]) / (share * abs(c3))
+    radii = np.empty(v.shape)
+    radii[...] = gap(h, _scaled(c4, v))
+    radii /= share * abs(c3)
+    return radii
 
 
 def _cybe_limits(h: SolutionHandle, v) -> tuple:
@@ -617,10 +654,10 @@ def _cybe_limits(h: SolutionHandle, v) -> tuple:
     radii = _u_circle_radii(h, v, 50.0)
     if radii is None or _FAMILIES[h.family].partner is None:
         raise DomainError(f"no u-pole data or CYBE partner for family {h.family}")
-    for x, radius in zip(v, radii):
-        # the circle keeps clear of the u-poles, so this tests the v-locus
-        if not in_domain(h, radius, x, guard=1e-9):
-            raise DomainError(f"v={x} lies on the polar locus of the CYBE partner")
+    # the circle keeps clear of the u-poles, so this tests the v-locus
+    clear = _domain_mask(h, radii, v, guard=1e-9)
+    if not clear.all():
+        raise DomainError(f"v={v[clear.argmin()]} lies on the polar locus of the CYBE partner")
     values = eval_aybe_array(h, radii[:, None] * _LIMIT_NODES, v[:, None])
     values = values.reshape((len(v), len(_LIMIT_NODES)) + (h.n,) * 4)
     limits = _project_sl(values.mean(axis=1))

@@ -35,11 +35,11 @@ from .solutions import (
     _FAMILIES,
     SolutionHandle,
     _cybe_limits,
+    _domain_mask,
     cybe_limit_of_aybe,
     eval_aybe_array,
     eval_cybe,
     eval_cybe_array,
-    in_domain,
     paired_cybe_handle,
 )
 from .tensors import (
@@ -199,24 +199,28 @@ def aybe_commutator_residual(
 
 def cybe_residual(h: SolutionHandle, v: complex, vp: complex) -> MatrixTensor3:
     """Residual [r12(v), r13(v+v')] + [r12(v), r23(v')] + [r13(v+v'), r23(v')]."""
-    for point in (v, vp, v + vp):
-        if not in_domain(h, None, point, guard=1e-9):
-            raise DomainError(f"point {point} is outside the domain of {h.family}")
+    points = (v, vp, v + vp)
+    clear = _domain_mask(h, None, points, guard=1e-9)
+    if not clear.all():
+        raise DomainError(f"point {points[clear.argmin()]} is outside the domain of {h.family}")
     _, forms = _cybe_forms(_cybe_values(h, [(v, vp)]), leg_product_array)
     return MatrixTensor3(forms["cybe"][0])
 
 
 def _unitarity_residuals(h: SolutionHandle, pairs: Sequence[tuple]) -> np.ndarray:
     """swap_legs(r(-u, -v)) + r(u, v) at every (u, v) pair, (N, n, n, n, n):
-    each pair is guarded against the polar locus in order, then all are
-    evaluated in one call (u is ignored for one-variable families)."""
-    for u, v in pairs:
-        if h.is_cybe:
-            for point in (v, -v):
-                if not in_domain(h, None, point, guard=1e-9):
-                    raise DomainError(f"point {point} is outside the domain of {h.family}")
-        elif not (in_domain(h, u, v, guard=1e-9) and in_domain(h, -u, -v, guard=1e-9)):
+    all pairs and their negatives are guarded against the polar locus in one
+    call, and the first offending pair is named, then all are evaluated in
+    one call (u is ignored for one-variable families)."""
+    v = np.array([p[1] for p in pairs], dtype=complex)
+    u = None if h.is_cybe else np.array([p[0] for p in pairs], dtype=complex)
+    clear = _domain_mask(h, None if u is None else np.array((u, -u)), np.array((v, -v)), 1e-9)
+    if not clear.all():
+        if not h.is_cybe:
             raise DomainError("evaluation point or its negative hits a pole")
+        k = int(clear.all(axis=0).argmin())
+        point = pairs[k][1] if not clear[0, k] else -pairs[k][1]
+        raise DomainError(f"point {point} is outside the domain of {h.family}")
     direct, swapped = _unitarity_values(h, pairs)
     return swapped + direct
 
@@ -375,9 +379,11 @@ def _accumulate(total: Optional[np.ndarray], sign: int, term: np.ndarray) -> np.
 
 def _aybe_form_at(h: SolutionHandle, sample: tuple, tag: str) -> MatrixTensor3:
     """One form of :func:`_aybe_forms` at one sample, after the domain guard."""
-    for a, b in _aybe_points(*sample):
-        if not in_domain(h, a, b, guard=1e-9):
-            raise DomainError(f"evaluation point ({a}, {b}) hits a pole of {h.family}")
+    points = _aybe_points(*sample)
+    clear = _domain_mask(h, *np.array(points).T, guard=1e-9)
+    if not clear.all():
+        a, b = points[clear.argmin()]
+        raise DomainError(f"evaluation point ({a}, {b}) hits a pole of {h.family}")
     _, forms = _aybe_forms(_aybe_values(h, [sample]), (tag,), leg_product_array)
     return MatrixTensor3(forms[tag][0])
 
@@ -454,36 +460,48 @@ def _sample_radius(h: SolutionHandle) -> float:
     return 0.4 if _FAMILIES[h.family].elliptic else 1.0
 
 
-def _draw_point(rng: np.random.Generator, radius: float) -> complex:
-    r = radius * math.sqrt(rng.uniform())
-    phi = 2.0 * math.pi * rng.uniform()
-    return complex(r * math.cos(phi), r * math.sin(phi))
-
-
 def _accept(
     rng: np.random.Generator,
     radius: float,
     count: int,
     width: int,
-    ok: Callable[..., bool],
+    clear: Callable[..., np.ndarray],
     max_draws: int,
 ) -> Tuple[List[tuple], int]:
-    """Draw `count` tuples of `width` disc points satisfying `ok`; count rejects."""
-    accepted: List[tuple] = []
-    skipped = 0
-    draws = 0
-    while len(accepted) < count:
+    """Draw `count` tuples of `width` disc points that `clear` accepts, and
+    count the rejects before the last accepted one.
+
+    Candidates are drawn in blocks, ``count`` first and then twice the last
+    block, with one ``rng.uniform`` call per block: each point takes two
+    draws, r = radius*sqrt(x) and phi = 2*pi*x', in that order.
+    ``clear(*columns)`` gets the block's `width` columns of points, (m,)
+    arrays, and returns its (m,) boolean array; candidates are accepted in
+    draw order.  Drawing past the last accepted candidate changes no result,
+    because each check owns its generator.  NonConvergenceError is raised
+    once `max_draws` candidates hold fewer than `count` accepted ones."""
+    samples: List[tuple] = []
+    skipped = draws = 0
+    block = count
+    while len(samples) < count:
         if draws >= max_draws:
             raise NonConvergenceError(
                 f"rejection sampling exhausted {max_draws} draws"
             )
-        draws += 1
-        candidate = tuple(_draw_point(rng, radius) for _ in range(width))
-        if ok(*candidate):
-            accepted.append(candidate)
-        else:
-            skipped += 1
-    return accepted, skipped
+        m = min(block, max_draws - draws)
+        x = rng.uniform(size=(m, width, 2))
+        # r*exp(i*phi) is (r*cos(phi), r*sin(phi)) bit for bit: exp of an
+        # imaginary number is (cos, sin), and the products with the real r
+        # add exact zeros
+        points = radius * np.sqrt(x[..., 0]) * np.exp(2j * math.pi * x[..., 1])
+        taken = np.flatnonzero(clear(*points.T))[:count - len(samples)]
+        samples += map(tuple, points[taken].tolist())
+        # the candidates this block used: up to the last accepted one when
+        # it completes the samples
+        used = int(taken[-1]) + 1 if len(samples) == count else m
+        skipped += used - len(taken)
+        draws += m
+        block = 2 * m
+    return samples, skipped
 
 
 def _check_aybe_forms(
@@ -494,14 +512,12 @@ def _check_aybe_forms(
     T1..T3 and the relative scale."""
     rng = np.random.default_rng(config.seed)
 
-    def ok(u, up, v, vp):
-        return all(
-            in_domain(h, a, b, guard=config.guard)
-            for a, b in _aybe_points(u, up, v, vp)
-        )
+    def clear(u, up, v, vp):
+        a, b = np.array(_aybe_points(u, up, v, vp)).transpose(1, 0, 2)
+        return _domain_mask(h, a, b, config.guard).all(axis=0)
 
     samples, skipped = _accept(
-        rng, _sample_radius(h), config.n_aybe, 4, ok, config.max_draws
+        rng, _sample_radius(h), config.n_aybe, 4, clear, config.max_draws
     )
     keep, product, entries = _products(h)
     norms = _block_norms(
@@ -534,12 +550,10 @@ def check_cybe(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> Residu
     if tol is None:
         tol = 1e-8 if _FAMILIES[h.family].elliptic else 1e-10
 
-    def ok(v, vp):
-        return all(
-            in_domain(h, None, p, guard=config.guard) for p in (v, vp, v + vp)
-        )
+    def clear(v, vp):
+        return _domain_mask(h, None, np.array((v, vp, v + vp)), config.guard).all(axis=0)
 
-    samples, skipped = _accept(rng, radius, config.n_cybe, 2, ok, config.max_draws)
+    samples, skipped = _accept(rng, radius, config.n_cybe, 2, clear, config.max_draws)
     keep, product, entries = _products(h)
     norms = _block_norms(
         _cybe_values(h, samples, keep), lambda block: _cybe_forms(block, product), entries
@@ -555,23 +569,19 @@ def check_unitarity(
     radius = _sample_radius(h)
 
     if h.is_cybe:
-        def ok(v):
-            return in_domain(h, None, v, guard=config.guard) and in_domain(
-                h, None, -v, guard=config.guard
-            )
+        def clear(v):
+            return _domain_mask(h, None, np.array((v, -v)), config.guard).all(axis=0)
 
         samples, skipped = _accept(
-            rng, radius, config.n_unitarity, 1, ok, config.max_draws
+            rng, radius, config.n_unitarity, 1, clear, config.max_draws
         )
         pairs = [(None, v) for (v,) in samples]
     else:
-        def ok(u, v):
-            return in_domain(h, u, v, guard=config.guard) and in_domain(
-                h, -u, -v, guard=config.guard
-            )
+        def clear(u, v):
+            return _domain_mask(h, np.array((u, -u)), np.array((v, -v)), config.guard).all(axis=0)
 
         samples, skipped = _accept(
-            rng, radius, config.n_unitarity, 2, ok, config.max_draws
+            rng, radius, config.n_unitarity, 2, clear, config.max_draws
         )
         pairs = samples
 
@@ -620,16 +630,16 @@ def check_rank(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> Residu
     rng = np.random.default_rng(config.seed)
     radius = _sample_radius(h)
     if h.is_cybe:
-        def ok(v):
-            return in_domain(h, None, v, guard=config.guard)
+        def clear(v):
+            return _domain_mask(h, None, v, config.guard)
 
-        samples, _ = _accept(rng, radius, config.n_rank, 1, ok, config.max_draws)
+        samples, _ = _accept(rng, radius, config.n_rank, 1, clear, config.max_draws)
         pts = [v for (v,) in samples]
     else:
-        def ok(u, v):
-            return in_domain(h, u, v, guard=config.guard)
+        def clear(u, v):
+            return _domain_mask(h, u, v, config.guard)
 
-        samples, _ = _accept(rng, radius, config.n_rank, 2, ok, config.max_draws)
+        samples, _ = _accept(rng, radius, config.n_rank, 2, clear, config.max_draws)
         pts = samples
     return nondegeneracy_check(h, pts)
 
@@ -645,10 +655,10 @@ def check_limit_consistency(
     # keeps R(v) >= min(1e-2, r Im tau) / (d r) for the elliptic family
     guard = max(config.guard, 1e-2)
 
-    def ok(v):
-        return in_domain(paired, None, v, guard=guard)
+    def clear(v):
+        return _domain_mask(paired, None, v, guard)
 
-    samples, skipped = _accept(rng, _sample_radius(h), config.n_limit, 1, ok, config.max_draws)
+    samples, skipped = _accept(rng, _sample_radius(h), config.n_limit, 1, clear, config.max_draws)
     points = [v for (v,) in samples]
     targets = eval_cybe_array(paired, points)
     res = _cybe_limits(h, points)[0] - targets

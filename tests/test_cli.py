@@ -551,6 +551,33 @@ def test_sweep_rank_at_a_pole_is_a_domain_error(family_args, capsys):
     assert err.startswith("error: evaluation point") and "v=0 hits a pole" in err
 
 
+def test_verify_where_theta_prime_vanishes_is_an_error_line(capsys):
+    # at tau = 0.01i the theta series sums theta11'(0) to 0: an error line
+    # and exit 2, not a ZeroDivisionError traceback
+    code, out, err = run_cli(
+        ["verify", "--family", "scalar-kronecker", "--tau=0.01i", "--seed", "5"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: theta11'(0) = 0j")
+
+
+def test_eval_guards_all_its_points_in_one_call(monkeypatch, capsys):
+    calls = []
+    mask = aybe.cli._domain_mask
+
+    def counted(h, u, v, guard):
+        calls.append(len(v))
+        return mask(h, u, v, guard)
+
+    monkeypatch.setattr(aybe.cli, "_domain_mask", counted)
+    code, out, _ = run_cli(["eval", "--family", "trig1", "--u", "0.31,0", "--v", "0.4,0.5i"], capsys)
+    assert code == 0 and calls == [4]
+    assert [line.split()[-1] for line in out.splitlines() if line.startswith("point")] == [
+        "n=2", "n=2", "pole-proximity", "pole-proximity"
+    ]
+
+
 @pytest.mark.parametrize("quantity", ["rank", "unitarity"])
 def test_sweep_evaluates_its_grid_in_one_call(quantity, monkeypatch, capsys):
     sizes = []

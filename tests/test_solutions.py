@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import aybe.solutions
 from aybe import bruteforce as bf
 from aybe.bruteforce import eval_cybe_alt
 from aybe.errors import DomainError, PoleProximityError
@@ -336,6 +337,74 @@ def test_cybe_alt_formula_agrees(d, r, rng):
         if count == 10:
             break
     assert count == 10
+
+
+DOMAIN_HANDLES = [
+    elliptic_aybe(2, 1, 1j),
+    elliptic_aybe(3, 2, 0.2 + 1.1j),
+    elliptic_cybe(3, 1, 0.1 + 1.2j),
+    trig_aybe(1),
+    trig_aybe(2),
+    trig_cybe(1),
+    trig_cybe(2),
+    scalar_kronecker(0.3 + 0.9j),
+    scalar_trig(),
+    scalar_rational(0.7 + 0.2j, -1.1),
+    custom_handle(lambda u, v: identity2(2), 2),
+    replace(elliptic_aybe(3, 2, 0.2 + 1.1j), rescale=(0.9j, 0.4, 1.2 + 0.3j, 0.7 - 0.1j)),
+    replace(scalar_kronecker(0.2 + 1j), rescale=(1.0, 0.0, 0.8 - 0.3j, 1.7 + 0.4j)),
+    replace(trig_aybe(1), rescale=(1.0, 0.0, 2.3 + 1.1j, 0.7 - 0.6j)),
+]
+
+
+@pytest.mark.parametrize("h", DOMAIN_HANDLES, ids=lambda h: h.family)
+def test_domain_mask_decides_as_the_pointwise_reference(h):
+    rng = np.random.default_rng(11)
+    u = rng.uniform(-1, 1, (3, 40)) + 1j * rng.uniform(-1, 1, (3, 40))
+    v = rng.uniform(-1, 1, (3, 40)) + 1j * rng.uniform(-1, 1, (3, 40))
+    # exact poles and points a guard's width from them
+    u[0, :4] = (0.0, 2j * math.pi, 1.0, 1e-3)
+    v[0, 4:8] = (0.0, 0.5, -u[0, 6], 2j * math.pi + 1e-3)
+    for guard in (1e-9, 1e-3, 0.1, 0.3):
+        mask = aybe.solutions._domain_mask(h, u, v, guard)
+        assert mask.shape == v.shape
+        expected = [bf.in_domain_pointwise(h, complex(a), complex(b), guard)
+                    for a, b in zip(u.ravel(), v.ravel())]
+        assert mask.ravel().tolist() == expected
+        assert in_domain(h, complex(u[0, 6]), complex(v[0, 6]), guard) == expected[6]
+
+
+def test_domain_mask_rejects_non_finite_points_quietly():
+    h = elliptic_aybe(2, 1, 1j)
+    with np.errstate(all="raise"):
+        mask = aybe.solutions._domain_mask(h, np.array([math.inf, 0.1, 0.1]),
+                                           np.array([0.3, math.nan, 0.3]), 1e-9)
+    assert mask.tolist() == [False, False, True]
+
+
+@pytest.mark.parametrize("h", [
+    elliptic_aybe(2, 1, 1j),
+    replace(elliptic_aybe(3, 2, 0.2 + 1.1j), rescale=(0.9j, 0.4, 1.2, 0.7 - 0.1j)),
+    replace(scalar_kronecker(0.3 + 0.9j), rescale=(1.0, 0.0, 0.8 - 0.3j, 1.7 + 0.4j)),
+    trig_aybe(1),
+    scalar_rational(),
+], ids=lambda h: h.family)
+def test_u_circle_radii_are_bitwise_the_pointwise_gaps(h):
+    _, _, c3, c4 = h.rescale
+
+    def gap(vv):
+        # the pointwise gaps of the family records, in Python arithmetic
+        if h.family == "elliptic_aybe":
+            return min(1.0, h.r * h.tau.imag, lattice_distance(h.d * vv, h.r * h.tau)) / (h.d * h.r)
+        if h.family == "scalar_kronecker":
+            return min(1.0, h.tau.imag, lattice_distance(vv, h.tau))
+        return 2.0 * math.pi if h.family == "trig_aybe1" else 1.0
+
+    rng = np.random.default_rng(3)
+    v = rng.uniform(-1.5, 1.5, 500) + 1j * rng.uniform(-1.5, 1.5, 500)
+    for share in (16.0, 50.0):
+        radii = aybe.solutions._u_circle_radii(h, v, share)
+        assert np.array_equal(radii, [gap(c4 * x) / (share * abs(c3)) for x in v.tolist()])
 
 
 # ---------------------------------------------------------------------------

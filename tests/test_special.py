@@ -12,9 +12,13 @@ import numpy as np
 import pytest
 
 from aybe import bruteforce as bf
-from aybe.errors import PoleProximityError
+from aybe.errors import DomainError, PoleProximityError
 from aybe.special import (
     Characteristic,
+    ModularParam,
+    _lattice_distance_grid,
+    _reduced_distance_grid,
+    _split_lattice_grid,
     eisenstein_G,
     identity_F_zeta,
     identity_eta2_isogeny,
@@ -274,6 +278,38 @@ def test_j_invariant_special_values(m_square, m_tall):
 def test_lattice_distance_reduction():
     assert lattice_distance(3.0 + 2.0 * (0.5 + 0.9j), 0.5 + 0.9j) < 1e-12
     assert lattice_distance(0.5, 1j) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize(
+    "tau", [1j, 2j, 0.5 + 0.9j, 0.2 + 1.1j, -0.45 + 0.6j, 0.01j, 3 + 2j, 0.1 + 0.05j]
+)
+def test_array_lattice_distance_is_bitwise_the_scalar_one(tau):
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-4, 4, 2000) + 1j * rng.uniform(-4, 4, 2000) * tau.imag
+    x[:4] = (0.0, tau, 0.5 + 0.5 * tau, -1.5 * tau)  # on the lattice and on cell edges
+    fast = _lattice_distance_grid(x.reshape(40, 50), tau).ravel()
+    slow = np.array([lattice_distance(complex(z), tau) for z in x])
+    assert np.array_equal(fast, slow)
+    # the reduced points of the Kronecker guards give the same distances
+    x0 = _split_lattice_grid(x, tau)[0]
+    assert np.array_equal(_reduced_distance_grid(x0, tau), slow)
+    # with a guard the distances compare with it as the exact ones do, also
+    # for a guard equal to some point's distance or one ulp off it
+    for g in slow[4:40]:
+        for guard in (g, np.nextafter(g, 0.0), np.nextafter(g, 1.0)):
+            near = _reduced_distance_grid(x0, tau, guard)
+            assert np.array_equal(near > guard, slow > guard)
+            assert np.array_equal(near < guard, slow < guard)
+            # few points take the exact distances
+            assert np.array_equal(_reduced_distance_grid(x0[:40], tau, guard), slow[:40])
+            assert np.array_equal(_lattice_distance_grid(x, tau, guard) > guard, slow > guard)
+
+
+def test_from_tau_raises_domain_error_when_theta_prime_vanishes():
+    # the theta series sums theta11'(0) to exactly 0 at tau = 0.01i
+    with pytest.raises(DomainError, match="theta11'"):
+        ModularParam.from_tau(0.01j)
+    assert ModularParam.from_tau(0.05j).theta_prime0 != 0
 
 
 IDENTITY_DS = (2, 3, 5)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from aybe.solutions import (
     trig_cybe,
 )
 import aybe.verify
+from aybe import bruteforce
+from aybe.errors import DomainError, NonConvergenceError
 from aybe.tensors import MatrixTensor2, from_pair, identity2, leg_product_array
 from aybe.verify import (
     ResidualReport,
@@ -446,10 +449,114 @@ def test_constant_gauge_elliptic_stays_dense_and_green():
     for h in (equivalence_transform(elliptic_aybe(3, 1, 0.2 + 1.1j), g),
               equivalence_transform(elliptic_cybe(3, 1, 0.2 + 1.1j), g)):
         assert aybe.verify._products(h)[0] is None
-        # the limit check compares with the ungauged partner, which a
-        # constant gauge moves off the handle's u -> 0 limit
-        checks = ("aybe", "commutator", "cybe", "unitarity", "rank")
-        reports = run_suite(h, SuiteConfig(seed=3, n_aybe=4, n_cybe=4, n_rank=2, checks=checks))
-        assert reports
+        # the limit check compares with the partner under the same gauge
+        checks = ("aybe", "commutator", "cybe", "unitarity", "rank", "limit")
+        reports = run_suite(
+            h, SuiteConfig(seed=3, n_aybe=4, n_cybe=4, n_rank=2, n_limit=3, checks=checks)
+        )
+        assert [rep.tag for rep in reports] == (
+            ["cybe", "unitarity"] if h.is_cybe
+            else ["aybe", "commutator", "unitarity", "rank", "limit"]
+        )
         for rep in reports:
             assert rep.passed, rep.summary_line()
+
+
+# ---------------------------------------------------------------------------
+# block rejection sampling against the one-candidate-at-a-time reference
+# ---------------------------------------------------------------------------
+
+SAMPLING_HANDLES = [
+    elliptic_aybe(2, 1, 0.3 + 1.1j),
+    elliptic_aybe(3, 2, 0.2 + 0.8j),
+    elliptic_cybe(3, 1, 0.1 + 1.2j),
+    trig_aybe(1),
+    trig_aybe(2),
+    trig_cybe(1),
+    trig_cybe(2),
+    scalar_kronecker(0.3 + 0.9j),
+    scalar_trig(),
+    scalar_rational(0.7 + 0.2j, -1.1),
+    # complex rescales: the guard rounds c3*u and c4*v as Python does
+    handle_from_dict({**handle_to_dict(scalar_kronecker(0.2 + 1.0j)),
+                      "rescale": [[1.3, 0.2], [0, 0], [0.8, -0.3], [1.7, 0.4]]}),
+    handle_from_dict({**handle_to_dict(elliptic_aybe(2, 1, 0.1 + 0.9j)),
+                      "rescale": [[1, 0], [0, 0], [1.1, 0.3], [0.9, -0.2]]}),
+]
+SAMPLING_CONFIG = dict(n_aybe=6, n_cybe=6, n_unitarity=6, n_rank=3, n_limit=3, guard=0.3, max_draws=1000)
+
+
+def _draws_or_error(sample):
+    """(points, skipped) of ``sample()``, or the message it raises."""
+    try:
+        points, skipped = sample()
+    except NonConvergenceError as exc:
+        return str(exc)
+    return tuple(points), skipped
+
+
+@pytest.mark.parametrize("h", SAMPLING_HANDLES, ids=lambda h: h.family)
+def test_block_sampling_matches_the_pointwise_reference(h):
+    for seed in range(6):
+        config = SuiteConfig(seed=seed, **SAMPLING_CONFIG)
+        for check in aybe.verify._applicable_checks(h):
+            expected = _draws_or_error(lambda: bruteforce.check_samples_pointwise(h, check, config))
+            got = _draws_or_error(
+                lambda: (lambda rep: (rep.points, rep.skipped))(aybe.verify._CHECK_FNS[check](h, config))
+            )
+            if check == "rank" and isinstance(got, tuple):  # its report counts no draws
+                got, expected = got[0], expected[0]
+            assert got == expected, (check, seed)
+
+
+@pytest.mark.parametrize("h,guard", [
+    (trig_aybe(1), 0.3), (scalar_kronecker(0.3 + 0.9j), 0.1), (elliptic_cybe(3, 1, 0.1 + 1.2j), 0.3),
+], ids=lambda x: getattr(x, "family", str(x)))
+def test_max_draws_is_the_same_budget(h, guard):
+    check = "cybe" if h.is_cybe else "aybe"
+    rejected = 0
+    for seed in range(4):
+        config = SuiteConfig(seed=seed, n_aybe=6, n_cybe=6, guard=guard)
+        points, skipped = bruteforce.check_samples_pointwise(h, check, config)
+        needed = len(points) + skipped
+        rejected += skipped
+        enough = aybe.verify._CHECK_FNS[check](h, replace(config, max_draws=needed))
+        assert enough.points == tuple(points)
+        with pytest.raises(NonConvergenceError, match=f"exhausted {needed - 1} draws"):
+            aybe.verify._CHECK_FNS[check](h, replace(config, max_draws=needed - 1))
+        with pytest.raises(NonConvergenceError):
+            bruteforce.check_samples_pointwise(h, check, replace(config, max_draws=needed - 1))
+    assert rejected > 0
+
+
+def test_no_candidate_clears_a_huge_guard():
+    # every candidate is rejected: the blocks grow, and the budget still ends
+    # the draws after exactly max_draws candidates
+    rng_calls = []
+    default_rng = np.random.default_rng
+
+    class CountingGenerator:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def uniform(self, size):
+            rng_calls.append(size)
+            return self.rng.uniform(size=size)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(aybe.verify.np.random, "default_rng", CountingGenerator)
+        with pytest.raises(NonConvergenceError, match="exhausted 10000 draws"):
+            check_unitarity(trig_aybe(1), SuiteConfig(guard=10.0))
+    assert sum(size[0] for size in rng_calls) == 10_000
+    assert len(rng_calls) <= 10
+
+
+def test_guard_errors_name_the_first_offending_point():
+    with pytest.raises(DomainError, match=r"point 0\.0 is outside the domain of trig_cybe1"):
+        cybe_residual(trig_cybe(1), 0.3, -0.3)
+    with pytest.raises(DomainError, match=r"point 6\.283185307179586j is outside the domain"):
+        aybe.verify._unitarity_residuals(trig_cybe(1), [(None, 0.4), (None, 2j * math.pi), (None, 0.0)])
+    with pytest.raises(DomainError, match="evaluation point or its negative hits a pole"):
+        unitarity_residual(trig_aybe(1), 0.2, 2j * math.pi)
+    with pytest.raises(DomainError, match=r"evaluation point \(0\.0, 0\.75\) hits a pole"):
+        aybe_residual(scalar_rational(), 0.3, -0.3, 0.25, 0.5)
