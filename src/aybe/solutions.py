@@ -336,7 +336,7 @@ def _clear_of_two_pi_i_v(
 def _clear_of_lattice(tau: complex, guard: float, *points: np.ndarray) -> np.ndarray:
     """The points clear of Z + Z tau at every one of ``points``, from one
     lattice-distance call on their stack."""
-    return (_lattice_distance_grid(np.array(points), tau, guard) > guard).all(axis=0)
+    return (_lattice_distance_grid(np.array(points), tau) > guard).all(axis=0)
 
 
 def _clear_elliptic_aybe(h: SolutionHandle, uu: np.ndarray, vv: np.ndarray, guard: float) -> np.ndarray:
@@ -406,7 +406,7 @@ _FAMILIES = {
     ),
     "elliptic_cybe": _Family(
         base=_eval_elliptic_cybe,
-        domain=lambda h, uu, vv, guard: _lattice_distance_grid(h.d * vv, h.r * h.tau, guard) > guard,
+        domain=lambda h, uu, vv, guard: _lattice_distance_grid(h.d * vv, h.r * h.tau) > guard,
         two_variable=False, elliptic=True, heisenberg=True,
         cli_name="elliptic-cybe", cli_args=("d", "r", "tau"),
     ),
@@ -567,6 +567,7 @@ def _scaled(c: complex, z: np.ndarray) -> np.ndarray:
     return out
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def _domain_mask(h: SolutionHandle, u, v, guard: float) -> np.ndarray:
     """The boolean array of the points (u, v), complex arrays of one shape,
     that keep clear of every pole/branch locus by more than ``guard`` (u is
@@ -574,9 +575,8 @@ def _domain_mask(h: SolutionHandle, u, v, guard: float) -> np.ndarray:
     clear."""
     _, _, c3, c4 = h.rescale
     spec = _FAMILIES[h.family]
-    with np.errstate(invalid="ignore", over="ignore"):
-        uu = _scaled(c3, np.asarray(u, dtype=complex)) if spec.two_variable else None
-        return spec.domain(h, uu, _scaled(c4, np.asarray(v, dtype=complex)), guard)
+    uu = _scaled(c3, np.asarray(u, dtype=complex)) if spec.two_variable else None
+    return spec.domain(h, uu, _scaled(c4, np.asarray(v, dtype=complex)), guard)
 
 
 def in_domain(h: SolutionHandle, u: Optional[complex], v: complex, guard: float = 1e-3) -> bool:

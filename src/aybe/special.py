@@ -47,13 +47,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
 from .errors import DomainError, PoleProximityError
 
 TWO_PI_I = 2j * math.pi
+_EPS = float(np.finfo(float).eps)
 
 #: minimum allowed (lattice-reduced) distance from a pole
 POLE_GUARD = 1e-6
@@ -123,11 +124,6 @@ _CORNER_DA = np.repeat([-1.0, 0.0, 1.0], 3)
 _CORNER_DB = np.tile([-1.0, 0.0, 1.0], 3)
 
 
-# below this many corner entries the exact hypot costs less than the nine
-# numpy calls that avoid it
-_EXACT_CORNERS = 1024
-
-
 @lru_cache(maxsize=256)
 def _cell_offsets(tau: complex) -> tuple:
     """da, and the real and imaginary parts of db*tau, of the nine cell
@@ -135,37 +131,20 @@ def _cell_offsets(tau: complex) -> tuple:
     return _CORNER_DA, _CORNER_DB * tau.real, _CORNER_DB * tau.imag
 
 
-def _reduced_distance_grid(x0: np.ndarray, tau: complex, guard: Optional[float] = None) -> np.ndarray:
-    """:func:`lattice_distance` of the points whose reductions are ``x0``.
-
-    Without ``guard`` it is bit for bit :func:`lattice_distance`: the
-    corners are subtracted in its order, (x0 - da) - db*tau, and the modulus
-    is ``hypot``, as Python's ``abs`` forms it (numpy's complex ``abs`` can
-    differ in the last bit).  ``hypot`` costs about 15 ns an entry, so with
-    ``guard`` and more than _EXACT_CORNERS corner entries the distance is
-    the square root of the least squared corner distance, within a few ulp
-    of the exact one, except where the square lies within 1e-12 relative of
-    guard^2, where it is the exact one: either way it compares with
-    ``guard`` as :func:`lattice_distance` does.
-    """
+def _reduced_distance_grid(x0: np.ndarray, tau: complex) -> np.ndarray:
+    """:func:`lattice_distance` of the points whose reductions are ``x0``,
+    bit for bit: the corners are subtracted in its order, (x0 - da) - db*tau,
+    and the modulus is ``hypot``, as Python's ``abs`` forms it (numpy's
+    complex ``abs`` can differ in the last bit)."""
     da, db_re, db_im = _cell_offsets(tau)
     re = x0.real[..., None] - da
     re -= db_re
-    im = x0.imag[..., None] - db_im
-    if guard is None or re.size <= _EXACT_CORNERS:
-        return np.hypot(re, im).min(axis=-1)
-    sq = (re * re + im * im).min(axis=-1)
-    dist = np.sqrt(sq)
-    edge = np.abs(sq - guard * guard) <= 1e-12 * guard * guard
-    if edge.any():
-        dist[edge] = np.hypot(re[edge], im[edge]).min(axis=-1)
-    return dist
+    return np.minimum.reduce(np.hypot(re, x0.imag[..., None] - db_im), axis=-1)
 
 
-def _lattice_distance_grid(x: np.ndarray, tau: complex, guard: Optional[float] = None) -> np.ndarray:
-    """:func:`lattice_distance` on an array of any shape, as
-    :func:`_reduced_distance_grid` gives it for ``guard``."""
-    return _reduced_distance_grid(_split_lattice_grid(x, tau)[0], tau, guard)
+def _lattice_distance_grid(x: np.ndarray, tau: complex) -> np.ndarray:
+    """:func:`lattice_distance` on an array of any shape, bit for bit."""
+    return _reduced_distance_grid(_split_lattice_grid(x, tau)[0], tau)
 
 
 def _pole_error(label: str, z: complex, guard: float, tau: complex) -> PoleProximityError:
@@ -261,10 +240,14 @@ class ModularParam:
             raise ValueError(f"tau must lie in the upper half plane, got {tau!r}")
         q = cmath.exp(TWO_PI_I * tau)
         tp, tppp = _theta_at(0.0, tau, (1, 3))
-        if tp == 0 or not cmath.isfinite(tp):
-            # at small Im tau the series loses theta11'(0), about
-            # 2*pi*t^(-3/2)*exp(-pi/(4t)) for t = Im tau, to cancellation:
-            # at tau = 0.01i it sums to exactly 0
+        # at small Im tau the series loses theta11'(0), about
+        # 2*pi*t^(-3/2)*exp(-pi/(4t)) for t = Im tau, to cancellation: it
+        # sums to 0 at tau = 0.01i and to 7e-15 at 0.015i (true 6e-20).  A
+        # sum that does not exceed the rounding bound of the series, N*eps
+        # times the sum of its N absolute terms, holds no digit of it.
+        _, const, weight = _theta_grid_terms(tau)
+        noise = len(weight) * _EPS * float(np.abs(np.exp(const) * weight).sum())
+        if not noise < abs(tp) < math.inf:
             raise DomainError(
                 f"theta11'(0) = {tp!r} is not a usable normalisation at tau = {tau!r}"
             )
@@ -381,7 +364,7 @@ def _kronecker_F_grid(u, v, m: ModularParam, guard: float) -> np.ndarray:
         raise ValueError("non-finite input")
     tau = m.tau
     blocks = [(z, *_split_lattice_grid(z, tau)) for z in (u, v, u + v)]
-    near = np.stack([_reduced_distance_grid(z0, tau, guard) < guard for _, z0, _, _ in blocks])
+    near = np.stack([_reduced_distance_grid(z0, tau) < guard for _, z0, _, _ in blocks])
     if near.any():
         # the first offending point, and its first offending argument
         flat = near.reshape(3, -1)
@@ -476,7 +459,7 @@ def _kronecker_twist_grid(u, v, d: int, m: ModularParam, *, first: int = 0,
     zv = v[:, None] + v_shifts
     z = np.concatenate((zu, zv, (zu[:, :, None] + zv[:, None, :]).reshape(len(u), -1)), axis=1)
     z0, a, b = _split_lattice_grid(z, tau)
-    near = _reduced_distance_grid(z0, tau, guard) < guard
+    near = _reduced_distance_grid(z0, tau) < guard
     if near.any():
         k, j = divmod(int(near.argmax()), z.shape[1])
         label = "u" if j < rows else "v" if j < rows + d else "u+v"

@@ -456,6 +456,9 @@ class SuiteConfig:
 CHECK_NAMES = ("aybe", "commutator", "cybe", "unitarity", "rank", "limit")
 
 
+_TWO_PI_J = 2j * math.pi
+
+
 def _sample_radius(h: SolutionHandle) -> float:
     return 0.4 if _FAMILIES[h.family].elliptic else 1.0
 
@@ -492,8 +495,9 @@ def _accept(
         # r*exp(i*phi) is (r*cos(phi), r*sin(phi)) bit for bit: exp of an
         # imaginary number is (cos, sin), and the products with the real r
         # add exact zeros
-        points = radius * np.sqrt(x[..., 0]) * np.exp(2j * math.pi * x[..., 1])
-        taken = np.flatnonzero(clear(*points.T))[:count - len(samples)]
+        points = np.exp(x[..., 1] * _TWO_PI_J)
+        points *= radius * np.sqrt(x[..., 0])
+        taken = clear(*points.T).nonzero()[0][:count - len(samples)]
         samples += map(tuple, points[taken].tolist())
         # the candidates this block used: up to the last accepted one when
         # it completes the samples

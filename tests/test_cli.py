@@ -551,15 +551,17 @@ def test_sweep_rank_at_a_pole_is_a_domain_error(family_args, capsys):
     assert err.startswith("error: evaluation point") and "v=0 hits a pole" in err
 
 
-def test_verify_where_theta_prime_vanishes_is_an_error_line(capsys):
-    # at tau = 0.01i the theta series sums theta11'(0) to 0: an error line
-    # and exit 2, not a ZeroDivisionError traceback
+@pytest.mark.parametrize("tau, value", [("0.01i", "0j"), ("0.015i", "-7.1")])
+def test_verify_where_theta_prime_vanishes_is_an_error_line(capsys, tau, value):
+    # at tau = 0.01i the theta series sums theta11'(0) to 0, and at 0.015i
+    # to rounding noise: an error line and exit 2, not a ZeroDivisionError
+    # traceback or a run on wrong lattice constants
     code, out, err = run_cli(
-        ["verify", "--family", "scalar-kronecker", "--tau=0.01i", "--seed", "5"], capsys
+        ["verify", "--family", "scalar-kronecker", f"--tau={tau}", "--seed", "5"], capsys
     )
     assert code == 2
     assert out == ""
-    assert err.startswith("error: theta11'(0) = 0j")
+    assert err.startswith(f"error: theta11'(0) = {value}")
 
 
 def test_eval_guards_all_its_points_in_one_call(monkeypatch, capsys):
