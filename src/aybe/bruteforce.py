@@ -24,7 +24,10 @@ glued with ``inv``, framed, and composed by one ``solve``.
 :func:`in_domain_pointwise` and :func:`check_samples_pointwise` are the
 references for the array polar-locus tests of :mod:`aybe.solutions` and the
 block rejection sampling of :mod:`aybe.verify`: one point at a time, in
-Python's complex arithmetic.
+Python's complex arithmetic.  The ``identity_*`` functions and
+:func:`kronecker_weierstrass_limit` return the residuals of the distribution
+and isogeny relations and of the Weierstrass limit of F, formed from the
+fast scalar functions of :mod:`aybe.special`.
 """
 
 from __future__ import annotations
@@ -40,9 +43,13 @@ from .errors import DomainError, NonConvergenceError
 from .solutions import SolutionHandle, paired_cybe_handle
 from .special import (
     Characteristic,
+    ModularParam,
+    kronecker_F,
     kronecker_F_char,
     lattice_distance,
     modular_param,
+    weierstrass_p,
+    weierstrass_zeta,
     zeta_char,
 )
 from .tensors import _LEG_PRODUCT_SPECS, MatrixTensor2, MatrixTensor3
@@ -188,6 +195,94 @@ def g3_lattice_sum(tau: complex, n_max: int = 200) -> complex:
     return 140.0 * complex(np.sum(w**-6.0))
 
 
+# ---------------------------------------------------------------------------
+# identities of the fast scalar functions, returned as residuals
+# ---------------------------------------------------------------------------
+
+def identity_zeta_distribution(d: int, x: complex, m: ModularParam) -> complex:
+    """zeta(d*x, d*tau) - (1/d)*sum_i zeta_{i/d,0}(x, tau)
+    - (x/d)*sum_{i != 0} wp(i/d, tau)."""
+    if d < 1:
+        raise ValueError("d must be a positive integer")
+    md = modular_param(d * m.tau)
+    lhs = weierstrass_zeta(d * x, md)
+    rhs = sum(
+        zeta_char(Characteristic.of(Fraction(i, d), 0), x, m) for i in range(d)
+    ) / d
+    rhs += x / d * sum(weierstrass_p(i / d, m) for i in range(1, d))
+    return lhs - rhs
+
+
+def identity_zeta_distribution_char(d: int, j: int, x: complex, m: ModularParam) -> complex:
+    """Characteristic version: zeta_{0,j/d}(d*x, d*tau) vs the same average
+    with second characteristic j/d on every summand."""
+    if d < 1:
+        raise ValueError("d must be a positive integer")
+    md = modular_param(d * m.tau)
+    lhs = zeta_char(Characteristic.of(0, Fraction(j, d)), d * x, md)
+    rhs = sum(
+        zeta_char(Characteristic.of(Fraction(i, d), Fraction(j, d)), x, m)
+        for i in range(d)
+    ) / d
+    rhs += x / d * sum(weierstrass_p(i / d, m) for i in range(1, d))
+    return lhs - rhs
+
+
+def identity_p_distribution(d: int, x: complex, m: ModularParam) -> complex:
+    """wp(d*x, d*tau) - (1/d^2)*sum_i wp(x + i/d, tau)
+    + (1/d^2)*sum_{i != 0} wp(i/d, tau)."""
+    if d < 1:
+        raise ValueError("d must be a positive integer")
+    md = modular_param(d * m.tau)
+    lhs = weierstrass_p(d * x, md)
+    rhs = sum(weierstrass_p(x + i / d, m) for i in range(d)) / d**2
+    rhs -= sum(weierstrass_p(i / d, m) for i in range(1, d)) / d**2
+    return lhs - rhs
+
+
+def identity_eta2_isogeny(d: int, m: ModularParam) -> complex:
+    """eta2(d*tau) - eta2(tau) - (tau/d)*sum_{i != 0} wp(i/d, tau)."""
+    if d < 1:
+        raise ValueError("d must be a positive integer")
+    md = modular_param(d * m.tau)
+    correction = m.tau / d * sum(weierstrass_p(i / d, m) for i in range(1, d))
+    return md.eta2 - m.eta2 - correction
+
+
+def identity_F_zeta(d: int, k: int, ell: int, x: complex, m: ModularParam) -> complex:
+    """d*2*pi*i*F_{k/d, l/d}(0, d*x, d*tau) minus its zeta_char expansion.
+
+    The expansion reads sum_j exp(-2*pi*i*k*j/d) * [zeta_{j/d, l/d}(x, tau)
+    - zeta_{j/d, 0}(-k*tau/d, tau)] and requires k not divisible by d (the
+    left side has a pole otherwise).  The factor d in front of F is pinned
+    by the pole data: in x, the left side has residue exp(2*pi*i*k*m/d)/d
+    at x = m/d - l*tau/d before scaling, while the expansion's zeta terms
+    contribute residue exp(2*pi*i*k*m/d) there; without the factor the two
+    sides differ by a non-constant doubly periodic function.
+    """
+    if d < 1:
+        raise ValueError("d must be a positive integer")
+    if k % d == 0:
+        raise ValueError("k must not be divisible by d")
+    md = modular_param(d * m.tau)
+    char = Characteristic.of(Fraction(k, d), Fraction(ell, d))
+    lhs = d * TWO_PI_I * kronecker_F_char(char, 0.0, d * x, md)
+    rhs = 0.0 + 0.0j
+    for jj in range(d):
+        phase = cmath.exp(-TWO_PI_I * k * jj / d)
+        term = zeta_char(Characteristic.of(Fraction(jj, d), Fraction(ell, d)), x, m)
+        term -= zeta_char(Characteristic.of(Fraction(jj, d), 0), -k * m.tau / d, m)
+        rhs += phase * term
+    return lhs - rhs
+
+
+def kronecker_weierstrass_limit(y: complex, m: ModularParam, x: complex = 1e-5) -> complex:
+    """Residual of the small-x limit [2*pi*i*F(x, y) - 1/x] -> zeta(y) - y*eta1."""
+    lhs = TWO_PI_I * kronecker_F(x, y, m) - 1.0 / x
+    rhs = weierstrass_zeta(y, m) - y * m.eta1
+    return lhs - rhs
+
+
 def eval_elliptic_aybe_per_char(h: SolutionHandle, u: complex, v: complex) -> MatrixTensor2:
     """Base value of an ``elliptic_aybe`` handle (before rescale and gauge),
     one characteristic at a time through the scalar
@@ -244,7 +339,7 @@ def _eval_elliptic_cybe_alt(d: int, r: int, tau: complex, v: complex) -> MatrixT
 
     The characteristic sum carries an overall 1/d: the sum of d zeta terms
     reproduces d times the isogeny-lattice F value (matching pole residues
-    on both sides, see :func:`aybe.special.identity_F_zeta`).
+    on both sides, see :func:`identity_F_zeta`).
     """
     m1 = modular_param(r * tau)
     x = -v

@@ -64,9 +64,8 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 # an array evaluation calls a family's base on _CHUNK // n^2 points at a
-# time (n x n matrices): bounds the points x theta-index temporaries of the
-# Kronecker families, where an elliptic point sums its theta series on about
-# n^2 twisted arguments
+# time (n x n matrices): bounds the temporaries of the Kronecker families,
+# where an elliptic point forms its twist table on n^2 pairs
 _CHUNK = 2048
 
 
@@ -586,15 +585,21 @@ def in_domain(h: SolutionHandle, u: Optional[complex], v: complex, guard: float 
 
 
 def paired_cybe_handle(h: SolutionHandle) -> SolutionHandle:
-    """The CYBE family obtained from an AYBE family by the u -> 0 projection."""
+    """The CYBE family obtained from an AYBE family by the u -> 0 projection.
+
+    The projected limit of c1*exp(c2*u*v)*r(c3*u, c4*v) is c1*r0(c4*v), r0
+    the limit of r: exp(c2*u*v) and c3 only add multiples of 1 (x) 1, which
+    the projection removes.  So the partner carries the rescale
+    (c1, 0, 1, c4).
+    """
     partner = _FAMILIES[h.family].partner
     if partner is None:
         raise DomainError(f"no CYBE partner for family {h.family}")
+    c1, _, _, c4 = h.rescale
     # project_sl commutes with (g (x) g)-conjugation, so a constant gauge g
     # carries over to the limit
-    if h.gauge is not None and h.gauge.kind == "constant":
-        return replace(partner(h), gauge=h.gauge)
-    return partner(h)
+    gauge = h.gauge if h.gauge is not None and h.gauge.kind == "constant" else None
+    return replace(partner(h), rescale=(c1, 0j, 1 + 0j, c4), gauge=gauge)
 
 
 def rho_theoretical(h: SolutionHandle) -> complex:
@@ -647,10 +652,11 @@ def _u_circle_radii(h: SolutionHandle, v: np.ndarray, share: float) -> Optional[
     return radii
 
 
-def _cybe_limits(h: SolutionHandle, v) -> tuple:
-    """(values (N, n, n, n, n), radii (N,), gaps (N,)) of the u -> 0 limit at
-    the N points of the flattened ``v``, from one evaluation call."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
+def _limit_nodes(h: SolutionHandle, v: np.ndarray) -> tuple:
+    """(u, v) of the nodes on the circle |u| = R(v)/50 at each of the N points
+    of the 1-d array ``v``, each (N, 8), and the radii (N,).  A family
+    without u-pole data or without a CYBE partner, a callable gauge and a v
+    on the polar locus of the CYBE partner raise DomainError."""
     radii = _u_circle_radii(h, v, 50.0)
     if radii is None or _FAMILIES[h.family].partner is None:
         raise DomainError(f"no u-pole data or CYBE partner for family {h.family}")
@@ -658,12 +664,13 @@ def _cybe_limits(h: SolutionHandle, v) -> tuple:
     clear = _domain_mask(h, radii, v, guard=1e-9)
     if not clear.all():
         raise DomainError(f"v={v[clear.argmin()]} lies on the polar locus of the CYBE partner")
-    values = eval_aybe_array(h, radii[:, None] * _LIMIT_NODES, v[:, None])
-    values = values.reshape((len(v), len(_LIMIT_NODES)) + (h.n,) * 4)
-    limits = _project_sl(values.mean(axis=1))
-    even = _project_sl(values[:, ::2].mean(axis=1))
-    gaps = [np.linalg.norm(a - b) / max(np.linalg.norm(a), 1e-300) for a, b in zip(limits, even)]
-    return limits, radii, gaps
+    return radii[:, None] * _LIMIT_NODES, np.repeat(v[:, None], len(_LIMIT_NODES), axis=1), radii
+
+
+def _limit_means(values: np.ndarray, nodes: slice = slice(None)) -> np.ndarray:
+    """project_sl of the mean over ``nodes`` of the (N, 8, n, n, n, n) values
+    at the points of :func:`_limit_nodes`: the u -> 0 limits (N, n, n, n, n)."""
+    return _project_sl(values[:, nodes].mean(axis=1))
 
 
 def cybe_limit_of_aybe(h: SolutionHandle, v: complex) -> LimitResult:
@@ -677,8 +684,13 @@ def cybe_limit_of_aybe(h: SolutionHandle, v: complex) -> LimitResult:
     CYBE partner, a callable gauge and a v on the polar locus of the CYBE
     partner raise DomainError.
     """
-    limits, radii, gaps = _cybe_limits(h, [v])
-    return LimitResult(value=MatrixTensor2(limits[0]), radius=float(radii[0]), gap=float(gaps[0]))
+    u_nodes, v_nodes, radii = _limit_nodes(h, np.array([complex(v)]))
+    values = eval_aybe_array(h, u_nodes, v_nodes).reshape(u_nodes.shape + (h.n,) * 4)
+    limits = _limit_means(values)
+    # the gap: the relative distance to the mean over the 4 even nodes
+    even = _limit_means(values, slice(None, None, 2))
+    gap = np.linalg.norm(limits - even) / max(np.linalg.norm(limits), 1e-300)
+    return LimitResult(value=MatrixTensor2(limits[0]), radius=float(radii[0]), gap=float(gap))
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -396,15 +396,47 @@ def kronecker_F_char(
     return prefactor * kronecker_F(shift_u, shift_v, m, guard=guard)
 
 
+class _PairPlan(NamedTuple):
+    """The tau-free data of :func:`_kronecker_twist_grid`, per (d, first)."""
+
+    # q = k/d for k < d; 2*pi*i times p = j/d (first <= j < d) as a column
+    # and times q; and p*q
+    q: np.ndarray
+    p_2pi_i: np.ndarray
+    q_2pi_i: np.ndarray
+    pq: np.ndarray
+    # the arguments of a point: column src[c] of (u, v, u + v) plus
+    # shift_frac[c]*tau
+    src: np.ndarray
+    shift_frac: np.ndarray
+    # the sum argument of pair (j, k), m = (j + k) mod d; the carry j + k >= d
+    # that adds tau to it, one unit of its lattice coefficient b; and the
+    # sign (-1)^carry that this puts on theta11
+    m: np.ndarray
+    carry: np.ndarray
+    carry_sign: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _pair_plan(d: int, first: int) -> _PairPlan:
+    q = np.arange(d) / d
+    p = (np.arange(first, d) / d)[:, None]
+    jk = np.arange(first, d)[:, None] + np.arange(d)
+    carry = (jk >= d).astype(float)
+    return _PairPlan(
+        q=q, p_2pi_i=TWO_PI_I * p, q_2pi_i=TWO_PI_I * q, pq=p * q,
+        src=np.repeat([0, 1, 2], [d - first, d, d]),
+        shift_frac=np.concatenate((q[first:], q, q)),
+        m=jk % d, carry=carry, carry_sign=(1.0 - 2.0 * carry).astype(complex),
+    )
+
+
 @lru_cache(maxsize=256)
 def _twist_plan(d: int, first: int, tau: complex) -> tuple:
-    """The shifts (j/d)*tau, first <= j < d, and (k/d)*tau, k < d, as
-    :func:`kronecker_F_char` forms p*tau and q*tau, with p = j/d as a column,
-    q = k/d and p*q*tau."""
-    shifts = (np.arange(d) / d) * tau
-    p = (np.arange(first, d) / d)[:, None]
-    q = np.arange(d) / d
-    return shifts[first:], shifts, p, q, p * q * tau
+    """The pair plan, the shifts shift_frac*tau of the arguments of a point,
+    as :func:`kronecker_F_char` forms p*tau and q*tau, and 2*pi*i*p*q*tau."""
+    pairs = _pair_plan(d, first)
+    return pairs, pairs.shift_frac * tau, TWO_PI_I * (pairs.pq * tau)
 
 
 def _flat_points(u, v) -> tuple:
@@ -416,15 +448,24 @@ def _flat_points(u, v) -> tuple:
     return u.reshape(-1), v.reshape(-1)
 
 
-def _twist_blocks(x: np.ndarray, rows: int, d: int) -> tuple:
-    """Split values on the twist grid's (N, points) array into the u's as
-    (N, rows, 1), the v's as (N, 1, d) and the (N, rows, d) table of their
-    sums."""
-    return (
-        x[:, :rows, None],
-        x[:, None, rows:rows + d],
-        x[:, rows + d:].reshape(len(x), rows, d),
-    )
+def _twist_pole_error(z: np.ndarray, near: np.ndarray, pair_m: np.ndarray,
+                      guard: float, tau: complex) -> PoleProximityError:
+    """The error of the first point at which some pair's :func:`kronecker_F`
+    raises, naming its first offending argument in the order u + (j/d)*tau,
+    v + (k/d)*tau, then the pairs' sums, as a loop over the points and pairs
+    would; ``z`` and ``near`` are the (N, 3d - first) arguments of
+    :func:`_kronecker_twist_grid` and their guard flags, ``pair_m`` the sum
+    of each pair."""
+    rows, d = pair_m.shape
+    pair_near = near[:, rows + d:][:, pair_m].reshape(len(z), -1)
+    near = np.concatenate((near[:, :rows + d], pair_near), axis=1)
+    k, j = divmod(int(near.argmax()), near.shape[1])
+    if j < rows:
+        return _pole_error("u", complex(z[k, j]), guard, tau)
+    if j < rows + d:
+        return _pole_error("v", complex(z[k, j]), guard, tau)
+    jj, kk = divmod(j - rows - d, d)
+    return _pole_error("u+v", complex(z[k, jj] + z[k, rows + kk]), guard, tau)
 
 
 def _kronecker_twist_grid(u, v, d: int, m: ModularParam, *, first: int = 0,
@@ -434,10 +475,16 @@ def _kronecker_twist_grid(u, v, d: int, m: ModularParam, *, first: int = 0,
     of the N points, from one theta grid.
 
     ``u`` and ``v`` are broadcast against each other and flattened to the N
-    points.  The twisted arguments u + (j/d)*tau and v + (k/d)*tau, and
-    their sum for every pair, are reduced, guarded and summed as one grid
-    of d - first + d + (d - first)*d points per point.  Each pair's
-    quasi-periodicity exponent and its prefactor
+    points.  Theta is reduced, guarded and summed only at the distinct
+    twisted arguments: the d - first arguments u + (j/d)*tau, the d
+    arguments v + (k/d)*tau and the d sums w + (m/d)*tau, w = u + v, so
+    3d - first arguments per point.  Pair (j, k) takes the sum with
+    m = (j + k) mod d; when j + k >= d its argument is that sum plus tau,
+    one more unit of the lattice coefficient b, which the quasi-periodicity
+    exponent and the sign (-1)^(a+b) carry exactly.  With u a scalar zero,
+    as the CYBE families pass it, the sums are the v arguments and the u
+    arguments are d - first constants, so each point needs only its d v
+    arguments.  Each pair's quasi-periodicity exponent and its prefactor
     exp(2*pi*i*(p*q*tau + p*v + q*u)) are added before one exp.
     :class:`PoleProximityError` is raised where some pair's
     :func:`kronecker_F` would raise it, with the message of the first
@@ -447,45 +494,55 @@ def _kronecker_twist_grid(u, v, d: int, m: ModularParam, *, first: int = 0,
     (:func:`zeta_char`) for k < d: its arguments v + (k/d)*tau are the
     twisted v's, so theta' on the same grid serves it.
     """
+    zero_u = np.ndim(u) == 0 and u == 0
     u, v = _flat_points(u, v)
-    finite = np.isfinite(u) & np.isfinite(v)
-    if not finite.all():
-        k = int(finite.argmin())
-        raise ValueError(f"non-finite input {complex(v[k] if np.isfinite(u[k]) else u[k])!r}")
     tau = m.tau
-    u_shifts, v_shifts, p, q, pq_tau = _twist_plan(d, first, tau)
-    rows = d - first
-    zu = u[:, None] + u_shifts
-    zv = v[:, None] + v_shifts
-    z = np.concatenate((zu, zv, (zu[:, :, None] + zv[:, None, :]).reshape(len(u), -1)), axis=1)
+    pairs, shift, pq_tau_2pi_i = _twist_plan(d, first, tau)
+    rows, n = d - first, len(v)
+    if zero_u:
+        # the u's are the shifts themselves
+        z = np.concatenate((shift[:rows], (v[:, None] + shift[rows:rows + d]).reshape(-1)))
+
+        def parts(x):
+            # the u's as (rows, 1), the v's as (N, 1, d) and the sums, w = v
+            xv = x[rows:].reshape(n, d)
+            return x[:rows, None], xv[:, None], xv
+    else:
+        z = np.concatenate((u, v, u + v)).reshape(3, n).T[:, pairs.src] + shift
+
+        def parts(x):
+            # the u's as (N, rows, 1), the v's as (N, 1, d) and the sums (N, d)
+            return x[:, :rows, None], x[:, None, rows:rows + d], x[:, rows + d:]
+    if not np.isfinite(z).all():
+        finite = np.isfinite(u) & np.isfinite(v)
+        if not finite.all():
+            k = int(finite.argmin())
+            raise ValueError(f"non-finite input {complex(v[k] if np.isfinite(u[k]) else u[k])!r}")
     z0, a, b = _split_lattice_grid(z, tau)
     near = _reduced_distance_grid(z0, tau) < guard
     if near.any():
-        k, j = divmod(int(near.argmax()), z.shape[1])
-        label = "u" if j < rows else "v" if j < rows + d else "u+v"
-        raise _pole_error(label, complex(z[k, j]), guard, tau)
+        # the arguments and flags as (N, 3d - first) arrays in either layout
+        z, near = (
+            np.concatenate((np.broadcast_to(xu[..., 0], (n, rows)), xv[:, 0], xw), axis=1)
+            for xu, xv, xw in (parts(z), parts(near))
+        )
+        raise _twist_pole_error(z, near, pairs.m, guard, tau)
     theta = _theta_raw_grid(z0, tau, (0, 1) if zeta else (0,))
     # the arithmetic of kronecker_F, with the sign (-1)^(a+b) on each theta
     # and the prefactor's exponent added to the quasi-periodicity exponent
-    u0, v0, w0 = _twist_blocks(z0, rows, d)
-    bu, bv, bw = _twist_blocks(b, rows, d)
-    tu, tv, tuv = _twist_blocks((1.0 - 2.0 * np.mod(a + b, 2.0)) * theta[0], rows, d)
-    exponent = _kronecker_quasi_exponent(tau, u0, bu, v0, bv, w0, bw) + TWO_PI_I * (
-        pq_tau + p * v[:, None, None] + q * u[:, None, None]
-    )
+    (u0, v0, w0), (bu, bv, bw) = parts(z0), parts(b)
+    tu, tv, tw = parts((1.0 - 2.0 * np.mod(a + b, 2.0)) * theta[0])
+    exponent = _kronecker_quasi_exponent(
+        tau, u0, bu, v0, bv, w0[:, pairs.m], bw[:, pairs.m] + pairs.carry
+    ) + (pq_tau_2pi_i + pairs.p_2pi_i * v[:, None, None])
+    if not zero_u:
+        exponent += pairs.q_2pi_i * u[:, None, None]
+    tuv = tw[:, pairs.m] * pairs.carry_sign
     table = m.theta_prime0 / TWO_PI_I * tuv / (tu * tv) * np.exp(exponent)
     if not zeta:
         return table
-    vs = slice(rows, rows + d)
-    zetas = _zeta_reduced(m, z0[:, vs], a[:, vs], b[:, vs], theta[0][:, vs], theta[1][:, vs])
-    return table, zetas - q * m.eta2
-
-
-def kronecker_weierstrass_limit(y: complex, m: ModularParam, x: complex = 1e-5) -> complex:
-    """Residual of the small-x limit [2*pi*i*F(x, y) - 1/x] -> zeta(y) - y*eta1."""
-    lhs = TWO_PI_I * kronecker_F(x, y, m) - 1.0 / x
-    rhs = weierstrass_zeta(y, m) - y * m.eta1
-    return lhs - rhs
+    x0, xa, xb, t0, t1 = (parts(x)[1][:, 0] for x in (z0, a, b, theta[0], theta[1]))
+    return table, _zeta_reduced(m, x0, xa, xb, t0, t1) - pairs.q * m.eta2
 
 
 # ---------------------------------------------------------------------------
@@ -528,84 +585,3 @@ def zeta_char(char: Characteristic, x: complex, m: ModularParam, *, guard: float
     r1 = float(red.p)
     r2 = float(red.q)
     return weierstrass_zeta(x + r1 + r2 * m.tau, m, guard=guard) - r1 * m.eta1 - r2 * m.eta2
-
-
-# ---------------------------------------------------------------------------
-# distribution / isogeny identities (returned as residuals)
-
-
-def identity_zeta_distribution(d: int, x: complex, m: ModularParam) -> complex:
-    """zeta(d*x, d*tau) - (1/d)*sum_i zeta_{i/d,0}(x, tau)
-    - (x/d)*sum_{i != 0} wp(i/d, tau)."""
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-    md = modular_param(d * m.tau)
-    lhs = weierstrass_zeta(d * x, md)
-    rhs = sum(
-        zeta_char(Characteristic.of(Fraction(i, d), 0), x, m) for i in range(d)
-    ) / d
-    rhs += x / d * sum(weierstrass_p(i / d, m) for i in range(1, d))
-    return lhs - rhs
-
-
-def identity_zeta_distribution_char(d: int, j: int, x: complex, m: ModularParam) -> complex:
-    """Characteristic version: zeta_{0,j/d}(d*x, d*tau) vs the same average
-    with second characteristic j/d on every summand."""
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-    md = modular_param(d * m.tau)
-    lhs = zeta_char(Characteristic.of(0, Fraction(j, d)), d * x, md)
-    rhs = sum(
-        zeta_char(Characteristic.of(Fraction(i, d), Fraction(j, d)), x, m)
-        for i in range(d)
-    ) / d
-    rhs += x / d * sum(weierstrass_p(i / d, m) for i in range(1, d))
-    return lhs - rhs
-
-
-def identity_p_distribution(d: int, x: complex, m: ModularParam) -> complex:
-    """wp(d*x, d*tau) - (1/d^2)*sum_i wp(x + i/d, tau)
-    + (1/d^2)*sum_{i != 0} wp(i/d, tau)."""
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-    md = modular_param(d * m.tau)
-    lhs = weierstrass_p(d * x, md)
-    rhs = sum(weierstrass_p(x + i / d, m) for i in range(d)) / d**2
-    rhs -= sum(weierstrass_p(i / d, m) for i in range(1, d)) / d**2
-    return lhs - rhs
-
-
-def identity_eta2_isogeny(d: int, m: ModularParam) -> complex:
-    """eta2(d*tau) - eta2(tau) - (tau/d)*sum_{i != 0} wp(i/d, tau)."""
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-    md = modular_param(d * m.tau)
-    correction = m.tau / d * sum(weierstrass_p(i / d, m) for i in range(1, d))
-    return md.eta2 - m.eta2 - correction
-
-
-def identity_F_zeta(d: int, k: int, ell: int, x: complex, m: ModularParam) -> complex:
-    """d*2*pi*i*F_{k/d, l/d}(0, d*x, d*tau) minus its zeta_char expansion.
-
-    The expansion reads sum_j exp(-2*pi*i*k*j/d) * [zeta_{j/d, l/d}(x, tau)
-    - zeta_{j/d, 0}(-k*tau/d, tau)] and requires k not divisible by d (the
-    left side has a pole otherwise).  The factor d in front of F is pinned
-    by the pole data: in x, the left side has residue exp(2*pi*i*k*m/d)/d
-    at x = m/d - l*tau/d before scaling, while the expansion's zeta terms
-    contribute residue exp(2*pi*i*k*m/d) there; without the factor the two
-    sides differ by a non-constant doubly periodic function.
-    """
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-    if k % d == 0:
-        raise ValueError("k must not be divisible by d")
-    md = modular_param(d * m.tau)
-    char = Characteristic.of(Fraction(k, d), Fraction(ell, d))
-    lhs = d * TWO_PI_I * kronecker_F_char(char, 0.0, d * x, md)
-    rhs = 0.0 + 0.0j
-    for jj in range(d):
-        phase = cmath.exp(-TWO_PI_I * k * jj / d)
-        term = zeta_char(Characteristic.of(Fraction(jj, d), Fraction(ell, d)), x, m)
-        term -= zeta_char(Characteristic.of(Fraction(jj, d), 0), -k * m.tau / d, m)
-        rhs += phase * term
-    return lhs - rhs

@@ -330,6 +330,15 @@ def _graded_support(d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
+def _graded_swap(d: int) -> np.ndarray:
+    """Indices into the charge-0 entries (:func:`_graded_support`) that swap
+    the legs: entry (a, b, c, e) of the swapped tensor is entry (c, e, a, b),
+    of index (c d + e) d + a, and it has charge 0 as well."""
+    a, b, c = np.indices((d,) * 3).reshape(3, -1)
+    return (c * d + (a - b + c) % d) * d + a
+
+
+@lru_cache(maxsize=16)
 def _graded_slice(d: int) -> np.ndarray:
     """The (6, d^4) indices of the charge-0 entries of a three-leg tensor
     whose first index is 0, in ascending flat order."""

@@ -10,15 +10,23 @@ Four checks are implemented on top of :mod:`aybe.solutions`:
 Each check comes in a pointwise flavour returning the raw residual tensor
 and a sampled flavour returning a :class:`ResidualReport`.  Sampling is
 seeded and deterministic; points that fall inside a pole guard are redrawn
-and counted in the report's ``skipped`` field.  A sampled check draws all
-its samples first and evaluates their points in one array call per block
-of samples (one call unless the check is large).  For an elliptic handle
-with no gauge or a scalar one, it keeps only the d^3 charge-0 entries of
-each value and forms only the d^4 entries of each product whose first
-index is 0, one multiplication each (see :func:`_products`).  Any other
-handle keeps its dense values and forms each product of a block of
-samples as one batched BLAS matrix product.  The pointwise residuals are
-dense for every handle.
+and counted in the report's ``skipped`` field.
+
+A sampled check runs in three steps: it draws its samples from its own
+generator (:func:`_accept`), its points are evaluated, and it finishes
+its reports from their values.  :func:`run_suite` draws every check
+first, then evaluates the points of all of them with one array call on
+the handle per block of at most ``_BLOCK`` dense entries (one call unless
+the checks are large), plus one on the CYBE partner for the limit check's
+targets.  A check finishes as soon as the block holding its last point is
+stored, and drops its values then, so no check's values outlive its
+finish.  Each public ``check_*`` is the same path with one check.  For an
+elliptic handle with no gauge or a scalar one, a check keeps only the d^3
+charge-0 entries of each value and forms only the d^4 entries of each
+product whose first index is 0, one multiplication each (see
+:func:`_products`).  Any other handle keeps its dense values and forms
+each product of a block of samples as one batched BLAS matrix product.
+The pointwise residuals are dense for every handle.
 """
 
 from __future__ import annotations
@@ -34,8 +42,9 @@ from .errors import DomainError, NonConvergenceError
 from .solutions import (
     _FAMILIES,
     SolutionHandle,
-    _cybe_limits,
     _domain_mask,
+    _limit_means,
+    _limit_nodes,
     cybe_limit_of_aybe,
     eval_aybe_array,
     eval_cybe,
@@ -47,14 +56,15 @@ from .tensors import (
     MatrixTensor3,
     _graded_plan,
     _graded_support,
+    _graded_swap,
     _ranks_as_maps,
     leg_product_array,
 )
 
-# entries per block of a sampled check: about 2 MB per array.  A block of
-# samples is evaluated at once (k values of n^4 entries per sample), and its
-# products are formed at once (n^6 entries per sample, one sample per block
-# at n = 7; d^4 on the graded path)
+# entries per block of the sampled checks: about 2 MB per array.  A block
+# of points is evaluated at once (n^4 entries per point), and the products
+# of a block of samples are formed at once (n^6 entries per sample, one
+# sample per block at n = 7; d^4 on the graded path)
 _BLOCK = 1 << 17
 
 __all__ = [
@@ -250,15 +260,172 @@ def _aybe_points(u: complex, up: complex, v: complex, vp: complex) -> tuple:
     )
 
 
+# ---------------------------------------------------------------------------
+# the points a check evaluates, and their evaluation
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class _Request:
+    """The points (u[k], v[k]) at which a check needs the values of one
+    handle, 1-d arrays (u None on a one-variable handle), and the flat
+    positions ``keep`` of each value that it stores (None: all n^4)."""
+
+    handle: SolutionHandle
+    u: Optional[np.ndarray]
+    v: np.ndarray
+    keep: Optional[np.ndarray] = None
+
+
+@dataclass(frozen=True, eq=False)
+class _Drawn:
+    """A sampled check between its draws and its finish: the requests whose
+    values it needs, and ``finish``, which takes one (P, entries) array of
+    values per request and returns the check's reports."""
+
+    requests: Tuple[_Request, ...]
+    finish: Callable[..., List[ResidualReport]]
+
+
+def _evaluate_requests(
+    requests: Sequence[_Request], store: Callable[[int, np.ndarray], None]
+) -> None:
+    """Calls ``store(k, values)`` with the values of request k, (P, n^4 or
+    len(keep)), as soon as they are complete.
+
+    The points of all requests on one handle are evaluated together, with
+    one eval_aybe_array or eval_cybe_array call per block of at most _BLOCK
+    dense entries (one call unless the checks are large), and each block
+    is stored into its requests at once.  A request that spans several
+    blocks ends its last one.  A request's array is allocated at its first
+    block and handed to ``store`` at its last, after the block is freed if
+    the request ends it; so when ``store`` frees what it is done with,
+    the values alive are those of the requests not yet taken up, besides
+    a block that holds the points of a later request."""
+    handles = {id(r.handle): r.handle for r in requests}
+    for key, h in handles.items():
+        group = [k for k, r in enumerate(requests) if id(r.handle) == key]
+        size = h.n**4
+
+        def empty(r: _Request) -> np.ndarray:
+            return np.empty((len(r.v), size if r.keep is None else len(r.keep)), dtype=complex)
+
+        for k in group:
+            if not len(requests[k].v):
+                store(k, empty(requests[k]))
+        v = np.concatenate([requests[k].v for k in group])
+        u = None if h.is_cybe else np.concatenate([requests[k].u for k in group])
+        ends = np.cumsum([len(requests[k].v) for k in group]).tolist()
+        step = max(1, _BLOCK // size)
+        # the calls [s, e): at most step points, and a request that spans
+        # several calls ends its last one
+        bounds, s = [], 0
+        for k, end in zip(group, ends):
+            while end - s > step:
+                bounds.append((s, s + step))
+                s += step
+            if end - len(requests[k].v) < s < end:
+                bounds.append((s, end))
+                s = end
+        if s < len(v):
+            bounds.append((s, len(v)))
+        filling = {}
+        for s, e in bounds:
+            block = eval_cybe_array(h, v[s:e]) if u is None else eval_aybe_array(h, u[s:e], v[s:e])
+            block = block.reshape(e - s, size)
+            for k, end in zip(group, ends):
+                r = requests[k]
+                start = end - len(r.v)
+                lo, hi = max(start, s), min(end, e)
+                if lo < hi:
+                    if k not in filling:
+                        filling[k] = empty(r)
+                    part = block[lo - s:hi - s]
+                    filling[k][lo - start:hi - start] = part if r.keep is None else part[:, r.keep]
+                    if hi == end:
+                        if end == e:
+                            # no later request has points in this block
+                            del block, part
+                        # taken up before the next request's array is made
+                        store(k, filling.pop(k))
+
+
+def _values_of(request: _Request) -> np.ndarray:
+    """The values of one request (see :func:`_evaluate_requests`)."""
+    out = []
+    _evaluate_requests([request], lambda k, values: out.append(values))
+    return out[0]
+
+
+def _run(checks: Sequence[_Drawn]) -> List[ResidualReport]:
+    """The reports of the drawn ``checks``, in order, from one
+    :func:`_evaluate_requests` of all their requests.  A check finishes as
+    soon as the values of its last request are stored, and drops them then,
+    so no check's values outlive its finish: while a check finishes, the
+    values alive are its own, the limit check's node values if they wait
+    for its partner's, and at most one block that holds later points."""
+    index = [(i, j) for i, c in enumerate(checks) for j in range(len(c.requests))]
+    values: list = [[None] * len(c.requests) for c in checks]
+    reports: List[List[ResidualReport]] = [[] for _ in checks]
+
+    def store(k: int, vals: np.ndarray) -> None:
+        i, j = index[k]
+        values[i][j] = vals
+        if all(x is not None for x in values[i]):
+            reports[i] = checks[i].finish(*values[i])
+            values[i] = None
+
+    _evaluate_requests([r for c in checks for r in c.requests], store)
+    return [rep for reps in reports for rep in reps]
+
+
+def _shaped(
+    h: SolutionHandle, values: np.ndarray, lead: tuple, keep: Optional[np.ndarray]
+) -> np.ndarray:
+    """A request's (P, entries) ``values`` as ``lead`` + (n, n, n, n), or
+    ``lead`` + (len(keep),) with ``keep``."""
+    return values.reshape(lead + ((h.n,) * 4 if keep is None else (len(keep),)))
+
+
+def _aybe_request(
+    h: SolutionHandle, samples: Sequence[tuple], keep: Optional[np.ndarray] = None
+) -> _Request:
+    """The six points of :func:`_aybe_points` of every (u, u', v, v')
+    sample, point-major: value k*N + s is point k of sample s."""
+    pts = np.array([_aybe_points(*s) for s in samples], dtype=complex).reshape(-1, 6, 2)
+    u, v = pts.transpose(2, 1, 0).reshape(2, -1)
+    return _Request(h, u, v, keep)
+
+
+def _cybe_request(
+    h: SolutionHandle, samples: Sequence[tuple], keep: Optional[np.ndarray] = None
+) -> _Request:
+    """v (r12), v + v' (r13) and v' (r23) of every (v, v') sample,
+    point-major as in :func:`_aybe_request`."""
+    pts = np.array([(v, v + vp, vp) for v, vp in samples], dtype=complex).reshape(-1, 3)
+    return _Request(h, None, pts.T.reshape(-1), keep)
+
+
+def _unitarity_request(
+    h: SolutionHandle, pairs: Sequence[tuple], keep: Optional[np.ndarray] = None
+) -> _Request:
+    """The (u, v) pairs and then their negatives (u is None on a
+    one-variable handle)."""
+    v = np.array([p[1] for p in pairs], dtype=complex)
+    u = None
+    if not h.is_cybe:
+        u = np.array([p[0] for p in pairs], dtype=complex)
+        u = np.concatenate((u, -u))
+    return _Request(h, u, np.concatenate((v, -v)), keep)
+
+
 def _aybe_values(
     h: SolutionHandle, samples: Sequence[tuple], keep: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """r at the six points of :func:`_aybe_points` of every (u, u', v, v')
     sample, as a (6, N, n, n, n, n) array, or (6, N, len(keep)) with only
-    the flat positions ``keep`` (see :func:`_sample_values`)."""
-    pts = np.array([_aybe_points(*s) for s in samples], dtype=complex)
-    pts = pts.reshape(len(samples), 6, 2).transpose(1, 0, 2)
-    return _sample_values(h, pts, lambda p: eval_aybe_array(h, p[..., 0], p[..., 1]), keep)
+    the flat positions ``keep``."""
+    values = _values_of(_aybe_request(h, samples, keep))
+    return _shaped(h, values, (6, len(samples)), keep)
 
 
 def _cybe_values(
@@ -266,39 +433,28 @@ def _cybe_values(
 ) -> np.ndarray:
     """r12 = r(v), r13 = r(v + v') and r23 = r(v') of every (v, v') sample,
     as a (3, N, n, n, n, n) array, or (3, N, len(keep)) with only the flat
-    positions ``keep`` (see :func:`_sample_values`)."""
-    pts = np.array([(v, v + vp, vp) for v, vp in samples], dtype=complex).reshape(-1, 3).T
-    return _sample_values(h, pts, lambda p: eval_cybe_array(h, p), keep)
-
-
-def _sample_values(
-    h: SolutionHandle, points: np.ndarray, evaluate: Callable, keep: Optional[np.ndarray]
-) -> np.ndarray:
-    """The values at the (k, N) sample ``points``, from one ``evaluate``
-    call per block of samples of at most _BLOCK dense entries: all k*N
-    points in one call unless the check is large.  With ``keep`` only the
-    entries at those flat positions of each value are stored, and no array
-    holds the dense values of more than one block."""
-    k, count = points.shape[:2]
-    size = h.n**4
-    out = np.empty((k, count, size if keep is None else len(keep)), dtype=complex)
-    step = max(1, _BLOCK // (k * size))
-    for s in range(0, count, step):
-        block = evaluate(points[:, s:s + step]).reshape(k, -1, size)
-        out[:, s:s + step] = block if keep is None else block[..., keep]
-    return out if keep is not None else out.reshape((k, count) + (h.n,) * 4)
+    positions ``keep``."""
+    values = _values_of(_cybe_request(h, samples, keep))
+    return _shaped(h, values, (3, len(samples)), keep)
 
 
 def _unitarity_values(h: SolutionHandle, pairs: Sequence[tuple]) -> tuple:
     """r(u, v) and swap_legs(r(-u, -v)) of every (u, v) pair (u is None for a
-    one-variable family), each (N, n, n, n, n), from one evaluation call."""
-    v = np.array([p[1] for p in pairs], dtype=complex)
-    if h.is_cybe:
-        values = eval_cybe_array(h, np.concatenate((v, -v)))
-    else:
-        u = np.array([p[0] for p in pairs], dtype=complex)
-        values = eval_aybe_array(h, np.concatenate((u, -u)), np.concatenate((v, -v)))
-    return values[:len(pairs)], values[len(pairs):].transpose(0, 3, 4, 1, 2)
+    one-variable family), each (N, n, n, n, n)."""
+    values = _values_of(_unitarity_request(h, pairs))
+    return _swap_split(h, values, len(pairs), None)
+
+
+def _swap_split(
+    h: SolutionHandle, values: np.ndarray, count: int, keep: Optional[np.ndarray]
+) -> tuple:
+    """r(u, v) and swap_legs(r(-u, -v)) from the values of a
+    :func:`_unitarity_request` of ``count`` pairs; with ``keep`` (the
+    charge-0 entries, see :func:`_products`) the swap permutes them."""
+    direct, negated = _shaped(h, values, (2, count), keep)
+    if keep is None:
+        return direct, negated.transpose(0, 3, 4, 1, 2)
+    return direct, np.take(negated, _graded_swap(h.n), axis=1)
 
 
 def _block_norms(values: np.ndarray, forms: Callable, entries: int) -> dict:
@@ -508,12 +664,10 @@ def _accept(
     return samples, skipped
 
 
-def _check_aybe_forms(
-    h: SolutionHandle, config: SuiteConfig, tags: Tuple[str, ...]
-) -> List[ResidualReport]:
+def _draw_aybe(h: SolutionHandle, config: SuiteConfig, tags: Tuple[str, ...]) -> _Drawn:
     """One seeded sampling pass of the two-variable identity with one report
-    per form in ``tags``; the forms share the 6*N evaluations (one call),
-    T1..T3 and the relative scale."""
+    per form in ``tags``; the forms share the 6*N values, T1..T3 and the
+    relative scale."""
     rng = np.random.default_rng(config.seed)
 
     def clear(u, up, v, vp):
@@ -524,32 +678,22 @@ def _check_aybe_forms(
         rng, _sample_radius(h), config.n_aybe, 4, clear, config.max_draws
     )
     keep, product, entries = _products(h)
-    norms = _block_norms(
-        _aybe_values(h, samples, keep), lambda block: _aybe_forms(block, tags, product), entries
-    )
-    return [
-        _make_report(tag, samples, *norms.get(tag, ([], [])), config.tol_aybe, skipped)
-        for tag in tags
-    ]
+
+    def finish(values):
+        norms = _block_norms(
+            _shaped(h, values, (6, len(samples)), keep),
+            lambda block: _aybe_forms(block, tags, product), entries,
+        )
+        return [
+            _make_report(tag, samples, *norms.get(tag, ([], [])), config.tol_aybe, skipped)
+            for tag in tags
+        ]
+
+    return _Drawn((_aybe_request(h, samples, keep),), finish)
 
 
-def check_aybe(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> ResidualReport:
-    """Sampled two-variable identity residual, relative to the product terms."""
-    return _check_aybe_forms(h, config, ("aybe",))[0]
-
-
-def check_aybe_commutator(
-    h: SolutionHandle, config: SuiteConfig = SuiteConfig()
-) -> ResidualReport:
-    """Sampled commutator form of the two-variable identity."""
-    return _check_aybe_forms(h, config, ("commutator",))[0]
-
-
-def check_cybe(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> ResidualReport:
-    """Sampled one-variable identity residual, relative to the commutator
-    operands (the six products making up the three commutators)."""
+def _draw_cybe(h: SolutionHandle, config: SuiteConfig) -> _Drawn:
     rng = np.random.default_rng(config.seed)
-    radius = _sample_radius(h)
     tol = config.tol_cybe
     if tol is None:
         tol = 1e-8 if _FAMILIES[h.family].elliptic else 1e-10
@@ -557,45 +701,126 @@ def check_cybe(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> Residu
     def clear(v, vp):
         return _domain_mask(h, None, np.array((v, vp, v + vp)), config.guard).all(axis=0)
 
-    samples, skipped = _accept(rng, radius, config.n_cybe, 2, clear, config.max_draws)
-    keep, product, entries = _products(h)
-    norms = _block_norms(
-        _cybe_values(h, samples, keep), lambda block: _cybe_forms(block, product), entries
+    samples, skipped = _accept(
+        rng, _sample_radius(h), config.n_cybe, 2, clear, config.max_draws
     )
-    return _make_report("cybe", samples, *norms.get("cybe", ([], [])), tol, skipped)
+    keep, product, entries = _products(h)
+
+    def finish(values):
+        norms = _block_norms(
+            _shaped(h, values, (3, len(samples)), keep),
+            lambda block: _cybe_forms(block, product), entries,
+        )
+        return [_make_report("cybe", samples, *norms.get("cybe", ([], [])), tol, skipped)]
+
+    return _Drawn((_cybe_request(h, samples, keep),), finish)
+
+
+def _draw_unitarity(h: SolutionHandle, config: SuiteConfig) -> _Drawn:
+    rng = np.random.default_rng(config.seed)
+
+    def clear(*point):
+        # (v,) on a one-variable handle, (u, v) otherwise
+        u = None if h.is_cybe else np.array((point[0], -point[0]))
+        return _domain_mask(h, u, np.array((point[-1], -point[-1])), config.guard).all(axis=0)
+
+    samples, skipped = _accept(
+        rng, _sample_radius(h), config.n_unitarity, 1 if h.is_cybe else 2, clear, config.max_draws
+    )
+    pairs = [(None, v) for (v,) in samples] if h.is_cybe else samples
+    # a graded handle's residual is zero off the charge-0 entries, which the
+    # swap permutes: they carry its max modulus and its Frobenius norms
+    keep = _products(h)[0]
+
+    def finish(values):
+        direct, swapped = _swap_split(h, values, len(pairs), keep)
+        res = swapped + direct
+        scale = np.maximum(np.maximum(_frobenius(direct), _frobenius(swapped)), 1e-300)
+        return [_make_report(
+            "unitarity", samples, _max_abs(res), _frobenius(res) / scale,
+            config.tol_unitarity, skipped,
+        )]
+
+    return _Drawn((_unitarity_request(h, pairs, keep),), finish)
+
+
+def _rank_at_samples(h: SolutionHandle, samples: List[tuple], tolerance: float) -> _Drawn:
+    """The full-rank check at the (v,) or (u, v) ``samples``: the recorded
+    residual is the rank deficit n^2 - rank."""
+    v = np.array([s[-1] for s in samples], dtype=complex)
+    u = None if h.is_cybe else np.array([s[0] for s in samples], dtype=complex)
+
+    def finish(values):
+        ranks = _ranks_as_maps(_shaped(h, values, (len(samples),), None))
+        deficits = [float(h.n * h.n - rank) for rank in ranks]
+        return [_make_report("rank", samples, deficits, deficits, tolerance, 0)]
+
+    return _Drawn((_Request(h, u, v),), finish)
+
+
+def _draw_rank(h: SolutionHandle, config: SuiteConfig) -> _Drawn:
+    rng = np.random.default_rng(config.seed)
+
+    def clear(*point):
+        # (v,) on a one-variable handle, (u, v) otherwise
+        return _domain_mask(h, None if h.is_cybe else point[0], point[-1], config.guard)
+
+    samples, _ = _accept(
+        rng, _sample_radius(h), config.n_rank, 1 if h.is_cybe else 2, clear, config.max_draws
+    )
+    return _rank_at_samples(h, samples, 0.5)
+
+
+def _draw_limit(h: SolutionHandle, config: SuiteConfig) -> _Drawn:
+    rng = np.random.default_rng(config.seed)
+    paired = paired_cybe_handle(h)
+    # keep v off the partner's poles: the limit's circle shrinks with the
+    # distance R(v) from u = 0 to the nearest other u-pole, and this guard
+    # keeps R(v) >= min(1e-2, r Im tau) / (d r) for the elliptic family
+    guard = max(config.guard, 1e-2)
+
+    def clear(v):
+        return _domain_mask(paired, None, v, guard)
+
+    samples, skipped = _accept(rng, _sample_radius(h), config.n_limit, 1, clear, config.max_draws)
+    v = np.array([v for (v,) in samples], dtype=complex)
+    u_nodes, v_nodes, _ = _limit_nodes(h, v)
+
+    def finish(node_values, targets):
+        targets = _shaped(paired, targets, (len(v),), None)
+        res = _limit_means(_shaped(h, node_values, u_nodes.shape, None)) - targets
+        scale = np.maximum(_frobenius(targets), 1e-300)
+        return [_make_report(
+            "limit", samples, _max_abs(res), _frobenius(res) / scale, config.tol_limit, skipped
+        )]
+
+    requests = (_Request(h, u_nodes.reshape(-1), v_nodes.reshape(-1)), _Request(paired, None, v))
+    return _Drawn(requests, finish)
+
+
+def check_aybe(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> ResidualReport:
+    """Sampled two-variable identity residual, relative to the product terms."""
+    return _run([_draw_aybe(h, config, ("aybe",))])[0]
+
+
+def check_aybe_commutator(
+    h: SolutionHandle, config: SuiteConfig = SuiteConfig()
+) -> ResidualReport:
+    """Sampled commutator form of the two-variable identity."""
+    return _run([_draw_aybe(h, config, ("commutator",))])[0]
+
+
+def check_cybe(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> ResidualReport:
+    """Sampled one-variable identity residual, relative to the commutator
+    operands (the six products making up the three commutators)."""
+    return _run([_draw_cybe(h, config)])[0]
 
 
 def check_unitarity(
     h: SolutionHandle, config: SuiteConfig = SuiteConfig()
 ) -> ResidualReport:
     """Sampled unitarity residual, relative to the operand norms."""
-    rng = np.random.default_rng(config.seed)
-    radius = _sample_radius(h)
-
-    if h.is_cybe:
-        def clear(v):
-            return _domain_mask(h, None, np.array((v, -v)), config.guard).all(axis=0)
-
-        samples, skipped = _accept(
-            rng, radius, config.n_unitarity, 1, clear, config.max_draws
-        )
-        pairs = [(None, v) for (v,) in samples]
-    else:
-        def clear(u, v):
-            return _domain_mask(h, np.array((u, -u)), np.array((v, -v)), config.guard).all(axis=0)
-
-        samples, skipped = _accept(
-            rng, radius, config.n_unitarity, 2, clear, config.max_draws
-        )
-        pairs = samples
-
-    direct, swapped = _unitarity_values(h, pairs)
-    res = swapped + direct
-    scale = np.maximum(np.maximum(_frobenius(direct), _frobenius(swapped)), 1e-300)
-    return _make_report(
-        "unitarity", samples, _max_abs(res), _frobenius(res) / scale,
-        config.tol_unitarity, skipped,
-    )
+    return _run([_draw_unitarity(h, config)])[0]
 
 
 def nondegeneracy_check(
@@ -621,64 +846,28 @@ def nondegeneracy_check(
             if u is None:
                 raise DomainError("two-variable families need (u, v) points")
             samples.append((u, v))
-    if h.is_cybe:
-        values = eval_cybe_array(h, [v for (v,) in samples])
-    else:
-        values = eval_aybe_array(h, [u for u, _ in samples], [v for _, v in samples])
-    deficits = [float(h.n * h.n - rank) for rank in _ranks_as_maps(values)]
-    return _make_report("rank", samples, deficits, deficits, tolerance, 0)
+    return _run([_rank_at_samples(h, samples, tolerance)])[0]
 
 
 def check_rank(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> ResidualReport:
-    """Seeded wrapper around :func:`nondegeneracy_check`."""
-    rng = np.random.default_rng(config.seed)
-    radius = _sample_radius(h)
-    if h.is_cybe:
-        def clear(v):
-            return _domain_mask(h, None, v, config.guard)
-
-        samples, _ = _accept(rng, radius, config.n_rank, 1, clear, config.max_draws)
-        pts = [v for (v,) in samples]
-    else:
-        def clear(u, v):
-            return _domain_mask(h, u, v, config.guard)
-
-        samples, _ = _accept(rng, radius, config.n_rank, 2, clear, config.max_draws)
-        pts = samples
-    return nondegeneracy_check(h, pts)
+    """Seeded :func:`nondegeneracy_check`."""
+    return _run([_draw_rank(h, config)])[0]
 
 
 def check_limit_consistency(
     h: SolutionHandle, config: SuiteConfig = SuiteConfig()
 ) -> ResidualReport:
     """Sampled comparison of the u -> 0 limit against the paired family."""
-    rng = np.random.default_rng(config.seed)
-    paired = paired_cybe_handle(h)
-    # keep v off the partner's poles: the limit's circle shrinks with the
-    # distance R(v) from u = 0 to the nearest other u-pole, and this guard
-    # keeps R(v) >= min(1e-2, r Im tau) / (d r) for the elliptic family
-    guard = max(config.guard, 1e-2)
-
-    def clear(v):
-        return _domain_mask(paired, None, v, guard)
-
-    samples, skipped = _accept(rng, _sample_radius(h), config.n_limit, 1, clear, config.max_draws)
-    points = [v for (v,) in samples]
-    targets = eval_cybe_array(paired, points)
-    res = _cybe_limits(h, points)[0] - targets
-    scale = np.maximum(_frobenius(targets), 1e-300)
-    return _make_report(
-        "limit", samples, _max_abs(res), _frobenius(res) / scale, config.tol_limit, skipped
-    )
+    return _run([_draw_limit(h, config)])[0]
 
 
-_CHECK_FNS = {
-    "aybe": check_aybe,
-    "commutator": check_aybe_commutator,
-    "cybe": check_cybe,
-    "unitarity": check_unitarity,
-    "rank": check_rank,
-    "limit": check_limit_consistency,
+_DRAWS = {
+    "aybe": lambda h, config: _draw_aybe(h, config, ("aybe",)),
+    "commutator": lambda h, config: _draw_aybe(h, config, ("commutator",)),
+    "cybe": _draw_cybe,
+    "unitarity": _draw_unitarity,
+    "rank": _draw_rank,
+    "limit": _draw_limit,
 }
 
 
@@ -692,16 +881,22 @@ def _applicable_checks(h: SolutionHandle) -> Tuple[str, ...]:
 
 
 def run_suite(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> List[ResidualReport]:
-    """Run every applicable check; deterministic given (handle, config)."""
+    """Run every applicable check; deterministic given (handle, config).
+
+    Each check draws its samples from its own generator, as it does alone;
+    then the points of all checks are evaluated together, one call per
+    block of at most _BLOCK dense entries on the handle and one on the CYBE
+    partner of the limit check, and each check finishes its reports from
+    its values.  The reports equal those of the separate check functions."""
     names = _applicable_checks(h)
     if config.checks is not None:
         unknown = set(config.checks) - set(CHECK_NAMES)
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
         names = tuple(c for c in names if c in config.checks)
-    reports = []
+    drawn = []
     if "aybe" in names and "commutator" in names:
         # both forms lead every two-variable check list and share one pass
-        reports = _check_aybe_forms(h, config, ("aybe", "commutator"))
+        drawn.append(_draw_aybe(h, config, ("aybe", "commutator")))
         names = names[2:]
-    return reports + [_CHECK_FNS[name](h, config) for name in names]
+    return _run(drawn + [_DRAWS[name](h, config) for name in names])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from aybe import bruteforce as bf
-from aybe.bruteforce import eval_cybe_alt
+from aybe.bruteforce import eval_cybe_alt, identity_p_distribution, identity_zeta_distribution
 from aybe.curve import BundleParams, composite_map, tensor_from_linear_map
 from aybe.series import (
     check_aux4,
@@ -41,8 +41,6 @@ from aybe.special import (
     lattice_distance,
     modular_param,
     theta11,
-    identity_p_distribution,
-    identity_zeta_distribution,
     weierstrass_zeta,
 )
 from aybe.verify import SuiteConfig, check_aybe, check_cybe, check_limit_consistency, check_rank, check_unitarity

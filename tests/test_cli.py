@@ -284,15 +284,22 @@ def test_verify_cybe_check_on_aybe_family_uses_partner(capsys):
     assert "PASS cybe-partner:" in out
 
 
-def test_verify_perturbed_handle_fails_limit_only(tmp_path, capsys):
+def test_verify_perturbed_handle_fails_limit_only(tmp_path, capsys, monkeypatch):
+    # the limit check compares a rescaled handle with the partner rescaled
+    # alike, and passes; against the canonical, unscaled partner the 1 %
+    # perturbation fails the limit check alone
     data = handle_to_dict(elliptic_aybe(2, 1, 1j))
     data["rescale"][0] = [1.01, 0.0]
     path = tmp_path / "handle.json"
     path.write_text(json.dumps(data))
-    code, out, _ = run_cli(
-        ["verify", "--handle-json", str(path), "--points", "6", "--seed", "3"],
-        capsys,
+    argv = ["verify", "--handle-json", str(path), "--points", "6", "--seed", "3"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert "PASS limit:" in out
+    monkeypatch.setattr(
+        aybe.verify, "paired_cybe_handle", lambda h: elliptic_cybe(h.d, h.r, h.tau)
     )
+    code, out, _ = run_cli(argv, capsys)
     assert code == 1
     assert "PASS aybe:" in out
     assert "PASS unitarity:" in out

@@ -237,6 +237,52 @@ def test_elliptic_grid_matches_per_characteristic_assembly(d, tau):
                             bf.eval_elliptic_cybe_per_char(hc, v).coeffs) <= 1e-12
 
 
+def _edge_points(h, rng):
+    """Points (u, v) of ``h`` at which a sum argument W + (m/d)*tau' of the
+    twist grid lies within 1e-9 of an edge of the reduction cell, one
+    coordinate on (-1/2, 1/2) set to +-1/2 + delta; W = U + V with
+    U = d*r*u, V = -d*v, tau' = d*r*tau, and U = 0 on a CYBE handle."""
+    d, r = h.d, h.r
+    big_tau = d * r * h.tau
+    points = []
+    for m in range(d):
+        # the four edges and the offsets 1e-10 and -1e-15 in turn
+        edges = [(m % 2, (-0.5, 0.5)[m // 2 % 2], 1e-10), ((m + 1) % 2, 0.5, -1e-15)]
+        for axis, edge, delta in edges:
+            coords = rng.uniform(-0.45, 0.45, size=2)
+            coords[axis] = edge + delta
+            w = coords[0] + coords[1] * big_tau - m * big_tau / d
+            big_u = 0.0 if h.is_cybe else complex(*rng.uniform(-0.3, 0.3, size=2))
+            u, v = big_u / (d * r), -(w - big_u) / d
+            if in_domain(h, None if h.is_cybe else u, v):
+                points.append((u, v))
+    return points
+
+
+# the twist grid reduces the sums W + (m/d)*tau' and adds tau' for the pairs
+# with j + k >= d: exact up to rounding at the cell edges, and at
+# d*r*Im(tau) = 60, where the factor exp(-pi*i*tau') of each carry has
+# modulus exp(60*pi)
+EDGE_TAUS = (0.2 + 1.1j, "60")
+
+
+@pytest.mark.parametrize("tau", EDGE_TAUS)
+@pytest.mark.parametrize("d", range(1, 8))
+def test_twist_tables_match_per_characteristic_at_cell_edges(d, tau):
+    rng = np.random.default_rng(17 * d)
+    for r in [r for r in range(1, max(d, 2)) if math.gcd(r, d) == 1]:
+        t = complex(0.2, 60.0 / (d * r)) if tau == "60" else tau
+        for h in (elliptic_aybe(d, r, t), elliptic_cybe(d, r, t)):
+            points = _edge_points(h, rng)
+            assert len(points) >= d
+            for u, v in points:
+                if h.is_cybe:
+                    value, ref = eval_cybe(h, v), bf.eval_elliptic_cybe_per_char(h, v)
+                else:
+                    value, ref = eval_aybe(h, u, v), bf.eval_elliptic_aybe_per_char(h, u, v)
+                assert _rel_gap(value.coeffs, ref.coeffs) <= 1e-12, (h, u, v)
+
+
 def _twist_tensor(d, twist):
     # F_{j/d, k/d} at (i, i+j, i+j-k, i-k) for all i, j, k
     coeffs = np.zeros((d,) * 4, dtype=complex)
@@ -571,6 +617,53 @@ def test_batched_evaluation_with_transforms_matches_pointwise(h, rng):
         values = eval_aybe_array(h, u, v)
         points = np.stack([eval_aybe(h, a, b).coeffs for a, b in zip(u, v)])
     _assert_rows_match_points(values, points)
+
+
+CONCAT_HANDLES = [
+    elliptic_aybe(3, 2, BATCH_TAU),
+    elliptic_aybe(7, 3, BATCH_TAU),
+    elliptic_cybe(4, 3, BATCH_TAU),
+    elliptic_cybe(7, 2, BATCH_TAU),
+    trig_aybe(1),
+    trig_aybe(2),
+    trig_cybe(1),
+    trig_cybe(2),
+    scalar_kronecker(BATCH_TAU),
+    scalar_trig(),
+    scalar_rational(0.7 + 0.2j, 1.3),
+    custom_handle(lambda u, v: eval_aybe(trig_aybe(1), u, v), 2),
+    replace(elliptic_aybe(2, 1, BATCH_TAU), rescale=(0.9j, 0.4, 1.2, 0.7 - 0.1j)),
+    equivalence_transform(elliptic_aybe(3, 2, BATCH_TAU), GaugeSpec(kind="scalar_exp", c=0.3)),
+    equivalence_transform(elliptic_aybe(3, 1, BATCH_TAU), np.diag([1.0, 2.0, 0.5j]) + 0.1),
+    equivalence_transform(elliptic_cybe(3, 1, BATCH_TAU), np.diag([1.0, 2.0, 0.5j])),
+    equivalence_transform(
+        trig_aybe(1), GaugeSpec(kind="callable", fn=lambda x, y: np.eye(2) + 0.1 * x * GAUGE)
+    ),
+]
+
+
+def test_concatenation_handles_cover_every_family():
+    assert {h.family for h in CONCAT_HANDLES} == set(aybe.solutions._FAMILIES)
+
+
+@pytest.mark.parametrize(
+    "h", CONCAT_HANDLES,
+    ids=lambda h: f"{h.family}-{h.d}-{h.gauge.kind if h.gauge else 'none'}-{h.rescale[0]}",
+)
+def test_evaluation_of_a_concatenation_is_bitwise_the_separate_calls(h, rng):
+    # a verify run evaluates the points of all its checks in one call, so
+    # no point's value may depend on the other points of its call; 60
+    # points cross the 2048 / n^2 points of a base call at n = 7
+    u = draw_disc(rng, 0.4, 60)
+    v = draw_disc(rng, 0.4, 60) + 0.05
+    if h.is_cybe:
+        def values(a, b):
+            return eval_cybe_array(h, v[a:b])
+    else:
+        def values(a, b):
+            return eval_aybe_array(h, u[a:b], v[a:b])
+    parts = np.concatenate([values(a, b) for a, b in ((0, 1), (1, 17), (17, 60))])
+    assert np.array_equal(values(0, 60), parts)
 
 
 def _first_error(fn, points):

@@ -12,6 +12,14 @@ import numpy as np
 import pytest
 
 from aybe import bruteforce as bf
+from aybe.bruteforce import (
+    identity_eta2_isogeny,
+    identity_F_zeta,
+    identity_p_distribution,
+    identity_zeta_distribution,
+    identity_zeta_distribution_char,
+    kronecker_weierstrass_limit,
+)
 from aybe.errors import DomainError, PoleProximityError
 from aybe.special import (
     Characteristic,
@@ -20,15 +28,9 @@ from aybe.special import (
     _reduced_distance_grid,
     _split_lattice_grid,
     eisenstein_G,
-    identity_F_zeta,
-    identity_eta2_isogeny,
-    identity_p_distribution,
-    identity_zeta_distribution,
-    identity_zeta_distribution_char,
     j_invariant,
     kronecker_F,
     kronecker_F_char,
-    kronecker_weierstrass_limit,
     lattice_distance,
     modular_param,
     theta11,

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -45,6 +46,17 @@ from aybe.verify import (
 )
 
 FAST = SuiteConfig(seed=3, n_aybe=8, n_cybe=8, n_unitarity=8, n_rank=3, n_limit=3)
+
+
+# the public sampled check of each name of CHECK_NAMES
+CHECK_FNS = {
+    "aybe": check_aybe,
+    "commutator": check_aybe_commutator,
+    "cybe": check_cybe,
+    "unitarity": check_unitarity,
+    "rank": check_rank,
+    "limit": check_limit_consistency,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +188,11 @@ def test_identity_tensor_fails_nondegeneracy():
     assert not rep.passed
 
 
-def test_perturbed_fixture_fails_limit_consistency():
+def test_perturbed_fixture_fails_limit_consistency(monkeypatch):
     # Serialized-orbit perturbations keep every equation identity (the orbit
     # is the symmetry group) but break agreement with the canonical
-    # one-variable partner.
+    # one-variable partner.  The limit check compares with the partner
+    # rescaled alike, which agrees; the canonical one does not.
     data = handle_to_dict(elliptic_aybe(2, 1, 1j))
     data["rescale"][0] = [1.01, 0.0]
     h = handle_from_dict(data)
@@ -187,7 +200,11 @@ def test_perturbed_fixture_fails_limit_consistency():
     by_tag = {rep.tag: rep for rep in reports}
     assert by_tag["aybe"].passed
     assert by_tag["unitarity"].passed
-    assert not by_tag["limit"].passed
+    assert by_tag["limit"].passed
+    monkeypatch.setattr(
+        aybe.verify, "paired_cybe_handle", lambda g: elliptic_cybe(g.d, g.r, g.tau)
+    )
+    assert not check_limit_consistency(h, FAST).passed
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +271,17 @@ def test_requested_check_filtering():
 COMMUTATOR_HANDLES = [elliptic_aybe(3, 1, 1j), trig_aybe(1)]
 
 
-def _count_evaluated_points(monkeypatch):
-    """Record the number of points of every array evaluation the checks make."""
+def _count_evaluated_points(monkeypatch, name="eval_aybe_array"):
+    """Record the number of points of every array evaluation the checks make
+    through ``name``: eval_aybe_array (u, v) or eval_cybe_array (v)."""
     calls = []
-    real_eval = aybe.verify.eval_aybe_array
+    real_eval = getattr(aybe.verify, name)
 
-    def counting_eval(h, u, v):
-        calls.append(np.broadcast(np.asarray(u), np.asarray(v)).size)
-        return real_eval(h, u, v)
+    def counting_eval(h, *points):
+        calls.append(np.broadcast(*map(np.asarray, points)).size)
+        return real_eval(h, *points)
 
-    monkeypatch.setattr(aybe.verify, "eval_aybe_array", counting_eval)
+    monkeypatch.setattr(aybe.verify, name, counting_eval)
     return calls
 
 
@@ -354,6 +372,144 @@ def test_suite_samples_aybe_identity_once_for_both_reports(h, monkeypatch):
     calls.clear()
     check_aybe(h, config)
     assert calls == [6 * config.n_aybe]
+
+
+def _cli_config(seed, points):
+    # the sample counts of `aybe verify --points`
+    n = min(points, 5)
+    return SuiteConfig(
+        seed=seed, n_aybe=points, n_cybe=points, n_unitarity=points, n_rank=n, n_limit=n
+    )
+
+
+@pytest.mark.parametrize("h,config", [
+    (elliptic_aybe(3, 2, 0.2 + 1.1j), SuiteConfig(seed=5)),
+    (elliptic_aybe(3, 1, 0.1 + 0.9j), _cli_config(8, 4)),
+    (elliptic_aybe(7, 3, 0.2 + 1.1j), _cli_config(5, 1)),
+    (elliptic_cybe(3, 2, 0.2 + 1.1j), SuiteConfig(seed=5)),
+    (elliptic_cybe(7, 4, 0.3 + 1.2j), _cli_config(5, 1)),
+], ids=lambda x: getattr(x, "family", "") + str(getattr(x, "d", "")))
+def test_suite_makes_one_evaluation_call_per_handle(h, config, monkeypatch):
+    # every check's points in one call on the handle, and the limit check's
+    # targets in one call on its CYBE partner
+    aybe_calls = _count_evaluated_points(monkeypatch)
+    cybe_calls = _count_evaluated_points(monkeypatch, "eval_cybe_array")
+    reports = run_suite(h, config)
+    counts = {rep.tag: len(rep.points) for rep in reports}
+    if h.is_cybe:
+        assert aybe_calls == [] and cybe_calls == [3 * counts["cybe"] + 2 * counts["unitarity"]]
+    else:
+        assert aybe_calls == [
+            6 * counts["aybe"] + 2 * counts["unitarity"] + counts["rank"] + 8 * counts["limit"]
+        ]
+        assert cybe_calls == [counts["limit"]]
+
+
+def test_no_evaluation_call_holds_more_than_a_block(monkeypatch):
+    # `aybe verify --points 400` at d = 7: 3,250 points (elliptic) and
+    # 2,000 (elliptic-cybe) of 2,401 entries each, in calls of at most
+    # _BLOCK entries
+    aybe_calls = _count_evaluated_points(monkeypatch)
+    cybe_calls = _count_evaluated_points(monkeypatch, "eval_cybe_array")
+    for h in (elliptic_aybe(7, 3, 0.2 + 1.1j), elliptic_cybe(7, 3, 0.2 + 1.1j)):
+        aybe_calls.clear()
+        cybe_calls.clear()
+        reports = run_suite(h, _cli_config(5, 400))
+        assert all(rep.passed for rep in reports)
+        per_sample = {"aybe": 6, "cybe": 3, "unitarity": 2, "rank": 1, "limit": 9}
+        expected = sum(len(rep.points) * per_sample.get(rep.tag, 0) for rep in reports)
+        assert sum(aybe_calls) + sum(cybe_calls) == expected
+        assert max(aybe_calls + cybe_calls) * 7**4 <= aybe.verify._BLOCK
+
+
+def test_a_dense_check_drops_its_values_before_the_next_call(monkeypatch):
+    # a constant gauge keeps every entry of every value: at d = 3, 400
+    # samples take 2,400 aybe points and then 845 (unitarity, rank and the
+    # limit's nodes), in calls of at most _BLOCK // 81 = 1,618 points
+    h = equivalence_transform(elliptic_aybe(3, 1, 0.2 + 1.1j), np.diag([1.0, 1.1, 0.9]) + 0.2)
+    events = []
+    blocks = []  # weak references to the values each call returned
+    finished = []  # weak references to the values of the finished checks
+    for name in ("eval_aybe_array", "eval_cybe_array"):
+        def logging_eval(h, *points, real_eval=getattr(aybe.verify, name)):
+            assert all(ref() is None for ref in finished)
+            events.append(len(points[-1]))
+            # C order, so that the block verify keeps is a view of it
+            values = np.ascontiguousarray(real_eval(h, *points))
+            blocks.append(weakref.ref(values))
+            return values
+
+        monkeypatch.setattr(aybe.verify, name, logging_eval)
+    real_run = aybe.verify._run
+
+    def logging_run(checks):
+        def logged(check):
+            def finish(*values):
+                reports = check.finish(*values)
+                events.append(([rep.tag for rep in reports], blocks[-1]() is not None))
+                finished.extend(map(weakref.ref, values))
+                return reports
+
+            return replace(check, finish=finish)
+
+        return real_run([logged(check) for check in checks])
+
+    monkeypatch.setattr(aybe.verify, "_run", logging_run)
+    reports = run_suite(h, _cli_config(5, 400))
+    assert all(rep.passed for rep in reports)
+    # each check finishes as soon as the call holding its last point
+    # returns, with that call's values freed unless they hold later points,
+    # and its own values are freed before the next call; the aybe points
+    # end a call of their own
+    assert events == [
+        1618, 782, (["aybe", "commutator"], False), 845, (["unitarity"], True), (["rank"], True),
+        5, (["limit"], False),
+    ]
+    assert all(ref() is None for ref in finished)
+
+
+# the handles of the suites above, gauged, rescaled and custom ones included
+SUITE_HANDLES = [
+    elliptic_aybe(1, 1, 1j),
+    elliptic_aybe(2, 1, 1j),
+    elliptic_aybe(3, 2, 0.5 + 0.9j),
+    trig_aybe(1),
+    trig_aybe(2),
+    scalar_kronecker(1j),
+    scalar_trig(),
+    scalar_rational(1.0, 1.0),
+    elliptic_cybe(2, 1, 1j),
+    elliptic_cybe(3, 1, 1j),
+    trig_cybe(1),
+    trig_cybe(2),
+    custom_handle(lambda u, v: eval_aybe(trig_aybe(1), u, v), 2),
+    equivalence_transform(elliptic_aybe(3, 1, 0.2 + 1.1j), np.diag([1.0, 1.1, 0.9]) + 0.2),
+    equivalence_transform(elliptic_cybe(3, 1, 0.2 + 1.1j), np.diag([1.0, 1.1, 0.9]) + 0.2),
+    equivalence_transform(elliptic_aybe(3, 2, 0.2 + 1.1j), GaugeSpec(kind="scalar_exp", c=0.3)),
+    handle_from_dict({**handle_to_dict(elliptic_aybe(2, 1, 0.1 + 0.9j)),
+                      "rescale": [[1.2, 0.1], [0.3, 0], [1.1, 0.3], [0.9, -0.2]]}),
+]
+
+
+@pytest.mark.parametrize("h", SUITE_HANDLES, ids=str)
+def test_suite_reports_equal_the_single_checks(h):
+    small = SuiteConfig(seed=8, n_aybe=3, n_cybe=3, n_unitarity=3, n_rank=2, n_limit=2, guard=0.3)
+    for config in (FAST, small):
+        reports = run_suite(h, config)
+        assert [rep.tag for rep in reports] == list(aybe.verify._applicable_checks(h))
+        for rep in reports:
+            assert rep.to_json() == CHECK_FNS[rep.tag](h, config).to_json()
+
+
+@pytest.mark.parametrize("h", [
+    replace(elliptic_aybe(2, 1, 0.1 + 0.9j), rescale=(1, 0, 1.1 + 0.3j, 0.9 - 0.2j)),
+    replace(trig_aybe(1), rescale=(1, 0.1j, 2.3 + 1.1j, 0.7 - 0.6j)),
+], ids=lambda h: h.family)
+def test_limit_passes_on_rescaled_handles(h):
+    # the u -> 0 limit of c1 exp(c2 u v) r(c3 u, c4 v) is c1 r0(c4 v): the
+    # partner carries the rescale (c1, 0, 1, c4)
+    rep = check_limit_consistency(h, SuiteConfig(seed=0))
+    assert rep.passed and rep.max_rel_residual < 1e-13, rep.summary_line()
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +658,7 @@ def test_block_sampling_matches_the_pointwise_reference(h):
         for check in aybe.verify._applicable_checks(h):
             expected = _draws_or_error(lambda: bruteforce.check_samples_pointwise(h, check, config))
             got = _draws_or_error(
-                lambda: (lambda rep: (rep.points, rep.skipped))(aybe.verify._CHECK_FNS[check](h, config))
+                lambda: (lambda rep: (rep.points, rep.skipped))(CHECK_FNS[check](h, config))
             )
             if check == "rank" and isinstance(got, tuple):  # its report counts no draws
                 got, expected = got[0], expected[0]
@@ -520,10 +676,10 @@ def test_max_draws_is_the_same_budget(h, guard):
         points, skipped = bruteforce.check_samples_pointwise(h, check, config)
         needed = len(points) + skipped
         rejected += skipped
-        enough = aybe.verify._CHECK_FNS[check](h, replace(config, max_draws=needed))
+        enough = CHECK_FNS[check](h, replace(config, max_draws=needed))
         assert enough.points == tuple(points)
         with pytest.raises(NonConvergenceError, match=f"exhausted {needed - 1} draws"):
-            aybe.verify._CHECK_FNS[check](h, replace(config, max_draws=needed - 1))
+            CHECK_FNS[check](h, replace(config, max_draws=needed - 1))
         with pytest.raises(NonConvergenceError):
             bruteforce.check_samples_pointwise(h, check, replace(config, max_draws=needed - 1))
     assert rejected > 0
