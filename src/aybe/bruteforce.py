@@ -24,7 +24,10 @@ glued with ``inv``, framed, and composed by one ``solve``.
 :func:`in_domain_pointwise` and :func:`check_samples_pointwise` are the
 references for the array polar-locus tests of :mod:`aybe.solutions` and the
 block rejection sampling of :mod:`aybe.verify`: one point at a time, in
-Python's complex arithmetic.  The ``identity_*`` functions and
+Python's complex arithmetic.  :func:`contour_coefficients_doubling` is the
+reference for ``aybe.series._contour_coefficients``: the trapezoid rule
+from ``n_start`` nodes up, one ``fn`` call per node count, with the nodes
+and weights formed afresh at each count.  The ``identity_*`` functions and
 :func:`kronecker_weierstrass_limit` return the residuals of the distribution
 and isogeny relations and of the Weierstrass limit of F, formed from the
 fast scalar functions of :mod:`aybe.special`.
@@ -35,6 +38,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -561,3 +565,57 @@ def check_samples_pointwise(h: SolutionHandle, check: str, config) -> tuple:
         else:
             skipped += 1
     return points, skipped
+
+
+def contour_coefficients_doubling(
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    powers: Sequence[int],
+    radius,
+    tol: float = 1e-10,
+    n_start: int = 8,
+    n_max: int = 4096,
+) -> Tuple[List[np.ndarray], np.ndarray]:
+    """Coefficients at the given powers of one function per row, by the
+    trapezoid rule on the circle of radius ``radius[k]`` for row k, with the
+    calling convention of ``aybe.series._contour_coefficients``.
+
+    Every row starts at ``n_start`` nodes; each node count is one ``fn``
+    call on the odd nodes of the rows that have not settled (the even nodes
+    are the previous count's), and a row settles once two successive
+    estimates agree to ``tol`` in the sup metric on its circle."""
+    radius = np.asarray(radius, dtype=float).reshape(-1)
+    powers = np.asarray(powers)
+    active = np.arange(radius.size)
+    nodes = np.zeros(radius.size, dtype=int)
+    coeffs = values = previous = None
+    n = n_start
+    while n <= n_max:
+        theta = 2.0 * math.pi * np.arange(n) / n
+        r = radius[active, None]
+        if values is None:
+            values = np.asarray(fn(active, r * np.exp(1j * theta)), dtype=complex)
+            shape = values.shape[2:]
+            coeffs = np.empty((radius.size, powers.size) + shape, dtype=complex)
+        else:
+            fresh = np.asarray(fn(active, r * np.exp(1j * theta[1::2])), dtype=complex)
+            merged = np.empty((active.size, n) + shape, dtype=complex)
+            merged[:, 0::2] = values
+            merged[:, 1::2] = fresh
+            values = merged
+        flat = values.reshape(active.size, n, -1)
+        phase = theta[(-powers[:, None] * np.arange(n)) % n]
+        weights = np.exp(1j * phase) * r[:, :, None] ** -powers[:, None]
+        current = np.matmul(weights / n, flat)
+        if previous is not None:
+            scale = np.maximum(np.max(np.abs(flat), axis=(1, 2)), 1.0)
+            gap = np.max(np.abs(current - previous) * (r**powers)[:, :, None], axis=(1, 2))
+            done = gap <= tol * scale
+            coeffs[active[done]] = current[done].reshape((-1, powers.size) + shape)
+            nodes[active[done]] = n
+            keep = ~done
+            active, values, current = active[keep], values[keep], current[keep]
+            if not active.size:
+                return [coeffs[:, i] for i in range(powers.size)], nodes
+        previous = current
+        n *= 2
+    raise NonConvergenceError(f"contour quadrature did not settle below {tol} with {n_max} nodes")

@@ -1,8 +1,8 @@
 """Laurent/Taylor analysis of the solution families.
 
 Coefficients of r(u, v) around u = 0 are extracted by trapezoidal contour
-quadrature (spectrally accurate for analytic integrands), starting at 8
-nodes and doubling until two successive node counts agree.  On a circle
+quadrature (spectrally accurate for analytic integrands), comparing 8 with
+16 nodes and doubling until two successive node counts agree.  On a circle
 that keeps clear of every other singularity the trapezoid rule converges
 geometrically, at a rate fixed by the ratio of the distance to the nearest
 one to the radius (Trefethen & Weideman, SIAM Review 2014): the u-circles
@@ -10,12 +10,16 @@ of the scalar families have radius R(v)/16, R(v) the family's distance from
 u = 0 to the nearest other u-pole or zero, so 16 to 32 nodes settle them.
 
 The extraction works on rows: one call integrates many functions, each on
-its own circle, and evaluates the integrand once per node count on the
-nodes of every row that has not settled.  Each row doubles and applies the
-agreement test on its own and leaves the grid once it settles, so it ends
-at the node count a lone extraction would, with the same nodes; the values
-at the even nodes of a doubled count are the previous count's, and only the
-odd nodes are evaluated afresh.  The nested contours (r0' is a contour of
+its own circle.  The first evaluation of the integrand covers 16 nodes of
+every row, whose even nodes give the 8-node estimate, and each later one
+covers the odd nodes of the next count on every row that has not settled
+(the even nodes are the previous count's).  A row needs two estimates to
+settle, so none settles below 16 nodes, and a row that settles there
+costs one evaluation.  Each row doubles and applies the agreement test on
+its own and leaves the grid once it settles, so it ends at the node count
+a lone extraction would, with the same nodes.  The roots of unity and the
+weights e^(-i*m*theta)/n depend on n and the powers alone and are tabled
+once per (n, powers).  The nested contours (r0' is a contour of
 r0, the v-series of r0 is another) pass their whole outer x inner node grid
 down as rows of one extraction, and the scalar families evaluate such a
 grid through ``solutions.eval_aybe_array`` on whole arrays, 2048 points at
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -132,6 +137,28 @@ _N_MAX = 4096
 _TRIG_POINT = -20.0 / 49.0
 
 
+@lru_cache(maxsize=None)
+def _unit_nodes(n: int) -> np.ndarray:
+    """The n-th roots of unity e^{2 pi i k/n}, k = 0..n-1 (read-only)."""
+    nodes = np.exp(1j * (2.0 * math.pi * np.arange(n) / n))
+    nodes.flags.writeable = False
+    return nodes
+
+
+@lru_cache(maxsize=None)
+def _unit_weights(n: int, powers: Tuple[int, ...]) -> np.ndarray:
+    """weights[power, node] = e^{-i m theta_k} / n on the unit circle.
+
+    The phase m*theta_k is reduced mod 2*pi on the node index, exactly, so
+    a high power does not magnify the rounding of theta; n is a power of
+    two, so the division by n is exact."""
+    theta = 2.0 * math.pi * np.arange(n) / n
+    m = np.asarray(powers)
+    weights = np.exp(1j * theta[(-m[:, None] * np.arange(n)) % n]) / n
+    weights.flags.writeable = False
+    return weights
+
+
 def _contour_coefficients(
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     powers: Sequence[int],
@@ -144,53 +171,56 @@ def _contour_coefficients(
     ``fn(rows, z)`` gets the row indices and their nodes, shape
     (len(rows), m), and returns the values there, shape (len(rows), m, ...).
     Each row doubles its node count until two successive estimates agree to
-    ``tol`` (relative).  Returns one array of shape (rows, ...) per power and
-    the node count each row settled at.
+    ``tol`` (relative).  The first call evaluates 2*_N_START nodes, whose
+    even nodes give the _N_START estimate, so a row that settles at the
+    first comparison costs one call.  Returns one array of shape (rows, ...)
+    per power and the node count each row settled at.
     """
     radius = np.asarray(radius, dtype=float).reshape(-1)
-    powers = np.asarray(powers)
+    powers = tuple(int(m) for m in powers)
+    m = np.asarray(powers)
+    r_neg = radius[:, None] ** -m
+    r_pos = radius[:, None] ** m
     active = np.arange(radius.size)
     nodes = np.zeros(radius.size, dtype=int)
-    coeffs = values = previous = None
-    n = _N_START
-    while n <= _N_MAX:
-        theta = 2.0 * math.pi * np.arange(n) / n
-        r = radius[active, None]
-        if values is None:
-            values = np.asarray(fn(active, r * np.exp(1j * theta)), dtype=complex)
-            shape = values.shape[2:]
-            coeffs = np.empty((radius.size, powers.size) + shape, dtype=complex)
-        else:
-            # the even nodes of n are the nodes of n/2
-            fresh = np.asarray(fn(active, r * np.exp(1j * theta[1::2])), dtype=complex)
-            merged = np.empty((active.size, n) + shape, dtype=complex)
-            merged[:, 0::2] = values
-            merged[:, 1::2] = fresh
-            values = merged
+
+    def estimate(values: np.ndarray, n: int) -> np.ndarray:
+        # weights[row, power, node] = e^{-i m theta} / n * radius^-m
+        weights = r_neg[active][:, :, None] * _unit_weights(n, powers)
+        return np.matmul(weights, values.reshape(active.size, n, -1))
+
+    n = 2 * _N_START
+    values = np.asarray(fn(active, radius[:, None] * _unit_nodes(n)), dtype=complex)
+    shape = values.shape[2:]
+    coeffs = np.empty((radius.size, m.size) + shape, dtype=complex)
+    # the even nodes of n are the nodes of n/2
+    previous = estimate(np.ascontiguousarray(values[:, 0::2]), n // 2)
+    while True:
+        current = estimate(values, n)
+        # compare successive estimates in the sup metric on the circle
+        # (weight c_m by radius^m) so the test is radius-independent
         flat = values.reshape(active.size, n, -1)
-        # weights[row, power, node], as exp(-i*m*theta) * radius^-m / n; the
-        # phase m*theta is reduced mod 2*pi on the node index, exactly, so a
-        # high power does not magnify the rounding of theta
-        phase = theta[(-powers[:, None] * np.arange(n)) % n]
-        weights = np.exp(1j * phase) * r[:, :, None] ** -powers[:, None]
-        current = np.matmul(weights / n, flat)
-        if previous is not None:
-            # compare successive estimates in the sup metric on the circle
-            # (weight c_m by radius^m) so the test is radius-independent
-            scale = np.maximum(np.max(np.abs(flat), axis=(1, 2)), 1.0)
-            gap = np.max(np.abs(current - previous) * (r**powers)[:, :, None], axis=(1, 2))
-            done = gap <= tol * scale
-            coeffs[active[done]] = current[done].reshape((-1, powers.size) + shape)
-            nodes[active[done]] = n
-            keep = ~done
-            active, values, current = active[keep], values[keep], current[keep]
-            if not active.size:
-                return [coeffs[:, i] for i in range(powers.size)], nodes
-        previous = current
+        scale = np.maximum(np.max(np.abs(flat), axis=(1, 2)), 1.0)
+        gap = np.max(np.abs(current - previous) * r_pos[active][:, :, None], axis=(1, 2))
+        done = gap <= tol * scale
+        coeffs[active[done]] = current[done].reshape((-1, m.size) + shape)
+        nodes[active[done]] = n
+        keep = ~done
+        active, values, previous = active[keep], values[keep], current[keep]
+        if not active.size:
+            return [coeffs[:, i] for i in range(m.size)], nodes
         n *= 2
-    raise NonConvergenceError(
-        f"contour quadrature did not settle below {tol} with {_N_MAX} nodes"
-    )
+        if n > _N_MAX:
+            raise NonConvergenceError(
+                f"contour quadrature did not settle below {tol} with {_N_MAX} nodes"
+            )
+        fresh = np.asarray(
+            fn(active, radius[active, None] * _unit_nodes(n)[1::2]), dtype=complex
+        )
+        merged = np.empty((active.size, n) + shape, dtype=complex)
+        merged[:, 0::2] = values
+        merged[:, 1::2] = fresh
+        values = merged
 
 
 def extract_u_series(

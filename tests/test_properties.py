@@ -1,5 +1,5 @@
-"""Property tests of theta11, the Kronecker function and the Weierstrass
-functions, and mpmath oracles.
+"""Property tests of theta11, the Kronecker function, the Weierstrass
+functions and the batched contour extraction, and mpmath oracles.
 
 Both third-party libraries are optional test dependencies (the ``test``
 extra); each test is skipped when its library is missing.
@@ -12,7 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from aybe.bruteforce import theta11_series
+from aybe import series
+from aybe.bruteforce import contour_coefficients_doubling, theta11_series
 from aybe.errors import PoleProximityError
 from aybe.special import (
     Characteristic,
@@ -203,3 +204,58 @@ def test_zeta_matches_mpmath_jtheta(tau):
             ref = complex(eta1 * mpmath.mpc(x) + pi * mpmath.jtheta(1, w, q, 1) / mpmath.jtheta(1, w, q))
             assert abs(fast - ref) < 1e-12 * max(1.0, abs(ref))
             assert abs(weierstrass_zeta(x, m) - ref) < 1e-12 * max(1.0, abs(ref))
+
+
+# ---------------------------------------------------------------------------
+# contour extraction against the one-count-per-call reference
+
+
+@hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    rows=st.lists(
+        st.tuples(
+            st.floats(0.05, 3.0),  # radius
+            st.lists(  # poles outside the circle: (|p|/radius, angle, residue)
+                st.tuples(st.floats(1.05, 6.0), st.floats(0.0, 2.0 * math.pi),
+                          st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0)),
+                min_size=1, max_size=3,
+            ),
+            st.integers(0, 3),  # order of the pole at 0
+        ),
+        min_size=1, max_size=6,
+    ),
+    powers=st.lists(st.integers(-4, 4), min_size=1, max_size=4, unique=True),
+    width=st.sampled_from([(), (2,)]),
+)
+def test_contour_coefficients_match_the_doubling_reference(rows, powers, width):
+    # row k is z^-q_k + sum_j a_j/(z - p_j) with every p_j outside the circle
+    radius = np.array([r for r, _, _ in rows])
+    pad = max(len(poles) for _, poles, _ in rows)
+    poles = np.full((len(rows), pad), 1e3 + 0j)
+    residues = np.zeros((len(rows), pad), dtype=complex)
+    for k, (r, row_poles, _) in enumerate(rows):
+        for j, (ratio, angle, residue) in enumerate(row_poles):
+            poles[k, j] = cmath.rect(ratio * r, angle)
+            residues[k, j] = residue
+    order = np.array([q for _, _, q in rows])
+    calls = []
+
+    def fn(rows_, z):
+        calls.append(z.shape)
+        value = z ** -order[rows_, None].astype(float)
+        value = value + np.sum(
+            residues[rows_, None, :] / (z[:, :, None] - poles[rows_, None, :]), axis=2
+        )
+        return value.reshape(z.shape + (1,) * len(width)) * np.ones(width)
+
+    fast, fast_nodes = series._contour_coefficients(fn, powers, radius)
+    fast_calls, calls[:] = len(calls), []
+    ref, ref_nodes = contour_coefficients_doubling(
+        fn, powers, radius, n_start=series._N_START, n_max=series._N_MAX
+    )
+    assert np.array_equal(fast_nodes, ref_nodes)
+    for a, b in zip(fast, ref):
+        assert a.shape == b.shape == (len(rows),) + width
+        assert np.array_equal(a, b)
+    # the fast path evaluates the first two counts in one call
+    assert fast_calls == len(calls) - 1

@@ -338,3 +338,17 @@ def test_rescaled_u_coefficients_match_closed_forms(base, u_coeffs, c3):
         a0, a1 = u_coeffs(h, c4 * v)
         assert abs(scalar_r0(h, v) - a0) < 1e-11 * max(1.0, abs(a0))
         assert abs(scalar_r1(h, v) - c3 * a1) < 1e-11 * max(1.0, abs(c3 * a1))
+
+
+def test_a_row_settling_at_16_nodes_makes_one_call():
+    # a Laurent polynomial is exact on 8 nodes, so 8 and 16 agree at once
+    calls = []
+
+    def fn(rows, z):
+        calls.append(z.shape)
+        return 2.0 / z + 1.0 + 3.0 * z
+
+    (c_m1, c0, c1), nodes = _contour_coefficients(fn, [-1, 0, 1], np.array([0.5, 2.0]))
+    assert calls == [(2, 16)]
+    assert list(nodes) == [16, 16]
+    assert np.allclose(c_m1, 2.0) and np.allclose(c0, 1.0) and np.allclose(c1, 3.0)
