@@ -501,7 +501,10 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
                 else "tau,C_re,C_im"
             )
         for token, tau in zip(grid_tokens, grid):
-            result = classify_scalar(scalar_kronecker(tau), radius=ns.radius)
+            try:
+                result = classify_scalar(scalar_kronecker(tau), radius=ns.radius)
+            except ValueError as exc:
+                raise CliError(str(exc)) from exc
             c_val = complex(result.C)
             if quantity == "C":
                 if ns.csv:

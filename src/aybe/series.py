@@ -164,6 +164,7 @@ def _contour_coefficients(
     powers: Sequence[int],
     radius,
     tol: float = 1e-10,
+    guards: int = 0,
 ) -> Tuple[List[np.ndarray], np.ndarray]:
     """Coefficients at the given powers of one function per row.
 
@@ -173,8 +174,11 @@ def _contour_coefficients(
     Each row doubles its node count until two successive estimates agree to
     ``tol`` (relative).  The first call evaluates 2*_N_START nodes, whose
     even nodes give the _N_START estimate, so a row that settles at the
-    first comparison costs one call.  Returns one array of shape (rows, ...)
-    per power and the node count each row settled at.
+    first comparison costs one call.  The first ``guards`` powers are
+    estimated on the same nodes but left out of the agreement test: they
+    guard coefficients that should vanish, and the test for that need not
+    hold the other powers to more nodes.  Returns one array of shape
+    (rows, ...) per power and the node count each row settled at.
     """
     radius = np.asarray(radius, dtype=float).reshape(-1)
     powers = tuple(int(m) for m in powers)
@@ -201,7 +205,8 @@ def _contour_coefficients(
         # (weight c_m by radius^m) so the test is radius-independent
         flat = values.reshape(active.size, n, -1)
         scale = np.maximum(np.max(np.abs(flat), axis=(1, 2)), 1.0)
-        gap = np.max(np.abs(current - previous) * r_pos[active][:, :, None], axis=(1, 2))
+        drift = np.abs(current[:, guards:] - previous[:, guards:])
+        gap = np.max(drift * r_pos[active][:, guards:, None], axis=(1, 2))
         done = gap <= tol * scale
         coeffs[active[done]] = current[done].reshape((-1, m.size) + shape)
         nodes[active[done]] = n
@@ -279,14 +284,16 @@ def _require_scalar(h: SolutionHandle) -> None:
         raise DomainError(f"{h.family} is not a scalar family")
 
 
-def _scalar_u_coeffs(h: SolutionHandle, v: np.ndarray, power: int) -> np.ndarray:
-    """The u^power coefficient at every point of the array ``v``, one row of
-    a single extraction per point.  The circle about u = 0 has radius
-    R(v)/16, R(v) the distance to the nearest other u-pole or zero, so its
-    first 8 nodes already carry the coefficient to about 16^-8; a family
-    without pole data (custom, callable gauge) gets min(0.02, |v|/4).  An
-    R(v) within the pole guard puts v itself on the lattice, and v is named
-    as the pole."""
+def _scalar_u_coeffs(
+    h: SolutionHandle, v: np.ndarray, powers: Sequence[int]
+) -> List[np.ndarray]:
+    """The u^m coefficients, m in ``powers``, at every point of the array
+    ``v``, one row of a single extraction per point.  The circle about
+    u = 0 has radius R(v)/16, R(v) the distance to the nearest other u-pole
+    or zero, so its first 8 nodes already carry the coefficient to about
+    16^-8; a family without pole data (custom, callable gauge) gets
+    min(0.02, |v|/4).  An R(v) within the pole guard puts v itself on the
+    lattice, and v is named as the pole."""
     flat = v.reshape(-1)
     radius = _u_circle_radii(h, flat, 16.0)
     if radius is None:
@@ -302,8 +309,8 @@ def _scalar_u_coeffs(h: SolutionHandle, v: np.ndarray, power: int) -> np.ndarray
     def fn(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
         return eval_aybe_array(h, z, flat[rows, None]).reshape(z.shape)
 
-    (c,), _ = _contour_coefficients(fn, [power], radius)
-    return c.reshape(v.shape)
+    coeffs, _ = _contour_coefficients(fn, powers, radius)
+    return [c.reshape(v.shape) for c in coeffs]
 
 
 def _as_given(v, values: np.ndarray):
@@ -315,14 +322,14 @@ def scalar_r0(h: SolutionHandle, v):
     """The u^0 coefficient of a scalar family at fixed v (or at every point
     of an array v)."""
     _require_scalar(h)
-    return _as_given(v, _scalar_u_coeffs(h, np.asarray(v, dtype=complex), 0))
+    return _as_given(v, _scalar_u_coeffs(h, np.asarray(v, dtype=complex), [0])[0])
 
 
 def scalar_r1(h: SolutionHandle, v):
     """The u^1 coefficient of a scalar family at fixed v (or at every point
     of an array v)."""
     _require_scalar(h)
-    return _as_given(v, _scalar_u_coeffs(h, np.asarray(v, dtype=complex), 1))
+    return _as_given(v, _scalar_u_coeffs(h, np.asarray(v, dtype=complex), [1])[0])
 
 
 def scalar_r0_derivative(h: SolutionHandle, v):
@@ -333,7 +340,7 @@ def scalar_r0_derivative(h: SolutionHandle, v):
     flat = pts.reshape(-1)
 
     def fn(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return _scalar_u_coeffs(h, flat[rows, None] + w, 0)
+        return _scalar_u_coeffs(h, flat[rows, None] + w, [0])[0]
 
     (c,), _ = _contour_coefficients(fn, [1], np.minimum(0.02, np.abs(flat) / 3.0))
     return _as_given(v, c.reshape(pts.shape))
@@ -342,23 +349,40 @@ def scalar_r0_derivative(h: SolutionHandle, v):
 def scalar_r0_series(
     h: SolutionHandle, order: int, radius: float = 0.05
 ) -> LaurentSeries:
-    """Laurent coefficients of v -> r0(v) around v = 0, powers -1..order."""
+    """Laurent coefficients of v -> r0(v) around v = 0, powers -1..order.
+
+    ``radius`` must be positive and finite.  The coefficients at v^-7 ..
+    v^-2 must vanish, or the circle holds another pole of r0 and
+    PoleProximityError is raised.  For the shipped families those poles
+    come in orbits of the rotations of a lattice (+-p for scalar-trig, the
+    order 2, 4 or 6 rotation group for scalar-kronecker), and an orbit
+    cancels in c_-k unless the order divides k - 1: the pair +-p shows in
+    c_-3, the square lattice (tau = i) in c_-5 and the hexagonal one in
+    c_-7."""
     _require_scalar(h)
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"extraction radius must be positive and finite, not {radius}")
 
     def fn(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return _scalar_u_coeffs(h, x, 0)
+        return _scalar_u_coeffs(h, x, [0])[0]
 
-    powers = list(range(-2, order + 1))
-    raw = [complex(c[0]) for c in _contour_coefficients(fn, powers, radius)[0]]
+    # c_-7 .. c_-3 are only tested for vanishing, so they stay out of the
+    # agreement test and cost no node
+    powers = list(range(-7, order + 1))
+    raw = [complex(c[0]) for c in _contour_coefficients(fn, powers, radius, guards=5)[0]]
     scale = max(max(abs(c) for c in raw), 1.0)
-    if abs(raw[0]) > 1e-8 * scale:
-        raise PoleProximityError("r0 does not have a simple pole at v = 0")
-    return LaurentSeries(leading_order=-1, coeffs=tuple(raw[1:]), radius=radius)
+    stray = max(range(6), key=lambda k: abs(raw[k]))
+    if abs(raw[stray]) > 1e-8 * scale:
+        raise PoleProximityError(
+            f"r0 does not have a simple pole at v = 0 alone on the circle of radius "
+            f"{radius} (|c_{powers[stray]}| = {abs(raw[stray]):.3e}); it holds another pole"
+        )
+    return LaurentSeries(leading_order=-1, coeffs=tuple(raw[6:]), radius=radius)
 
 
 def _u_pole(h: SolutionHandle) -> complex:
     """The u-pole coefficient, read off at one v."""
-    return complex(_scalar_u_coeffs(h, np.asarray(0.31 + 0.07j), -1))
+    return complex(_scalar_u_coeffs(h, np.asarray(0.31 + 0.07j), [-1])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +400,23 @@ def normalize_scalar_r0(
     return the transformed coefficients together with the rescale
     quadruple (c1, c2, c3, c4) realizing them on the handle.
     """
+    series, rescale, _ = _normalize_r0(h, order, radius)
+    return series, rescale
+
+
+def _normalize_r0(
+    h: SolutionHandle, order: int, radius: float
+) -> Tuple[LaurentSeries, tuple, complex]:
+    """:func:`normalize_scalar_r0`, and the u-pole coefficient rho of ``h``
+    that it extracted."""
     _require_scalar(h)
     series = scalar_r0_series(h, order, radius)
     a = {k: series.coefficient(k) for k in range(-1, order + 1)}
     if abs(a[-1]) < 1e-12:
         raise DomainError("r0 has no simple pole at v = 0; cannot normalize")
     rho = _u_pole(h)
+    if abs(rho) < 1e-14:
+        raise DomainError("u-pole coefficient vanishes; cannot normalize")
     c = 1.0 / a[-1]
     c2 = -c * a[1] / rho
     normalized = []
@@ -397,6 +432,7 @@ def normalize_scalar_r0(
     return (
         LaurentSeries(leading_order=-1, coeffs=tuple(normalized), radius=radius),
         rescale,
+        rho,
     )
 
 
@@ -404,13 +440,15 @@ def classify_scalar(h: SolutionHandle, radius: float = 0.3) -> ScalarClassificat
     """Normal-form invariants (c3, c5) and the classification parameter C.
 
     The coefficients are read off a circle of the given ``radius``; an
-    error e in r0 becomes about e/radius^5 in c5, which controls C.  Every
-    shipped scalar family has its nearest r0 pole at distance >= 1, so the
-    default 0.3 is safe for all of them, but it is not wide: for
-    scalar-trig (nearest pole 2*pi*i) it gives
-    C = -4.081632663461e-01+2.9e-9j, 3.1e-9 from -20/49 (the rounding of
-    r0 on 16 nodes, over 0.3^5), while ``radius=1.5`` gives C within
-    1.1e-14 of it.
+    error e in r0 becomes about e/radius^5 in c5, which controls C.  The
+    circle must hold no other pole of r0, or :func:`scalar_r0_series`
+    raises PoleProximityError.  That pole is 2*pi*i for scalar-trig, and
+    the shortest nonzero lattice vector min |m + n*tau| for
+    scalar-kronecker: at least 1 for tau in the fundamental domain, but
+    0.806 at tau = 0.1+0.8i.  The default 0.3 is not wide: for
+    scalar-trig it gives C = -4.081632663461e-01+2.9e-9j, 3.1e-9 from
+    -20/49 (the rounding of r0 on 16 nodes, over 0.3^5), while
+    ``radius=1.5`` gives C within 1.1e-14 of it.
     """
     series, _ = normalize_scalar_r0(h, order=5, radius=radius)
     c3 = series.coefficient(3)
@@ -467,12 +505,10 @@ def _normal_form_handle(h: SolutionHandle) -> SolutionHandle:
     aux4 combination is identically 1/4, and the -v/12 correction from
     killing the v^1 term is exactly what cancels it.
     """
-    _require_scalar(h)
-    _, rescale = normalize_scalar_r0(h)
+    _, rescale, rho = _normalize_r0(h, 5, 0.05)
     hn = replace(h, rescale=rescale)
-    rho = _u_pole(hn)
-    if abs(rho) < 1e-14:
-        raise DomainError("u-pole coefficient vanishes; cannot normalize")
+    # the r0 rescale multiplies c1 and c3 by the same c, so the u-pole
+    # coefficient c1*rho/c3 of hn is the rho of h
     c1, c2, c3, c4 = hn.rescale
     # u -> rho*u on the realized handle: both the base argument and the
     # exp(c2*u*v) exponent see the rescaled u, so c2 scales with c3.  This
@@ -494,8 +530,7 @@ def check_r1_relation(
     """
     hn = _normal_form_handle(h)
     v_all = np.array(pts, dtype=complex)
-    r0_all = _scalar_u_coeffs(hn, v_all, 0)
-    r1_all = _scalar_u_coeffs(hn, v_all, 1)
+    r0_all, r1_all = _scalar_u_coeffs(hn, v_all, [0, 1])
     r0p_all = scalar_r0_derivative(hn, v_all)
     abs_res, rel_res, samples = [], [], []
     for v, r0, r1, r0p in zip(pts, r0_all, r1_all, r0p_all):
@@ -518,7 +553,7 @@ def check_aux4(h: SolutionHandle, v: complex, vp: complex) -> complex:
     """
     hn = _normal_form_handle(h)
     points = np.array([v, vp, v + vp], dtype=complex)
-    r0 = [complex(x) for x in _scalar_u_coeffs(hn, points, 0)]
+    r0 = [complex(x) for x in _scalar_u_coeffs(hn, points, [0])[0]]
     r0p = [complex(x) for x in scalar_r0_derivative(hn, points)]
     return (r0[0] + r0[1] - r0[2]) ** 2 + r0p[0] + r0p[1] + r0p[2]
 

@@ -424,6 +424,53 @@ def test_classify_names_a_lattice_v_as_the_pole(capsys):
     assert "of the lattice for tau = 1.5j" in err
 
 
+@pytest.mark.parametrize("radius", ["0", "nan", "inf"])
+def test_classify_rejects_a_radius_that_is_not_positive_and_finite(radius, capsys):
+    code, out, err = run_cli(
+        ["classify", "--family", "scalar-trig", "--radius", radius], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: extraction radius must be positive and finite")
+
+
+def test_sweep_c_rejects_a_radius_that_is_not_positive(capsys):
+    code, out, err = run_cli(
+        ["sweep", "--quantity", "C", "--family", "scalar-kronecker",
+         "--grid", "1.2i", "--radius", "0"],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error: extraction radius must be positive and finite")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--family", "scalar-trig", "--radius", "7"],
+        ["--family", "scalar-kronecker", "--tau=0.1+0.8i", "--radius", "0.9"],
+        ["--family", "scalar-kronecker", "--tau", "i", "--radius", "1.05"],
+    ],
+    ids=["trig", "kronecker_short_tau", "kronecker_square"],
+)
+def test_classify_rejects_a_circle_around_another_pole(args, capsys):
+    # each printed a wrong C with exit 0 when only c_-2 was tested
+    code, out, err = run_cli(["classify", *args], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: r0 does not have a simple pole at v = 0 alone")
+
+
+def test_sweep_c_rejects_a_circle_around_another_pole(capsys):
+    code, out, err = run_cli(
+        ["sweep", "--quantity", "C", "--family", "scalar-kronecker",
+         "--grid=2i,0.1+0.8i", "--radius", "0.9"],
+        capsys,
+    )
+    assert code == 2
+    assert "holds another pole" in err
+
+
 def test_classify_matrix_family_is_usage_error(capsys):
     code, _, err = run_cli(
         ["classify", "--family", "elliptic", "--d", "2", "--r", "1",

@@ -216,9 +216,9 @@ def test_zeta_matches_mpmath_jtheta(tau):
         st.tuples(
             st.floats(0.05, 3.0),  # radius
             st.lists(  # poles outside the circle: (|p|/radius, angle, residue)
-                st.tuples(st.floats(1.05, 6.0), st.floats(0.0, 2.0 * math.pi),
+                st.tuples(st.floats(1.05, 300.0), st.floats(0.0, 2.0 * math.pi),
                           st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0)),
-                min_size=1, max_size=3,
+                min_size=0, max_size=3,
             ),
             st.integers(0, 3),  # order of the pole at 0
         ),
@@ -228,9 +228,10 @@ def test_zeta_matches_mpmath_jtheta(tau):
     width=st.sampled_from([(), (2,)]),
 )
 def test_contour_coefficients_match_the_doubling_reference(rows, powers, width):
-    # row k is z^-q_k + sum_j a_j/(z - p_j) with every p_j outside the circle
+    # row k is z^-q_k + sum_j a_j/(z - p_j) with every p_j outside the circle;
+    # without poles, or with far ones, a row settles at the first comparison
     radius = np.array([r for r, _, _ in rows])
-    pad = max(len(poles) for _, poles, _ in rows)
+    pad = max(max(len(poles) for _, poles, _ in rows), 1)
     poles = np.full((len(rows), pad), 1e3 + 0j)
     residues = np.zeros((len(rows), pad), dtype=complex)
     for k, (r, row_poles, _) in enumerate(rows):

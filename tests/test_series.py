@@ -25,6 +25,7 @@ from aybe.series import (
     scalar_r1,
 )
 from aybe.solutions import (
+    _u_circle_radii,
     custom_handle,
     elliptic_aybe,
     eval_aybe_array,
@@ -159,6 +160,48 @@ def test_classify_infinity_marker():
     assert result.C == INFINITY
 
 
+@pytest.mark.parametrize(
+    "h,clear,stray",
+    [
+        (scalar_trig(), 6.0, 6.5),  # poles +-2 pi i: c_-3
+        (scalar_kronecker(0.1 + 0.8j), 0.79, 0.82),  # +-tau, |tau| = 0.806: c_-3
+        (scalar_kronecker(1j), 0.95, 1.05),  # +-1, +-i: c_-5
+        (scalar_kronecker(cmath.exp(1j * math.pi / 3)), 0.95, 1.05),  # hexagonal: c_-7
+    ],
+    ids=["scalar_trig", "kronecker_short_tau", "kronecker_square", "kronecker_hexagonal"],
+)
+def test_r0_series_rejects_a_circle_around_another_pole(h, clear, stray):
+    # r0 is odd, so the poles +-p cancel in c_-2; the guard reads c_-7..c_-3
+    series = scalar_r0_series(h, 5, radius=clear)
+    assert abs(series.coefficient(-1) - scalar_r0_series(h, 5, radius=0.3).coefficient(-1)) < 1e-9
+    with pytest.raises(PoleProximityError, match="holds another pole"):
+        scalar_r0_series(h, 5, radius=stray)
+
+
+def test_the_stray_pole_guard_adds_no_node(monkeypatch):
+    points = []
+
+    def counting(h, u, v):
+        points.append(np.broadcast(u, v).size)
+        return eval_aybe_array(h, u, v)
+
+    monkeypatch.setattr(aybe.series, "eval_aybe_array", counting)
+    classify_scalar(scalar_trig())
+    # the 16-node estimate of c_-3 on the 0.3 circle holds the alias
+    # c_5 * 0.3^8; in the agreement test it would double the outer circle
+    assert len(points) <= 3 and sum(points) <= 288
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.3, math.nan, math.inf])
+def test_r0_series_rejects_a_radius_before_evaluating(radius, monkeypatch):
+    def no_evaluation(h, u, v):
+        raise AssertionError("evaluated with an invalid radius")
+
+    monkeypatch.setattr(aybe.series, "eval_aybe_array", no_evaluation)
+    with pytest.raises(ValueError, match="positive and finite"):
+        scalar_r0_series(scalar_trig(), 5, radius=radius)
+
+
 def test_classify_rejects_matrix_families():
     with pytest.raises(DomainError):
         classify_scalar(elliptic_aybe(2, 1, 1j))
@@ -286,8 +329,62 @@ def test_aux4_calls_the_array_entry_a_bounded_number_of_times(monkeypatch):
 
     monkeypatch.setattr(aybe.series, "eval_aybe_array", counting)
     assert abs(check_aux4(scalar_trig(), 0.4j, 0.3)) < 1e-9
-    # the per-point extraction evaluated r at 148,416 points, one call each
-    assert len(calls) <= 100
+    # the per-point extraction evaluated r at 148,416 points, one call each;
+    # with 8 and 16 nodes in the first call, r0 and rho of the normal form
+    # take two calls, and r0 and r0' at the three points three
+    assert len(calls) <= 5
+    assert sum(calls) <= 1104
+
+
+def test_r1_calls_the_array_entry_a_bounded_number_of_times(monkeypatch):
+    calls = []
+
+    def counting(h, u, v):
+        calls.append(np.broadcast(u, v).size)
+        return eval_aybe_array(h, u, v)
+
+    monkeypatch.setattr(aybe.series, "eval_aybe_array", counting)
+    rep = check_r1_relation(scalar_trig(), (0.31,))
+    assert rep.passed and rep.max_abs_residual < 1e-12
+    # the normal form takes two calls, r0 and r1 one joint extraction, and
+    # r0' a nested contour; one call per node count took 18 calls and 608
+    # points
+    assert len(calls) <= 5
+    assert sum(calls) <= 560
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        scalar_trig(),
+        scalar_kronecker(0.6 + 1.1j),
+        replace(scalar_kronecker(0.6 + 1.1j), rescale=(0.7, -0.3, 2.5, 0.9 + 0.2j)),
+    ],
+    ids=["scalar_trig", "scalar_kronecker", "rescaled"],
+)
+def test_joint_r0_r1_extraction_matches_one_power_at_a_time(h, monkeypatch):
+    settled = []
+    contour = aybe.series._contour_coefficients
+
+    def recording(*args, **kwargs):
+        coeffs, nodes = contour(*args, **kwargs)
+        settled.append(nodes)
+        return coeffs, nodes
+
+    monkeypatch.setattr(aybe.series, "_contour_coefficients", recording)
+    v = np.array([0.31, 0.22 - 0.11j, -0.17 + 0.29j, 0.4j, 1.02])
+    r0, r1 = aybe.series._scalar_u_coeffs(h, v, [0, 1])
+    (r0_alone,) = aybe.series._scalar_u_coeffs(h, v, [0])
+    (r1_alone,) = aybe.series._scalar_u_coeffs(h, v, [1])
+    assert np.array_equal(settled[0], settled[1])
+    assert np.array_equal(settled[0], settled[2])
+    assert np.all(np.abs(r0 - r0_alone) <= 1e-14 * np.maximum(np.abs(r0_alone), 1.0))
+    # r1 = c_1 carries the rounding of the values, about 1/radius on the
+    # circle, divided by the radius: compare it in the metric of the
+    # agreement test, c_1 * radius against the size of the values
+    radius = _u_circle_radii(h, v, 16.0)
+    gap = np.abs(r1 - r1_alone) * radius
+    assert np.all(gap <= 1e-14 * np.maximum(1.0, 1.0 / radius))
 
 
 @pytest.mark.parametrize("v", [1.0, 1j, 1.0 + 1j])
