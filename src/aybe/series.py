@@ -145,7 +145,7 @@ def _unit_nodes(n: int) -> np.ndarray:
     return nodes
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _unit_weights(n: int, powers: Tuple[int, ...]) -> np.ndarray:
     """weights[power, node] = e^{-i m theta_k} / n on the unit circle.
 
