@@ -184,7 +184,7 @@ def _contour_coefficients(
     powers = tuple(int(m) for m in powers)
     m = np.asarray(powers)
     r_neg = radius[:, None] ** -m
-    r_pos = radius[:, None] ** m
+    r_pos = radius[:, None] ** m[guards:]
     active = np.arange(radius.size)
     nodes = np.zeros(radius.size, dtype=int)
 
@@ -206,7 +206,7 @@ def _contour_coefficients(
         flat = values.reshape(active.size, n, -1)
         scale = np.maximum(np.max(np.abs(flat), axis=(1, 2)), 1.0)
         drift = np.abs(current[:, guards:] - previous[:, guards:])
-        gap = np.max(drift * r_pos[active][:, guards:, None], axis=(1, 2))
+        gap = np.max(drift * r_pos[active][:, :, None], axis=(1, 2))
         done = gap <= tol * scale
         coeffs[active[done]] = current[done].reshape((-1, m.size) + shape)
         nodes[active[done]] = n
