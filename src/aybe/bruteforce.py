@@ -30,7 +30,10 @@ from ``n_start`` nodes up, one ``fn`` call per node count, with the nodes
 and weights formed afresh at each count.  The ``identity_*`` functions and
 :func:`kronecker_weierstrass_limit` return the residuals of the distribution
 and isogeny relations and of the Weierstrass limit of F, formed from the
-fast scalar functions of :mod:`aybe.special`.
+fast scalar functions of :mod:`aybe.special`.  Only the tests use
+:func:`theta11_derivative_at_zero`, the fast path's termwise theta
+derivative that :func:`theta11_derivative_series` checks, and
+:func:`matrix_unit`.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .solutions import SolutionHandle, paired_cybe_handle
 from .special import (
     Characteristic,
     ModularParam,
+    _theta_at,
     kronecker_F,
     kronecker_F_char,
     lattice_distance,
@@ -83,6 +87,21 @@ def theta11_derivative_series(tau: complex, order: int = 1, n_max: int = 40) -> 
             * cmath.exp(1j * math.pi * half * half * tau)
         )
     return total
+
+
+def theta11_derivative_at_zero(m: ModularParam, order: int = 1) -> complex:
+    """Termwise u-derivative of theta11 at u = 0 by the truncated theta sum
+    of :mod:`aybe.special` (the fast path), to hold against
+    :func:`theta11_derivative_series`."""
+    (val,) = _theta_at(0.0, m.tau, (order,))
+    return val
+
+
+def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
+    """The n x n matrix unit e_ij."""
+    m = np.zeros((n, n), dtype=complex)
+    m[i, j] = 1.0
+    return m
 
 
 def kronecker_double_series(u: complex, v: complex, tau: complex, n_max: int = 60) -> complex:
@@ -496,6 +515,9 @@ def in_domain_pointwise(h: SolutionHandle, u, v: complex, guard: float) -> bool:
     _, _, c3, c4 = h.rescale
     vv = c4 * v
     uu = c3 * u if h.is_aybe else None
+    points = (vv,) if uu is None else (uu, vv)
+    if not all(cmath.isfinite(z) for z in points):
+        return False
     if h.family == "elliptic_aybe":
         lat = h.r * h.tau
         x, y = h.d * h.r * uu, h.d * vv
@@ -509,7 +531,6 @@ def in_domain_pointwise(h: SolutionHandle, u, v: complex, guard: float) -> bool:
     if h.family == "custom":
         return True
     # the trigonometric families: clear of 2*pi*i*Z in every variable
-    points = (vv,) if uu is None else (uu, vv)
     return all(abs(z - complex(0.0, 2.0 * math.pi * round(z.imag / (2.0 * math.pi)))) > guard
                for z in points)
 

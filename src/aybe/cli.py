@@ -212,11 +212,22 @@ def _add_family_args(sub: argparse.ArgumentParser, with_handle_file: bool = True
         )
 
 
+def _seed(token: str) -> int:
+    """A --seed value: numpy's generators take non-negative integers only."""
+    try:
+        seed = int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, not {seed}")
+    return seed
+
+
 def _add_common_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON file supplying subcommand options")
     sub.add_argument("--out", help="output file (default: stdout)")
     sub.add_argument("--csv", action="store_true", help="CSV output with header row")
-    sub.add_argument("--seed", type=int, default=0, help="RNG seed for sampled checks")
+    sub.add_argument("--seed", type=_seed, default=0, help="RNG seed for sampled checks")
 
 
 # ---------------------------------------------------------------------------
@@ -703,12 +714,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
+    # OverflowError and ZeroDivisionError are the float errors of a family
+    # evaluation (solutions._FLOAT_ERRORS)
     try:
         return ns.func(ns)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (PoleProximityError, DomainError, NonConvergenceError) as exc:
+    except (CliError, PoleProximityError, DomainError, NonConvergenceError,
+            OverflowError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,11 +19,19 @@ costs one evaluation.  Each row doubles and applies the agreement test on
 its own and leaves the grid once it settles, so it ends at the node count
 a lone extraction would, with the same nodes.  The roots of unity and the
 weights e^(-i*m*theta)/n depend on n and the powers alone and are tabled
-once per (n, powers).  The nested contours (r0' is a contour of
-r0, the v-series of r0 is another) pass their whole outer x inner node grid
-down as rows of one extraction, and the scalar families evaluate such a
-grid through ``solutions.eval_aybe_array`` on whole arrays, 2048 points at
-a time.  On top of the extraction sit:
+once per (n, powers).
+
+Every u-expansion, scalar or matrix, is one such extraction with a row per
+point v (:func:`_u_coeffs`): each row's values are the (n, n, n, n)
+tensors of r at its nodes, evaluated for all rows at once through
+``solutions.eval_aybe_array`` on whole arrays, 2048 / n^2 points at a
+time.  Its circle is R(v)/16, or the fixed radius a public function takes.
+The nested contours (r0' is a contour of r0, the v-series of r0 is
+another) pass their whole outer x inner node grid down as rows of one
+extraction, and the matrix relations (aux5, reconstruction) extract v,
+v + v' and v' of all their pairs as rows of one extraction and form their
+products on the stacks with :func:`aybe.tensors.leg_product_array`, the
+product path of :mod:`aybe.verify`.  On top of the extraction sit:
 
 * the scalar normal form r0(v) = 1/v + c3*v^3 + c5*v^5 + ... and the
   classification invariant C = c5^2 / c3^3,
@@ -52,8 +60,8 @@ import numpy as np
 from .errors import DomainError, NonConvergenceError, PoleProximityError
 from .solutions import SolutionHandle, _u_circle_radii, eval_aybe_array
 from .special import POLE_GUARD, _pole_error
-from .tensors import MatrixTensor2, MatrixTensor3, from_pair, leg_product
-from .verify import ResidualReport, _make_report
+from .tensors import MatrixTensor2, MatrixTensor3, _embed_array, leg_product_array
+from .verify import ResidualReport, _frobenius, _make_report, _max_abs
 
 __all__ = [
     "INFINITY",
@@ -94,10 +102,6 @@ class LaurentSeries:
         if idx < 0 or idx >= len(self.coeffs):
             raise IndexError(f"power {power} not extracted")
         return self.coeffs[idx]
-
-    @property
-    def top_power(self) -> int:
-        return self.leading_order + len(self.coeffs) - 1
 
 
 @dataclass(frozen=True)
@@ -228,50 +232,75 @@ def _contour_coefficients(
         values = merged
 
 
-def extract_u_series(
-    h: SolutionHandle,
-    v: complex,
-    order: int,
-    radius: float = 0.05,
-    self_check: bool = False,
-) -> LaurentSeries:
-    """Laurent coefficients r_{-1}, r_0(v), ..., r_order(v) of u -> r(u, v).
+def _u_coeffs(
+    h: SolutionHandle, v: np.ndarray, powers: Sequence[int], radius: Optional[float] = None
+) -> List[np.ndarray]:
+    """The u^m coefficients, m in ``powers``, at every point of the array
+    ``v``, one row of a single extraction per point, each of shape
+    v.shape + (n, n, n, n).
 
-    A preliminary coefficient at u^(-2) guards against a higher-order pole
-    or a stray pole inside the circle; with ``self_check`` the extraction
-    is repeated at half the radius and compared.
-    """
+    With a ``radius`` every circle about u = 0 has that radius.  Without,
+    the circle at v has radius R(v)/16, R(v) the distance to the nearest
+    other u-pole or zero, so its first 8 nodes already carry the
+    coefficient to about 16^-8; a family without pole data (custom,
+    callable gauge) gets min(0.02, |v|/4).  An R(v) within the pole guard
+    puts v itself on the lattice, and v is named as the pole."""
+    flat = v.reshape(-1)
+    shape = (h.n,) * 4
+    if not flat.size:
+        return [np.empty(v.shape + shape, dtype=complex) for _ in powers]
+    if radius is not None:
+        radius = np.full(flat.shape, radius, dtype=float)
+    else:
+        radius = _u_circle_radii(h, flat, 16.0)
+        if radius is None:
+            radius = np.where(flat != 0, np.minimum(0.02, np.abs(flat) / 4.0), 0.02)
+        else:
+            _, _, c3, c4 = h.rescale
+            # a Python min: on the few to a hundred radii of a call it costs
+            # a third of numpy's reduction, and classify calls this per contour
+            if min(radius.tolist()) * (16.0 * abs(c3)) < POLE_GUARD:
+                k = int((radius * (16.0 * abs(c3)) < POLE_GUARD).argmax())
+                raise _pole_error("v", complex(c4 * flat[k]), POLE_GUARD, h.tau)
+
+    # the n^4 entries of a value on one axis: the contour's arrays keep
+    # three axes, which numpy walks faster than six
+    def fn(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return eval_aybe_array(h, z, flat[rows, None]).reshape(z.shape + (-1,))
+
+    coeffs, _ = _contour_coefficients(fn, powers, radius)
+    return [c.reshape(v.shape + shape) for c in coeffs]
+
+
+def _u_series(h: SolutionHandle, v: np.ndarray, order: int, radius: float) -> List[np.ndarray]:
+    """r_{-1}, r_0, ..., r_order at every point of the 1-d array ``v``, on
+    circles of the given ``radius``, each (len(v), n, n, n, n).  A
+    coefficient at u^(-2) guards against a higher-order pole or a stray
+    pole inside a circle: it must vanish to 1e-9 of the point's largest
+    coefficient."""
     if order < -1:
         raise ValueError("order must be at least -1")
-    n = h.n
-
-    def fn(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return eval_aybe_array(h, z, v).reshape(z.shape + (n,) * 4)
-
-    powers = list(range(-2, order + 1))
-    raw = [c[0] for c in _contour_coefficients(fn, powers, radius)[0]]
-    scale = max(max(np.max(np.abs(c)) for c in raw), 1.0)
-    if np.max(np.abs(raw[0])) > 1e-9 * scale:
+    raw = _u_coeffs(h, v, range(-2, order + 1), radius)
+    peak = np.abs(np.stack(raw)).reshape(len(raw), len(v), h.n**4).max(axis=2, initial=0.0)
+    stray = peak[0] > 1e-9 * np.maximum(peak.max(axis=0), 1.0)
+    if stray.any():
         raise PoleProximityError(
             "u-expansion is not a simple pole at 0 on this circle "
-            f"(|c_-2| = {np.max(np.abs(raw[0])):.3e})"
+            f"(|c_-2| = {peak[0][stray.argmax()]:.3e})"
         )
-    coeffs = raw[1:]
-    if self_check:
-        again = [c[0] for c in _contour_coefficients(fn, powers, radius / 2.0)[0][1:]]
-        gap = max(np.max(np.abs(c - p)) for c, p in zip(coeffs, again))
-        if gap > 1e-9 * scale:
-            raise PoleProximityError(
-                f"radius self-check failed (gap {gap:.3e}); stray pole inside circle"
-            )
+    return raw[1:]
 
-    def wrap(c: np.ndarray) -> Coefficient:
-        if n == 1:
-            return complex(c.reshape(-1)[0])
-        return MatrixTensor2(c)
 
+def extract_u_series(
+    h: SolutionHandle, v: complex, order: int, radius: float = 0.05
+) -> LaurentSeries:
+    """Laurent coefficients r_{-1}, r_0(v), ..., r_order(v) of u -> r(u, v),
+    read off the circle |u| = ``radius``; a preliminary coefficient at
+    u^(-2) guards against a higher-order pole or a stray pole inside it."""
+    coeffs = _u_series(h, np.array([v], dtype=complex), order, radius)
+    wrap = MatrixTensor2 if h.n > 1 else (lambda c: complex(c.reshape(())))
     return LaurentSeries(
-        leading_order=-1, coeffs=tuple(wrap(c) for c in coeffs), radius=radius
+        leading_order=-1, coeffs=tuple(wrap(c[0]) for c in coeffs), radius=radius
     )
 
 
@@ -284,37 +313,10 @@ def _require_scalar(h: SolutionHandle) -> None:
         raise DomainError(f"{h.family} is not a scalar family")
 
 
-def _scalar_u_coeffs(
-    h: SolutionHandle, v: np.ndarray, powers: Sequence[int]
-) -> List[np.ndarray]:
-    """The u^m coefficients, m in ``powers``, at every point of the array
-    ``v``, one row of a single extraction per point.  The circle about
-    u = 0 has radius R(v)/16, R(v) the distance to the nearest other u-pole
-    or zero, so its first 8 nodes already carry the coefficient to about
-    16^-8; a family without pole data (custom, callable gauge) gets
-    min(0.02, |v|/4).  An R(v) within the pole guard puts v itself on the
-    lattice, and v is named as the pole."""
-    flat = v.reshape(-1)
-    radius = _u_circle_radii(h, flat, 16.0)
-    if radius is None:
-        radius = np.where(flat != 0, np.minimum(0.02, np.abs(flat) / 4.0), 0.02)
-    else:
-        _, _, c3, c4 = h.rescale
-        # a Python min: on the few to a hundred radii of a call it costs a
-        # third of numpy's reduction, and classify calls this per contour
-        if min(radius.tolist()) * (16.0 * abs(c3)) < POLE_GUARD:
-            k = int((radius * (16.0 * abs(c3)) < POLE_GUARD).argmax())
-            raise _pole_error("v", complex(c4 * flat[k]), POLE_GUARD, h.tau)
-
-    def fn(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return eval_aybe_array(h, z, flat[rows, None]).reshape(z.shape)
-
-    coeffs, _ = _contour_coefficients(fn, powers, radius)
-    return [c.reshape(v.shape) for c in coeffs]
-
-
 def _as_given(v, values: np.ndarray):
-    """``values`` at the points of ``v``: a complex number when v is one."""
+    """A scalar family's ``values`` at the points of ``v``, shape
+    np.shape(v): a complex number when v is one."""
+    values = values.reshape(np.shape(v))
     return values if np.ndim(v) else complex(values)
 
 
@@ -322,14 +324,14 @@ def scalar_r0(h: SolutionHandle, v):
     """The u^0 coefficient of a scalar family at fixed v (or at every point
     of an array v)."""
     _require_scalar(h)
-    return _as_given(v, _scalar_u_coeffs(h, np.asarray(v, dtype=complex), [0])[0])
+    return _as_given(v, _u_coeffs(h, np.asarray(v, dtype=complex), [0])[0])
 
 
 def scalar_r1(h: SolutionHandle, v):
     """The u^1 coefficient of a scalar family at fixed v (or at every point
     of an array v)."""
     _require_scalar(h)
-    return _as_given(v, _scalar_u_coeffs(h, np.asarray(v, dtype=complex), [1])[0])
+    return _as_given(v, _u_coeffs(h, np.asarray(v, dtype=complex), [1])[0])
 
 
 def scalar_r0_derivative(h: SolutionHandle, v):
@@ -340,10 +342,10 @@ def scalar_r0_derivative(h: SolutionHandle, v):
     flat = pts.reshape(-1)
 
     def fn(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return _scalar_u_coeffs(h, flat[rows, None] + w, [0])[0]
+        return _u_coeffs(h, flat[rows, None] + w, [0])[0].reshape(w.shape)
 
     (c,), _ = _contour_coefficients(fn, [1], np.minimum(0.02, np.abs(flat) / 3.0))
-    return _as_given(v, c.reshape(pts.shape))
+    return _as_given(v, c)
 
 
 def scalar_r0_series(
@@ -364,7 +366,7 @@ def scalar_r0_series(
         raise ValueError(f"extraction radius must be positive and finite, not {radius}")
 
     def fn(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return _scalar_u_coeffs(h, x, [0])[0]
+        return _u_coeffs(h, x, [0])[0].reshape(x.shape)
 
     # c_-7 .. c_-3 are only tested for vanishing, so they stay out of the
     # agreement test and cost no node
@@ -382,7 +384,7 @@ def scalar_r0_series(
 
 def _u_pole(h: SolutionHandle) -> complex:
     """The u-pole coefficient, read off at one v."""
-    return complex(_scalar_u_coeffs(h, np.asarray(0.31 + 0.07j), [-1])[0])
+    return complex(_u_coeffs(h, np.asarray(0.31 + 0.07j), [-1])[0].reshape(()))
 
 
 # ---------------------------------------------------------------------------
@@ -477,18 +479,14 @@ def pole_normalized_handle(
     The coefficient is extracted numerically (not read from a table) and
     required to be a scalar multiple of 1 (x) 1.
     """
-    series = extract_u_series(h, v_probe, -1, radius=radius)
-    rm1 = series.coefficient(-1)
-    if h.n == 1:
-        rho = complex(rm1)
-    else:
-        rho = complex(rm1.coeffs[0, 0, 0, 0])
-        one_one = from_pair(np.eye(h.n), np.eye(h.n))
-        gap = (rm1 - one_one * rho).max_abs()
-        if gap > 1e-8 * max(1.0, abs(rho)):
-            raise DomainError(
-                f"u-pole coefficient is not proportional to 1 (x) 1 (gap {gap:.3e})"
-            )
+    ((rm1,),) = _u_series(h, np.array([v_probe], dtype=complex), -1, radius)
+    rho = complex(rm1[0, 0, 0, 0])
+    eye = np.eye(h.n, dtype=complex)
+    gap = np.max(np.abs(rm1 - np.einsum("ij,kl->ijkl", eye, eye) * rho))
+    if gap > 1e-8 * max(1.0, abs(rho)):
+        raise DomainError(
+            f"u-pole coefficient is not proportional to 1 (x) 1 (gap {gap:.3e})"
+        )
     if abs(rho) < 1e-14:
         raise DomainError("u-pole coefficient vanishes; nothing to normalize")
     c1, c2, c3, c4 = h.rescale
@@ -530,7 +528,7 @@ def check_r1_relation(
     """
     hn = _normal_form_handle(h)
     v_all = np.array(pts, dtype=complex)
-    r0_all, r1_all = _scalar_u_coeffs(hn, v_all, [0, 1])
+    r0_all, r1_all = (c.reshape(v_all.shape) for c in _u_coeffs(hn, v_all, [0, 1]))
     r0p_all = scalar_r0_derivative(hn, v_all)
     abs_res, rel_res, samples = [], [], []
     for v, r0, r1, r0p in zip(pts, r0_all, r1_all, r0p_all):
@@ -553,31 +551,20 @@ def check_aux4(h: SolutionHandle, v: complex, vp: complex) -> complex:
     """
     hn = _normal_form_handle(h)
     points = np.array([v, vp, v + vp], dtype=complex)
-    r0 = [complex(x) for x in _scalar_u_coeffs(hn, points, [0])[0]]
+    r0 = [complex(x) for x in _u_coeffs(hn, points, [0])[0].reshape(-1)]
     r0p = [complex(x) for x in scalar_r0_derivative(hn, points)]
     return (r0[0] + r0[1] - r0[2]) ** 2 + r0p[0] + r0p[1] + r0p[2]
 
 
 def _legged_coeffs(
-    h: SolutionHandle, v: complex, vp: complex, order: int, radius: float
-) -> dict:
-    """r_k tensors at v, v', v+v', keyed by the legs 12, 23, 13 they occupy."""
-    n = h.n
-
-    def tensor(c: Coefficient) -> MatrixTensor2:
-        if n == 1:
-            return MatrixTensor2(np.array(complex(c)).reshape(1, 1, 1, 1))
-        return c
-
-    s_v = extract_u_series(h, v, order, radius=radius)
-    s_vp = extract_u_series(h, vp, order, radius=radius)
-    s_sum = extract_u_series(h, v + vp, order, radius=radius)
-    out = {}
-    for k in range(0, order + 1):
-        out[("12", k)] = tensor(s_v.coefficient(k))
-        out[("23", k)] = tensor(s_vp.coefficient(k))
-        out[("13", k)] = tensor(s_sum.coefficient(k))
-    return out
+    h: SolutionHandle, pairs: Sequence[Tuple[complex, complex]], order: int, radius: float
+) -> List[np.ndarray]:
+    """r_0 .. r_order at v, v+v' and v' of every (v, v') pair, the points of
+    legs 12, 13 and 23, from one extraction: one (3, P, n, n, n, n) array
+    per order."""
+    pts = np.array([(v, v + vp, vp) for v, vp in pairs], dtype=complex).reshape(-1, 3).T
+    coeffs = _u_series(h, pts.reshape(-1), order, radius)[1:]
+    return [c.reshape(pts.shape + (h.n,) * 4) for c in coeffs]
 
 
 def check_aux5(
@@ -591,20 +578,19 @@ def check_aux5(
     on the pole-normalized handle (for n = 1 this is the scalar identity
     with all leg embeddings trivial)."""
     hn = pole_normalized_handle(h)
-    c = _legged_coeffs(hn, v, vp, 1, radius)
-    a0, b0, c0 = c[("12", 0)], c[("13", 0)], c[("23", 0)]
+    (a0, b0, c0), (a1, b1, c1) = _legged_coeffs(hn, [(v, vp)], 1, radius)
     lhs = (
-        leg_product(a0, "12", b0, "13")
-        - leg_product(c0, "23", a0, "12")
-        + leg_product(b0, "13", c0, "23")
+        leg_product_array(a0, "12", b0, "13")
+        - leg_product_array(c0, "23", a0, "12")
+        + leg_product_array(b0, "13", c0, "23")
     )
-    rhs = c[("12", 1)].embed("12") + c[("23", 1)].embed("23") + c[("13", 1)].embed("13")
-    return lhs - rhs
+    rhs = _embed_array(a1, "12") + _embed_array(c1, "23") + _embed_array(b1, "13")
+    return MatrixTensor3((lhs - rhs)[0])
 
 
-def _reconstruction_from_coeffs(c: dict) -> Tuple[tuple, float]:
+def _reconstruction_from_coeffs(coeffs: List[np.ndarray]) -> Tuple[tuple, np.ndarray]:
     """The three degree-4 coefficient relations pinning r2, from the legged
-    coefficients of :func:`_legged_coeffs` (order 2), and their scale.
+    coefficients of :func:`_legged_coeffs` (order 2), and each pair's scale.
 
     Expanding the two-variable identity with the pole coefficient equal to
     the identity and clearing u*u'*(u+u'), the coefficients of u^3*u',
@@ -615,18 +601,16 @@ def _reconstruction_from_coeffs(c: dict) -> Tuple[tuple, float]:
         3*B2 + 3*C2    = 2*A0*B1 - A1*B0 - 2*C1*A0 - C0*A1 + B1*C0 + B0*C1
 
     where the third is the sum of the first two.  All three residuals
-    (LHS - RHS) are returned.
+    (LHS - RHS) are returned, each (P, n, n, n, n, n, n).
     """
-    a0, a1, a2 = (c[("12", k)] for k in range(3))
-    b0, b1, b2 = (c[("13", k)] for k in range(3))
-    c0, c1, c2 = (c[("23", k)] for k in range(3))
-    a2, b2, c2 = a2.embed("12"), b2.embed("13"), c2.embed("23")
-    a0b1 = leg_product(a0, "12", b1, "13")
-    a1b0 = leg_product(a1, "12", b0, "13")
-    c1a0 = leg_product(c1, "23", a0, "12")
-    c0a1 = leg_product(c0, "23", a1, "12")
-    b1c0 = leg_product(b1, "13", c0, "23")
-    b0c1 = leg_product(b0, "13", c1, "23")
+    (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = coeffs
+    a2, b2, c2 = _embed_array(a2, "12"), _embed_array(b2, "13"), _embed_array(c2, "23")
+    a0b1 = leg_product_array(a0, "12", b1, "13")
+    a1b0 = leg_product_array(a1, "12", b0, "13")
+    c1a0 = leg_product_array(c1, "23", a0, "12")
+    c0a1 = leg_product_array(c0, "23", a1, "12")
+    b1c0 = leg_product_array(b1, "13", c0, "23")
+    b0c1 = leg_product_array(b0, "13", c1, "23")
 
     lhs1 = b2 * 2.0 + c2 + a2
     rhs1 = a0b1 - c1a0 - c0a1 + b1c0
@@ -634,8 +618,8 @@ def _reconstruction_from_coeffs(c: dict) -> Tuple[tuple, float]:
     rhs2 = -(a0b1 - a1b0 - c1a0 + b0c1)
     lhs3 = (b2 + c2) * 3.0
     rhs3 = a0b1 * 2.0 - a1b0 - c1a0 * 2.0 - c0a1 + b1c0 + b0c1
-    scale = max(rhs1.frobenius(), rhs3.frobenius(), a2.frobenius(), 1.0)
-    return (lhs1 - rhs1, lhs2 - rhs2, lhs3 - rhs3), scale
+    scale = np.maximum(np.maximum(_frobenius(rhs1), _frobenius(rhs3)), _frobenius(a2))
+    return (lhs1 - rhs1, lhs2 - rhs2, lhs3 - rhs3), np.maximum(scale, 1.0)
 
 
 def check_reconstruction_chain(
@@ -646,12 +630,7 @@ def check_reconstruction_chain(
 ) -> ResidualReport:
     """Evaluate the degree-2 reconstruction relations at (v, v') pairs."""
     hn = pole_normalized_handle(h)
-    abs_res, rel_res, samples = [], [], []
-    for v, vp in pts:
-        coeffs = _legged_coeffs(hn, v, vp, 2, radius)
-        residuals, scale = _reconstruction_from_coeffs(coeffs)
-        worst = max(res.max_abs() for res in residuals)
-        samples.append((v, vp))
-        abs_res.append(worst)
-        rel_res.append(worst / scale)
-    return _make_report("reconstruction", samples, abs_res, rel_res, tolerance, 0)
+    samples = [(v, vp) for v, vp in pts]
+    residuals, scale = _reconstruction_from_coeffs(_legged_coeffs(hn, samples, 2, radius))
+    worst = np.maximum.reduce([_max_abs(res) for res in residuals])
+    return _make_report("reconstruction", samples, worst, worst / scale, tolerance, 0)

@@ -575,7 +575,9 @@ def _domain_mask(h: SolutionHandle, u, v, guard: float) -> np.ndarray:
     _, _, c3, c4 = h.rescale
     spec = _FAMILIES[h.family]
     uu = _scaled(c3, np.asarray(u, dtype=complex)) if spec.two_variable else None
-    return spec.domain(h, uu, _scaled(c4, np.asarray(v, dtype=complex)), guard)
+    vv = _scaled(c4, np.asarray(v, dtype=complex))
+    finite = np.isfinite(vv) if uu is None else np.isfinite(uu) & np.isfinite(vv)
+    return spec.domain(h, uu, vv, guard) & finite
 
 
 def in_domain(h: SolutionHandle, u: Optional[complex], v: complex, guard: float = 1e-3) -> bool:

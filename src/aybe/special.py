@@ -205,12 +205,6 @@ def theta11(u: complex, m: "ModularParam") -> complex:
     return sign * cmath.exp(-1j * math.pi * b * b * m.tau - TWO_PI_I * b * u0) * val
 
 
-def theta11_derivative_at_zero(m: "ModularParam", order: int = 1) -> complex:
-    """Termwise u-derivative of theta11 at u = 0."""
-    (val,) = _theta_at(0.0, m.tau, (order,))
-    return val
-
-
 # ---------------------------------------------------------------------------
 # modular parameter bundle
 

@@ -137,17 +137,7 @@ class MatrixTensor2:
     # --- embeddings ---------------------------------------------------
     def embed(self, legs: str) -> "MatrixTensor3":
         """Embed into three legs; ``legs`` names the two occupied slots."""
-        n = self.n
-        eye = np.eye(n, dtype=complex)
-        if legs == "12":
-            out = np.einsum("ijkl,mn->ijklmn", self.coeffs, eye)
-        elif legs == "13":
-            out = np.einsum("ijkl,mn->ijmnkl", self.coeffs, eye)
-        elif legs == "23":
-            out = np.einsum("ijkl,mn->mnijkl", self.coeffs, eye)
-        else:
-            raise ValueError(f"legs must be '12', '13' or '23', got {legs!r}")
-        return MatrixTensor3(out)
+        return MatrixTensor3(_embed_array(self.coeffs, legs))
 
     # --- serialization -------------------------------------------------
     def to_dict(self) -> dict:
@@ -257,9 +247,23 @@ class MatrixTensor3:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
 
-    @classmethod
-    def zeros(cls, n: int) -> "MatrixTensor3":
-        return cls(np.zeros((n,) * 6, dtype=complex))
+
+# legs -> einsum spec that places a two-leg tensor (and a stack of them) on
+# those two of three legs, with the identity on the third
+_EMBED_SPECS = {
+    "12": "...ijkl,mn->...ijklmn",
+    "13": "...ijkl,mn->...ijmnkl",
+    "23": "...ijkl,mn->...mnijkl",
+}
+
+
+def _embed_array(x: np.ndarray, legs: str) -> np.ndarray:
+    """:meth:`MatrixTensor2.embed` on a stack: ``x`` of shape (..., n, n, n, n)
+    gives the (..., n, n, n, n, n, n) embeddings of its entries."""
+    spec = _EMBED_SPECS.get(legs)
+    if spec is None:
+        raise ValueError(f"legs must be '12', '13' or '23', got {legs!r}")
+    return np.einsum(spec, x, np.eye(x.shape[-1], dtype=complex))
 
 
 # (legs of x, legs of y) -> einsum spec of x_legs y_legs in three legs; the
@@ -401,8 +405,3 @@ def identity2(n: int) -> MatrixTensor2:
     eye = np.eye(n, dtype=complex)
     return from_pair(eye, eye)
 
-
-def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=complex)
-    m[i, j] = 1.0
-    return m

@@ -45,9 +45,7 @@ from .solutions import (
     _domain_mask,
     _limit_means,
     _limit_nodes,
-    cybe_limit_of_aybe,
     eval_aybe_array,
-    eval_cybe,
     eval_cybe_array,
     paired_cybe_handle,
 )
@@ -74,12 +72,12 @@ __all__ = [
     "aybe_commutator_residual",
     "cybe_residual",
     "unitarity_residual",
-    "limit_consistency_residual",
     "nondegeneracy_check",
     "check_aybe",
     "check_aybe_commutator",
     "check_cybe",
     "check_unitarity",
+    "check_rank",
     "check_limit_consistency",
     "run_suite",
 ]
@@ -213,7 +211,8 @@ def cybe_residual(h: SolutionHandle, v: complex, vp: complex) -> MatrixTensor3:
     clear = _domain_mask(h, None, points, guard=1e-9)
     if not clear.all():
         raise DomainError(f"point {points[clear.argmin()]} is outside the domain of {h.family}")
-    _, forms = _cybe_forms(_cybe_values(h, [(v, vp)]), leg_product_array)
+    values = _shaped(h, _values_of(_cybe_request(h, [(v, vp)])), (3, 1), None)
+    _, forms = _cybe_forms(values, leg_product_array)
     return MatrixTensor3(forms["cybe"][0])
 
 
@@ -231,7 +230,7 @@ def _unitarity_residuals(h: SolutionHandle, pairs: Sequence[tuple]) -> np.ndarra
         k = int(clear.all(axis=0).argmin())
         point = pairs[k][1] if not clear[0, k] else -pairs[k][1]
         raise DomainError(f"point {point} is outside the domain of {h.family}")
-    direct, swapped = _unitarity_values(h, pairs)
+    direct, swapped = _swap_split(h, _values_of(_unitarity_request(h, pairs)), len(pairs), None)
     return swapped + direct
 
 
@@ -239,14 +238,6 @@ def unitarity_residual(h: SolutionHandle, u: complex, v: complex) -> MatrixTenso
     """swap_legs(r(-u, -v)) + r(u, v); for one-variable families u is ignored
     and the check is swap_legs(r(-v)) + r(v)."""
     return MatrixTensor2(_unitarity_residuals(h, [(u, v)])[0])
-
-
-def limit_consistency_residual(h: SolutionHandle, v: complex) -> MatrixTensor2:
-    """Difference between the u -> 0 limit of a two-variable family and its
-    paired one-variable solution at the same v."""
-    limit = cybe_limit_of_aybe(h, v).value
-    target = eval_cybe(paired_cybe_handle(h), v)
-    return limit - target
 
 
 def _aybe_points(u: complex, up: complex, v: complex, vp: complex) -> tuple:
@@ -418,33 +409,6 @@ def _unitarity_request(
     return _Request(h, u, np.concatenate((v, -v)), keep)
 
 
-def _aybe_values(
-    h: SolutionHandle, samples: Sequence[tuple], keep: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """r at the six points of :func:`_aybe_points` of every (u, u', v, v')
-    sample, as a (6, N, n, n, n, n) array, or (6, N, len(keep)) with only
-    the flat positions ``keep``."""
-    values = _values_of(_aybe_request(h, samples, keep))
-    return _shaped(h, values, (6, len(samples)), keep)
-
-
-def _cybe_values(
-    h: SolutionHandle, samples: Sequence[tuple], keep: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """r12 = r(v), r13 = r(v + v') and r23 = r(v') of every (v, v') sample,
-    as a (3, N, n, n, n, n) array, or (3, N, len(keep)) with only the flat
-    positions ``keep``."""
-    values = _values_of(_cybe_request(h, samples, keep))
-    return _shaped(h, values, (3, len(samples)), keep)
-
-
-def _unitarity_values(h: SolutionHandle, pairs: Sequence[tuple]) -> tuple:
-    """r(u, v) and swap_legs(r(-u, -v)) of every (u, v) pair (u is None for a
-    one-variable family), each (N, n, n, n, n)."""
-    values = _values_of(_unitarity_request(h, pairs))
-    return _swap_split(h, values, len(pairs), None)
-
-
 def _swap_split(
     h: SolutionHandle, values: np.ndarray, count: int, keep: Optional[np.ndarray]
 ) -> tuple:
@@ -481,7 +445,7 @@ def _extend_norms(norms: dict, scale: np.ndarray, residuals: dict) -> None:
 
 def _aybe_forms(values: np.ndarray, tags: Tuple[str, ...], product: Callable) -> tuple:
     """(scale, {tag: residual}) for the samples of the six values of
-    :func:`_aybe_values`, with ``product(x, legs_x, y, legs_y)`` the leg
+    :func:`_aybe_request`, with ``product(x, legs_x, y, legs_y)`` the leg
     product on them (see :func:`_products`).  Each sample's scale is the
     largest Frobenius norm of T1..T3.  The forms are ``aybe``,
     T1 - T2 + T3, and ``commutator``, the same with every product replaced
@@ -506,7 +470,7 @@ def _aybe_forms(values: np.ndarray, tags: Tuple[str, ...], product: Callable) ->
 
 def _cybe_forms(values: np.ndarray, product: Callable) -> tuple:
     """(scale, {"cybe": residual}) for the samples of the three values of
-    :func:`_cybe_values`, with the leg product ``product`` as in
+    :func:`_cybe_request`, with the leg product ``product`` as in
     :func:`_aybe_forms`: the residual is the sum of the three commutators,
     the scale the largest Frobenius norm of their six products."""
     r12, r13, r23 = values
@@ -540,7 +504,8 @@ def _aybe_form_at(h: SolutionHandle, sample: tuple, tag: str) -> MatrixTensor3:
     if not clear.all():
         a, b = points[clear.argmin()]
         raise DomainError(f"evaluation point ({a}, {b}) hits a pole of {h.family}")
-    _, forms = _aybe_forms(_aybe_values(h, [sample]), (tag,), leg_product_array)
+    values = _shaped(h, _values_of(_aybe_request(h, [sample])), (6, 1), None)
+    _, forms = _aybe_forms(values, (tag,), leg_product_array)
     return MatrixTensor3(forms[tag][0])
 
 

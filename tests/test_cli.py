@@ -759,6 +759,40 @@ def test_usage_errors_exit_2(args, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--quantity", "rank", "--family", "trig-cybe1", "--grid", "800"], "overflow"),
+        (["--quantity", "unitarity", "--family", "trig-cybe1", "--grid", "800"], "overflow"),
+        (["--quantity", "rank", "--family", "trig1", "--u", "800", "--grid", "0.3"], "overflow"),
+        (["--quantity", "rank", "--family", "scalar-trig", "--u", "0.3", "--grid", "800"],
+         "overflow"),
+        (["--quantity", "rank", "--family", "trig-cybe1", "--grid", "inf"], "pole"),
+        (["--quantity", "unitarity", "--family", "trig-cybe1", "--grid", "inf"], "domain"),
+        (["--quantity", "rank", "--family", "scalar-rational", "--u", "inf", "--grid", "0.3"],
+         "pole"),
+        (["--quantity", "unitarity", "--family", "scalar-rational", "--u", "inf",
+          "--grid", "0.3"], "pole"),
+    ],
+)
+def test_sweep_float_errors_and_infinite_points_exit_2(args, message, capsys):
+    # an overflow in an evaluation and a point at infinity are errors of the
+    # input, reported as such and not as a traceback
+    code, out, err = run_cli(["sweep"] + args, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["verify", "--family", "trig1", "--seed", "-1"], ["oracle", "--case", "2", "--seed", "-1"]],
+)
+def test_negative_seed_is_usage_error(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith("error: argument --seed: must be non-negative, not -1")
+
+
 def test_unknown_family_rejected_by_parser(capsys):
     assert main(["eval", "--family", "nope", "--u", "1", "--v", "2"]) == 2
     capsys.readouterr()

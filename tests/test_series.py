@@ -253,6 +253,58 @@ def test_reconstruction_chain():
         assert rep.passed, rep.summary_line()
 
 
+RECONSTRUCTION_PAIRS = [(0.2, 0.31), (0.15, -0.23), (0.1 + 0.1j, 0.25)]
+
+
+@pytest.mark.parametrize(
+    "h", [elliptic_aybe(2, 1, 1j), elliptic_aybe(3, 1, 1j), scalar_kronecker(1j), trig_aybe(1)],
+    ids=lambda h: f"{h.family}-{h.n}",
+)
+def test_reconstruction_over_pairs_is_the_one_pair_calls(h):
+    joint = check_reconstruction_chain(h, RECONSTRUCTION_PAIRS)
+    alone = [check_reconstruction_chain(h, [p]) for p in RECONSTRUCTION_PAIRS]
+    assert joint.points == tuple(RECONSTRUCTION_PAIRS)
+    assert joint.max_abs_residual == max(rep.max_abs_residual for rep in alone)
+    assert joint.max_rel_residual == max(rep.max_rel_residual for rep in alone)
+    # every pair's residuals and scale, bit for bit
+    hn = aybe.series.pole_normalized_handle(h)
+
+    def relations(pairs):
+        return aybe.series._reconstruction_from_coeffs(
+            aybe.series._legged_coeffs(hn, pairs, 2, 0.04)
+        )
+
+    residuals, scale = relations(RECONSTRUCTION_PAIRS)
+    for k, pair in enumerate(RECONSTRUCTION_PAIRS):
+        one, one_scale = relations([pair])
+        assert one_scale[0] == scale[k]
+        assert all(np.array_equal(a[0], b[k]) for a, b in zip(one, residuals))
+
+
+def test_matrix_relations_make_one_extraction_for_all_points(monkeypatch):
+    # one for the pole normalization, one for every point of every pair
+    calls = []
+    contour = aybe.series._contour_coefficients
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return contour(*args, **kwargs)
+
+    monkeypatch.setattr(aybe.series, "_contour_coefficients", counting)
+    h = elliptic_aybe(2, 1, 1j)
+    assert check_reconstruction_chain(h, RECONSTRUCTION_PAIRS).passed
+    assert len(calls) == 2
+    calls.clear()
+    assert check_aux5(h, 0.2, 0.31).max_abs() < 1e-7
+    assert len(calls) == 2
+
+
+def test_reconstruction_without_pairs_passes_on_no_points():
+    for h in (elliptic_aybe(2, 1, 1j), scalar_kronecker(1j)):
+        rep = check_reconstruction_chain(h, [])
+        assert rep.passed and rep.points == () and rep.max_rel_residual == 0.0
+
+
 # ---------------------------------------------------------------------------
 # parity under the unitarity symmetry
 # ---------------------------------------------------------------------------
@@ -373,9 +425,9 @@ def test_joint_r0_r1_extraction_matches_one_power_at_a_time(h, monkeypatch):
 
     monkeypatch.setattr(aybe.series, "_contour_coefficients", recording)
     v = np.array([0.31, 0.22 - 0.11j, -0.17 + 0.29j, 0.4j, 1.02])
-    r0, r1 = aybe.series._scalar_u_coeffs(h, v, [0, 1])
-    (r0_alone,) = aybe.series._scalar_u_coeffs(h, v, [0])
-    (r1_alone,) = aybe.series._scalar_u_coeffs(h, v, [1])
+    r0, r1 = (c.reshape(v.shape) for c in aybe.series._u_coeffs(h, v, [0, 1]))
+    (r0_alone,) = (c.reshape(v.shape) for c in aybe.series._u_coeffs(h, v, [0]))
+    (r1_alone,) = (c.reshape(v.shape) for c in aybe.series._u_coeffs(h, v, [1]))
     assert np.array_equal(settled[0], settled[1])
     assert np.array_equal(settled[0], settled[2])
     assert np.all(np.abs(r0 - r0_alone) <= 1e-14 * np.maximum(np.abs(r0_alone), 1.0))

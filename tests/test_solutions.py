@@ -428,6 +428,21 @@ def test_domain_mask_rejects_non_finite_points_quietly():
     assert mask.tolist() == [False, False, True]
 
 
+@pytest.mark.parametrize("h", DOMAIN_HANDLES, ids=lambda h: h.family)
+def test_non_finite_points_are_outside_every_domain(h):
+    bad = (math.inf, -math.inf, complex(0.0, math.inf), complex(0.3, math.nan))
+    u = np.array([0.2] * len(bad) + list(bad), dtype=complex)
+    v = np.array(list(bad) + [0.3] * len(bad), dtype=complex)
+    if h.is_cybe:
+        u, v = u[:len(bad)], v[:len(bad)]
+    with np.errstate(all="raise"):
+        mask = aybe.solutions._domain_mask(h, u, v, 1e-3)
+    assert not mask.any()
+    for a, b in zip(u, v):
+        assert not in_domain(h, None if h.is_cybe else complex(a), complex(b))
+        assert not bf.in_domain_pointwise(h, complex(a), complex(b), 1e-3)
+
+
 @pytest.mark.parametrize("h", [
     elliptic_aybe(2, 1, 1j),
     replace(elliptic_aybe(3, 2, 0.2 + 1.1j), rescale=(0.9j, 0.4, 1.2, 0.7 - 0.1j)),

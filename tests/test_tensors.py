@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from aybe.bruteforce import leg_product_einsum
+from aybe.bruteforce import leg_product_einsum, matrix_unit
 from aybe.solutions import _twist_layout
 from aybe.tensors import (
     MatrixTensor2,
@@ -15,7 +15,6 @@ from aybe.tensors import (
     identity2,
     leg_product,
     leg_product_array,
-    matrix_unit,
 )
 
 LEG_PAIRS = [

@@ -559,14 +559,15 @@ def _dense_products(h):
 def _report_scale(h, report):
     """The largest scale of the report's samples (T1..T3, or the six
     commutator products), from dense values and dense products."""
+    count = len(report.points)
     if h.is_cybe:
-        scale, _ = aybe.verify._cybe_forms(
-            aybe.verify._cybe_values(h, report.points), leg_product_array
-        )
+        request = aybe.verify._cybe_request(h, report.points)
+        values = aybe.verify._shaped(h, aybe.verify._values_of(request), (3, count), None)
+        scale, _ = aybe.verify._cybe_forms(values, leg_product_array)
     else:
-        scale, _ = aybe.verify._aybe_forms(
-            aybe.verify._aybe_values(h, report.points), ("aybe",), leg_product_array
-        )
+        request = aybe.verify._aybe_request(h, report.points)
+        values = aybe.verify._shaped(h, aybe.verify._values_of(request), (6, count), None)
+        scale, _ = aybe.verify._aybe_forms(values, ("aybe",), leg_product_array)
     return float(scale.max())
 
 
