@@ -89,7 +89,7 @@ class CliError(ValueError):
 # ---------------------------------------------------------------------------
 
 def parse_complex(token: str) -> complex:
-    """Parse ``re+imj`` tokens, accepting ``i`` for the imaginary unit."""
+    """Parse ``re+imj`` tokens, ``i`` for the imaginary unit; inf or nan is a usage error."""
     text = str(token).strip().replace(" ", "")
     if not text:
         raise CliError("empty complex token")
@@ -102,9 +102,12 @@ def parse_complex(token: str) -> complex:
     elif text.endswith(("+j", "-j")):
         text = text[:-1] + "1j"
     try:
-        return complex(text)
+        value = complex(text)
     except ValueError as exc:
         raise CliError(f"bad complex token {token!r}") from exc
+    if not np.isfinite(value):
+        raise CliError(f"complex token {token!r} is not finite")
+    return value
 
 
 # options whose value is a complex token or a comma-separated list of them

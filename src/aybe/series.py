@@ -192,22 +192,24 @@ def _contour_coefficients(
     active = np.arange(radius.size)
     nodes = np.zeros(radius.size, dtype=int)
 
-    def estimate(values: np.ndarray, n: int) -> np.ndarray:
-        # weights[row, power, node] = e^{-i m theta} / n * radius^-m
-        weights = r_neg[active][:, :, None] * _unit_weights(n, powers)
-        return np.matmul(weights, values.reshape(active.size, n, -1))
-
     n = 2 * _N_START
     values = np.asarray(fn(active, radius[:, None] * _unit_nodes(n)), dtype=complex)
     shape = values.shape[2:]
+    width = math.prod(shape)  # the entries of a value, also for no rows
     coeffs = np.empty((radius.size, m.size) + shape, dtype=complex)
+
+    def estimate(values: np.ndarray, n: int) -> np.ndarray:
+        # weights[row, power, node] = e^{-i m theta} / n * radius^-m
+        weights = r_neg[active][:, :, None] * _unit_weights(n, powers)
+        return np.matmul(weights, values.reshape(active.size, n, width))
+
     # the even nodes of n are the nodes of n/2
     previous = estimate(np.ascontiguousarray(values[:, 0::2]), n // 2)
     while True:
         current = estimate(values, n)
         # compare successive estimates in the sup metric on the circle
         # (weight c_m by radius^m) so the test is radius-independent
-        flat = values.reshape(active.size, n, -1)
+        flat = values.reshape(active.size, n, width)
         scale = np.maximum(np.max(np.abs(flat), axis=(1, 2)), 1.0)
         drift = np.abs(current[:, guards:] - previous[:, guards:])
         gap = np.max(drift * r_pos[active][:, :, None], axis=(1, 2))

@@ -28,7 +28,6 @@ import numpy as np
 from .errors import DomainError
 from .special import (
     TWO_PI_I,
-    _flat_points,
     _kronecker_twist_grid,
     _lattice_distance_grid,
     kronecker_F,
@@ -183,8 +182,9 @@ def custom_handle(fn: Callable[[complex, complex], MatrixTensor2], n: int) -> So
 
 
 # ---------------------------------------------------------------------------
-# base evaluations (before rescale and gauge), on arrays of N points; each
-# returns the (N, n, n, n, n) coefficients
+# base evaluations (before rescale and gauge), on arrays that broadcast
+# against each other to N points; each returns the (N, n, n, n, n)
+# coefficients in the order of the flattened broadcast
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
@@ -211,7 +211,7 @@ def _place_twists(table: np.ndarray, d: int, first: int) -> np.ndarray:
     """(N, d^4) coefficients with each point's twist table in place."""
     dest, src = _twist_layout(d, first)
     coeffs = np.zeros((len(table), d**4), dtype=complex)
-    coeffs[:, dest] = table.reshape(len(table), -1)[:, src]
+    coeffs[:, dest] = table.reshape(len(table), (d - first) * d)[:, src]
     return coeffs
 
 
@@ -242,14 +242,14 @@ def _trig_coeffs_1(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     one_l = 1.0 - lam
     one_m = 1.0 - mu
     k = (mu - lam) / (one_l * one_m)
-    c = np.zeros((len(u),) + (2,) * 4, dtype=complex)
-    c[:, 0, 0, 0, 0] = k
-    c[:, 1, 1, 1, 1] = k
-    c[:, 0, 0, 1, 1] = -lam / one_l
-    c[:, 1, 1, 0, 0] = -1.0 / one_l
-    c[:, 1, 0, 0, 1] = 1.0 / one_m
-    c[:, 0, 1, 1, 0] = mu / one_m
-    return c
+    c = np.zeros(k.shape + (2,) * 4, dtype=complex)
+    c[..., 0, 0, 0, 0] = k
+    c[..., 1, 1, 1, 1] = k
+    c[..., 0, 0, 1, 1] = -lam / one_l
+    c[..., 1, 1, 0, 0] = -1.0 / one_l
+    c[..., 1, 0, 0, 1] = 1.0 / one_m
+    c[..., 0, 1, 1, 0] = mu / one_m
+    return c.reshape((-1,) + (2,) * 4)
 
 
 def _trig_coeffs_2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -260,35 +260,35 @@ def _trig_coeffs_2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     one_l = 1.0 - lam
     one_m = 1.0 - mu
     k = (1.0 - lam * mu) / (one_l * one_m)
-    c = np.zeros((len(u),) + (2,) * 4, dtype=complex)
-    c[:, 0, 0, 0, 0] = k
-    c[:, 1, 1, 1, 1] = k
-    c[:, 0, 0, 1, 1] = lam / one_l
-    c[:, 1, 1, 0, 0] = 1.0 / one_l
-    c[:, 1, 0, 0, 1] = smu / one_m
-    c[:, 0, 1, 1, 0] = smu / one_m
-    c[:, 1, 0, 1, 0] = slm - 1.0 / slm
-    return c
+    c = np.zeros(k.shape + (2,) * 4, dtype=complex)
+    c[..., 0, 0, 0, 0] = k
+    c[..., 1, 1, 1, 1] = k
+    c[..., 0, 0, 1, 1] = lam / one_l
+    c[..., 1, 1, 0, 0] = 1.0 / one_l
+    c[..., 1, 0, 0, 1] = smu / one_m
+    c[..., 0, 1, 1, 0] = smu / one_m
+    c[..., 1, 0, 1, 0] = slm - 1.0 / slm
+    return c.reshape((-1,) + (2,) * 4)
 
 
 def _trig_cybe_coeffs(which: int, v: np.ndarray) -> np.ndarray:
     mu = np.exp(v)
     one_m = 1.0 - mu
     hh = (1.0 + mu) / (4.0 * one_m)
-    c = np.zeros((len(v),) + (2,) * 4, dtype=complex)
-    c[:, 0, 0, 0, 0] = hh
-    c[:, 1, 1, 1, 1] = hh
-    c[:, 0, 0, 1, 1] = -hh
-    c[:, 1, 1, 0, 0] = -hh
+    c = np.zeros(v.shape + (2,) * 4, dtype=complex)
+    c[..., 0, 0, 0, 0] = hh
+    c[..., 1, 1, 1, 1] = hh
+    c[..., 0, 0, 1, 1] = -hh
+    c[..., 1, 1, 0, 0] = -hh
     if which == 1:
-        c[:, 1, 0, 0, 1] = 1.0 / one_m
-        c[:, 0, 1, 1, 0] = mu / one_m
+        c[..., 1, 0, 0, 1] = 1.0 / one_m
+        c[..., 0, 1, 1, 0] = mu / one_m
     else:
         smu = np.exp(v / 2.0)
-        c[:, 1, 0, 0, 1] = smu / one_m
-        c[:, 0, 1, 1, 0] = smu / one_m
-        c[:, 1, 0, 1, 0] = smu - 1.0 / smu
-    return c
+        c[..., 1, 0, 0, 1] = smu / one_m
+        c[..., 0, 1, 1, 0] = smu / one_m
+        c[..., 1, 0, 1, 0] = smu - 1.0 / smu
+    return c.reshape((-1,) + (2,) * 4)
 
 
 def _scalar(formula: Callable) -> Callable:
@@ -304,6 +304,7 @@ def _scalar_trig_value(h: SolutionHandle, u: np.ndarray, v: np.ndarray) -> np.nd
 
 def _custom_base(h: SolutionHandle, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     # an arbitrary Python callable: one call per point
+    u, v = (x.reshape(-1) for x in np.broadcast_arrays(u, v))
     values = [h.eval_fn(complex(a), complex(b)).coeffs for a, b in zip(u, v)]
     return np.array(values, dtype=complex).reshape((len(u),) + (h.n,) * 4)
 
@@ -359,8 +360,9 @@ def _clear_of_zero(h: SolutionHandle, uu: np.ndarray, vv: np.ndarray, guard: flo
 class _Family:
     """Everything the package knows about one value of ``SolutionHandle.family``."""
 
-    # (h, u, v), or (h, v) for a one-variable family, on 1-d arrays of N
-    # points -> the (N, n, n, n, n) values before rescale and gauge
+    # (h, u, v), or (h, v) for a one-variable family, on arrays that
+    # broadcast to N points -> the (N, n, n, n, n) values before rescale
+    # and gauge
     base: Callable[..., np.ndarray]
     # (h, uu, vv, guard) on complex arrays of one shape (uu None for a
     # one-variable family) -> the boolean array of the rescaled points that
@@ -473,17 +475,22 @@ _FLOAT_ERRORS = dict(divide="call", over="call", invalid="call", call=_raise_flo
 
 
 def _evaluate(h: SolutionHandle, *args: np.ndarray) -> np.ndarray:
-    """The family's base values at the rescaled points ``args``, ``_CHUNK //
-    n^2`` points per call."""
+    """The family's base values at the rescaled points ``args``, arrays that
+    broadcast, ``_CHUNK // n^2`` points per call: whole rows of the leading
+    axis (a v column stays one value per row), else flattened points."""
     n = h.n
     base = _FAMILIES[h.family].base
-    size = args[-1].size
+    shape = np.broadcast(*args).shape
+    size = math.prod(shape)
     step = max(1, _CHUNK // (n * n))
     if size <= step:
         return base(h, *args)
+    if size > step * shape[0] or any(a.ndim < len(shape) for a in args):
+        args, shape = [a.reshape(-1) for a in np.broadcast_arrays(*args)], (size,)
+    rows, per = step * shape[0] // size, size // shape[0]
     out = np.empty((size,) + (n,) * 4, dtype=complex)
-    for s in range(0, size, step):
-        out[s:s + step] = base(h, *(a[s:s + step] for a in args))
+    for s in range(0, shape[0], rows):
+        out[s * per:(s + rows) * per] = base(h, *(a[s:s + rows] if len(a) > 1 else a for a in args))
     return out
 
 
@@ -497,9 +504,10 @@ def _apply_gauge(h: SolutionHandle, val: np.ndarray, u: np.ndarray, v: np.ndarra
         return val * np.exp(-g.c * u * v).reshape(-1, 1, 1, 1, 1)
 
     def at(x, y):
-        return np.stack([np.asarray(g.fn(complex(a), complex(b)), dtype=complex)
-                         for a, b in zip(x, y)])
+        return np.array([g.fn(complex(a), complex(b)) for a, b in zip(x, y)],
+                        dtype=complex).reshape(len(x), h.n, h.n)
 
+    u, v = (x.reshape(-1) for x in np.broadcast_arrays(u, v))
     zero = np.zeros_like(u)
     return _sandwich(at(zero, v), at(u, zero), val, at(u, v), at(zero, zero))
 
@@ -510,15 +518,16 @@ def eval_aybe_array(h: SolutionHandle, u, v) -> np.ndarray:
     ``u`` and ``v`` are broadcast against each other and flattened to N
     points; the result has shape (N, n, n, n, n).  Every family evaluates
     its formula, the rescale and the gauge on whole arrays, up to 2048 / n^2
-    points at a time (a custom family and a callable gauge call their
-    Python callable once per point).  A pole raises the error of the first
-    offending point, as a loop over the points would; a float overflow
-    raises OverflowError and a division by zero ZeroDivisionError, as
-    Python's complex arithmetic does, instead of leaving an inf or nan.
+    points at a time, and a v column against rows of u once per row (a
+    custom family and a callable gauge call their Python callable once per
+    point).  A pole raises the error of the first offending point, as a
+    loop over the points would; a float overflow raises OverflowError and a
+    division by zero ZeroDivisionError, as Python's complex arithmetic
+    does, instead of leaving an inf or nan.
     """
     if not h.is_aybe:
         raise DomainError(f"{h.family} is not a two-variable (AYBE) family")
-    u, v = _flat_points(u, v)
+    u, v = (np.array(x, dtype=complex, ndmin=1) for x in (u, v))
     c1, c2, c3, c4 = h.rescale
     with np.errstate(**_FLOAT_ERRORS):
         val = _evaluate(h, c3 * u, c4 * v)

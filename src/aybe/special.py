@@ -35,9 +35,11 @@ across the plane.  Evaluation within ``POLE_GUARD`` of a pole raises
 :class:`~aybe.errors.PoleProximityError`.
 
 The theta series is summed in one place, over an array of reduced points
-at once.  The scalar functions (theta11, F, zeta, wp and the lattice
-constants) read it at one point; only per-tau constants are cached, no
-per-point values.
+at once, by powers: one exp(pi*i*u0) and one exp(-pi*i*u0) per point and a
+recurrence whose factors have modulus < 1.  F and its twists take one path
+for points and arrays (``_kronecker_twist_grid``); theta11, zeta, wp and
+the lattice constants read the series at one point.  Only per-tau
+constants are cached, no per-point values.
 """
 
 from __future__ import annotations
@@ -157,42 +159,47 @@ def _pole_error(label: str, z: complex, guard: float, tau: complex) -> PoleProxi
 # theta series core
 
 
+# exp(pi*i*u0) and exp(-pi*i*u0), the powers of the terms n >= 0 and of
+# their mirrors -n-1, from one exp of u0 times these
+_HALF_TURNS = np.array([[1j * math.pi], [-1j * math.pi]])
+
+
 @lru_cache(maxsize=256)
 def _theta_grid_terms(tau: complex) -> tuple:
-    """Signs, u-independent exponents and weights 2*pi*i*(n+1/2) of the
-    theta series, over the n-range that leaves a relative tail below ~1e-18
-    after lattice reduction."""
+    """The factors exp(pi*i*tau/4), then -exp(2*pi*i*tau*n), of the theta
+    term recurrence and the weights 2*pi*i*(n+1/2), over the n >= 0 that
+    leave a relative tail below ~1e-18 after lattice reduction."""
     c = (18.0 * math.log(10.0) + 4.0) / (math.pi * tau.imag)
-    cutoff = int(math.ceil(0.5 * (1.0 + math.sqrt(1.0 + 4.0 * c)))) + 3
-    n = np.arange(-cutoff, cutoff, dtype=float)
-    half = n + 0.5
-    signs = np.where(np.mod(n, 2.0) == 0.0, 1.0, -1.0)
-    return signs, 1j * math.pi * half * half * tau, TWO_PI_I * half
+    n = np.arange(int(math.ceil(0.5 * (1.0 + math.sqrt(1.0 + 4.0 * c)))) + 3, dtype=float)
+    factors = -np.exp(TWO_PI_I * tau * n)
+    factors[0] = cmath.exp(0.25j * math.pi * tau)
+    return factors, TWO_PI_I * (n + 0.5)
 
 
 def _theta_raw_grid(u0: np.ndarray, tau: complex, orders: tuple = (0,)) -> list:
     """Termwise u-derivatives of theta11 at lattice-reduced points ``u0``,
-    one array per order.  This is the only place the theta series is
-    summed: over points x the index range at once, uncached."""
-    signs, const, weight = _theta_grid_terms(tau)
-    terms = signs * np.exp(const + weight * u0[..., None])
-    return [np.add.reduce(terms * weight**k if k else terms, axis=-1) for k in orders]
+    one array per order, summed over points x halves x the term index n
+    (innermost, in a fixed order), so a point's sums do not depend on the
+    other points.  Term n >= 0 is c_n x^(2n+1), x = exp(pi*i*u0), and its
+    mirror -n-1 is -c_n x^-(2n+1) (DLMF 20.2.1): each half starts from
+    exp(pi*i*tau/4) x^(+-1) and multiplies by -exp(2*pi*i*tau*n) x^(+-2),
+    of modulus < 1 on the reduced cell, and the sum pairs the halves."""
+    factors, weight = _theta_grid_terms(tau)
+    x = np.exp(u0[..., None, None] * _HALF_TURNS)
+    terms = x * factors
+    terms[..., 1:] *= x
+    np.multiply.accumulate(terms, axis=-1, out=terms)
+    sums = []
+    for k in orders:
+        # the pairs c_n (x^(2n+1) - (-1)^k x^-(2n+1)), weighted by w_n^k
+        pairs = (np.add if k % 2 else np.subtract).reduce(terms, axis=-2)
+        sums.append(np.add.reduce(pairs * weight**k if k else pairs, axis=-1))
+    return sums
 
 
 def _theta_at(u0: complex, tau: complex, orders: tuple) -> list:
     """:func:`_theta_raw_grid` at one lattice-reduced point, as complex numbers."""
     return [complex(t) for t in _theta_raw_grid(np.asarray(u0), tau, orders)]
-
-
-def _kronecker_quasi_exponent(tau, u0, bu, v0, bv, w0, bw):
-    """Exponent of the quasi-periodicity factor of theta11(w) / (theta11(u)
-    theta11(v)), w = u + v, combined before exponentiation: each theta
-    factor alone overflows once |Im u| exceeds about 20*Im(tau), although
-    their quotient is O(1).  Numbers or arrays; the b are integers
-    (integer-valued floats on arrays)."""
-    return -1j * math.pi * (bw * bw - bu * bu - bv * bv) * tau - TWO_PI_I * (
-        bw * w0 - bu * u0 - bv * v0
-    )
 
 
 def theta11(u: complex, m: "ModularParam") -> complex:
@@ -236,11 +243,13 @@ class ModularParam:
         tp, tppp = _theta_at(0.0, tau, (1, 3))
         # at small Im tau the series loses theta11'(0), about
         # 2*pi*t^(-3/2)*exp(-pi/(4t)) for t = Im tau, to cancellation: it
-        # sums to 0 at tau = 0.01i and to 7e-15 at 0.015i (true 6e-20).  A
-        # sum that does not exceed the rounding bound of the series, N*eps
-        # times the sum of its N absolute terms, holds no digit of it.
-        _, const, weight = _theta_grid_terms(tau)
-        noise = len(weight) * _EPS * float(np.abs(np.exp(const) * weight).sum())
+        # sums to -7.1e-15 at tau = 0.01i and to 3.6e-15 at 0.015i (true 6e-20).
+        # A sum that does not exceed the rounding bound of the series holds
+        # no digit of it.  Its 2K terms w_n c_n (K pairs) each take at most
+        # K + 1 rounded products from the factors, and the sum adds them:
+        # 2K*eps times the sum of their moduli bounds the rounding.
+        factors, weight = _theta_grid_terms(tau)
+        noise = 4 * len(weight) * _EPS * float(np.abs(weight) @ np.multiply.accumulate(np.abs(factors)))
         if not noise < abs(tp) < math.inf:
             raise DomainError(
                 f"theta11'(0) = {tp!r} is not a usable normalisation at tau = {tau!r}"
@@ -341,35 +350,16 @@ def kronecker_F(u, v, m: ModularParam, *, guard: float = POLE_GUARD):
     pole, but is excluded too so callers always sit at regular, nonzero
     values).
 
-    ``u`` and ``v`` may be numpy arrays (broadcast against each other); the
-    theta series is then summed over points x the index range at once, and
-    the pole guard raises for the first offending point, as a loop over the
-    points would.  At one point, F is the d = 1 twist of
-    :func:`_kronecker_twist_grid`.
+    ``u`` and ``v`` may be numpy arrays (broadcast against each other).
+    Points and arrays take one path, the d = 1 twist of
+    :func:`_kronecker_twist_grid`: one theta call on the distinct arguments
+    u, v and u+v, so an argument constant along an axis of the broadcast,
+    as v along a contour row, is summed once.
     """
+    table = _kronecker_twist_grid(u, v, 1, m, guard=guard)
     if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
-        return _kronecker_F_grid(u, v, m, guard)
-    return complex(_kronecker_twist_grid(u, v, 1, m, guard=guard)[0, 0, 0])
-
-
-def _kronecker_F_grid(u, v, m: ModularParam, guard: float) -> np.ndarray:
-    u, v = np.broadcast_arrays(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        raise ValueError("non-finite input")
-    tau = m.tau
-    blocks = [(z, *_split_lattice_grid(z, tau)) for z in (u, v, u + v)]
-    near = np.stack([_reduced_distance_grid(z0, tau) < guard for _, z0, _, _ in blocks])
-    if near.any():
-        # the first offending point, and its first offending argument
-        flat = near.reshape(3, -1)
-        k = int(flat.any(axis=0).argmax())
-        j = int(flat[:, k].argmax())
-        raise _pole_error(("u", "v", "u+v")[j], complex(blocks[j][0].reshape(-1)[k]), guard, tau)
-    (u0, au, bu), (v0, av, bv), (w0, aw, bw) = (blk[1:] for blk in blocks)
-    tu, tv, tuv = (_theta_raw_grid(z0, tau)[0] for z0 in (u0, v0, w0))
-    sign = 1.0 - 2.0 * np.mod(au + bu + av + bv + aw + bw, 2.0)
-    quasi = sign * np.exp(_kronecker_quasi_exponent(tau, u0, bu, v0, bv, w0, bw))
-    return m.theta_prime0 / TWO_PI_I * tuv / (tu * tv) * quasi
+        return table.reshape(np.broadcast(u, v).shape)
+    return complex(table[0, 0, 0])
 
 
 def kronecker_F_char(
@@ -399,9 +389,8 @@ class _PairPlan(NamedTuple):
     p_2pi_i: np.ndarray
     q_2pi_i: np.ndarray
     pq: np.ndarray
-    # the arguments of a point: column src[c] of (u, v, u + v) plus
-    # shift_frac[c]*tau
-    src: np.ndarray
+    # the twists (j/d for the u's, then k/d for the v's and m/d for the sums)
+    # that shift_frac*tau adds to the arguments
     shift_frac: np.ndarray
     # the sum argument of pair (j, k), m = (j + k) mod d; the carry j + k >= d
     # that adds tau to it, one unit of its lattice coefficient b; and the
@@ -419,7 +408,6 @@ def _pair_plan(d: int, first: int) -> _PairPlan:
     carry = (jk >= d).astype(float)
     return _PairPlan(
         q=q, p_2pi_i=TWO_PI_I * p, q_2pi_i=TWO_PI_I * q, pq=p * q,
-        src=np.repeat([0, 1, 2], [d - first, d, d]),
         shift_frac=np.concatenate((q[first:], q, q)),
         m=jk % d, carry=carry, carry_sign=(1.0 - 2.0 * carry).astype(complex),
     )
@@ -431,15 +419,6 @@ def _twist_plan(d: int, first: int, tau: complex) -> tuple:
     as :func:`kronecker_F_char` forms p*tau and q*tau, and 2*pi*i*p*q*tau."""
     pairs = _pair_plan(d, first)
     return pairs, pairs.shift_frac * tau, TWO_PI_I * (pairs.pq * tau)
-
-
-def _flat_points(u, v) -> tuple:
-    """``u`` and ``v`` as complex arrays broadcast against each other and
-    flattened to N points."""
-    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
-    if u.shape != v.shape:
-        u, v = np.broadcast_arrays(u, v)
-    return u.reshape(-1), v.reshape(-1)
 
 
 def _twist_pole_error(z: np.ndarray, near: np.ndarray, pair_m: np.ndarray,
@@ -468,16 +447,17 @@ def _kronecker_twist_grid(u, v, d: int, m: ModularParam, *, first: int = 0,
     (N, d - first, d) array: :func:`kronecker_F_char` on every pair at each
     of the N points, from one theta grid.
 
-    ``u`` and ``v`` are broadcast against each other and flattened to the N
-    points.  Theta is reduced, guarded and summed only at the distinct
-    twisted arguments: the d - first arguments u + (j/d)*tau, the d
-    arguments v + (k/d)*tau and the d sums w + (m/d)*tau, w = u + v, so
-    3d - first arguments per point.  Pair (j, k) takes the sum with
-    m = (j + k) mod d; when j + k >= d its argument is that sum plus tau,
-    one more unit of the lattice coefficient b, which the quasi-periodicity
-    exponent and the sign (-1)^(a+b) carry exactly.  With u a scalar zero,
-    as the CYBE families pass it, the sums are the v arguments and the u
-    arguments are d - first constants, so each point needs only its d v
+    ``u`` and ``v`` are broadcast against each other, and the N points are
+    those of the flattened broadcast.  Theta is reduced, guarded and summed
+    only at the distinct twisted arguments: the d - first arguments
+    u + (j/d)*tau at each point of u, the d arguments v + (k/d)*tau at each
+    point of v and the d sums w + (m/d)*tau at each point of w = u + v, so
+    3d - first arguments per point when u and v have one shape, and d per
+    row of v when v is constant along the rows of u.  Pair (j, k) takes the
+    sum with m = (j + k) mod d; when j + k >= d its argument is that sum
+    plus tau, one more unit of the lattice coefficient b, which the
+    quasi-periodicity exponent and the sign (-1)^(a+b) carry exactly.  With
+    u a scalar zero, as the CYBE families pass it, the sums are the v
     arguments.  Each pair's quasi-periodicity exponent and its prefactor
     exp(2*pi*i*(p*q*tau + p*v + q*u)) are added before one exp.
     :class:`PoleProximityError` is raised where some pair's
@@ -485,57 +465,65 @@ def _kronecker_twist_grid(u, v, d: int, m: ModularParam, *, first: int = 0,
     offending point, as a loop over the points would.
 
     With ``zeta``, also returns the (N, d) array zeta_{0, k/d}(v[s])
-    (:func:`zeta_char`) for k < d: its arguments v + (k/d)*tau are the
-    twisted v's, so theta' on the same grid serves it.
+    (:func:`zeta_char`) for k < d, u a scalar: its arguments v + (k/d)*tau
+    are the twisted v's, so theta' on the same grid serves it.
     """
-    zero_u = np.ndim(u) == 0 and u == 0
-    u, v = _flat_points(u, v)
+    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    shape = u.shape if u.shape == v.shape else np.broadcast(u, v).shape
+    if 0 in shape:  # no point: no argument to reduce, guard or sum
+        u, v = np.broadcast_arrays(u, v)
+    zero_u = u.ndim == 0 and u == 0
     tau = m.tau
     pairs, shift, pq_tau_2pi_i = _twist_plan(d, first, tau)
-    rows, n = d - first, len(v)
-    if zero_u:
-        # the u's are the shifts themselves
-        z = np.concatenate((shift[:rows], (v[:, None] + shift[rows:rows + d]).reshape(-1)))
+    rows = d - first
+    groups = [u[..., None] + shift[:rows], v[..., None] + shift[rows:rows + d]]
+    if not zero_u:
+        groups.append((u + v)[..., None] + shift[rows + d:])
+    z = np.concatenate(groups, axis=None)
+    nu, nv = u.size * rows, v.size * d
 
-        def parts(x):
-            # the u's as (rows, 1), the v's as (N, 1, d) and the sums, w = v
-            xv = x[rows:].reshape(n, d)
-            return x[:rows, None], xv[:, None], xv
-    else:
-        z = np.concatenate((u, v, u + v)).reshape(3, n).T[:, pairs.src] + shift
-
-        def parts(x):
-            # the u's as (N, rows, 1), the v's as (N, 1, d) and the sums (N, d)
-            return x[:, :rows, None], x[:, None, rows:rows + d], x[:, rows + d:]
+    def parts(x):
+        # the u's as u.shape + (rows, 1), the v's as v.shape + (1, d) and
+        # the sums as shape + (d,): with u a scalar zero, the v's
+        xv = x[nu:nu + nv].reshape(v.shape + (1, d))
+        xw = xv[..., 0, :] if zero_u else x[nu + nv:].reshape(shape + (d,))
+        return x[:nu].reshape(u.shape + (rows, 1)), xv, xw
     if not np.isfinite(z).all():
         finite = np.isfinite(u) & np.isfinite(v)
         if not finite.all():
             k = int(finite.argmin())
-            raise ValueError(f"non-finite input {complex(v[k] if np.isfinite(u[k]) else u[k])!r}")
+            uk, vk = (np.broadcast_to(x, shape).reshape(-1)[k] for x in (u, v))
+            raise ValueError(f"non-finite input {complex(vk if np.isfinite(uk) else uk)!r}")
     z0, a, b = _split_lattice_grid(z, tau)
     near = _reduced_distance_grid(z0, tau) < guard
     if near.any():
-        # the arguments and flags as (N, 3d - first) arrays in either layout
+        # the arguments and flags as (N, 3d - first) arrays, point by point
         z, near = (
-            np.concatenate((np.broadcast_to(xu[..., 0], (n, rows)), xv[:, 0], xw), axis=1)
+            np.concatenate([np.broadcast_to(x, shape + x.shape[-1:]) for x in (xu[..., 0], xv[..., 0, :], xw)],
+                           axis=-1).reshape(-1, 3 * d - first)
             for xu, xv, xw in (parts(z), parts(near))
         )
         raise _twist_pole_error(z, near, pairs.m, guard, tau)
     theta = _theta_raw_grid(z0, tau, (0, 1) if zeta else (0,))
-    # the arithmetic of kronecker_F, with the sign (-1)^(a+b) on each theta
-    # and the prefactor's exponent added to the quasi-periodicity exponent
+    # the arithmetic of kronecker_F, with the sign (-1)^(a+b) on each theta.
+    # The exponent of the quasi-periodicity factor of theta11(w) /
+    # (theta11(u) theta11(v)) is combined before one exp, with the
+    # prefactor's exponent added: each theta factor alone overflows once
+    # |Im u| exceeds about 20*Im(tau), although their quotient is O(1).
     (u0, v0, w0), (bu, bv, bw) = parts(z0), parts(b)
     tu, tv, tw = parts((1.0 - 2.0 * np.mod(a + b, 2.0)) * theta[0])
-    exponent = _kronecker_quasi_exponent(
-        tau, u0, bu, v0, bv, w0[:, pairs.m], bw[:, pairs.m] + pairs.carry
-    ) + (pq_tau_2pi_i + pairs.p_2pi_i * v[:, None, None])
+    w0, bw = w0[..., pairs.m], bw[..., pairs.m] + pairs.carry
+    exponent = -1j * math.pi * (bw * bw - bu * bu - bv * bv) * tau - TWO_PI_I * (
+        bw * w0 - bu * u0 - bv * v0
+    ) + (pq_tau_2pi_i + pairs.p_2pi_i * v[..., None, None])
     if not zero_u:
-        exponent += pairs.q_2pi_i * u[:, None, None]
-    tuv = tw[:, pairs.m] * pairs.carry_sign
+        exponent += pairs.q_2pi_i * u[..., None, None]
+    tuv = tw[..., pairs.m] * pairs.carry_sign
     table = m.theta_prime0 / TWO_PI_I * tuv / (tu * tv) * np.exp(exponent)
+    table = table.reshape((math.prod(shape), rows, d))
     if not zeta:
         return table
-    x0, xa, xb, t0, t1 = (parts(x)[1][:, 0] for x in (z0, a, b, theta[0], theta[1]))
+    x0, xa, xb, t0, t1 = (parts(x)[1][..., 0, :].reshape(-1, d) for x in (z0, a, b, theta[0], theta[1]))
     return table, _zeta_reduced(m, x0, xa, xb, t0, t1) - pairs.q * m.eta2
 
 

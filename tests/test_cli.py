@@ -66,6 +66,30 @@ def test_parse_complex_rejects_garbage(token):
         parse_complex(token)
 
 
+@pytest.mark.parametrize("token", ["inf", "-inf", "nan", "infj", "1e400", "0.3+nani"])
+def test_parse_complex_rejects_non_finite_values(token):
+    with pytest.raises(CliError, match="is not finite"):
+        parse_complex(token)
+
+
+@pytest.mark.parametrize(
+    "args, token",
+    [
+        (["eval", "--family", "trig1", "--u", "inf", "--v", "0.3"], "inf"),
+        (["eval", "--family", "scalar-kronecker", "--tau", "nan", "--u", "0.1", "--v", "0.2"], "nan"),
+        (["sweep", "--quantity", "rank", "--family", "trig-cybe1", "--grid", "0.4,inf"], "inf"),
+        (["classify", "--family", "scalar-kronecker", "--tau=1e400i"], "1e400i"),
+    ],
+)
+def test_non_finite_points_are_usage_errors_not_poles(args, token, capsys):
+    # an infinite or undefined point is no pole: an error line naming the
+    # token and exit 2 (eval used to print it as pole-proximity, exit 0)
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"error: complex token {token!r} is not finite"
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -605,11 +629,11 @@ def test_sweep_rank_at_a_pole_is_a_domain_error(family_args, capsys):
     assert err.startswith("error: evaluation point") and "v=0 hits a pole" in err
 
 
-@pytest.mark.parametrize("tau, value", [("0.01i", "0j"), ("0.015i", "-7.1")])
+@pytest.mark.parametrize("tau, value", [("0.01i", "-7.1"), ("0.015i", "3.55")])
 def test_verify_where_theta_prime_vanishes_is_an_error_line(capsys, tau, value):
-    # at tau = 0.01i the theta series sums theta11'(0) to 0, and at 0.015i
-    # to rounding noise: an error line and exit 2, not a ZeroDivisionError
-    # traceback or a run on wrong lattice constants
+    # at tau = 0.01i and 0.015i the theta series sums theta11'(0) to
+    # rounding noise (true 4.9e-31 and 6.2e-20): an error line and exit 2,
+    # not a ZeroDivisionError traceback or a run on wrong lattice constants
     code, out, err = run_cli(
         ["verify", "--family", "scalar-kronecker", f"--tau={tau}", "--seed", "5"], capsys
     )
@@ -767,17 +791,18 @@ def test_usage_errors_exit_2(args, capsys):
         (["--quantity", "rank", "--family", "trig1", "--u", "800", "--grid", "0.3"], "overflow"),
         (["--quantity", "rank", "--family", "scalar-trig", "--u", "0.3", "--grid", "800"],
          "overflow"),
-        (["--quantity", "rank", "--family", "trig-cybe1", "--grid", "inf"], "pole"),
-        (["--quantity", "unitarity", "--family", "trig-cybe1", "--grid", "inf"], "domain"),
+        (["--quantity", "rank", "--family", "trig-cybe1", "--grid", "inf"], "not finite"),
+        (["--quantity", "unitarity", "--family", "trig-cybe1", "--grid", "inf"], "not finite"),
         (["--quantity", "rank", "--family", "scalar-rational", "--u", "inf", "--grid", "0.3"],
-         "pole"),
+         "not finite"),
         (["--quantity", "unitarity", "--family", "scalar-rational", "--u", "inf",
-          "--grid", "0.3"], "pole"),
+          "--grid", "0.3"], "not finite"),
     ],
 )
 def test_sweep_float_errors_and_infinite_points_exit_2(args, message, capsys):
     # an overflow in an evaluation and a point at infinity are errors of the
-    # input, reported as such and not as a traceback
+    # input, reported as such and not as a traceback; an infinite token is
+    # rejected as it is parsed
     code, out, err = run_cli(["sweep"] + args, capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err

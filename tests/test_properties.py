@@ -18,6 +18,8 @@ from aybe.errors import PoleProximityError
 from aybe.special import (
     Characteristic,
     _kronecker_twist_grid,
+    _split_lattice_grid,
+    _theta_raw_grid,
     kronecker_F,
     lattice_distance,
     modular_param,
@@ -94,16 +96,42 @@ def test_kronecker_pole_guard_on_points_and_arrays(tau_im, height, offset):
         kronecker_F(np.array([0.2, u]), 0.3, m)
 
 
-@pytest.mark.parametrize("tau", [1j, 0.5 + 0.9j, 0.1 + 0.3j])
+@pytest.mark.parametrize("tau", [1j, 0.5 + 0.9j, 0.1 + 0.3j, 8j, 16j, 0.3 + 60j])
 def test_theta11_matches_mpmath_jtheta(tau):
     mpmath = pytest.importorskip("mpmath")
     m = modular_param(tau)
+    # reduced points with |Im u0| up to Im(tau)/2, where one half of the
+    # series grows like exp(pi*Im(tau)/2) and the other decays
+    u0 = np.array([0.17 + 0.05j, -0.42 + 0.49 * tau, 0.31 - 0.5 * tau, 0.5 + 0.25 * tau])
+    derivatives = _theta_raw_grid(u0, tau, (1, 3))
     with mpmath.workdps(30):
         # theta11(u, tau) = i * theta_1(pi*u, q) with nome q = exp(pi*i*tau)
         q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
-        for u in (0.17 + 0.05j, -0.42 + 0.31j, 2.31 + 1.72j, 0.3 - 2.5j):
+        for u in (0.17 + 0.05j, -0.42 + 0.31j, 2.31 + 1.72j, 0.3 - 2.5j, *u0):
             ref = complex(1j * mpmath.jtheta(1, mpmath.pi * mpmath.mpc(u), q))
             assert abs(theta11(u, m) - ref) < 1e-12 * abs(ref)
+        for k, values in zip((1, 3), derivatives):
+            for u, value in zip(u0, values):
+                z = mpmath.pi * mpmath.mpc(u)
+                ref = complex(1j * mpmath.pi**k * mpmath.jtheta(1, z, q, derivative=k))
+                assert abs(value - ref) < 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("tau", [0.2 + 1.1j, 0.0625j, 0.3 + 60j])
+@pytest.mark.parametrize("orders", [(0,), (0, 1), (1, 3), (0, 1, 2)])
+def test_theta_kernel_is_batch_invariant(tau, orders):
+    # a point's theta sums do not depend on the other points of the call or
+    # on the shape of the array: bit for bit, alone (0-d) and inside arrays
+    rng = np.random.default_rng(31)
+    u0 = _split_lattice_grid(
+        rng.uniform(-2, 2, 1040) + rng.uniform(-2, 2, 1040) * tau, tau
+    )[0]
+    alone = np.array([_theta_raw_grid(np.asarray(x), tau, orders) for x in u0])
+    for size in (2, 3, 17, 256, 1040):
+        batch = np.array(_theta_raw_grid(u0[:size], tau, orders)).T
+        assert batch.tobytes() == alone[:size].tobytes()
+    grid = np.array(_theta_raw_grid(u0.reshape(65, 16), tau, orders))
+    assert grid.reshape(len(orders), -1).T.tobytes() == alone.tobytes()
 
 
 # the same lattices and points for the zeta and wp properties

@@ -305,6 +305,15 @@ def test_reconstruction_without_pairs_passes_on_no_points():
         assert rep.passed and rep.points == () and rep.max_rel_residual == 0.0
 
 
+def test_r1_relation_and_r0_derivative_on_no_points():
+    # an extraction with no rows returns no coefficients
+    for h in (scalar_trig(), scalar_kronecker(1j)):
+        rep = check_r1_relation(h, [])
+        assert rep.passed and rep.points == () and rep.max_rel_residual == 0.0
+        assert scalar_r0_derivative(h, []).shape == (0,)
+        assert scalar_r0_derivative(h, np.zeros((0, 3))).shape == (0, 3)
+
+
 # ---------------------------------------------------------------------------
 # parity under the unitarity symmetry
 # ---------------------------------------------------------------------------

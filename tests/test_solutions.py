@@ -681,6 +681,34 @@ def test_evaluation_of_a_concatenation_is_bitwise_the_separate_calls(h, rng):
     assert np.array_equal(values(0, 60), parts)
 
 
+@pytest.mark.parametrize(
+    "h", CONCAT_HANDLES,
+    ids=lambda h: f"{h.family}-{h.d}-{h.gauge.kind if h.gauge else 'none'}-{h.rescale[0]}",
+)
+def test_every_family_evaluates_zero_points(h):
+    empty = (0,) + (h.n,) * 4
+    if h.is_cybe:
+        assert eval_cybe_array(h, []).shape == empty
+    else:
+        assert eval_aybe_array(h, [], []).shape == empty
+        assert eval_aybe_array(h, np.zeros((0, 16)), np.zeros((0, 1))).shape == empty
+
+
+@pytest.mark.parametrize(
+    "h", [h for h in CONCAT_HANDLES if h.is_aybe],
+    ids=lambda h: f"{h.family}-{h.d}-{h.gauge.kind if h.gauge else 'none'}-{h.rescale[0]}",
+)
+def test_a_v_column_is_bitwise_the_broadcast_points(h, rng):
+    # the series contours pass v as a (rows, 1) column against (rows, 16)
+    # nodes u: the family evaluates each row's v once, and the values are
+    # those of the broadcast points, also where the rows of a call cross
+    # the 2048 / n^2 points of a base call (n = 7: 41 points)
+    u = draw_disc(rng, 0.3, 5 * 16).reshape(5, 16)
+    v = (draw_disc(rng, 0.4, 5) + 0.05)[:, None]
+    flat = eval_aybe_array(h, u.reshape(-1), np.repeat(v, 16))
+    assert eval_aybe_array(h, u, v).tobytes() == flat.tobytes()
+
+
 def _first_error(fn, points):
     for p in points:
         try:

@@ -172,6 +172,23 @@ def test_kronecker_F_on_arrays_matches_points(m_generic):
     assert abs(row[0] - values[0]) < 1e-13 * abs(values[0])
 
 
+def test_kronecker_F_on_arrays_keeps_the_broadcast_shape(m_generic):
+    # one path for points and arrays: the d = 1 twist grid, which sums a v
+    # column once per row and returns the broadcast shape, also with no point
+    u = np.array([[0.17 + 0.05j, -0.42 + 0.31j, 0.3 - 9.5j]] * 2) + np.array([[0.0], [0.1]])
+    v = np.array([[0.23 - 0.11j], [2.31 + 1.72j]])
+    values = kronecker_F(u, v, m_generic)
+    assert values.shape == (2, 3)
+    flat = kronecker_F(u.reshape(-1), np.repeat(v, 3), m_generic)
+    assert values.reshape(-1).tobytes() == flat.tobytes()
+    for i, j in np.ndindex(2, 3):
+        assert values[i, j] == kronecker_F(complex(u[i, j]), complex(v[i, 0]), m_generic)
+    assert kronecker_F(np.array([]), 0.25, m_generic).shape == (0,)
+    assert kronecker_F(np.zeros((0, 3)), np.zeros((0, 1)), m_generic).shape == (0, 3)
+    # a v with no u to pair with is no point, so neither a pole nor an error
+    assert kronecker_F(np.zeros((0, 3)), np.array([[0.0], [np.inf]])[:, None], m_generic).shape == (2, 0, 3)
+
+
 def test_kronecker_F_array_pole_guard(m_square):
     u = np.array([0.3, 0.2 + 0.1j, 1.0 + 1j + 1e-9])
     with pytest.raises(PoleProximityError, match="u = "):
@@ -298,8 +315,9 @@ def test_array_lattice_distance_is_bitwise_the_scalar_one(tau):
 
 @pytest.mark.parametrize("tau", [0.02j, 0.015j, 0.01j, 0.005j])
 def test_from_tau_raises_domain_error_when_theta_prime_is_cancellation_noise(tau):
-    # the theta series sums theta11'(0) to exactly 0 at tau = 0.01i and to
-    # -7.1e-15i, against a true 6.2e-20 and 1.1e-64, at 0.015i and 0.005i
+    # the theta series sums theta11'(0) to rounding noise of 3.6e-15 to
+    # 2.1e-14 here, against a true 1.9e-14 at 0.02i, 6.2e-20 at 0.015i,
+    # 4.9e-31 at 0.01i and 1.1e-64 at 0.005i
     with pytest.raises(DomainError, match="theta11'"):
         ModularParam.from_tau(tau)
 
