@@ -60,15 +60,11 @@ def test_parse_complex(token, value):
     assert parse_complex(token) == pytest.approx(value)
 
 
-@pytest.mark.parametrize("token", ["", "xyz", "1+2k", "--"])
+@pytest.mark.parametrize(
+    "token", ["", "xyz", "1+2k", "--", "inf", "-inf", "nan", "infj", "1e400", "0.3+nani"]
+)
 def test_parse_complex_rejects_garbage(token):
     with pytest.raises(CliError):
-        parse_complex(token)
-
-
-@pytest.mark.parametrize("token", ["inf", "-inf", "nan", "infj", "1e400", "0.3+nani"])
-def test_parse_complex_rejects_non_finite_values(token):
-    with pytest.raises(CliError, match="is not finite"):
         parse_complex(token)
 
 
