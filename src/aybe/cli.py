@@ -258,6 +258,10 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
         lines.append("u_re,u_im,v_re,v_im,i,j,k,l,re,im,status")
     clear = _domain_mask(h, [p[0] for p in points], [p[1] for p in points], 1e-9)
     for (u, v), point_clear in zip(points, clear):
+        if ns.csv:
+            head = ("," if u is None else f"{u.real!r},{u.imag!r}") + f",{v.real!r},{v.imag!r}"
+        else:
+            head = f"point v={_fmt_c(v)}" if u is None else f"point u={_fmt_c(u)} v={_fmt_c(v)}"
         try:
             if not point_clear:
                 raise PoleProximityError("point too close to the polar set")
@@ -270,29 +274,15 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
         else:
             status = None
         if status is not None:
-            if ns.csv:
-                u_str = "," if u is None else f"{u.real!r},{u.imag!r}"
-                lines.append(f"{u_str},{v.real!r},{v.imag!r},,,,,,,{status}")
-            else:
-                head = f"point v={_fmt_c(v)}" if u is None else (
-                    f"point u={_fmt_c(u)} v={_fmt_c(v)}"
-                )
-                lines.append(f"{head} n={n} {status}")
+            lines.append(f"{head},,,,,,,{status}" if ns.csv else f"{head} n={n} {status}")
             continue
         coeffs = tensor.coeffs
         if ns.csv:
-            u_str = "," if u is None else f"{u.real!r},{u.imag!r}"
             for idx in np.ndindex(n, n, n, n):
                 z = complex(coeffs[idx])
                 i, j, k, l = idx
-                lines.append(
-                    f"{u_str},{v.real!r},{v.imag!r},{i},{j},{k},{l},"
-                    f"{z.real!r},{z.imag!r},ok"
-                )
+                lines.append(f"{head},{i},{j},{k},{l},{z.real!r},{z.imag!r},ok")
         else:
-            head = f"point v={_fmt_c(v)}" if u is None else (
-                f"point u={_fmt_c(u)} v={_fmt_c(v)}"
-            )
             lines.append(f"{head} n={n}")
             for idx in np.ndindex(n, n, n, n):
                 i, j, k, l = idx

@@ -188,30 +188,22 @@ def custom_handle(fn: Callable[[complex, complex], MatrixTensor2], n: int) -> So
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _twist_layout(d: int, first: int) -> tuple:
+def _twist_layout(d: int) -> tuple:
     """Where F_{j/d, k/d} goes: the flat positions (i, i+j, i+j-k, i-k) mod d
-    of a (d, d, d, d) tensor, and of (j - first, k) in the twist table, for
-    i < d, first <= j < d, k < d.  No two triples share a position, so one
-    assignment places every term."""
-    i, j, k = np.ix_(range(d), range(first, d), range(d))
+    of a (d, d, d, d) tensor, and of (j, k) in the twist table, for i, j,
+    k < d.  No two triples share a position, so one assignment places every
+    term.  Row j = 0 lands on the diagonal blocks (i, i, i', i'), k = i - i'."""
+    i, j, k = np.ix_(range(d), range(d), range(d))
     dest = ((i * d + (i + j) % d) * d + (i + j - k) % d) * d + (i - k) % d
-    src = np.broadcast_to((j - first) * d + k, dest.shape)
+    src = np.broadcast_to(j * d + k, dest.shape)
     return dest.ravel(), src.ravel()
 
 
-@lru_cache(maxsize=64)
-def _zeta_layout(d: int) -> tuple:
-    """Flat positions (i, i, i', i') of a (d, d, d, d) tensor and the index
-    (i - i') mod d of their zeta term."""
-    i, ip = np.ix_(range(d), range(d))
-    return ((i * d + i) * d + ip) * d + ip, (i - ip) % d
-
-
-def _place_twists(table: np.ndarray, d: int, first: int) -> np.ndarray:
-    """(N, d^4) coefficients with each point's twist table in place."""
-    dest, src = _twist_layout(d, first)
+def _place_twists(table: np.ndarray, d: int) -> np.ndarray:
+    """(N, d^4) coefficients with each point's (d, d) twist table in place."""
+    dest, src = _twist_layout(d)
     coeffs = np.zeros((len(table), d**4), dtype=complex)
-    coeffs[:, dest] = table.reshape(len(table), (d - first) * d)[:, src]
+    coeffs[:, dest] = table.reshape(len(table), d * d)[:, src]
     return coeffs
 
 
@@ -219,21 +211,19 @@ def _eval_elliptic_aybe(h: SolutionHandle, u: np.ndarray, v: np.ndarray) -> np.n
     # rank r reduces to the line-bundle case on the lattice with r*tau
     d = h.d
     m = modular_param(d * h.r * h.tau)
-    coeffs = _place_twists(_kronecker_twist_grid(d * h.r * u, -d * v, d, m), d, 0)
+    coeffs = _place_twists(_kronecker_twist_grid(d * h.r * u, -d * v, d, m), d)
     return coeffs.reshape((-1,) + (d,) * 4)
 
 
 def _eval_elliptic_cybe(h: SolutionHandle, v: np.ndarray) -> np.ndarray:
-    # the F twists with p = j/d != 0 at u = 0, plus the zeta terms on the
-    # diagonal blocks (i, i, i', i')
+    # the F twists with p = j/d != 0 at u = 0 in rows j >= 1, and in row 0
+    # the zeta terms, which the layout puts on the diagonal blocks
     d = h.d
     m = modular_param(d * h.r * h.tau)
     table, zetas = _kronecker_twist_grid(0.0, -d * v, d, m, first=1, zeta=True)
-    coeffs = _place_twists(table, d, 1)
-    diag, shift = _zeta_layout(d)
     mean = np.add.reduce(zetas, axis=1)[:, None] / d
-    coeffs[:, diag] = ((zetas - mean) / TWO_PI_I)[:, shift]
-    return coeffs.reshape((-1,) + (d,) * 4)
+    table = np.concatenate((((zetas - mean) / TWO_PI_I)[:, None], table), axis=1)
+    return _place_twists(table, d).reshape((-1,) + (d,) * 4)
 
 
 def _trig_coeffs_1(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -548,13 +538,13 @@ def eval_cybe_array(h: SolutionHandle, v) -> np.ndarray:
     :func:`eval_aybe_array`."""
     if not h.is_cybe:
         raise DomainError(f"{h.family} is not a CYBE family")
+    if h.gauge is not None and h.gauge.kind != "constant":
+        raise DomainError("only constant gauges apply to CYBE families")
     v = np.asarray(v, dtype=complex).reshape(-1)
     c1, _, _, c4 = h.rescale
     with np.errstate(**_FLOAT_ERRORS):
         val = _evaluate(h, c4 * v)
         val *= c1
-    if h.gauge is not None and h.gauge.kind != "constant":
-        raise DomainError("only constant gauges apply to CYBE families")
     return _apply_gauge(h, val, None, v)
 
 

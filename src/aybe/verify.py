@@ -12,8 +12,13 @@ and a sampled flavour returning a :class:`ResidualReport`.  Sampling is
 seeded and deterministic; points that fall inside a pole guard are redrawn
 and counted in the report's ``skipped`` field.
 
+Each check declares its points once (:func:`_aybe_points` and its kin):
+its draw guards them (:func:`_sample`), it evaluates them
+(:func:`_request`), and the pointwise residuals guard them at 1e-9
+(:func:`_guarded_values`).  Only the limit's circle nodes are not drawn.
+
 A sampled check runs in three steps: it draws its samples from its own
-generator (:func:`_accept`), its points are evaluated, and it finishes
+generator (:func:`_sample`), its points are evaluated, and it finishes
 its reports from their values.  :func:`run_suite` draws every check
 first, then evaluates the points of all of them with one array call on
 the handle per block of at most ``_BLOCK`` dense entries (one call unless
@@ -207,30 +212,17 @@ def aybe_commutator_residual(
 
 def cybe_residual(h: SolutionHandle, v: complex, vp: complex) -> MatrixTensor3:
     """Residual [r12(v), r13(v+v')] + [r12(v), r23(v')] + [r13(v+v'), r23(v')]."""
-    points = (v, vp, v + vp)
-    clear = _domain_mask(h, None, points, guard=1e-9)
-    if not clear.all():
-        raise DomainError(f"point {points[clear.argmin()]} is outside the domain of {h.family}")
-    values = _shaped(h, _values_of(_cybe_request(h, [(v, vp)])), (3, 1), None)
+    values = _shaped(h, _guarded_values(h, _cybe_points, [(v, vp)]), (3, 1), None)
     _, forms = _cybe_forms(values, leg_product_array)
     return MatrixTensor3(forms["cybe"][0])
 
 
 def _unitarity_residuals(h: SolutionHandle, pairs: Sequence[tuple]) -> np.ndarray:
-    """swap_legs(r(-u, -v)) + r(u, v) at every (u, v) pair, (N, n, n, n, n):
-    all pairs and their negatives are guarded against the polar locus in one
-    call, and the first offending pair is named, then all are evaluated in
-    one call (u is ignored for one-variable families)."""
-    v = np.array([p[1] for p in pairs], dtype=complex)
-    u = None if h.is_cybe else np.array([p[0] for p in pairs], dtype=complex)
-    clear = _domain_mask(h, None if u is None else np.array((u, -u)), np.array((v, -v)), 1e-9)
-    if not clear.all():
-        if not h.is_cybe:
-            raise DomainError("evaluation point or its negative hits a pole")
-        k = int(clear.all(axis=0).argmin())
-        point = pairs[k][1] if not clear[0, k] else -pairs[k][1]
-        raise DomainError(f"point {point} is outside the domain of {h.family}")
-    direct, swapped = _swap_split(h, _values_of(_unitarity_request(h, pairs)), len(pairs), None)
+    """swap_legs(r(-u, -v)) + r(u, v) at every (u, v) pair, (N, n, n, n, n),
+    guarded (u is ignored for one-variable families)."""
+    samples = [(v,) if h.is_cybe else (u, v) for u, v in pairs]
+    values = _guarded_values(h, _unitarity_points, samples)
+    direct, swapped = _swap_split(h, values, len(samples), None)
     return swapped + direct
 
 
@@ -240,15 +232,49 @@ def unitarity_residual(h: SolutionHandle, u: complex, v: complex) -> MatrixTenso
     return MatrixTensor2(_unitarity_residuals(h, [(u, v)])[0])
 
 
-def _aybe_points(u: complex, up: complex, v: complex, vp: complex) -> tuple:
-    return (
-        (-up, v),
-        (u + up, v + vp),
-        (u + up, vp),
-        (u, v),
-        (u, v + vp),
-        (up, vp),
-    )
+def _guarded_values(h: SolutionHandle, points: Callable, samples: Sequence[tuple]) -> np.ndarray:
+    """The values of :func:`_request` at the ``samples``, once all their
+    points keep clear of the poles by 1e-9; else DomainError names the first
+    offending point, sample by sample, from the caller's own values."""
+    request = _request(h, points, samples)
+    clear = _domain_mask(h, request.u, request.v, 1e-9)
+    if not clear.all():
+        clear = clear.reshape(-1, len(samples))
+        s = int(clear.all(axis=0).argmin())
+        k = int(clear[:, s].argmin())
+        u, v = points(*samples[s])
+        if u is None:
+            raise DomainError(f"point {v[k]} is outside the domain of {h.family}")
+        raise DomainError(f"evaluation point ({u[k]}, {v[k]}) hits a pole of {h.family}")
+    return _values_of(request)
+
+
+# ---------------------------------------------------------------------------
+# the points of each sample of a check: (u, v), each a tuple of the k
+# points' coordinates (u None on a one-variable handle), of the sample's
+# columns (u, u', ...) as Python numbers or as arrays of many samples
+# ---------------------------------------------------------------------------
+
+def _aybe_points(u, up, v, vp) -> tuple:
+    """r12 and r13 of T1, r23 and r12 of T2, r13 and r23 of T3 (see
+    :func:`aybe_residual`)."""
+    return (-up, u + up, u + up, u, u, up), (v, v + vp, vp, v, v + vp, vp)
+
+
+def _cybe_points(v, vp) -> tuple:
+    """r12, r13 and r23 of :func:`cybe_residual`."""
+    return None, (v, v + vp, vp)
+
+
+def _unitarity_points(*sample) -> tuple:
+    """The (v,) or (u, v) sample, and its negative."""
+    v = sample[-1]
+    return (None if len(sample) == 1 else (sample[0], -sample[0])), (v, -v)
+
+
+def _rank_points(*sample) -> tuple:
+    """The (v,) or (u, v) sample itself."""
+    return (None if len(sample) == 1 else sample[:1]), sample[-1:]
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +284,8 @@ def _aybe_points(u: complex, up: complex, v: complex, vp: complex) -> tuple:
 @dataclass(frozen=True, eq=False)
 class _Request:
     """The points (u[k], v[k]) at which a check needs the values of one
-    handle, 1-d arrays (u None on a one-variable handle), and the flat
-    positions ``keep`` of each value that it stores (None: all n^4)."""
+    handle, 1-d arrays (u None or ignored on a one-variable handle), and the
+    flat positions ``keep`` of each value that it stores (None: all n^4)."""
 
     handle: SolutionHandle
     u: Optional[np.ndarray]
@@ -377,43 +403,22 @@ def _shaped(
     return values.reshape(lead + ((h.n,) * 4 if keep is None else (len(keep),)))
 
 
-def _aybe_request(
-    h: SolutionHandle, samples: Sequence[tuple], keep: Optional[np.ndarray] = None
+def _request(
+    h: SolutionHandle, points: Callable, samples: Sequence[tuple], keep: Optional[np.ndarray] = None
 ) -> _Request:
-    """The six points of :func:`_aybe_points` of every (u, u', v, v')
-    sample, point-major: value k*N + s is point k of sample s."""
-    pts = np.array([_aybe_points(*s) for s in samples], dtype=complex).reshape(-1, 6, 2)
-    u, v = pts.transpose(2, 1, 0).reshape(2, -1)
-    return _Request(h, u, v, keep)
-
-
-def _cybe_request(
-    h: SolutionHandle, samples: Sequence[tuple], keep: Optional[np.ndarray] = None
-) -> _Request:
-    """v (r12), v + v' (r13) and v' (r23) of every (v, v') sample,
-    point-major as in :func:`_aybe_request`."""
-    pts = np.array([(v, v + vp, vp) for v, vp in samples], dtype=complex).reshape(-1, 3)
-    return _Request(h, None, pts.T.reshape(-1), keep)
-
-
-def _unitarity_request(
-    h: SolutionHandle, pairs: Sequence[tuple], keep: Optional[np.ndarray] = None
-) -> _Request:
-    """The (u, v) pairs and then their negatives (u is None on a
-    one-variable handle)."""
-    v = np.array([p[1] for p in pairs], dtype=complex)
-    u = None
-    if not h.is_cybe:
-        u = np.array([p[0] for p in pairs], dtype=complex)
-        u = np.concatenate((u, -u))
-    return _Request(h, u, np.concatenate((v, -v)), keep)
+    """The points of every sample, point-major: value k*N + s is point k of
+    sample s."""
+    if not samples:
+        return _Request(h, np.empty(0, dtype=complex), np.empty(0, dtype=complex), keep)
+    u, v = points(*np.array(samples, dtype=complex).T)
+    return _Request(h, None if u is None else np.ravel(u), np.ravel(v), keep)
 
 
 def _swap_split(
     h: SolutionHandle, values: np.ndarray, count: int, keep: Optional[np.ndarray]
 ) -> tuple:
-    """r(u, v) and swap_legs(r(-u, -v)) from the values of a
-    :func:`_unitarity_request` of ``count`` pairs; with ``keep`` (the
+    """r(u, v) and swap_legs(r(-u, -v)) from the values of the
+    :func:`_unitarity_points` of ``count`` samples; with ``keep`` (the
     charge-0 entries, see :func:`_products`) the swap permutes them."""
     direct, negated = _shaped(h, values, (2, count), keep)
     if keep is None:
@@ -445,7 +450,7 @@ def _extend_norms(norms: dict, scale: np.ndarray, residuals: dict) -> None:
 
 def _aybe_forms(values: np.ndarray, tags: Tuple[str, ...], product: Callable) -> tuple:
     """(scale, {tag: residual}) for the samples of the six values of
-    :func:`_aybe_request`, with ``product(x, legs_x, y, legs_y)`` the leg
+    :func:`_aybe_points`, with ``product(x, legs_x, y, legs_y)`` the leg
     product on them (see :func:`_products`).  Each sample's scale is the
     largest Frobenius norm of T1..T3.  The forms are ``aybe``,
     T1 - T2 + T3, and ``commutator``, the same with every product replaced
@@ -470,7 +475,7 @@ def _aybe_forms(values: np.ndarray, tags: Tuple[str, ...], product: Callable) ->
 
 def _cybe_forms(values: np.ndarray, product: Callable) -> tuple:
     """(scale, {"cybe": residual}) for the samples of the three values of
-    :func:`_cybe_request`, with the leg product ``product`` as in
+    :func:`_cybe_points`, with the leg product ``product`` as in
     :func:`_aybe_forms`: the residual is the sum of the three commutators,
     the scale the largest Frobenius norm of their six products."""
     r12, r13, r23 = values
@@ -498,13 +503,8 @@ def _accumulate(total: Optional[np.ndarray], sign: int, term: np.ndarray) -> np.
 
 
 def _aybe_form_at(h: SolutionHandle, sample: tuple, tag: str) -> MatrixTensor3:
-    """One form of :func:`_aybe_forms` at one sample, after the domain guard."""
-    points = _aybe_points(*sample)
-    clear = _domain_mask(h, *np.array(points).T, guard=1e-9)
-    if not clear.all():
-        a, b = points[clear.argmin()]
-        raise DomainError(f"evaluation point ({a}, {b}) hits a pole of {h.family}")
-    values = _shaped(h, _values_of(_aybe_request(h, [sample])), (6, 1), None)
+    """One form of :func:`_aybe_forms` at one guarded sample."""
+    values = _shaped(h, _guarded_values(h, _aybe_points, [sample]), (6, 1), None)
     _, forms = _aybe_forms(values, (tag,), leg_product_array)
     return MatrixTensor3(forms[tag][0])
 
@@ -629,19 +629,24 @@ def _accept(
     return samples, skipped
 
 
+def _sample(
+    h: SolutionHandle, points: Callable, count: int, width: int, guard: float, config: SuiteConfig
+) -> Tuple[List[tuple], int]:
+    """:func:`_accept` on the check's own generator: `count` samples of
+    `width` points whose ``points`` all keep clear of the poles of ``h`` by
+    ``guard``, and the rejects."""
+    def clear(*columns):
+        return _domain_mask(h, *points(*columns), guard).all(axis=0)
+
+    rng = np.random.default_rng(config.seed)
+    return _accept(rng, _sample_radius(h), count, width, clear, config.max_draws)
+
+
 def _draw_aybe(h: SolutionHandle, config: SuiteConfig, tags: Tuple[str, ...]) -> _Drawn:
     """One seeded sampling pass of the two-variable identity with one report
     per form in ``tags``; the forms share the 6*N values, T1..T3 and the
     relative scale."""
-    rng = np.random.default_rng(config.seed)
-
-    def clear(u, up, v, vp):
-        a, b = np.array(_aybe_points(u, up, v, vp)).transpose(1, 0, 2)
-        return _domain_mask(h, a, b, config.guard).all(axis=0)
-
-    samples, skipped = _accept(
-        rng, _sample_radius(h), config.n_aybe, 4, clear, config.max_draws
-    )
+    samples, skipped = _sample(h, _aybe_points, config.n_aybe, 4, config.guard, config)
     keep, product, entries = _products(h)
 
     def finish(values):
@@ -654,21 +659,14 @@ def _draw_aybe(h: SolutionHandle, config: SuiteConfig, tags: Tuple[str, ...]) ->
             for tag in tags
         ]
 
-    return _Drawn((_aybe_request(h, samples, keep),), finish)
+    return _Drawn((_request(h, _aybe_points, samples, keep),), finish)
 
 
 def _draw_cybe(h: SolutionHandle, config: SuiteConfig) -> _Drawn:
-    rng = np.random.default_rng(config.seed)
     tol = config.tol_cybe
     if tol is None:
         tol = 1e-8 if _FAMILIES[h.family].elliptic else 1e-10
-
-    def clear(v, vp):
-        return _domain_mask(h, None, np.array((v, vp, v + vp)), config.guard).all(axis=0)
-
-    samples, skipped = _accept(
-        rng, _sample_radius(h), config.n_cybe, 2, clear, config.max_draws
-    )
+    samples, skipped = _sample(h, _cybe_points, config.n_cybe, 2, config.guard, config)
     keep, product, entries = _products(h)
 
     def finish(values):
@@ -678,27 +676,18 @@ def _draw_cybe(h: SolutionHandle, config: SuiteConfig) -> _Drawn:
         )
         return [_make_report("cybe", samples, *norms.get("cybe", ([], [])), tol, skipped)]
 
-    return _Drawn((_cybe_request(h, samples, keep),), finish)
+    return _Drawn((_request(h, _cybe_points, samples, keep),), finish)
 
 
 def _draw_unitarity(h: SolutionHandle, config: SuiteConfig) -> _Drawn:
-    rng = np.random.default_rng(config.seed)
-
-    def clear(*point):
-        # (v,) on a one-variable handle, (u, v) otherwise
-        u = None if h.is_cybe else np.array((point[0], -point[0]))
-        return _domain_mask(h, u, np.array((point[-1], -point[-1])), config.guard).all(axis=0)
-
-    samples, skipped = _accept(
-        rng, _sample_radius(h), config.n_unitarity, 1 if h.is_cybe else 2, clear, config.max_draws
-    )
-    pairs = [(None, v) for (v,) in samples] if h.is_cybe else samples
+    width = 1 if h.is_cybe else 2
+    samples, skipped = _sample(h, _unitarity_points, config.n_unitarity, width, config.guard, config)
     # a graded handle's residual is zero off the charge-0 entries, which the
     # swap permutes: they carry its max modulus and its Frobenius norms
     keep = _products(h)[0]
 
     def finish(values):
-        direct, swapped = _swap_split(h, values, len(pairs), keep)
+        direct, swapped = _swap_split(h, values, len(samples), keep)
         res = swapped + direct
         scale = np.maximum(np.maximum(_frobenius(direct), _frobenius(swapped)), 1e-300)
         return [_make_report(
@@ -706,61 +695,46 @@ def _draw_unitarity(h: SolutionHandle, config: SuiteConfig) -> _Drawn:
             config.tol_unitarity, skipped,
         )]
 
-    return _Drawn((_unitarity_request(h, pairs, keep),), finish)
+    return _Drawn((_request(h, _unitarity_points, samples, keep),), finish)
 
 
 def _rank_at_samples(h: SolutionHandle, samples: List[tuple], tolerance: float) -> _Drawn:
     """The full-rank check at the (v,) or (u, v) ``samples``: the recorded
     residual is the rank deficit n^2 - rank."""
-    v = np.array([s[-1] for s in samples], dtype=complex)
-    u = None if h.is_cybe else np.array([s[0] for s in samples], dtype=complex)
-
     def finish(values):
         ranks = _ranks_as_maps(_shaped(h, values, (len(samples),), None))
         deficits = [float(h.n * h.n - rank) for rank in ranks]
         return [_make_report("rank", samples, deficits, deficits, tolerance, 0)]
 
-    return _Drawn((_Request(h, u, v),), finish)
+    return _Drawn((_request(h, _rank_points, samples),), finish)
 
 
 def _draw_rank(h: SolutionHandle, config: SuiteConfig) -> _Drawn:
-    rng = np.random.default_rng(config.seed)
-
-    def clear(*point):
-        # (v,) on a one-variable handle, (u, v) otherwise
-        return _domain_mask(h, None if h.is_cybe else point[0], point[-1], config.guard)
-
-    samples, _ = _accept(
-        rng, _sample_radius(h), config.n_rank, 1 if h.is_cybe else 2, clear, config.max_draws
-    )
+    width = 1 if h.is_cybe else 2
+    samples, _ = _sample(h, _rank_points, config.n_rank, width, config.guard, config)
     return _rank_at_samples(h, samples, 0.5)
 
 
 def _draw_limit(h: SolutionHandle, config: SuiteConfig) -> _Drawn:
-    rng = np.random.default_rng(config.seed)
     paired = paired_cybe_handle(h)
     # keep v off the partner's poles: the limit's circle shrinks with the
     # distance R(v) from u = 0 to the nearest other u-pole, and this guard
-    # keeps R(v) >= min(1e-2, r Im tau) / (d r) for the elliptic family
+    # keeps R(v) >= min(1e-2, r Im tau) / (d r) for the elliptic family.
+    # The partner's sample radius is the handle's: both are elliptic or not
     guard = max(config.guard, 1e-2)
+    samples, skipped = _sample(paired, _rank_points, config.n_limit, 1, guard, config)
+    targets = _request(paired, _rank_points, samples)
+    u_nodes, v_nodes, _ = _limit_nodes(h, targets.v)
 
-    def clear(v):
-        return _domain_mask(paired, None, v, guard)
-
-    samples, skipped = _accept(rng, _sample_radius(h), config.n_limit, 1, clear, config.max_draws)
-    v = np.array([v for (v,) in samples], dtype=complex)
-    u_nodes, v_nodes, _ = _limit_nodes(h, v)
-
-    def finish(node_values, targets):
-        targets = _shaped(paired, targets, (len(v),), None)
-        res = _limit_means(_shaped(h, node_values, u_nodes.shape, None)) - targets
-        scale = np.maximum(_frobenius(targets), 1e-300)
+    def finish(node_values, target_values):
+        target_values = _shaped(paired, target_values, (len(samples),), None)
+        res = _limit_means(_shaped(h, node_values, u_nodes.shape, None)) - target_values
+        scale = np.maximum(_frobenius(target_values), 1e-300)
         return [_make_report(
             "limit", samples, _max_abs(res), _frobenius(res) / scale, config.tol_limit, skipped
         )]
 
-    requests = (_Request(h, u_nodes.reshape(-1), v_nodes.reshape(-1)), _Request(paired, None, v))
-    return _Drawn(requests, finish)
+    return _Drawn((_Request(h, u_nodes.reshape(-1), v_nodes.reshape(-1)), targets), finish)
 
 
 def check_aybe(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> ResidualReport:
@@ -799,18 +773,10 @@ def nondegeneracy_check(
     for one-variable families.  The recorded residual is the rank deficit
     n^2 - rank, so a report passes exactly when every point has full rank.
     """
-    samples = []
-    for p in pts:
-        if isinstance(p, tuple):
-            u, v = p
-        else:
-            u, v = None, p
-        if h.is_cybe:
-            samples.append((v,))
-        else:
-            if u is None:
-                raise DomainError("two-variable families need (u, v) points")
-            samples.append((u, v))
+    pairs = [p if isinstance(p, tuple) else (None, p) for p in pts]
+    if not h.is_cybe and any(u is None for u, _ in pairs):
+        raise DomainError("two-variable families need (u, v) points")
+    samples = [(v,) if h.is_cybe else (u, v) for u, v in pairs]
     return _run([_rank_at_samples(h, samples, tolerance)])[0]
 
 

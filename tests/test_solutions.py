@@ -780,6 +780,15 @@ def test_scalar_exp_gauge_keeps_aybe():
     assert res.max_abs() < 1e-12
 
 
+def test_cybe_family_rejects_a_non_constant_gauge_before_evaluating(monkeypatch):
+    h = equivalence_transform(elliptic_cybe(3, 1, 1j), GaugeSpec(kind="scalar_exp", c=0.3))
+    calls = []
+    monkeypatch.setattr(aybe.solutions, "_evaluate", lambda *args: calls.append(args))
+    with pytest.raises(DomainError, match="only constant gauges apply to CYBE families"):
+        eval_cybe_array(h, np.array([0.1, 0.2j]))
+    assert calls == []
+
+
 def test_equivalence_transform_validates():
     with pytest.raises(ValueError):
         equivalence_transform(trig_aybe(1), np.zeros((2, 2)))

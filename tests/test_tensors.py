@@ -137,7 +137,13 @@ def heisenberg_tensor(rng, d):
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7])
 def test_graded_support_is_the_twist_layout(d):
     support = _graded_support(d)
-    assert np.array_equal(support, np.sort(_twist_layout(d, 0)[0]))
+    dest, src = _twist_layout(d)
+    assert np.array_equal(support, np.sort(dest))
+    # row j = 0 of the twist table, the elliptic-cybe zeta terms, lands on
+    # the diagonal blocks (i, i, i', i') at column k = i - i'
+    a, b, c, e = np.unravel_index(dest[src < d], (d,) * 4)
+    assert len(a) == d * d and np.array_equal(a, b) and np.array_equal(c, e)
+    assert np.array_equal(src[src < d], (a - c) % d)
     idx = _graded_slice(d)
     assert idx.shape == (6, d**4) and not idx[0].any()
     assert not ((idx[1] - idx[0] + idx[3] - idx[2] + idx[5] - idx[4]) % d).any()

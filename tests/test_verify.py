@@ -18,12 +18,14 @@ from aybe.solutions import (
     eval_aybe,
     handle_from_dict,
     handle_to_dict,
+    paired_cybe_handle,
     scalar_kronecker,
     scalar_rational,
     scalar_trig,
     trig_aybe,
     trig_cybe,
 )
+import aybe.solutions
 import aybe.verify
 from aybe import bruteforce
 from aybe.errors import DomainError, NonConvergenceError
@@ -468,6 +470,49 @@ def test_a_dense_check_drops_its_values_before_the_next_call(monkeypatch):
     assert all(ref() is None for ref in finished)
 
 
+def _keyed(h, u, v):
+    """{(family, u, v)} of the points (u, v), broadcast and flattened; u is
+    None on a one-variable handle, which ignores it."""
+    v = np.asarray(v, dtype=complex)
+    u = np.full(v.shape, np.nan) if h.is_cybe else np.asarray(u, dtype=complex)
+    u, v = np.broadcast_arrays(u, v)
+    return {(h.family, None if h.is_cybe else a, b)
+            for a, b in zip(u.ravel().tolist(), v.ravel().tolist())}
+
+
+@pytest.mark.parametrize("h", [
+    trig_aybe(1), trig_cybe(1), scalar_kronecker(0.2 + 1.1j),
+    elliptic_aybe(3, 1, 0.2 + 1.1j), elliptic_cybe(3, 1, 0.2 + 1.1j),
+], ids=str)
+def test_every_evaluated_point_was_guarded(h, monkeypatch):
+    # the points a check evaluates are points its draw guarded, but for the
+    # limit check's circle nodes; its partner targets are guarded too
+    guarded, evaluated = set(), set()
+    mask = aybe.verify._domain_mask
+
+    def recording_mask(h, u, v, guard):
+        guarded.update(_keyed(h, u, v))
+        return mask(h, u, v, guard)
+
+    monkeypatch.setattr(aybe.verify, "_domain_mask", recording_mask)
+    for name in ("eval_aybe_array", "eval_cybe_array"):
+        def recording_eval(h, *points, real=getattr(aybe.verify, name)):
+            evaluated.update(_keyed(h, *(None, *points)[-2:]))
+            return real(h, *points)
+
+        monkeypatch.setattr(aybe.verify, name, recording_eval)
+    reports = run_suite(h, FAST)
+    assert [rep.tag for rep in reports] == list(aybe.verify._applicable_checks(h))
+    nodes = set()
+    for rep in reports:
+        if rep.tag == "limit":
+            targets = _keyed(paired_cybe_handle(h), None, [v for (v,) in rep.points])
+            assert len(targets) == FAST.n_limit and targets <= evaluated & guarded
+            v = np.array([v for (v,) in rep.points])
+            nodes = _keyed(h, *aybe.solutions._limit_nodes(h, v)[:2])
+    assert evaluated - nodes and evaluated - nodes <= guarded
+
+
 # the handles of the suites above, gauged, rescaled and custom ones included
 SUITE_HANDLES = [
     elliptic_aybe(1, 1, 1j),
@@ -561,11 +606,11 @@ def _report_scale(h, report):
     commutator products), from dense values and dense products."""
     count = len(report.points)
     if h.is_cybe:
-        request = aybe.verify._cybe_request(h, report.points)
+        request = aybe.verify._request(h, aybe.verify._cybe_points, report.points)
         values = aybe.verify._shaped(h, aybe.verify._values_of(request), (3, count), None)
         scale, _ = aybe.verify._cybe_forms(values, leg_product_array)
     else:
-        request = aybe.verify._aybe_request(h, report.points)
+        request = aybe.verify._request(h, aybe.verify._aybe_points, report.points)
         values = aybe.verify._shaped(h, aybe.verify._values_of(request), (6, count), None)
         scale, _ = aybe.verify._aybe_forms(values, ("aybe",), leg_product_array)
     return float(scale.max())
@@ -713,7 +758,7 @@ def test_guard_errors_name_the_first_offending_point():
         cybe_residual(trig_cybe(1), 0.3, -0.3)
     with pytest.raises(DomainError, match=r"point 6\.283185307179586j is outside the domain"):
         aybe.verify._unitarity_residuals(trig_cybe(1), [(None, 0.4), (None, 2j * math.pi), (None, 0.0)])
-    with pytest.raises(DomainError, match="evaluation point or its negative hits a pole"):
+    with pytest.raises(DomainError, match=r"evaluation point \(0\.2, 6\.283185307179586j\) hits a pole of trig_aybe1"):
         unitarity_residual(trig_aybe(1), 0.2, 2j * math.pi)
     with pytest.raises(DomainError, match=r"evaluation point \(0\.0, 0\.75\) hits a pole"):
         aybe_residual(scalar_rational(), 0.3, -0.3, 0.25, 0.5)
