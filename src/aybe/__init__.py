@@ -6,189 +6,23 @@ solutions by the Laurent data of their lowest coefficients, and
 re-derives the trigonometric families from linear algebra on a nodal
 cubic curve.  ``aybe.cli`` exposes the same operations as a command line
 tool.
+
+Each module declares its public names once, in its own ``__all__``; the
+package exports their union.
 """
 
-from .errors import DomainError, NonConvergenceError, PoleProximityError
-from .tensors import (
-    MatrixTensor2,
-    MatrixTensor3,
-    from_pair,
-    identity2,
-    leg_product,
-    leg_product_array,
-)
-from .special import (
-    Characteristic,
-    ModularParam,
-    eisenstein_G,
-    j_invariant,
-    kronecker_F,
-    kronecker_F_char,
-    modular_param,
-    theta11,
-    weierstrass_p,
-    weierstrass_zeta,
-)
-from .solutions import (
-    GaugeSpec,
-    LimitResult,
-    SolutionHandle,
-    custom_handle,
-    cybe_limit_of_aybe,
-    elliptic_aybe,
-    elliptic_cybe,
-    equivalence_transform,
-    eval_aybe,
-    eval_aybe_array,
-    eval_cybe,
-    eval_cybe_array,
-    handle_from_dict,
-    handle_to_dict,
-    in_domain,
-    paired_cybe_handle,
-    rho_theoretical,
-    scalar_kronecker,
-    scalar_rational,
-    scalar_trig,
-    trig_aybe,
-    trig_cybe,
-)
-from .verify import (
-    CHECK_NAMES,
-    ResidualReport,
-    SuiteConfig,
-    aybe_commutator_residual,
-    aybe_residual,
-    check_aybe,
-    check_aybe_commutator,
-    check_cybe,
-    check_limit_consistency,
-    check_rank,
-    check_unitarity,
-    cybe_residual,
-    nondegeneracy_check,
-    run_suite,
-    unitarity_residual,
-)
-from .series import (
-    INFINITY,
-    LaurentSeries,
-    ScalarClassification,
-    check_aux4,
-    check_aux5,
-    check_r1_relation,
-    check_reconstruction_chain,
-    classify_scalar,
-    extract_u_series,
-    normalize_scalar_r0,
-    pole_normalized_handle,
-    scalar_r0,
-    scalar_r0_series,
-)
-from .curve import (
-    BundleParams,
-    LinearMap4,
-    TRIVIALIZATIONS,
-    aybe_handle_from_curve,
-    composite_case1,
-    composite_case2,
-    composite_map,
-    composite_stack,
-    ev_map_case1,
-    ev_map_case2,
-    linear_map_from_tensor,
-    residue_map_case1,
-    residue_map_case2,
-    tensor_from_linear_map,
-    tensors_from_maps,
-)
+from . import errors, tensors, special, solutions, verify, series, curve
+from .errors import *
+from .tensors import *
+from .special import *
+from .solutions import *
+from .verify import *
+from .series import *
+from .curve import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DomainError",
-    "NonConvergenceError",
-    "PoleProximityError",
-    "MatrixTensor2",
-    "MatrixTensor3",
-    "from_pair",
-    "identity2",
-    "leg_product",
-    "leg_product_array",
-    "Characteristic",
-    "ModularParam",
-    "eisenstein_G",
-    "j_invariant",
-    "kronecker_F",
-    "kronecker_F_char",
-    "modular_param",
-    "theta11",
-    "weierstrass_p",
-    "weierstrass_zeta",
-    "GaugeSpec",
-    "LimitResult",
-    "SolutionHandle",
-    "custom_handle",
-    "cybe_limit_of_aybe",
-    "elliptic_aybe",
-    "elliptic_cybe",
-    "equivalence_transform",
-    "eval_aybe",
-    "eval_aybe_array",
-    "eval_cybe",
-    "eval_cybe_array",
-    "handle_from_dict",
-    "handle_to_dict",
-    "in_domain",
-    "paired_cybe_handle",
-    "rho_theoretical",
-    "scalar_kronecker",
-    "scalar_rational",
-    "scalar_trig",
-    "trig_aybe",
-    "trig_cybe",
-    "CHECK_NAMES",
-    "ResidualReport",
-    "SuiteConfig",
-    "aybe_commutator_residual",
-    "aybe_residual",
-    "check_aybe",
-    "check_aybe_commutator",
-    "check_cybe",
-    "check_limit_consistency",
-    "check_rank",
-    "check_unitarity",
-    "cybe_residual",
-    "nondegeneracy_check",
-    "run_suite",
-    "unitarity_residual",
-    "INFINITY",
-    "LaurentSeries",
-    "ScalarClassification",
-    "check_aux4",
-    "check_aux5",
-    "check_r1_relation",
-    "check_reconstruction_chain",
-    "classify_scalar",
-    "extract_u_series",
-    "normalize_scalar_r0",
-    "pole_normalized_handle",
-    "scalar_r0",
-    "scalar_r0_series",
-    "BundleParams",
-    "LinearMap4",
-    "TRIVIALIZATIONS",
-    "aybe_handle_from_curve",
-    "composite_case1",
-    "composite_case2",
-    "composite_map",
-    "composite_stack",
-    "ev_map_case1",
-    "ev_map_case2",
-    "linear_map_from_tensor",
-    "residue_map_case1",
-    "residue_map_case2",
-    "tensor_from_linear_map",
-    "tensors_from_maps",
-    "__version__",
-]
+    name for module in (errors, tensors, special, solutions, verify, series, curve)
+    for name in module.__all__
+] + ["__version__"]

@@ -202,17 +202,14 @@ def _build_handle(ns: argparse.Namespace) -> SolutionHandle:
         raise CliError(str(exc)) from exc
 
 
-def _add_family_args(sub: argparse.ArgumentParser, with_handle_file: bool = True) -> None:
+def _add_family_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--family", choices=FAMILY_NAMES, help="solution family")
     sub.add_argument("--d", type=int, help="matrix size d for elliptic families")
     sub.add_argument("--r", type=int, help="twist index r for elliptic families")
     sub.add_argument("--tau", help="modular parameter, e.g. i or 0.5+0.9i")
     sub.add_argument("--a", help="u-pole coefficient of scalar-rational")
     sub.add_argument("--b", help="v-pole coefficient of scalar-rational")
-    if with_handle_file:
-        sub.add_argument(
-            "--handle-json", help="JSON file with a serialized solution handle"
-        )
+    sub.add_argument("--handle-json", help="JSON file with a serialized solution handle")
 
 
 def _seed(token: str) -> int:
@@ -535,12 +532,13 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
             raise CliError(f"sweep {quantity} on family {h.family} requires --u")
         u = parse_complex(ns.u)
 
+    clear = _domain_mask(h, [u] * len(grid), grid, 1e-9)
+    if not clear.all():
+        token = grid_tokens[clear.argmin()]
+        at = f"v={token}" if u is None else f"u={ns.u}, v={token}"
+        raise DomainError(f"evaluation point {at} hits a pole of {h.family}")
+
     if quantity == "rank":
-        clear = _domain_mask(h, [u] * len(grid), grid, 1e-9)
-        if not clear.all():
-            token = grid_tokens[clear.argmin()]
-            at = f"v={token}" if u is None else f"u={ns.u}, v={token}"
-            raise DomainError(f"evaluation point {at} hits a pole of {h.family}")
         if ns.csv:
             lines.append("v,rank")
         values = eval_cybe_array(h, grid) if u is None else eval_aybe_array(h, u, grid)

@@ -46,7 +46,6 @@ from .tensors import MatrixTensor2
 __all__ = [
     "BundleParams",
     "LinearMap4",
-    "FLAT_BASIS",
     "TRIVIALIZATIONS",
     "residue_map_case1",
     "ev_map_case1",

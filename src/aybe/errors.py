@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DomainError", "NonConvergenceError", "PoleProximityError"]
+
 
 class PoleProximityError(ValueError):
     """An evaluation point is too close to a pole / lattice point."""

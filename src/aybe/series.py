@@ -138,6 +138,8 @@ class ScalarClassification:
 
 _N_START = 8
 _N_MAX = 4096
+# relative agreement of two successive contour estimates
+_CONTOUR_TOL = 1e-10
 _TRIG_POINT = -20.0 / 49.0
 
 
@@ -167,7 +169,6 @@ def _contour_coefficients(
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     powers: Sequence[int],
     radius,
-    tol: float = 1e-10,
     guards: int = 0,
 ) -> Tuple[List[np.ndarray], np.ndarray]:
     """Coefficients at the given powers of one function per row.
@@ -176,7 +177,7 @@ def _contour_coefficients(
     ``fn(rows, z)`` gets the row indices and their nodes, shape
     (len(rows), m), and returns the values there, shape (len(rows), m, ...).
     Each row doubles its node count until two successive estimates agree to
-    ``tol`` (relative).  The first call evaluates 2*_N_START nodes, whose
+    _CONTOUR_TOL (relative).  The first call evaluates 2*_N_START nodes, whose
     even nodes give the _N_START estimate, so a row that settles at the
     first comparison costs one call.  The first ``guards`` powers are
     estimated on the same nodes but left out of the agreement test: they
@@ -213,7 +214,7 @@ def _contour_coefficients(
         scale = np.maximum(np.max(np.abs(flat), axis=(1, 2)), 1.0)
         drift = np.abs(current[:, guards:] - previous[:, guards:])
         gap = np.max(drift * r_pos[active][:, :, None], axis=(1, 2))
-        done = gap <= tol * scale
+        done = gap <= _CONTOUR_TOL * scale
         coeffs[active[done]] = current[done].reshape((-1, m.size) + shape)
         nodes[active[done]] = n
         keep = ~done
@@ -223,7 +224,7 @@ def _contour_coefficients(
         n *= 2
         if n > _N_MAX:
             raise NonConvergenceError(
-                f"contour quadrature did not settle below {tol} with {_N_MAX} nodes"
+                f"contour quadrature did not settle below {_CONTOUR_TOL} with {_N_MAX} nodes"
             )
         fresh = np.asarray(
             fn(active, radius[active, None] * _unit_nodes(n)[1::2]), dtype=complex

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -33,7 +32,7 @@ from .special import (
     kronecker_F,
     modular_param,
 )
-from .tensors import MatrixTensor2, _project_sl, _sandwich
+from .tensors import MatrixTensor2, _graded_layout, _project_sl, _sandwich
 
 __all__ = [
     "SolutionHandle",
@@ -187,23 +186,12 @@ def custom_handle(fn: Callable[[complex, complex], MatrixTensor2], n: int) -> So
 # coefficients in the order of the flattened broadcast
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _twist_layout(d: int) -> tuple:
-    """Where F_{j/d, k/d} goes: the flat positions (i, i+j, i+j-k, i-k) mod d
-    of a (d, d, d, d) tensor, and of (j, k) in the twist table, for i, j,
-    k < d.  No two triples share a position, so one assignment places every
-    term.  Row j = 0 lands on the diagonal blocks (i, i, i', i'), k = i - i'."""
-    i, j, k = np.ix_(range(d), range(d), range(d))
-    dest = ((i * d + (i + j) % d) * d + (i + j - k) % d) * d + (i - k) % d
-    src = np.broadcast_to(j * d + k, dest.shape)
-    return dest.ravel(), src.ravel()
-
-
 def _place_twists(table: np.ndarray, d: int) -> np.ndarray:
-    """(N, d^4) coefficients with each point's (d, d) twist table in place."""
-    dest, src = _twist_layout(d)
+    """(N, d^4) coefficients with each point's (d, d) twist table in place:
+    entry t of the flat table at every position of column t of
+    :func:`aybe.tensors._graded_layout`."""
     coeffs = np.zeros((len(table), d**4), dtype=complex)
-    coeffs[:, dest] = table.reshape(len(table), d * d)[:, src]
+    coeffs[:, _graded_layout(d)] = table.reshape(len(table), 1, d * d)
     return coeffs
 
 
@@ -369,11 +357,11 @@ class _Family:
     n: Optional[int] = None  # matrix size; None: h.d
     two_variable: bool = True
     elliptic: bool = False
-    # r is zero off the charge-0 entries of tensors._graded_support (the
-    # positions of _twist_layout(d, 0)), and each entry depends only on the
-    # differences of its indices: the (Z/d)^2 Heisenberg symmetry of the
-    # theta functions with characteristics.  Rescales and scalar_exp gauges
-    # keep it, constant and callable gauges do not.
+    # r is zero off the charge-0 entries (tensors._graded_layout), and each
+    # entry depends only on the differences of its indices: the (Z/d)^2
+    # Heisenberg symmetry of the theta functions with characteristics.
+    # Rescales and scalar_exp gauges keep it, constant and callable gauges
+    # do not.
     heisenberg: bool = False
     # None for custom: a Python callable can be neither named on the command
     # line nor serialized

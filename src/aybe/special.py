@@ -55,6 +55,19 @@ import numpy as np
 
 from .errors import DomainError, PoleProximityError
 
+__all__ = [
+    "Characteristic",
+    "ModularParam",
+    "eisenstein_G",
+    "j_invariant",
+    "kronecker_F",
+    "kronecker_F_char",
+    "modular_param",
+    "theta11",
+    "weierstrass_p",
+    "weierstrass_zeta",
+]
+
 TWO_PI_I = 2j * math.pi
 _EPS = float(np.finfo(float).eps)
 

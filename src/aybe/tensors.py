@@ -16,15 +16,16 @@ the same for stacks of tensors, one batched product per call.
 Graded products.  Give the matrix unit e_ab of End(C^d) the charge
 b - a mod d, and a tensor of matrix units the sum of its legs' charges.
 The elliptic solutions are nonzero only at the d^3 charge-0 entries of
-their d^4 (:func:`_graded_support`), and each entry depends only on the
-differences of its indices: the (Z/d)^2 Heisenberg symmetry of Belavin's
-elliptic r-matrix.  A leg product of two such tensors is again of
-charge 0, each of its d^5 charge-0 entries is a single multiplication,
+their d^4, and each entry depends only on the differences of its
+indices: the (Z/d)^2 Heisenberg symmetry of Belavin's elliptic r-matrix.
+So a value is fixed by its d x d twist table, entry t = j d + k at the d
+positions (i, i+j, i+j-k, i-k) (:func:`_graded_layout`), and the graded
+checks keep only the table.  A leg product of two such tensors is again
+of charge 0, each of its d^5 charge-0 entries is a single multiplication,
 and each is a shift (a, b, ...) -> (a + s, b + s, ...) of one of the d^4
-entries with first index 0 (:func:`_graded_slice`).
-:func:`_graded_plan` gives the index arrays that form those d^4 entries
-from the factors' charge-0 entries: O(d^4) against the O(n^7) of the BLAS
-product.
+entries with first index 0 (:func:`_graded_slice`).  :func:`_graded_plan`
+gives the index arrays that form those d^4 entries from the factors'
+tables: O(d^4) against the O(n^7) of the BLAS product.
 """
 
 from __future__ import annotations
@@ -324,22 +325,24 @@ def leg_product_array(x: np.ndarray, legs_x: str, y: np.ndarray, legs_y: str) ->
 
 
 @lru_cache(maxsize=16)
-def _graded_support(d: int) -> np.ndarray:
-    """Flat positions of the charge-0 entries of a (d, d, d, d) two-leg
-    tensor, ascending: the d^3 entries (a, b, c, e) with
-    (b - a) + (e - c) = 0 mod d.  The one of index t has (a, b, c) the t-th
-    triple in lexicographic order, so t = (a d + b) d + c."""
-    a, b, c = np.indices((d,) * 3).reshape(3, -1)
-    return ((a * d + b) * d + c) * d + (a - b + c) % d
+def _graded_layout(d: int) -> np.ndarray:
+    """The (d, d^2) flat positions (i, i+j, i+j-k, i-k) mod d of a
+    (d, d, d, d) tensor that hold entry t = j d + k of its twist table: the
+    d^3 charge-0 entries, (b - a) + (e - c) = 0 mod d at (a, b, c, e), each
+    once.  Row i = 0 is the table itself, and the table's row j = 0 lands on
+    the diagonal blocks (i, i, i', i'), k = i - i'."""
+    i = np.arange(d)[:, None]
+    j, k = np.divmod(np.arange(d * d), d)
+    return ((i * d + (i + j) % d) * d + (i + j - k) % d) * d + (i - k) % d
 
 
 @lru_cache(maxsize=16)
 def _graded_swap(d: int) -> np.ndarray:
-    """Indices into the charge-0 entries (:func:`_graded_support`) that swap
-    the legs: entry (a, b, c, e) of the swapped tensor is entry (c, e, a, b),
-    of index (c d + e) d + a, and it has charge 0 as well."""
-    a, b, c = np.indices((d,) * 3).reshape(3, -1)
-    return (c * d + (a - b + c) % d) * d + a
+    """Indices into the twist table (:func:`_graded_layout`) that swap the
+    legs: entry (a, b, c, e) of the swapped tensor is entry (c, e, a, b),
+    so (j, k) -> (-j, -k)."""
+    j, k = np.divmod(np.arange(d * d), d)
+    return (-j % d) * d + (-k % d)
 
 
 @lru_cache(maxsize=16)
@@ -363,9 +366,10 @@ def _balance(letters: str, value: dict, d: int) -> np.ndarray:
 
 @lru_cache(maxsize=96)
 def _graded_plan(d: int, legs_x: str, legs_y: str) -> tuple:
-    """Index arrays (px, py) into the charge-0 entries (:func:`_graded_support`)
+    """Index arrays (px, py) into the twist tables (:func:`_graded_layout`)
     of x and y such that x[px] * y[py] is the product ``x_{legs_x} y_{legs_y}``
-    at the entries of :func:`_graded_slice`, in that order.
+    at the entries of :func:`_graded_slice`, in that order: a factor's entry
+    (a, b, c, e) is its table's entry ((b - a) mod d, (a - e) mod d).
 
     Products add charges, so both factors of charge 0 give a product of
     charge 0.  Given an output entry, the shared index is the one that gives
@@ -376,7 +380,9 @@ def _graded_plan(d: int, legs_x: str, legs_y: str) -> tuple:
     value = dict(zip(out, _graded_slice(d)))
     (shared,) = set(xs) & set(ys)
     value[shared] = _balance(xs, value, d)
-    return tuple((value[s[0]] * d + value[s[1]]) * d + value[s[2]] for s in (xs, ys))
+    return tuple(
+        (value[b] - value[a]) % d * d + (value[a] - value[e]) % d for a, b, _, e in (xs, ys)
+    )
 
 
 def leg_product(

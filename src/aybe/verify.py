@@ -16,6 +16,9 @@ Each check declares its points once (:func:`_aybe_points` and its kin):
 its draw guards them (:func:`_sample`), it evaluates them
 (:func:`_request`), and the pointwise residuals guard them at 1e-9
 (:func:`_guarded_values`).  Only the limit's circle nodes are not drawn.
+Points without u need a CYBE family and points with u a two-variable
+one: the draw and the evaluation both reject a handle of the other arity
+(:func:`_points_of`).
 
 A sampled check runs in three steps: it draws its samples from its own
 generator (:func:`_sample`), its points are evaluated, and it finishes
@@ -26,9 +29,9 @@ the checks are large), plus one on the CYBE partner for the limit check's
 targets.  A check finishes as soon as the block holding its last point is
 stored, and drops its values then, so no check's values outlive its
 finish.  Each public ``check_*`` is the same path with one check.  For an
-elliptic handle with no gauge or a scalar one, a check keeps only the d^3
-charge-0 entries of each value and forms only the d^4 entries of each
-product whose first index is 0, one multiplication each (see
+elliptic handle with no gauge or a scalar one, a check keeps only the d x d
+twist table of each value and forms only the d^4 entries of each product
+whose first index is 0, one multiplication each (see
 :func:`_products`).  Any other handle keeps its dense values and forms
 each product of a block of samples as one batched BLAS matrix product.
 The pointwise residuals are dense for every handle.
@@ -57,8 +60,8 @@ from .solutions import (
 from .tensors import (
     MatrixTensor2,
     MatrixTensor3,
+    _graded_layout,
     _graded_plan,
-    _graded_support,
     _graded_swap,
     _ranks_as_maps,
     leg_product_array,
@@ -71,6 +74,7 @@ from .tensors import (
 _BLOCK = 1 << 17
 
 __all__ = [
+    "CHECK_NAMES",
     "ResidualReport",
     "SuiteConfig",
     "aybe_residual",
@@ -410,8 +414,19 @@ def _request(
     sample s."""
     if not samples:
         return _Request(h, np.empty(0, dtype=complex), np.empty(0, dtype=complex), keep)
-    u, v = points(*np.array(samples, dtype=complex).T)
+    u, v = _points_of(h, points, *np.array(samples, dtype=complex).T)
     return _Request(h, None if u is None else np.ravel(u), np.ravel(v), keep)
+
+
+def _points_of(h: SolutionHandle, points: Callable, *columns) -> tuple:
+    """``points(*columns)``, once ``h`` takes them: points without u need a
+    CYBE family and points with u a two-variable one; else DomainError with
+    the message of :func:`eval_cybe_array` or :func:`eval_aybe_array`."""
+    u, v = points(*columns)
+    if (u is None) != h.is_cybe:
+        kind = "a CYBE" if u is None else "a two-variable (AYBE)"
+        raise DomainError(f"{h.family} is not {kind} family")
+    return u, v
 
 
 def _swap_split(
@@ -419,7 +434,7 @@ def _swap_split(
 ) -> tuple:
     """r(u, v) and swap_legs(r(-u, -v)) from the values of the
     :func:`_unitarity_points` of ``count`` samples; with ``keep`` (the
-    charge-0 entries, see :func:`_products`) the swap permutes them."""
+    twist table, see :func:`_products`) the swap permutes its entries."""
     direct, negated = _shaped(h, values, (2, count), keep)
     if keep is None:
         return direct, negated.transpose(0, 3, 4, 1, 2)
@@ -515,9 +530,10 @@ def _products(h: SolutionHandle) -> tuple:
     on those values, and the entries of one sample's product.
 
     A Heisenberg-graded handle (``_Family.heisenberg``, with no gauge or a
-    scalar one) keeps the d^3 charge-0 entries of each value, and each of
-    its products forms, one multiplication per entry, only the d^4 charge-0
-    entries with first index 0 (:func:`aybe.tensors._graded_plan`).  Its
+    scalar one) keeps the d x d twist table of each value, row 0 of
+    :func:`aybe.tensors._graded_layout`, and each of its products forms,
+    one multiplication per entry, only the d^4 charge-0 entries with first
+    index 0 (:func:`aybe.tensors._graded_plan`).  Its
     entries depend only on index differences, so every product and residual
     is invariant under shifting all six indices at once, and those entries
     are a copy of every other shift of the first index: the max modulus is
@@ -535,7 +551,7 @@ def _products(h: SolutionHandle) -> tuple:
         px, py = _graded_plan(d, legs_x, legs_y)
         return np.take(x, px, axis=1) * np.take(y, py, axis=1)
 
-    return _graded_support(d), product, d**4
+    return _graded_layout(d)[0], product, d**4
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
@@ -634,7 +650,10 @@ def _sample(
 ) -> Tuple[List[tuple], int]:
     """:func:`_accept` on the check's own generator: `count` samples of
     `width` points whose ``points`` all keep clear of the poles of ``h`` by
-    ``guard``, and the rejects."""
+    ``guard``, and the rejects; a handle of the wrong arity raises before
+    the first draw."""
+    _points_of(h, points, *(0j,) * width)
+
     def clear(*columns):
         return _domain_mask(h, *points(*columns), guard).all(axis=0)
 
@@ -682,8 +701,9 @@ def _draw_cybe(h: SolutionHandle, config: SuiteConfig) -> _Drawn:
 def _draw_unitarity(h: SolutionHandle, config: SuiteConfig) -> _Drawn:
     width = 1 if h.is_cybe else 2
     samples, skipped = _sample(h, _unitarity_points, config.n_unitarity, width, config.guard, config)
-    # a graded handle's residual is zero off the charge-0 entries, which the
-    # swap permutes: they carry its max modulus and its Frobenius norms
+    # a graded handle's residual is zero off the charge-0 entries, and each
+    # table entry stands for d of them: the table carries its max modulus,
+    # and its Frobenius norms are 1/sqrt(d) of the full ones
     keep = _products(h)[0]
 
     def finish(values):

@@ -627,14 +627,16 @@ def test_sweep_unitarity_pass(capsys):
     assert out.strip().splitlines()[-1].startswith("PASS unitarity sweep:")
 
 
+@pytest.mark.parametrize("quantity", ["rank", "unitarity"])
 @pytest.mark.parametrize(
     "family_args", [("--family", "trig1", "--u", "0.31"), ("--family", "trig-cybe1")]
 )
-def test_sweep_rank_at_a_pole_is_a_domain_error(family_args, capsys):
-    # v = 0 is a pole of both families: an error line and exit 2, as
-    # sweep unitarity gives, not an arithmetic error from the evaluation
+def test_sweep_rank_at_a_pole_is_a_domain_error(family_args, quantity, capsys):
+    # v = 0 is a pole of both families: an error line that names the grid
+    # token and exit 2, the same for both quantities, not an arithmetic
+    # error from the evaluation
     code, out, err = run_cli(
-        ["sweep", "--quantity", "rank", *family_args, "--grid", "0.4,0"], capsys
+        ["sweep", "--quantity", quantity, *family_args, "--grid", "0.4,0"], capsys
     )
     assert code == 2
     assert out == ""

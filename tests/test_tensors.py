@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from aybe.bruteforce import leg_product_einsum, matrix_unit
-from aybe.solutions import _twist_layout
 from aybe.tensors import (
     MatrixTensor2,
     MatrixTensor3,
+    _graded_layout,
     _graded_plan,
     _graded_slice,
-    _graded_support,
     from_pair,
     identity2,
     leg_product,
@@ -135,15 +134,24 @@ def heisenberg_tensor(rng, d):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7])
-def test_graded_support_is_the_twist_layout(d):
-    support = _graded_support(d)
-    dest, src = _twist_layout(d)
-    assert np.array_equal(support, np.sort(dest))
+def test_graded_layout_places_the_twist_table(d):
+    layout = _graded_layout(d)
+    assert layout.shape == (d, d * d)
+    # every charge-0 entry of a (d, d, d, d) tensor, each once
+    a, b, c, e = np.indices((d,) * 4).reshape(4, -1)
+    charge0 = np.flatnonzero((b - a + e - c) % d == 0)
+    assert np.array_equal(np.sort(layout.ravel()), charge0)
+    # entry t = j d + k of the table sits where (b - a, a - e) = (j, k), and
+    # row 0 (first index 0) is the table itself
+    a, b, c, e = np.unravel_index(layout, (d,) * 4)
+    j, k = np.divmod(np.arange(d * d), d)
+    assert np.all((b - a) % d == j) and np.all((a - e) % d == k)
+    assert not a[0].any()
     # row j = 0 of the twist table, the elliptic-cybe zeta terms, lands on
     # the diagonal blocks (i, i, i', i') at column k = i - i'
-    a, b, c, e = np.unravel_index(dest[src < d], (d,) * 4)
+    a, b, c, e = (x[:, :d].ravel() for x in (a, b, c, e))
     assert len(a) == d * d and np.array_equal(a, b) and np.array_equal(c, e)
-    assert np.array_equal(src[src < d], (a - c) % d)
+    assert np.array_equal(np.tile(np.arange(d), d), (a - c) % d)
     idx = _graded_slice(d)
     assert idx.shape == (6, d**4) and not idx[0].any()
     assert not ((idx[1] - idx[0] + idx[3] - idx[2] + idx[5] - idx[4]) % d).any()
@@ -159,9 +167,9 @@ def test_graded_plan_scattered_to_dense_is_the_einsum(legs_x, legs_y, d):
     # to the einsum up to the rounding of one complex product
     rng = np.random.default_rng(10 * d + LEG_PAIRS.index((legs_x, legs_y)))
     x, y = heisenberg_tensor(rng, d), heisenberg_tensor(rng, d)
-    support = _graded_support(d)
+    table = _graded_layout(d)[0]
     px, py = _graded_plan(d, legs_x, legs_y)
-    graded = x.reshape(-1)[support][px] * y.reshape(-1)[support][py]
+    graded = x.reshape(-1)[table][px] * y.reshape(-1)[table][py]
     dense = np.zeros((d,) * 6, dtype=complex)
     idx = _graded_slice(d)
     for shift in range(d):

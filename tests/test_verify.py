@@ -762,3 +762,34 @@ def test_guard_errors_name_the_first_offending_point():
         unitarity_residual(trig_aybe(1), 0.2, 2j * math.pi)
     with pytest.raises(DomainError, match=r"evaluation point \(0\.0, 0\.75\) hits a pole"):
         aybe_residual(scalar_rational(), 0.3, -0.3, 0.25, 0.5)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: check_aybe_commutator(elliptic_cybe(2, 1, 1j)),
+         "elliptic_cybe is not a two-variable (AYBE) family"),
+        (lambda: check_aybe(trig_cybe(1)), "trig_cybe1 is not a two-variable (AYBE) family"),
+        (lambda: check_cybe(trig_aybe(1)), "trig_aybe1 is not a CYBE family"),
+        (lambda: check_cybe(elliptic_aybe(2, 1, 1j)), "elliptic_aybe is not a CYBE family"),
+        (lambda: cybe_residual(elliptic_aybe(2, 1, 1j), 0.3, 0.2),
+         "elliptic_aybe is not a CYBE family"),
+        (lambda: aybe_residual(trig_cybe(1), 0.3, -0.2, 0.25, 0.4),
+         "trig_cybe1 is not a two-variable (AYBE) family"),
+    ],
+    ids=[
+        "commutator-cybe", "aybe-cybe", "cybe-trig", "cybe-elliptic", "cybe_residual",
+        "aybe_residual",
+    ],
+)
+def test_a_handle_of_the_wrong_arity_is_a_domain_error(call, message, monkeypatch):
+    # the message of eval_aybe_array / eval_cybe_array, before any draw or
+    # evaluation
+    def unreachable(*args, **kwargs):
+        raise AssertionError("drew or evaluated a handle of the wrong arity")
+
+    monkeypatch.setattr(aybe.verify.np.random, "default_rng", unreachable)
+    monkeypatch.setattr(aybe.verify, "_evaluate_requests", unreachable)
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
