@@ -29,6 +29,7 @@ from .special import (
     TWO_PI_I,
     _kronecker_twist_grid,
     _lattice_distance_grid,
+    _lattice_guard_distance,
     kronecker_F,
     modular_param,
 )
@@ -183,7 +184,8 @@ def custom_handle(fn: Callable[[complex, complex], MatrixTensor2], n: int) -> So
 # ---------------------------------------------------------------------------
 # base evaluations (before rescale and gauge), on arrays that broadcast
 # against each other to N points; each returns the (N, n, n, n, n)
-# coefficients in the order of the flattened broadcast
+# coefficients in the order of the flattened broadcast, or for a Heisenberg
+# family (_Family.heisenberg) the (N, d, d) twist tables
 # ---------------------------------------------------------------------------
 
 def _place_twists(table: np.ndarray, d: int) -> np.ndarray:
@@ -198,9 +200,7 @@ def _place_twists(table: np.ndarray, d: int) -> np.ndarray:
 def _eval_elliptic_aybe(h: SolutionHandle, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     # rank r reduces to the line-bundle case on the lattice with r*tau
     d = h.d
-    m = modular_param(d * h.r * h.tau)
-    coeffs = _place_twists(_kronecker_twist_grid(d * h.r * u, -d * v, d, m), d)
-    return coeffs.reshape((-1,) + (d,) * 4)
+    return _kronecker_twist_grid(d * h.r * u, -d * v, d, modular_param(d * h.r * h.tau))
 
 
 def _eval_elliptic_cybe(h: SolutionHandle, v: np.ndarray) -> np.ndarray:
@@ -210,8 +210,7 @@ def _eval_elliptic_cybe(h: SolutionHandle, v: np.ndarray) -> np.ndarray:
     m = modular_param(d * h.r * h.tau)
     table, zetas = _kronecker_twist_grid(0.0, -d * v, d, m, first=1, zeta=True)
     mean = np.add.reduce(zetas, axis=1)[:, None] / d
-    table = np.concatenate((((zetas - mean) / TWO_PI_I)[:, None], table), axis=1)
-    return _place_twists(table, d).reshape((-1,) + (d,) * 4)
+    return np.concatenate((((zetas - mean) / TWO_PI_I)[:, None], table), axis=1)
 
 
 def _trig_coeffs_1(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -313,8 +312,8 @@ def _clear_of_two_pi_i_v(
 
 def _clear_of_lattice(tau: complex, guard: float, *points: np.ndarray) -> np.ndarray:
     """The points clear of Z + Z tau at every one of ``points``, from one
-    lattice-distance call on their stack."""
-    return (_lattice_distance_grid(np.array(points), tau) > guard).all(axis=0)
+    lattice-distance test on their stack."""
+    return (_lattice_guard_distance(np.array(points), tau, guard) > guard).all(axis=0)
 
 
 def _clear_elliptic_aybe(h: SolutionHandle, uu: np.ndarray, vv: np.ndarray, guard: float) -> np.ndarray:
@@ -340,7 +339,7 @@ class _Family:
 
     # (h, u, v), or (h, v) for a one-variable family, on arrays that
     # broadcast to N points -> the (N, n, n, n, n) values before rescale
-    # and gauge
+    # and gauge; the (N, d, d) twist tables of a Heisenberg family
     base: Callable[..., np.ndarray]
     # (h, uu, vv, guard) on complex arrays of one shape (uu None for a
     # one-variable family) -> the boolean array of the rescaled points that
@@ -359,9 +358,9 @@ class _Family:
     elliptic: bool = False
     # r is zero off the charge-0 entries (tensors._graded_layout), and each
     # entry depends only on the differences of its indices: the (Z/d)^2
-    # Heisenberg symmetry of the theta functions with characteristics.
-    # Rescales and scalar_exp gauges keep it, constant and callable gauges
-    # do not.
+    # Heisenberg symmetry of the theta functions with characteristics, so
+    # ``base`` returns the twist tables.  Rescales and scalar_exp gauges
+    # keep it (see _graded), constant and callable gauges do not.
     heisenberg: bool = False
     # None for custom: a Python callable can be neither named on the command
     # line nor serialized
@@ -385,7 +384,7 @@ _FAMILIES = {
     ),
     "elliptic_cybe": _Family(
         base=_eval_elliptic_cybe,
-        domain=lambda h, uu, vv, guard: _lattice_distance_grid(h.d * vv, h.r * h.tau) > guard,
+        domain=lambda h, uu, vv, guard: _lattice_guard_distance(h.d * vv, h.r * h.tau, guard) > guard,
         two_variable=False, elliptic=True, heisenberg=True,
         cli_name="elliptic-cybe", cli_args=("d", "r", "tau"),
     ),
@@ -457,29 +456,63 @@ def _evaluate(h: SolutionHandle, *args: np.ndarray) -> np.ndarray:
     broadcast, ``_CHUNK // n^2`` points per call: whole rows of the leading
     axis (a v column stays one value per row), else flattened points."""
     n = h.n
-    base = _FAMILIES[h.family].base
+    spec = _FAMILIES[h.family]
     shape = np.broadcast(*args).shape
     size = math.prod(shape)
     step = max(1, _CHUNK // (n * n))
     if size <= step:
-        return base(h, *args)
+        return spec.base(h, *args)
     if size > step * shape[0] or any(a.ndim < len(shape) for a in args):
         args, shape = [a.reshape(-1) for a in np.broadcast_arrays(*args)], (size,)
     rows, per = step * shape[0] // size, size // shape[0]
-    out = np.empty((size,) + (n,) * 4, dtype=complex)
+    out = np.empty((size,) + (n,) * (2 if spec.heisenberg else 4), dtype=complex)
     for s in range(0, shape[0], rows):
-        out[s * per:(s + rows) * per] = base(h, *(a[s:s + rows] if len(a) > 1 else a for a in args))
+        out[s * per:(s + rows) * per] = spec.base(h, *(a[s:s + rows] if len(a) > 1 else a for a in args))
     return out
 
 
-def _apply_gauge(h: SolutionHandle, val: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _graded(h: SolutionHandle) -> bool:
+    """True when every value of ``h`` is fixed by its (d, d) twist table: a
+    Heisenberg family (``_Family.heisenberg``) with no gauge or a scalar_exp
+    one."""
     g = h.gauge
-    if g is None:
+    return _FAMILIES[h.family].heisenberg and (g is None or g.kind == "scalar_exp")
+
+
+def _per_point(factor: np.ndarray, val: np.ndarray) -> np.ndarray:
+    """A factor per point, shaped to scale the (N, ...) values ``val``."""
+    return factor.reshape((-1,) + (1,) * (val.ndim - 1))
+
+
+@np.errstate(**_FLOAT_ERRORS)
+def _values(h: SolutionHandle, u: Optional[np.ndarray], v: np.ndarray) -> np.ndarray:
+    """The values at the points (u[k], v[k]), complex arrays that broadcast
+    (u None on a one-variable handle), with the rescale and a scalar_exp
+    gauge: the (N, d, d) twist tables of a Heisenberg family, else
+    (N, n, n, n, n).  A constant or callable gauge is left to
+    :func:`_apply_gauge`.  A float overflow raises OverflowError and a
+    division by zero ZeroDivisionError (see _FLOAT_ERRORS); a gauge other
+    than a constant one on a CYBE family raises DomainError before any
+    evaluation."""
+    c1, c2, c3, c4 = h.rescale
+    g = h.gauge
+    if u is None and g is not None and g.kind != "constant":
+        raise DomainError("only constant gauges apply to CYBE families")
+    val = _evaluate(h, c4 * v) if u is None else _evaluate(h, c3 * u, c4 * v)
+    # with c2 = 0 (or no u) the factor is c1 exactly, and the exp is skipped
+    val *= c1 if c2 == 0 or u is None else _per_point(c1 * np.exp(c2 * u * v), val)
+    if g is not None and g.kind == "scalar_exp":
+        val = val * _per_point(np.exp(-g.c * u * v), val)
+    return val
+
+
+def _apply_gauge(h: SolutionHandle, val: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The dense values of :func:`_values` under a constant or callable gauge."""
+    g = h.gauge
+    if g is None or g.kind == "scalar_exp":
         return val
     if g.kind == "constant":
         return _sandwich(g.matrix, g.matrix, val, g.matrix, g.matrix)
-    if g.kind == "scalar_exp":
-        return val * np.exp(-g.c * u * v).reshape(-1, 1, 1, 1, 1)
 
     def at(x, y):
         return np.array([g.fn(complex(a), complex(b)) for a, b in zip(x, y)],
@@ -490,28 +523,33 @@ def _apply_gauge(h: SolutionHandle, val: np.ndarray, u: np.ndarray, v: np.ndarra
     return _sandwich(at(zero, v), at(u, zero), val, at(u, v), at(zero, zero))
 
 
+@np.errstate(**_FLOAT_ERRORS)
+def _dense_values(h: SolutionHandle, u: Optional[np.ndarray], v: np.ndarray) -> np.ndarray:
+    """:func:`_values` as (N, n, n, n, n) coefficients, with every gauge: a
+    twist table is placed (:func:`_place_twists`) only here."""
+    val = _values(h, u, v)
+    if _FAMILIES[h.family].heisenberg:
+        val = _place_twists(val, h.d).reshape((-1,) + (h.d,) * 4)
+    return _apply_gauge(h, val, u, v)
+
+
 def eval_aybe_array(h: SolutionHandle, u, v) -> np.ndarray:
     """Values of the two-variable solution at the points (u[k], v[k]).
 
     ``u`` and ``v`` are broadcast against each other and flattened to N
-    points; the result has shape (N, n, n, n, n).  Every family evaluates
-    its formula, the rescale and the gauge on whole arrays, up to 2048 / n^2
-    points at a time, and a v column against rows of u once per row (a
-    custom family and a callable gauge call their Python callable once per
-    point).  A pole raises the error of the first offending point, as a
-    loop over the points would; a float overflow raises OverflowError and a
-    division by zero ZeroDivisionError, as Python's complex arithmetic
-    does, instead of leaving an inf or nan.
+    points; the result has shape (N, n, n, n, n), in C order.  Every family
+    evaluates its formula, the rescale and the gauge on whole arrays, up to
+    2048 / n^2 points at a time, and a v column against rows of u once per
+    row (a custom family and a callable gauge call their Python callable
+    once per point).  A pole raises the error of the first offending point,
+    as a loop over the points would; a float overflow raises OverflowError
+    and a division by zero ZeroDivisionError, as Python's complex
+    arithmetic does, instead of leaving an inf or nan.
     """
     if not h.is_aybe:
         raise DomainError(f"{h.family} is not a two-variable (AYBE) family")
     u, v = (np.array(x, dtype=complex, ndmin=1) for x in (u, v))
-    c1, c2, c3, c4 = h.rescale
-    with np.errstate(**_FLOAT_ERRORS):
-        val = _evaluate(h, c3 * u, c4 * v)
-        # with c2 = 0 the factor is c1 exactly, and the exp is skipped
-        val *= c1 if c2 == 0 else (c1 * np.exp(c2 * u * v)).reshape(-1, 1, 1, 1, 1)
-        return _apply_gauge(h, val, u, v)
+    return _dense_values(h, u, v)
 
 
 def eval_aybe(h: SolutionHandle, u: complex, v: complex) -> MatrixTensor2:
@@ -526,14 +564,7 @@ def eval_cybe_array(h: SolutionHandle, v) -> np.ndarray:
     :func:`eval_aybe_array`."""
     if not h.is_cybe:
         raise DomainError(f"{h.family} is not a CYBE family")
-    if h.gauge is not None and h.gauge.kind != "constant":
-        raise DomainError("only constant gauges apply to CYBE families")
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    c1, _, _, c4 = h.rescale
-    with np.errstate(**_FLOAT_ERRORS):
-        val = _evaluate(h, c4 * v)
-        val *= c1
-    return _apply_gauge(h, val, None, v)
+    return _dense_values(h, None, np.asarray(v, dtype=complex).reshape(-1))
 
 
 def eval_cybe(h: SolutionHandle, v: complex) -> MatrixTensor2:
@@ -735,6 +766,10 @@ def handle_to_dict(h: SolutionHandle) -> dict:
 
 
 def handle_from_dict(data: dict) -> SolutionHandle:
+    """The handle of a :func:`handle_to_dict` record.  A gauge gets the
+    checks of :func:`equivalence_transform`, and a scalar_exp gauge on a
+    CYBE family, which no evaluation accepts, is refused: each raises
+    ValueError."""
     gauge = None
     graw = data.get("gauge")
     if graw is not None:
@@ -748,7 +783,7 @@ def handle_from_dict(data: dict) -> SolutionHandle:
         else:
             raise ValueError(f"unknown gauge kind {graw['kind']!r}")
     tau = data.get("tau")
-    return SolutionHandle(
+    h = SolutionHandle(
         family=data["family"],
         d=int(data.get("d", 1)),
         r=int(data.get("r", 1)),
@@ -756,5 +791,9 @@ def handle_from_dict(data: dict) -> SolutionHandle:
         a=complex(*data.get("a", [1.0, 0.0])),
         b=complex(*data.get("b", [1.0, 0.0])),
         rescale=tuple(complex(*c) for c in data.get("rescale", [[1, 0], [0, 0], [1, 0], [1, 0]])),
-        gauge=gauge,
     )
+    if gauge is None:
+        return h
+    if gauge.kind == "scalar_exp" and h.is_cybe:
+        raise ValueError(f"a scalar_exp gauge does not apply to the CYBE family {h.family}")
+    return equivalence_transform(h, gauge)

@@ -162,6 +162,28 @@ def _lattice_distance_grid(x: np.ndarray, tau: complex) -> np.ndarray:
     return _reduced_distance_grid(_split_lattice_grid(x, tau)[0], tau)
 
 
+def _reduced_guard_distance(x0: np.ndarray, tau: complex, guard: float) -> np.ndarray:
+    """A stand-in for :func:`_reduced_distance_grid` in a comparison with
+    ``guard``: equal to it where either is at most ``guard``, above ``guard``
+    where it is.
+
+    A reduced point has coordinates of modulus at most 1/2 in the basis
+    (1, tau).  Any corner but 0 then lies at least Im(tau)/2 away in the
+    imaginary part, or 1/2 - |beta Re(tau)| in the real part with |beta| below
+    guard/Im(tau); so when guard < Im(tau)/4 and guard (1 + |Re tau|/Im tau)
+    < 1/4 (a factor 2 spare for the rounding of the reduction) no other
+    corner lies within ``guard``, and the modulus of x0, the corner-0 term
+    bit for bit, decides alone.  Else all nine corners."""
+    if guard < 0.25 * tau.imag and guard * (1.0 + abs(tau.real) / tau.imag) < 0.25:
+        return np.hypot(x0.real, x0.imag)
+    return _reduced_distance_grid(x0, tau)
+
+
+def _lattice_guard_distance(x: np.ndarray, tau: complex, guard: float) -> np.ndarray:
+    """:func:`_reduced_guard_distance` of the reductions of ``x``."""
+    return _reduced_guard_distance(_split_lattice_grid(x, tau)[0], tau, guard)
+
+
 def _pole_error(label: str, z: complex, guard: float, tau: complex) -> PoleProximityError:
     return PoleProximityError(
         f"{label} = {z!r} is within {guard} of the lattice for tau = {tau!r}"
@@ -508,7 +530,7 @@ def _kronecker_twist_grid(u, v, d: int, m: ModularParam, *, first: int = 0,
             uk, vk = (np.broadcast_to(x, shape).reshape(-1)[k] for x in (u, v))
             raise ValueError(f"non-finite input {complex(vk if np.isfinite(uk) else uk)!r}")
     z0, a, b = _split_lattice_grid(z, tau)
-    near = _reduced_distance_grid(z0, tau) < guard
+    near = _reduced_guard_distance(z0, tau, guard) < guard
     if near.any():
         # the arguments and flags as (N, 3d - first) arrays, point by point
         z, near = (

@@ -25,7 +25,11 @@ of charge 0, each of its d^5 charge-0 entries is a single multiplication,
 and each is a shift (a, b, ...) -> (a + s, b + s, ...) of one of the d^4
 entries with first index 0 (:func:`_graded_slice`).  :func:`_graded_plan`
 gives the index arrays that form those d^4 entries from the factors'
-tables: O(d^4) against the O(n^7) of the BLAS product.
+tables: O(d^4) against the O(n^7) of the BLAS product.  The map of such a
+tensor on End(C^d) splits into d circulant blocks, so its singular values
+are the moduli of a DFT of the table (:func:`_twist_singular_values`), and
+its doubly-traceless projection changes only the table's row 0
+(:func:`_twist_project_sl`).
 """
 
 from __future__ import annotations
@@ -172,7 +176,9 @@ class MatrixTensor2:
 def _sandwich(g1, g2, coeffs: np.ndarray, h1, h2) -> np.ndarray:
     """(g1 (x) g2) . c . (h1 (x) h2)^-1 for every two-leg coefficient array c
     of the stack ``coeffs`` (..., n, n, n, n); the matrices are (n, n), or
-    stacks of them matching the leading axes."""
+    stacks of them matching the leading axes.  The result is C-contiguous,
+    so that what is computed from it does not depend on the operands'
+    memory layout."""
     h1i = np.linalg.inv(np.asarray(h1, dtype=complex))
     h2i = np.linalg.inv(np.asarray(h2, dtype=complex))
     return np.einsum(
@@ -182,6 +188,7 @@ def _sandwich(g1, g2, coeffs: np.ndarray, h1, h2) -> np.ndarray:
         coeffs,
         h1i,
         h2i,
+        order="C",
     )
 
 
@@ -203,12 +210,50 @@ def _project_sl(c: np.ndarray) -> np.ndarray:
 
 def _ranks_as_maps(coeffs: np.ndarray) -> np.ndarray:
     """:meth:`MatrixTensor2.rank_as_map` of every coeffs[k] of an
-    (N, n, n, n, n) stack, from one batched SVD: the singular values above
-    n^2 * eps times the largest."""
+    (N, n, n, n, n) stack, from one batched SVD."""
     n = coeffs.shape[-1]
     maps = coeffs.transpose(0, 3, 4, 2, 1).reshape(len(coeffs), n * n, n * n)
-    sigma = np.linalg.svd(maps, compute_uv=False)
-    return np.count_nonzero(sigma > n**2 * np.finfo(float).eps * sigma[:, :1], axis=1)
+    return _numerical_ranks(np.linalg.svd(maps, compute_uv=False), n)
+
+
+def _numerical_ranks(sigma: np.ndarray, n: int) -> np.ndarray:
+    """The count of each row of the (N, n^2) singular values ``sigma`` above
+    n^2 * eps times the row's largest."""
+    return np.count_nonzero(sigma > n**2 * np.finfo(float).eps * sigma.max(axis=1, keepdims=True), axis=1)
+
+
+def _twist_singular_values(tables: np.ndarray) -> np.ndarray:
+    """The (N, d^2) singular values, unsorted, of the map
+    (:meth:`MatrixTensor2.as_map`) of each charge-0 tensor whose twist
+    table (:func:`_graded_layout`) is tables[k], of the (N, d, d) stack.
+
+    The map sends charge to charge, so it splits into d blocks, and block j
+    is the circulant M_j[e, a] = T[j, (a - e) mod d].  A circulant is
+    normal with the DFT of its row as eigenvalues, so its singular values
+    are |T[j] . W|, W the d x d DFT matrix: O(d^3) per tensor against the
+    O(d^6) of the dense SVD."""
+    d = tables.shape[-1]
+    k = np.arange(d)
+    dft = np.exp((2j * np.pi / d) * (np.outer(k, k) % d))
+    return np.abs(tables @ dft).reshape(len(tables), d * d)
+
+
+def _twist_ranks(tables: np.ndarray) -> np.ndarray:
+    """:func:`_ranks_as_maps` of the charge-0 tensors with the (N, d, d)
+    twist tables ``tables``, from :func:`_twist_singular_values`."""
+    return _numerical_ranks(_twist_singular_values(tables), tables.shape[-1])
+
+
+def _twist_project_sl(tables: np.ndarray) -> np.ndarray:
+    """:func:`_project_sl` of the charge-0 tensors with the (..., d, d)
+    twist tables ``tables``, as their tables.
+
+    Both partial traces of such a tensor are S * 1, S the sum of the
+    table's row 0 (the diagonal blocks), so project_sl removes (S/d) 1 (x) 1,
+    whose table is S/d on row 0 and zero elsewhere: row 0 minus its mean."""
+    out = tables.copy()
+    out[..., 0, :] -= tables[..., 0, :].mean(axis=-1, keepdims=True)
+    return out
 
 
 @dataclass(frozen=True)

@@ -24,17 +24,21 @@ A sampled check runs in three steps: it draws its samples from its own
 generator (:func:`_sample`), its points are evaluated, and it finishes
 its reports from their values.  :func:`run_suite` draws every check
 first, then evaluates the points of all of them with one array call on
-the handle per block of at most ``_BLOCK`` dense entries (one call unless
+the handle per block of at most ``_BLOCK`` entries (one call unless
 the checks are large), plus one on the CYBE partner for the limit check's
 targets.  A check finishes as soon as the block holding its last point is
 stored, and drops its values then, so no check's values outlive its
-finish.  Each public ``check_*`` is the same path with one check.  For an
-elliptic handle with no gauge or a scalar one, a check keeps only the d x d
-twist table of each value and forms only the d^4 entries of each product
-whose first index is 0, one multiplication each (see
-:func:`_products`).  Any other handle keeps its dense values and forms
-each product of a block of samples as one batched BLAS matrix product.
-The pointwise residuals are dense for every handle.
+finish.  Each public ``check_*`` is the same path with one check.
+
+One choice, :func:`_path`, sets how every check holds and combines the
+values of a handle.  An elliptic handle with no gauge or a scalar one is
+evaluated to the d x d twist table of each value; its products form only
+the d^4 entries whose first index is 0, one multiplication each, its
+ranks come from a d x d DFT of the table and its u -> 0 limits from the
+table's row 0.  Any other handle is evaluated to its dense values, forms
+each product of a block of samples as one batched BLAS matrix product,
+and takes one SVD per rank.  The pointwise residuals are dense for every
+handle.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,8 +55,9 @@ from .solutions import (
     _FAMILIES,
     SolutionHandle,
     _domain_mask,
-    _limit_means,
+    _graded,
     _limit_nodes,
+    _values,
     eval_aybe_array,
     eval_cybe_array,
     paired_cybe_handle,
@@ -60,17 +65,20 @@ from .solutions import (
 from .tensors import (
     MatrixTensor2,
     MatrixTensor3,
-    _graded_layout,
     _graded_plan,
     _graded_swap,
+    _project_sl,
     _ranks_as_maps,
+    _twist_project_sl,
+    _twist_ranks,
     leg_product_array,
 )
 
 # entries per block of the sampled checks: about 2 MB per array.  A block
-# of points is evaluated at once (n^4 entries per point), and the products
-# of a block of samples are formed at once (n^6 entries per sample, one
-# sample per block at n = 7; d^4 on the graded path)
+# of points is evaluated at once (n^4 entries per point; d^2 on the graded
+# path), and the products of a block of samples are formed at once (n^6
+# entries per sample, one sample per block at n = 7; d^4 on the graded
+# path)
 _BLOCK = 1 << 17
 
 __all__ = [
@@ -216,8 +224,7 @@ def aybe_commutator_residual(
 
 def cybe_residual(h: SolutionHandle, v: complex, vp: complex) -> MatrixTensor3:
     """Residual [r12(v), r13(v+v')] + [r12(v), r23(v')] + [r13(v+v'), r23(v')]."""
-    values = _shaped(h, _guarded_values(h, _cybe_points, [(v, vp)]), (3, 1), None)
-    _, forms = _cybe_forms(values, leg_product_array)
+    _, forms = _cybe_forms(_guarded_values(h, _cybe_points, [(v, vp)]), leg_product_array)
     return MatrixTensor3(forms["cybe"][0])
 
 
@@ -225,9 +232,8 @@ def _unitarity_residuals(h: SolutionHandle, pairs: Sequence[tuple]) -> np.ndarra
     """swap_legs(r(-u, -v)) + r(u, v) at every (u, v) pair, (N, n, n, n, n),
     guarded (u is ignored for one-variable families)."""
     samples = [(v,) if h.is_cybe else (u, v) for u, v in pairs]
-    values = _guarded_values(h, _unitarity_points, samples)
-    direct, swapped = _swap_split(h, values, len(samples), None)
-    return swapped + direct
+    direct, negated = _guarded_values(h, _unitarity_points, samples)
+    return _swap_dense(negated) + direct
 
 
 def unitarity_residual(h: SolutionHandle, u: complex, v: complex) -> MatrixTensor2:
@@ -237,9 +243,10 @@ def unitarity_residual(h: SolutionHandle, u: complex, v: complex) -> MatrixTenso
 
 
 def _guarded_values(h: SolutionHandle, points: Callable, samples: Sequence[tuple]) -> np.ndarray:
-    """The values of :func:`_request` at the ``samples``, once all their
-    points keep clear of the poles by 1e-9; else DomainError names the first
-    offending point, sample by sample, from the caller's own values."""
+    """The dense values (k, len(samples), n, n, n, n) of the k points of
+    each of the ``samples``, once all of them keep clear of the poles by
+    1e-9; else DomainError names the first offending point, sample by
+    sample, from the caller's own values."""
     request = _request(h, points, samples)
     clear = _domain_mask(h, request.u, request.v, 1e-9)
     if not clear.all():
@@ -250,7 +257,7 @@ def _guarded_values(h: SolutionHandle, points: Callable, samples: Sequence[tuple
         if u is None:
             raise DomainError(f"point {v[k]} is outside the domain of {h.family}")
         raise DomainError(f"evaluation point ({u[k]}, {v[k]}) hits a pole of {h.family}")
-    return _values_of(request)
+    return _eval_array(h, request.u, request.v).reshape((-1, len(samples)) + (h.n,) * 4)
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +295,11 @@ def _rank_points(*sample) -> tuple:
 @dataclass(frozen=True, eq=False)
 class _Request:
     """The points (u[k], v[k]) at which a check needs the values of one
-    handle, 1-d arrays (u None or ignored on a one-variable handle), and the
-    flat positions ``keep`` of each value that it stores (None: all n^4)."""
+    handle, 1-d arrays (u None or ignored on a one-variable handle)."""
 
     handle: SolutionHandle
     u: Optional[np.ndarray]
     v: np.ndarray
-    keep: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,13 +315,14 @@ class _Drawn:
 def _evaluate_requests(
     requests: Sequence[_Request], store: Callable[[int, np.ndarray], None]
 ) -> None:
-    """Calls ``store(k, values)`` with the values of request k, (P, n^4 or
-    len(keep)), as soon as they are complete.
+    """Calls ``store(k, values)`` with the values of request k, (P, entries
+    of one value on the handle's :func:`_path`), as soon as they are
+    complete.
 
     The points of all requests on one handle are evaluated together, with
-    one eval_aybe_array or eval_cybe_array call per block of at most _BLOCK
-    dense entries (one call unless the checks are large), and each block
-    is stored into its requests at once.  A request that spans several
+    one call of the path's evaluation per block of at most _BLOCK entries
+    (one call unless the checks are large), and each block is stored into
+    its requests at once.  A request that spans several
     blocks ends its last one.  A request's array is allocated at its first
     block and handed to ``store`` at its last, after the block is freed if
     the request ends it; so when ``store`` frees what it is done with,
@@ -325,10 +331,11 @@ def _evaluate_requests(
     handles = {id(r.handle): r.handle for r in requests}
     for key, h in handles.items():
         group = [k for k, r in enumerate(requests) if id(r.handle) == key]
-        size = h.n**4
+        path = _path(h)
+        size = math.prod(path.shape)
 
         def empty(r: _Request) -> np.ndarray:
-            return np.empty((len(r.v), size if r.keep is None else len(r.keep)), dtype=complex)
+            return np.empty((len(r.v), size), dtype=complex)
 
         for k in group:
             if not len(requests[k].v):
@@ -351,8 +358,7 @@ def _evaluate_requests(
             bounds.append((s, len(v)))
         filling = {}
         for s, e in bounds:
-            block = eval_cybe_array(h, v[s:e]) if u is None else eval_aybe_array(h, u[s:e], v[s:e])
-            block = block.reshape(e - s, size)
+            block = path.values(None if u is None else u[s:e], v[s:e]).reshape(e - s, size)
             for k, end in zip(group, ends):
                 r = requests[k]
                 start = end - len(r.v)
@@ -360,21 +366,13 @@ def _evaluate_requests(
                 if lo < hi:
                     if k not in filling:
                         filling[k] = empty(r)
-                    part = block[lo - s:hi - s]
-                    filling[k][lo - start:hi - start] = part if r.keep is None else part[:, r.keep]
+                    filling[k][lo - start:hi - start] = block[lo - s:hi - s]
                     if hi == end:
                         if end == e:
                             # no later request has points in this block
-                            del block, part
+                            del block
                         # taken up before the next request's array is made
                         store(k, filling.pop(k))
-
-
-def _values_of(request: _Request) -> np.ndarray:
-    """The values of one request (see :func:`_evaluate_requests`)."""
-    out = []
-    _evaluate_requests([request], lambda k, values: out.append(values))
-    return out[0]
 
 
 def _run(checks: Sequence[_Drawn]) -> List[ResidualReport]:
@@ -399,23 +397,13 @@ def _run(checks: Sequence[_Drawn]) -> List[ResidualReport]:
     return [rep for reps in reports for rep in reps]
 
 
-def _shaped(
-    h: SolutionHandle, values: np.ndarray, lead: tuple, keep: Optional[np.ndarray]
-) -> np.ndarray:
-    """A request's (P, entries) ``values`` as ``lead`` + (n, n, n, n), or
-    ``lead`` + (len(keep),) with ``keep``."""
-    return values.reshape(lead + ((h.n,) * 4 if keep is None else (len(keep),)))
-
-
-def _request(
-    h: SolutionHandle, points: Callable, samples: Sequence[tuple], keep: Optional[np.ndarray] = None
-) -> _Request:
+def _request(h: SolutionHandle, points: Callable, samples: Sequence[tuple]) -> _Request:
     """The points of every sample, point-major: value k*N + s is point k of
     sample s."""
     if not samples:
-        return _Request(h, np.empty(0, dtype=complex), np.empty(0, dtype=complex), keep)
+        return _Request(h, np.empty(0, dtype=complex), np.empty(0, dtype=complex))
     u, v = _points_of(h, points, *np.array(samples, dtype=complex).T)
-    return _Request(h, None if u is None else np.ravel(u), np.ravel(v), keep)
+    return _Request(h, None if u is None else np.ravel(u), np.ravel(v))
 
 
 def _points_of(h: SolutionHandle, points: Callable, *columns) -> tuple:
@@ -427,18 +415,6 @@ def _points_of(h: SolutionHandle, points: Callable, *columns) -> tuple:
         kind = "a CYBE" if u is None else "a two-variable (AYBE)"
         raise DomainError(f"{h.family} is not {kind} family")
     return u, v
-
-
-def _swap_split(
-    h: SolutionHandle, values: np.ndarray, count: int, keep: Optional[np.ndarray]
-) -> tuple:
-    """r(u, v) and swap_legs(r(-u, -v)) from the values of the
-    :func:`_unitarity_points` of ``count`` samples; with ``keep`` (the
-    twist table, see :func:`_products`) the swap permutes its entries."""
-    direct, negated = _shaped(h, values, (2, count), keep)
-    if keep is None:
-        return direct, negated.transpose(0, 3, 4, 1, 2)
-    return direct, np.take(negated, _graded_swap(h.n), axis=1)
 
 
 def _block_norms(values: np.ndarray, forms: Callable, entries: int) -> dict:
@@ -466,7 +442,7 @@ def _extend_norms(norms: dict, scale: np.ndarray, residuals: dict) -> None:
 def _aybe_forms(values: np.ndarray, tags: Tuple[str, ...], product: Callable) -> tuple:
     """(scale, {tag: residual}) for the samples of the six values of
     :func:`_aybe_points`, with ``product(x, legs_x, y, legs_y)`` the leg
-    product on them (see :func:`_products`).  Each sample's scale is the
+    product on them (see :func:`_path`).  Each sample's scale is the
     largest Frobenius norm of T1..T3.  The forms are ``aybe``,
     T1 - T2 + T3, and ``commutator``, the same with every product replaced
     by a commutator.  Each product is added into its residual as soon as it
@@ -519,30 +495,63 @@ def _accumulate(total: Optional[np.ndarray], sign: int, term: np.ndarray) -> np.
 
 def _aybe_form_at(h: SolutionHandle, sample: tuple, tag: str) -> MatrixTensor3:
     """One form of :func:`_aybe_forms` at one guarded sample."""
-    values = _shaped(h, _guarded_values(h, _aybe_points, [sample]), (6, 1), None)
-    _, forms = _aybe_forms(values, (tag,), leg_product_array)
+    _, forms = _aybe_forms(_guarded_values(h, _aybe_points, [sample]), (tag,), leg_product_array)
     return MatrixTensor3(forms[tag][0])
 
 
-def _products(h: SolutionHandle) -> tuple:
-    """(keep, product, entries) for the sampled checks of ``h``: the flat
-    positions of the values they keep (None: all), the leg product they form
-    on those values, and the entries of one sample's product.
+def _eval_array(h: SolutionHandle, u: Optional[np.ndarray], v: np.ndarray) -> np.ndarray:
+    """eval_cybe_array (u None) or eval_aybe_array at the points."""
+    return eval_cybe_array(h, v) if u is None else eval_aybe_array(h, u, v)
 
-    A Heisenberg-graded handle (``_Family.heisenberg``, with no gauge or a
-    scalar one) keeps the d x d twist table of each value, row 0 of
-    :func:`aybe.tensors._graded_layout`, and each of its products forms,
-    one multiplication per entry, only the d^4 charge-0 entries with first
-    index 0 (:func:`aybe.tensors._graded_plan`).  Its
-    entries depend only on index differences, so every product and residual
-    is invariant under shifting all six indices at once, and those entries
-    are a copy of every other shift of the first index: the max modulus is
-    the same, and every Frobenius norm is 1/sqrt(d) of the full one, which
-    the relative residual cancels.  Any other handle keeps its dense values
-    and forms n^6 entries per product as one BLAS matrix product."""
-    g = h.gauge
-    if not _FAMILIES[h.family].heisenberg or (g is not None and g.kind != "scalar_exp"):
-        return None, leg_product_array, h.n**6
+
+def _swap_dense(values: np.ndarray) -> np.ndarray:
+    """swap_legs of every value of an (N, n, n, n, n) stack."""
+    return values.transpose(0, 3, 4, 1, 2)
+
+
+class _Path(NamedTuple):
+    """How the sampled checks hold and combine the values of one handle
+    (see :func:`_path`); each callable takes or returns stacks (N, ...) of
+    values of ``shape``."""
+
+    # (u, v) -> the values at the points (u None on a one-variable handle)
+    values: Callable
+    shape: tuple
+    # (x, legs_x, y, legs_y) -> the leg product x_{legs_x} y_{legs_y}
+    product: Callable
+    # the entries of one sample's product
+    entries: int
+    # swap_legs, the rank as a map and project_sl of each value
+    swap: Callable
+    ranks: Callable
+    project: Callable
+
+
+def _path(h: SolutionHandle) -> _Path:
+    """The one choice between the graded and the dense path of the sampled
+    checks of ``h``.
+
+    A graded handle (:func:`aybe.solutions._graded`: a Heisenberg family
+    with no gauge or a scalar one) is evaluated to the flat d x d twist
+    table of each value (:func:`aybe.solutions._values`), row 0 of
+    :func:`aybe.tensors._graded_layout`.  Each of its products forms, one
+    multiplication per entry, only the d^4 charge-0 entries with first
+    index 0 (:func:`aybe.tensors._graded_plan`).  Its entries depend only
+    on index differences, so every product and residual is invariant under
+    shifting all six indices at once, and those entries are a copy of every
+    other shift of the first index: the max modulus is the same, and every
+    Frobenius norm is 1/sqrt(d) of the full one, which the relative
+    residual cancels.  The same holds for a table against its dense value.
+    The swap permutes the table, a rank comes from its DFT
+    (:func:`aybe.tensors._twist_ranks`) and project_sl shifts its row 0
+    (:func:`aybe.tensors._twist_project_sl`).  Any other handle is
+    evaluated dense, forms n^6 entries per product as one BLAS matrix
+    product and takes one SVD per rank."""
+    if not _graded(h):
+        return _Path(
+            lambda u, v: _eval_array(h, u, v), (h.n,) * 4, leg_product_array, h.n**6,
+            _swap_dense, _ranks_as_maps, _project_sl,
+        )
     d = h.n
 
     def product(x: np.ndarray, legs_x: str, y: np.ndarray, legs_y: str) -> np.ndarray:
@@ -551,7 +560,12 @@ def _products(h: SolutionHandle) -> tuple:
         px, py = _graded_plan(d, legs_x, legs_y)
         return np.take(x, px, axis=1) * np.take(y, py, axis=1)
 
-    return _graded_layout(d)[0], product, d**4
+    return _Path(
+        lambda u, v: _values(h, u, v), (d * d,), product, d**4,
+        lambda x: np.take(x, _graded_swap(d), axis=1),
+        lambda x: _twist_ranks(x.reshape(-1, d, d)),
+        lambda x: _twist_project_sl(x.reshape(-1, d, d)).reshape(-1, d * d),
+    )
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
@@ -666,19 +680,19 @@ def _draw_aybe(h: SolutionHandle, config: SuiteConfig, tags: Tuple[str, ...]) ->
     per form in ``tags``; the forms share the 6*N values, T1..T3 and the
     relative scale."""
     samples, skipped = _sample(h, _aybe_points, config.n_aybe, 4, config.guard, config)
-    keep, product, entries = _products(h)
+    path = _path(h)
 
     def finish(values):
         norms = _block_norms(
-            _shaped(h, values, (6, len(samples)), keep),
-            lambda block: _aybe_forms(block, tags, product), entries,
+            values.reshape((6, len(samples)) + path.shape),
+            lambda block: _aybe_forms(block, tags, path.product), path.entries,
         )
         return [
             _make_report(tag, samples, *norms.get(tag, ([], [])), config.tol_aybe, skipped)
             for tag in tags
         ]
 
-    return _Drawn((_request(h, _aybe_points, samples, keep),), finish)
+    return _Drawn((_request(h, _aybe_points, samples),), finish)
 
 
 def _draw_cybe(h: SolutionHandle, config: SuiteConfig) -> _Drawn:
@@ -686,28 +700,26 @@ def _draw_cybe(h: SolutionHandle, config: SuiteConfig) -> _Drawn:
     if tol is None:
         tol = 1e-8 if _FAMILIES[h.family].elliptic else 1e-10
     samples, skipped = _sample(h, _cybe_points, config.n_cybe, 2, config.guard, config)
-    keep, product, entries = _products(h)
+    path = _path(h)
 
     def finish(values):
         norms = _block_norms(
-            _shaped(h, values, (3, len(samples)), keep),
-            lambda block: _cybe_forms(block, product), entries,
+            values.reshape((3, len(samples)) + path.shape),
+            lambda block: _cybe_forms(block, path.product), path.entries,
         )
         return [_make_report("cybe", samples, *norms.get("cybe", ([], [])), tol, skipped)]
 
-    return _Drawn((_request(h, _cybe_points, samples, keep),), finish)
+    return _Drawn((_request(h, _cybe_points, samples),), finish)
 
 
 def _draw_unitarity(h: SolutionHandle, config: SuiteConfig) -> _Drawn:
     width = 1 if h.is_cybe else 2
     samples, skipped = _sample(h, _unitarity_points, config.n_unitarity, width, config.guard, config)
-    # a graded handle's residual is zero off the charge-0 entries, and each
-    # table entry stands for d of them: the table carries its max modulus,
-    # and its Frobenius norms are 1/sqrt(d) of the full ones
-    keep = _products(h)[0]
+    path = _path(h)
 
     def finish(values):
-        direct, swapped = _swap_split(h, values, len(samples), keep)
+        direct, negated = values.reshape((2, len(samples)) + path.shape)
+        swapped = path.swap(negated)
         res = swapped + direct
         scale = np.maximum(np.maximum(_frobenius(direct), _frobenius(swapped)), 1e-300)
         return [_make_report(
@@ -715,14 +727,16 @@ def _draw_unitarity(h: SolutionHandle, config: SuiteConfig) -> _Drawn:
             config.tol_unitarity, skipped,
         )]
 
-    return _Drawn((_request(h, _unitarity_points, samples, keep),), finish)
+    return _Drawn((_request(h, _unitarity_points, samples),), finish)
 
 
 def _rank_at_samples(h: SolutionHandle, samples: List[tuple], tolerance: float) -> _Drawn:
     """The full-rank check at the (v,) or (u, v) ``samples``: the recorded
     residual is the rank deficit n^2 - rank."""
+    path = _path(h)
+
     def finish(values):
-        ranks = _ranks_as_maps(_shaped(h, values, (len(samples),), None))
+        ranks = path.ranks(values.reshape((len(samples),) + path.shape))
         deficits = [float(h.n * h.n - rank) for rank in ranks]
         return [_make_report("rank", samples, deficits, deficits, tolerance, 0)]
 
@@ -745,10 +759,14 @@ def _draw_limit(h: SolutionHandle, config: SuiteConfig) -> _Drawn:
     samples, skipped = _sample(paired, _rank_points, config.n_limit, 1, guard, config)
     targets = _request(paired, _rank_points, samples)
     u_nodes, v_nodes, _ = _limit_nodes(h, targets.v)
+    # the partner of a graded handle is graded, and of a dense one dense
+    path = _path(h)
 
     def finish(node_values, target_values):
-        target_values = _shaped(paired, target_values, (len(samples),), None)
-        res = _limit_means(_shaped(h, node_values, u_nodes.shape, None)) - target_values
+        target_values = target_values.reshape((len(samples),) + path.shape)
+        # the u -> 0 limits: project_sl of the means over the nodes
+        limits = path.project(node_values.reshape(u_nodes.shape + path.shape).mean(axis=1))
+        res = limits - target_values
         scale = np.maximum(_frobenius(target_values), 1e-300)
         return [_make_report(
             "limit", samples, _max_abs(res), _frobenius(res) / scale, config.tol_limit, skipped
@@ -836,7 +854,7 @@ def run_suite(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> List[Re
 
     Each check draws its samples from its own generator, as it does alone;
     then the points of all checks are evaluated together, one call per
-    block of at most _BLOCK dense entries on the handle and one on the CYBE
+    block of at most _BLOCK entries on the handle and one on the CYBE
     partner of the limit check, and each check finishes its reports from
     its values.  The reports equal those of the separate check functions."""
     names = _applicable_checks(h)

@@ -271,6 +271,33 @@ def test_eval_handle_json_sizes_by_family_not_d(data, n, tmp_path, capsys):
     assert len(out.splitlines()) == 1 + n**4
 
 
+def _pairs(matrix):
+    return [[[z.real, z.imag] for z in map(complex, row)] for row in matrix]
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ({"family": "elliptic_aybe", "d": 3, "r": 1, "tau": [0, 1],
+          "gauge": {"kind": "constant", "matrix": _pairs(np.eye(2))}}, "gauge matrix must be 3 x 3"),
+        ({"family": "trig_aybe1", "d": 2,
+          "gauge": {"kind": "constant", "matrix": _pairs([[1, 2], [1, 2]])}}, "gauge matrix is singular"),
+        ({"family": "elliptic_cybe", "d": 3, "r": 1, "tau": [0, 1],
+          "gauge": {"kind": "scalar_exp", "c": [0.3, 0]}}, "scalar_exp gauge does not apply"),
+    ],
+    ids=["wrong-size", "singular", "scalar-on-cybe"],
+)
+@pytest.mark.parametrize("command", [["verify"], ["eval", "--u", "0.3", "--v", "0.5"]], ids=["verify", "eval"])
+def test_a_bad_gauge_in_a_handle_file_is_a_usage_error(data, message, command, tmp_path, capsys):
+    # the checks of equivalence_transform, before any evaluation: an
+    # error line and exit 2, not a traceback from the evaluation
+    path = tmp_path / "handle.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(command[:1] + ["--handle-json", str(path)] + command[1:], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad handle file: ") and message in err
+
+
 def test_eval_csv_layout(capsys):
     code, out, _ = run_cli(
         ["eval", "--family", "scalar-rational", "--u", "0.5", "--v", "0.25",

@@ -1,5 +1,6 @@
 """Property tests of theta11, the Kronecker function, the Weierstrass
-functions and the batched contour extraction, and mpmath oracles.
+functions, the lattice guard, the twist-table rank and projection and the
+batched contour extraction, and mpmath oracles.
 
 Both third-party libraries are optional test dependencies (the ``test``
 extra); each test is skipped when its library is missing.
@@ -15,9 +16,14 @@ import pytest
 from aybe import series
 from aybe.bruteforce import contour_coefficients_doubling, theta11_series
 from aybe.errors import PoleProximityError
+from aybe.solutions import _place_twists
 from aybe.special import (
     Characteristic,
     _kronecker_twist_grid,
+    _lattice_distance_grid,
+    _lattice_guard_distance,
+    _reduced_distance_grid,
+    _reduced_guard_distance,
     _split_lattice_grid,
     _theta_raw_grid,
     kronecker_F,
@@ -29,6 +35,7 @@ from aybe.special import (
     weierstrass_zeta,
     zeta_char,
 )
+from aybe.tensors import _project_sl, _ranks_as_maps, _twist_project_sl, _twist_ranks, _twist_singular_values
 
 TWO_PI_I = 2j * math.pi
 
@@ -288,3 +295,54 @@ def test_contour_coefficients_match_the_doubling_reference(rows, powers, width):
         assert np.array_equal(a, b)
     # the fast path evaluates the first two counts in one call
     assert fast_calls == len(calls) - 1
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    tau_re=st.floats(-3.0, 3.0),
+    tau_im=st.floats(0.05, 3.0),
+    guard=st.one_of(st.floats(1e-12, 0.6), st.sampled_from([1e-9, 1e-3, 1e-2])),
+    scale=st.floats(0.0, 2.0),
+    angle=st.floats(0.0, 2.0 * math.pi),
+    shift_a=st.integers(-3, 3),
+    shift_b=st.integers(-3, 3),
+)
+def test_one_corner_guard_flags_equal_the_nine_corner_flags(tau_re, tau_im, guard, scale, angle, shift_a, shift_b):
+    # skewed tau (|Re tau| up to 3 Im tau / 0.05), points within about two
+    # guards of 0, +-1, +-tau and +-1 +-tau, moved by a lattice vector: the
+    # guard's flags, and its distance where either is at most the guard,
+    # are the nine-corner ones
+    tau = complex(tau_re, tau_im)
+    corners = np.array([a + b * tau for a in (-1, 0, 1) for b in (-1, 0, 1)])
+    x = corners + shift_a + shift_b * tau + scale * guard * cmath.exp(1j * angle)
+    x = np.concatenate((x, [scale * guard, 0.5 + 0.5 * tau + scale * guard]))
+    z0 = _split_lattice_grid(x, tau)[0]
+    full, fast = _reduced_distance_grid(z0, tau), _reduced_guard_distance(z0, tau, guard)
+    assert ((fast < guard) == (full < guard)).all()
+    assert ((fast > guard) == (full > guard)).all()
+    assert np.where(np.minimum(fast, full) <= guard, fast == full, (fast > guard) & (full > guard)).all()
+    assert ((_lattice_guard_distance(x, tau, guard) > guard) == (_lattice_distance_grid(x, tau) > guard)).all()
+
+
+@hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    d=st.integers(2, 7),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-6.0, 6.0),
+    zero_rows=st.integers(0, 2),
+)
+def test_twist_table_rank_and_projection_match_the_placed_tensor(d, seed, log_scale, zero_rows):
+    # the DFT singular values of a twist table are those of the dense map of
+    # the tensor it places, and its row-0 projection is project_sl there
+    rng = np.random.default_rng(seed)
+    tables = (rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))) * 10.0**log_scale
+    tables[:, d - zero_rows:] = 0.0  # zero blocks of the map: rank d^2 - d * zero_rows
+    dense = _place_twists(tables, d).reshape((3,) + (d,) * 4)
+    maps = dense.transpose(0, 3, 4, 2, 1).reshape(3, d * d, d * d)
+    sigma = np.linalg.svd(maps, compute_uv=False)
+    dft = np.sort(_twist_singular_values(tables), axis=1)[:, ::-1]
+    assert (np.abs(dft - sigma) <= 1e-14 * sigma[:, :1]).all()
+    ranks = _twist_ranks(tables)
+    assert ranks.tolist() == _ranks_as_maps(dense).tolist() == [d * (d - zero_rows)] * 3
+    projected = _place_twists(_twist_project_sl(tables), d).reshape(dense.shape)
+    assert np.abs(projected - _project_sl(dense)).max() <= 1e-15 * np.abs(tables).max()

@@ -695,6 +695,19 @@ def test_every_family_evaluates_zero_points(h):
 
 
 @pytest.mark.parametrize(
+    "h", CONCAT_HANDLES,
+    ids=lambda h: f"{h.family}-{h.d}-{h.gauge.kind if h.gauge else 'none'}-{h.rescale[0]}",
+)
+def test_every_family_evaluates_to_c_order(h):
+    # what the checks compute from the values (their Frobenius norms read
+    # them in memory order) must not depend on how a gauge laid them out
+    v = np.array([0.11 + 0.05j, -0.2j, 0.3])
+    values = eval_cybe_array(h, v) if h.is_cybe else eval_aybe_array(h, v[::-1] + 0.07, v)
+    assert values.shape == (3,) + (h.n,) * 4
+    assert values.flags.c_contiguous
+
+
+@pytest.mark.parametrize(
     "h", [h for h in CONCAT_HANDLES if h.is_aybe],
     ids=lambda h: f"{h.family}-{h.d}-{h.gauge.kind if h.gauge else 'none'}-{h.rescale[0]}",
 )

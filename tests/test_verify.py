@@ -275,15 +275,24 @@ COMMUTATOR_HANDLES = [elliptic_aybe(3, 1, 1j), trig_aybe(1)]
 
 def _count_evaluated_points(monkeypatch, name="eval_aybe_array"):
     """Record the number of points of every array evaluation the checks make
-    through ``name``: eval_aybe_array (u, v) or eval_cybe_array (v)."""
+    through ``name``: eval_aybe_array (u, v) or eval_cybe_array (v), or on a
+    graded handle through the twist-table evaluator ``_values`` with (u, v)
+    or (None, v) in their place."""
     calls = []
     real_eval = getattr(aybe.verify, name)
+    real_values = aybe.verify._values
 
     def counting_eval(h, *points):
         calls.append(np.broadcast(*map(np.asarray, points)).size)
         return real_eval(h, *points)
 
+    def counting_values(h, u, v):
+        if (u is None) == (name == "eval_cybe_array"):
+            calls.append(np.broadcast(*(np.asarray(x) for x in (u, v) if x is not None)).size)
+        return real_values(h, u, v)
+
     monkeypatch.setattr(aybe.verify, name, counting_eval)
+    monkeypatch.setattr(aybe.verify, "_values", counting_values)
     return calls
 
 
@@ -409,8 +418,8 @@ def test_suite_makes_one_evaluation_call_per_handle(h, config, monkeypatch):
 
 def test_no_evaluation_call_holds_more_than_a_block(monkeypatch):
     # `aybe verify --points 400` at d = 7: 3,250 points (elliptic) and
-    # 2,000 (elliptic-cybe) of 2,401 entries each, in calls of at most
-    # _BLOCK entries
+    # 2,000 (elliptic-cybe) of 49 twist-table entries each (2,401 dense),
+    # in calls of at most _BLOCK entries
     aybe_calls = _count_evaluated_points(monkeypatch)
     cybe_calls = _count_evaluated_points(monkeypatch, "eval_cybe_array")
     for h in (elliptic_aybe(7, 3, 0.2 + 1.1j), elliptic_cybe(7, 3, 0.2 + 1.1j)):
@@ -421,7 +430,7 @@ def test_no_evaluation_call_holds_more_than_a_block(monkeypatch):
         per_sample = {"aybe": 6, "cybe": 3, "unitarity": 2, "rank": 1, "limit": 9}
         expected = sum(len(rep.points) * per_sample.get(rep.tag, 0) for rep in reports)
         assert sum(aybe_calls) + sum(cybe_calls) == expected
-        assert max(aybe_calls + cybe_calls) * 7**4 <= aybe.verify._BLOCK
+        assert max(aybe_calls + cybe_calls) * 7**2 <= aybe.verify._BLOCK
 
 
 def test_a_dense_check_drops_its_values_before_the_next_call(monkeypatch):
@@ -495,7 +504,7 @@ def test_every_evaluated_point_was_guarded(h, monkeypatch):
         return mask(h, u, v, guard)
 
     monkeypatch.setattr(aybe.verify, "_domain_mask", recording_mask)
-    for name in ("eval_aybe_array", "eval_cybe_array"):
+    for name in ("eval_aybe_array", "eval_cybe_array", "_values"):
         def recording_eval(h, *points, real=getattr(aybe.verify, name)):
             evaluated.update(_keyed(h, *(None, *points)[-2:]))
             return real(h, *points)
@@ -594,36 +603,43 @@ def test_seed5_report_points_are_unchanged(h, digests):
 # Heisenberg-graded products: the same reports as the dense BLAS path
 # ---------------------------------------------------------------------------
 
-GRADED_CONFIG = SuiteConfig(seed=9, n_aybe=3, n_cybe=3, checks=("aybe", "commutator", "cybe"))
+GRADED_CONFIG = SuiteConfig(seed=9, n_aybe=3, n_cybe=3, n_unitarity=3, n_rank=3, n_limit=3)
 
 
-def _dense_products(h):
-    return None, leg_product_array, h.n**6
+def _dense_suite(h, config, monkeypatch):
+    """run_suite with the dense path forced on every check."""
+    with monkeypatch.context() as patch:
+        patch.setattr(aybe.verify, "_graded", lambda h: False)
+        return run_suite(h, config)
 
 
 def _report_scale(h, report):
-    """The largest scale of the report's samples (T1..T3, or the six
-    commutator products), from dense values and dense products."""
+    """The largest scale of the report's samples, from dense values: for the
+    identities that of T1..T3 or of the six commutator products, else the
+    largest Frobenius norm of the values the residual is compared with."""
     count = len(report.points)
-    if h.is_cybe:
-        request = aybe.verify._request(h, aybe.verify._cybe_points, report.points)
-        values = aybe.verify._shaped(h, aybe.verify._values_of(request), (3, count), None)
+    if report.tag == "cybe":
+        values = aybe.verify._guarded_values(h, aybe.verify._cybe_points, report.points)
         scale, _ = aybe.verify._cybe_forms(values, leg_product_array)
-    else:
-        request = aybe.verify._request(h, aybe.verify._aybe_points, report.points)
-        values = aybe.verify._shaped(h, aybe.verify._values_of(request), (6, count), None)
+    elif report.tag in ("aybe", "commutator"):
+        values = aybe.verify._guarded_values(h, aybe.verify._aybe_points, report.points)
         scale, _ = aybe.verify._aybe_forms(values, ("aybe",), leg_product_array)
+    else:
+        target = paired_cybe_handle(h) if report.tag == "limit" else h
+        values = aybe.verify._guarded_values(target, aybe.verify._rank_points, report.points)
+        scale = aybe.verify._frobenius(values.reshape(count, -1))
     return float(scale.max())
 
 
 def _assert_graded_matches_dense(h, monkeypatch):
-    assert aybe.verify._products(h)[0] is not None
+    assert aybe.verify._path(h).shape == (h.n**2,)
     graded = run_suite(h, GRADED_CONFIG)
-    with monkeypatch.context() as patch:
-        patch.setattr(aybe.verify, "_products", _dense_products)
-        dense = run_suite(h, GRADED_CONFIG)
-    assert graded and [rep.tag for rep in graded] == [rep.tag for rep in dense]
+    dense = _dense_suite(h, GRADED_CONFIG, monkeypatch)
+    assert [rep.tag for rep in graded] == list(aybe.verify._applicable_checks(h))
+    assert [rep.tag for rep in graded] == [rep.tag for rep in dense]
     for g, r in zip(graded, dense):
+        if g.tag == "rank":
+            assert g == r
         assert (g.points, g.skipped, g.passed) == (r.points, r.skipped, r.passed)
         assert abs(g.max_rel_residual - r.max_rel_residual) <= 1e-14
         assert abs(g.max_abs_residual - r.max_abs_residual) <= 1e-14 * _report_scale(h, r)
@@ -635,22 +651,45 @@ def test_graded_reports_match_the_dense_path(factory, d, monkeypatch):
     _assert_graded_matches_dense(factory(d, d - 1, 0.2 + 1.1j), monkeypatch)
 
 
+GRADED_HANDLES = [
+    elliptic_aybe(3, 2, 0.2 + 1.1j),
+    elliptic_cybe(3, 2, 0.2 + 1.1j),
+    handle_from_dict({**handle_to_dict(elliptic_aybe(3, 2, 0.2 + 1.1j)),
+                      "rescale": [[1.5, 0], [0.2, 0], [0.7, 0], [1.1, 0]]}),
+    equivalence_transform(elliptic_aybe(3, 2, 0.2 + 1.1j), GaugeSpec(kind="scalar_exp", c=0.3)),
+]
+
+
 def test_rescales_and_scalar_gauges_stay_graded(monkeypatch):
-    h = elliptic_aybe(3, 2, 0.2 + 1.1j)
-    rescaled = handle_from_dict(
-        {**handle_to_dict(h), "rescale": [[1.5, 0], [0.2, 0], [0.7, 0], [1.1, 0]]}
-    )
-    for graded in (rescaled, equivalence_transform(h, GaugeSpec(kind="scalar_exp", c=0.3))):
+    for graded in GRADED_HANDLES[2:]:
         _assert_graded_matches_dense(graded, monkeypatch)
     for dense in (trig_aybe(1), scalar_kronecker(1j), custom_handle(lambda u, v: identity2(2), 2)):
-        assert aybe.verify._products(dense)[0] is None
+        assert aybe.verify._path(dense).shape == (dense.n,) * 4
+
+
+@pytest.mark.parametrize("h", GRADED_HANDLES, ids=str)
+def test_graded_suites_place_no_table_and_take_no_svd(h, monkeypatch):
+    # the graded checks never see a dense value: no twist table is placed
+    # into d^4 zeros and no rank takes a dense SVD
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense work on the graded path")
+
+    expected = run_suite(h, FAST)
+    monkeypatch.setattr(aybe.solutions, "_place_twists", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    reports = run_suite(h, FAST)
+    assert reports == expected
+    assert [rep.tag for rep in reports] == list(aybe.verify._applicable_checks(h))
+    assert all(rep.passed for rep in reports)
+    with pytest.raises(AssertionError, match="dense work"):
+        _dense_suite(h, FAST, monkeypatch)
 
 
 def test_constant_gauge_elliptic_stays_dense_and_green():
     g = np.array([[1.0, 0.3, 0.0], [0.2, 1.1, 0.1], [0.0, 0.4, 0.9]])
     for h in (equivalence_transform(elliptic_aybe(3, 1, 0.2 + 1.1j), g),
               equivalence_transform(elliptic_cybe(3, 1, 0.2 + 1.1j), g)):
-        assert aybe.verify._products(h)[0] is None
+        assert aybe.verify._path(h).shape == (3,) * 4
         # the limit check compares with the partner under the same gauge
         checks = ("aybe", "commutator", "cybe", "unitarity", "rank", "limit")
         reports = run_suite(
