@@ -234,6 +234,38 @@ def _add_common_args(sub: argparse.ArgumentParser) -> None:
 # eval
 # ---------------------------------------------------------------------------
 
+def _eval_status(h: SolutionHandle, u: Optional[complex], v: complex):
+    """The value of ``h`` at one point, or the status that replaces it."""
+    try:
+        return (eval_cybe(h, v) if u is None else eval_aybe(h, u, v)).coeffs
+    except (PoleProximityError, DomainError, ZeroDivisionError):
+        return "pole-proximity"
+    except OverflowError:
+        # a value too large for a float, which need not be near a pole
+        return "overflow"
+
+
+def _eval_points(h: SolutionHandle, points: list) -> list:
+    """The (n, n, n, n) value at each (u, v) point, or its status: every
+    point that keeps clear of the polar set by 1e-9 in one array call, and
+    one point at a time only when that call raises, so that each point
+    gets its own status."""
+    us, vs = [p[0] for p in points], [p[1] for p in points]
+    clear = _domain_mask(h, us, vs, 1e-9).tolist()
+    out: list = ["pole-proximity"] * len(points)
+    taken = [k for k, ok in enumerate(clear) if ok]
+    try:
+        if h.is_cybe:
+            values = eval_cybe_array(h, [vs[k] for k in taken])
+        else:
+            values = eval_aybe_array(h, [us[k] for k in taken], [vs[k] for k in taken])
+    except (PoleProximityError, DomainError, ZeroDivisionError, OverflowError):
+        values = [_eval_status(h, *points[k]) for k in taken]
+    for k, value in zip(taken, values):
+        out[k] = value
+    return out
+
+
 def _cmd_eval(ns: argparse.Namespace) -> int:
     h = _build_handle(ns)
     if ns.v is None:
@@ -253,27 +285,14 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
     lines: List[str] = []
     if ns.csv:
         lines.append("u_re,u_im,v_re,v_im,i,j,k,l,re,im,status")
-    clear = _domain_mask(h, [p[0] for p in points], [p[1] for p in points], 1e-9)
-    for (u, v), point_clear in zip(points, clear):
+    for (u, v), coeffs in zip(points, _eval_points(h, points)):
         if ns.csv:
             head = ("," if u is None else f"{u.real!r},{u.imag!r}") + f",{v.real!r},{v.imag!r}"
         else:
             head = f"point v={_fmt_c(v)}" if u is None else f"point u={_fmt_c(u)} v={_fmt_c(v)}"
-        try:
-            if not point_clear:
-                raise PoleProximityError("point too close to the polar set")
-            tensor = eval_cybe(h, v) if u is None else eval_aybe(h, u, v)
-        except (PoleProximityError, DomainError, ZeroDivisionError):
-            status = "pole-proximity"
-        except OverflowError:
-            # a value too large for a float, which need not be near a pole
-            status = "overflow"
-        else:
-            status = None
-        if status is not None:
-            lines.append(f"{head},,,,,,,{status}" if ns.csv else f"{head} n={n} {status}")
+        if isinstance(coeffs, str):
+            lines.append(f"{head},,,,,,,{coeffs}" if ns.csv else f"{head} n={n} {coeffs}")
             continue
-        coeffs = tensor.coeffs
         if ns.csv:
             for idx in np.ndindex(n, n, n, n):
                 z = complex(coeffs[idx])
@@ -681,15 +700,23 @@ def _config_tokens(path: str) -> List[str]:
     return tokens
 
 
+# the option parts (before any "=") of the tokens argparse can read as
+# --config: the option and its abbreviations ("--" only with an "=")
+_CONFIG_HEADS = frozenset("--config"[:k] for k in range(2, 9))
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    try:
-        pre_ns, _ = _config_parser().parse_known_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if pre_ns.config:
+    config = None
+    # a command line with no such token is parsed once, by the full parser
+    if any(tok.partition("=")[0] in _CONFIG_HEADS and tok != "--" for tok in argv):
         try:
-            extra = _config_tokens(pre_ns.config)
+            config = _config_parser().parse_known_args(argv)[0].config
+        except SystemExit as exc:
+            return int(exc.code or 0)
+    if config:
+        try:
+            extra = _config_tokens(config)
         except CliError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -203,7 +203,8 @@ _HALF_TURNS = np.array([[1j * math.pi], [-1j * math.pi]])
 def _theta_grid_terms(tau: complex) -> tuple:
     """The factors exp(pi*i*tau/4), then -exp(2*pi*i*tau*n), of the theta
     term recurrence and the weights 2*pi*i*(n+1/2), over the n >= 0 that
-    leave a relative tail below ~1e-18 after lattice reduction."""
+    leave a relative tail below ~1e-18 after lattice reduction (at least
+    5 of them)."""
     c = (18.0 * math.log(10.0) + 4.0) / (math.pi * tau.imag)
     n = np.arange(int(math.ceil(0.5 * (1.0 + math.sqrt(1.0 + 4.0 * c)))) + 3, dtype=float)
     factors = -np.exp(TWO_PI_I * tau * n)
@@ -211,24 +212,50 @@ def _theta_grid_terms(tau: complex) -> tuple:
     return factors, TWO_PI_I * (n + 0.5)
 
 
+def _sum_terms(terms: np.ndarray) -> np.ndarray:
+    """The sum over the leading axis of ``terms`` (K, N), K >= 4, added in
+    the order of numpy's sum of a contiguous axis of K complex numbers: up
+    to 64 terms in four partial sums over n mod 4, combined as (s0 + s1) +
+    (s2 + s3), then the K mod 4 tail; more in two halves split at a
+    multiple of 4 terms."""
+    count = len(terms)
+    if count > 64:
+        half = (count - count % 8) // 2
+        return _sum_terms(terms[:half]) + _sum_terms(terms[half:])
+    end = count - count % 4
+    partial = terms[:4] + terms[4:8] if end > 4 else terms[:4]
+    for n in range(8, end, 4):
+        partial += terms[n:n + 4]
+    total = (partial[0] + partial[1]) + (partial[2] + partial[3])
+    for term in terms[end:]:
+        total += term
+    return total
+
+
 def _theta_raw_grid(u0: np.ndarray, tau: complex, orders: tuple = (0,)) -> list:
     """Termwise u-derivatives of theta11 at lattice-reduced points ``u0``,
-    one array per order, summed over points x halves x the term index n
-    (innermost, in a fixed order), so a point's sums do not depend on the
-    other points.  Term n >= 0 is c_n x^(2n+1), x = exp(pi*i*u0), and its
-    mirror -n-1 is -c_n x^-(2n+1) (DLMF 20.2.1): each half starts from
+    one array per order, held as the term index n x halves x points (the
+    points innermost) and summed over n in a fixed order
+    (:func:`_sum_terms`), so a point's sums do not depend on the other
+    points.  Term n >= 0 is c_n x^(2n+1), x = exp(pi*i*u0), and its mirror
+    -n-1 is -c_n x^-(2n+1) (DLMF 20.2.1): each half starts from
     exp(pi*i*tau/4) x^(+-1) and multiplies by -exp(2*pi*i*tau*n) x^(+-2),
     of modulus < 1 on the reduced cell, and the sum pairs the halves."""
     factors, weight = _theta_grid_terms(tau)
-    x = np.exp(u0[..., None, None] * _HALF_TURNS)
-    terms = x * factors
-    terms[..., 1:] *= x
-    np.multiply.accumulate(terms, axis=-1, out=terms)
+    x = np.exp(u0.reshape(-1) * _HALF_TURNS)
+    terms = x * factors[:, None, None]
+    terms[1:] *= x
+    np.multiply.accumulate(terms, axis=0, out=terms)
     sums = []
     for k in orders:
         # the pairs c_n (x^(2n+1) - (-1)^k x^-(2n+1)), weighted by w_n^k
-        pairs = (np.add if k % 2 else np.subtract).reduce(terms, axis=-2)
-        sums.append(np.add.reduce(pairs * weight**k if k else pairs, axis=-1))
+        pairs = (np.add if k % 2 else np.subtract)(terms[:, 0], terms[:, 1])
+        if k:
+            pairs *= (weight**k)[:, None]
+        total = _sum_terms(pairs)
+        # numpy's sum starts from 0, which makes a sum of -0 entries +0
+        total += 0.0
+        sums.append(total.reshape(u0.shape))
     return sums
 
 
@@ -545,20 +572,23 @@ def _kronecker_twist_grid(u, v, d: int, m: ModularParam, *, first: int = 0,
     # (theta11(u) theta11(v)) is combined before one exp, with the
     # prefactor's exponent added: each theta factor alone overflows once
     # |Im u| exceeds about 20*Im(tau), although their quotient is O(1).
-    (u0, v0, w0), (bu, bv, bw) = parts(z0), parts(b)
-    tu, tv, tw = parts((1.0 - 2.0 * np.mod(a + b, 2.0)) * theta[0])
-    w0, bw = w0[..., pairs.m], bw[..., pairs.m] + pairs.carry
+    (u0, v0, w0), (bu, bv, bw), (tu, tv, tw) = (
+        parts(x) for x in (z0, b, (1.0 - 2.0 * np.mod(a + b, 2.0)) * theta[0])
+    )
+    # each pair's sum: the sum argument m, and its carry
+    w0, bw, tw = (x.take(pairs.m, axis=-1) for x in (w0, bw, tw))
+    bw += pairs.carry
     exponent = -1j * math.pi * (bw * bw - bu * bu - bv * bv) * tau - TWO_PI_I * (
         bw * w0 - bu * u0 - bv * v0
     ) + (pq_tau_2pi_i + pairs.p_2pi_i * v[..., None, None])
     if not zero_u:
         exponent += pairs.q_2pi_i * u[..., None, None]
-    tuv = tw[..., pairs.m] * pairs.carry_sign
+    tuv = tw * pairs.carry_sign
     table = m.theta_prime0 / TWO_PI_I * tuv / (tu * tv) * np.exp(exponent)
     table = table.reshape((math.prod(shape), rows, d))
     if not zeta:
         return table
-    x0, xa, xb, t0, t1 = (parts(x)[1][..., 0, :].reshape(-1, d) for x in (z0, a, b, theta[0], theta[1]))
+    x0, xa, xb, t0, t1 = (x[nu:nu + nv].reshape(-1, d) for x in (z0, a, b, *theta))
     return table, _zeta_reduced(m, x0, xa, xb, t0, t1) - pairs.q * m.eta2
 
 

@@ -13,22 +13,26 @@ seeded and deterministic; points that fall inside a pole guard are redrawn
 and counted in the report's ``skipped`` field.
 
 Each check declares its points once (:func:`_aybe_points` and its kin):
-its draw guards them (:func:`_sample`), it evaluates them
+its draw guards them (:func:`_sample_all`), it evaluates them
 (:func:`_request`), and the pointwise residuals guard them at 1e-9
 (:func:`_guarded_values`).  Only the limit's circle nodes are not drawn.
 Points without u need a CYBE family and points with u a two-variable
 one: the draw and the evaluation both reject a handle of the other arity
 (:func:`_points_of`).
 
-A sampled check runs in three steps: it draws its samples from its own
-generator (:func:`_sample`), its points are evaluated, and it finishes
-its reports from their values.  :func:`run_suite` draws every check
-first, then evaluates the points of all of them with one array call on
-the handle per block of at most ``_BLOCK`` entries (one call unless
-the checks are large), plus one on the CYBE partner for the limit check's
-targets.  A check finishes as soon as the block holding its last point is
-stored, and drops its values then, so no check's values outlive its
-finish.  Each public ``check_*`` is the same path with one check.
+A sampled check runs in three steps: it draws its samples, its points
+are evaluated, and it finishes its reports from their values.  Every
+check reads the uniform stream of ``default_rng(seed)`` from its start,
+so :func:`run_suite` draws that stream once and gives each check a
+cursor into it (:class:`_Stream`), and guards the first candidate
+blocks of all checks on one handle with one domain test
+(:func:`_sample_all`).  Then it evaluates the points of all checks with
+one array call on the handle per block of at most ``_BLOCK`` entries
+(one call unless the checks are large), plus one on the CYBE partner
+for the limit check's targets.  A check finishes as soon as the block
+holding its last point is copied out and freed, and drops its values
+then, so no check's values outlive its finish.  Each public ``check_*``
+is the same path with one check.
 
 One choice, :func:`_path`, sets how every check holds and combines the
 values of a handle.  An elliptic handle with no gauge or a scalar one is
@@ -225,7 +229,7 @@ def aybe_commutator_residual(
 def cybe_residual(h: SolutionHandle, v: complex, vp: complex) -> MatrixTensor3:
     """Residual [r12(v), r13(v+v')] + [r12(v), r23(v')] + [r13(v+v'), r23(v')]."""
     _, forms = _cybe_forms(_guarded_values(h, _cybe_points, [(v, vp)]), leg_product_array)
-    return MatrixTensor3(forms["cybe"][0])
+    return MatrixTensor3(forms[0, 0])
 
 
 def _unitarity_residuals(h: SolutionHandle, pairs: Sequence[tuple]) -> np.ndarray:
@@ -321,13 +325,12 @@ def _evaluate_requests(
 
     The points of all requests on one handle are evaluated together, with
     one call of the path's evaluation per block of at most _BLOCK entries
-    (one call unless the checks are large), and each block is stored into
-    its requests at once.  A request that spans several
+    (one call unless the checks are large).  A request that spans several
     blocks ends its last one.  A request's array is allocated at its first
-    block and handed to ``store`` at its last, after the block is freed if
-    the request ends it; so when ``store`` frees what it is done with,
-    the values alive are those of the requests not yet taken up, besides
-    a block that holds the points of a later request."""
+    block; each block is copied into its requests and freed, and then the
+    requests it completes are handed to ``store``.  So when ``store`` frees
+    what it is done with, the values alive are those of the requests not
+    yet taken up, and no block."""
     handles = {id(r.handle): r.handle for r in requests}
     for key, h in handles.items():
         group = [k for k, r in enumerate(requests) if id(r.handle) == key]
@@ -359,20 +362,19 @@ def _evaluate_requests(
         filling = {}
         for s, e in bounds:
             block = path.values(None if u is None else u[s:e], v[s:e]).reshape(e - s, size)
+            complete = []
             for k, end in zip(group, ends):
-                r = requests[k]
-                start = end - len(r.v)
+                start = end - len(requests[k].v)
                 lo, hi = max(start, s), min(end, e)
                 if lo < hi:
                     if k not in filling:
-                        filling[k] = empty(r)
+                        filling[k] = empty(requests[k])
                     filling[k][lo - start:hi - start] = block[lo - s:hi - s]
                     if hi == end:
-                        if end == e:
-                            # no later request has points in this block
-                            del block
-                        # taken up before the next request's array is made
-                        store(k, filling.pop(k))
+                        complete.append(k)
+            del block
+            for k in complete:
+                store(k, filling.pop(k))
 
 
 def _run(checks: Sequence[_Drawn]) -> List[ResidualReport]:
@@ -381,7 +383,8 @@ def _run(checks: Sequence[_Drawn]) -> List[ResidualReport]:
     soon as the values of its last request are stored, and drops them then,
     so no check's values outlive its finish: while a check finishes, the
     values alive are its own, the limit check's node values if they wait
-    for its partner's, and at most one block that holds later points."""
+    for its partner's, and those of later requests that the same block
+    held."""
     index = [(i, j) for i, c in enumerate(checks) for j in range(len(c.requests))]
     values: list = [[None] * len(c.requests) for c in checks]
     reports: List[List[ResidualReport]] = [[] for _ in checks]
@@ -403,7 +406,7 @@ def _request(h: SolutionHandle, points: Callable, samples: Sequence[tuple]) -> _
     if not samples:
         return _Request(h, np.empty(0, dtype=complex), np.empty(0, dtype=complex))
     u, v = _points_of(h, points, *np.array(samples, dtype=complex).T)
-    return _Request(h, None if u is None else np.ravel(u), np.ravel(v))
+    return _Request(h, None if u is None else np.concatenate(u), np.concatenate(v))
 
 
 def _points_of(h: SolutionHandle, points: Callable, *columns) -> tuple:
@@ -417,86 +420,92 @@ def _points_of(h: SolutionHandle, points: Callable, *columns) -> tuple:
     return u, v
 
 
-def _block_norms(values: np.ndarray, forms: Callable, entries: int) -> dict:
-    """{tag: (max_abs list, relative Frobenius list)} over the samples of
-    ``values`` (k, N, ...), where ``forms(block)`` gives (scale,
-    {tag: residual}) for a block of samples.  A block holds _BLOCK //
-    ``entries`` samples, ``entries`` the size of one sample's product, and
-    only one block's three-leg arrays are alive at a time."""
+def _block_norms(values: np.ndarray, forms: Callable, count: int, entries: int) -> tuple:
+    """(max_abs, relative Frobenius), each (count, N), of the ``count``
+    forms of the samples of ``values`` (k, N, ...), where ``forms(block)``
+    gives (scale, residuals (count, n, ...)) for a block of n samples.  A
+    block holds _BLOCK // ``entries`` samples, ``entries`` the size of one
+    sample's product, and only one block's three-leg arrays are alive at a
+    time."""
     step = max(1, _BLOCK // entries)
-    norms: dict = {}
-    for s in range(0, values.shape[1], step):
-        _extend_norms(norms, *forms(values[:, s:s + step]))
-    return norms
+    norms = [_norms(*forms(values[:, s:s + step])) for s in range(0, values.shape[1], step)]
+    if not norms:
+        return np.zeros((count, 0)), np.zeros((count, 0))
+    return tuple(np.concatenate(x, axis=1) for x in zip(*norms))
 
 
-def _extend_norms(norms: dict, scale: np.ndarray, residuals: dict) -> None:
+def _norms(scale: np.ndarray, residuals: np.ndarray) -> tuple:
     # a function of its own, so that a block's residuals are freed before
-    # the next block's products are formed
-    for tag, res in residuals.items():
-        abs_res, rel_res = norms.setdefault(tag, ([], []))
-        abs_res.extend(_max_abs(res))
-        rel_res.extend(_frobenius(res) / scale)
+    # the next block's products are formed; every form's norms in one pass
+    flat = residuals.reshape((-1,) + residuals.shape[2:])
+    shape = residuals.shape[:2]
+    return _max_abs(flat).reshape(shape), _frobenius(flat).reshape(shape) / scale
 
 
 def _aybe_forms(values: np.ndarray, tags: Tuple[str, ...], product: Callable) -> tuple:
-    """(scale, {tag: residual}) for the samples of the six values of
+    """(scale, residuals) for the samples of the six values of
     :func:`_aybe_points`, with ``product(x, legs_x, y, legs_y)`` the leg
-    product on them (see :func:`_path`).  Each sample's scale is the
-    largest Frobenius norm of T1..T3.  The forms are ``aybe``,
-    T1 - T2 + T3, and ``commutator``, the same with every product replaced
-    by a commutator.  Each product is added into its residual as soon as it
-    is formed, so besides the two residuals at most two three-leg arrays per
-    sample are alive at a time."""
+    product on them (see :func:`_path`): ``residuals[i]`` is the form
+    ``tags[i]`` at every sample.  Each sample's scale is the largest
+    Frobenius norm of T1..T3.  The forms are ``aybe``, T1 - T2 + T3, and
+    ``commutator``, the same with every product replaced by a commutator.
+    Each product is added into its residual as soon as it is formed, so
+    besides the residuals at most two three-leg arrays per sample are alive
+    at a time."""
     a, b, c, d, e, f = values
-    res = com = None
     scale = np.full(len(a), 1e-300)
-    for sign, x, lx, y, ly in (
-        (1, a, "12", b, "13"), (-1, c, "23", d, "12"), (1, e, "13", f, "23")
+    for k, (sign, x, lx, y, ly) in enumerate(
+        ((1, a, "12", b, "13"), (-1, c, "23", d, "12"), (1, e, "13", f, "23"))
     ):
         term = product(x, lx, y, ly)
         scale = np.maximum(scale, _frobenius(term))
-        res = _accumulate(res, sign, term)
-        if "commutator" in tags:
+        if k == 0:
+            forms = np.empty((len(tags),) + term.shape, dtype=complex)
+            form = {tag: forms[i] for i, tag in enumerate(tags)}
+        if "aybe" in form:
+            _accumulate(form["aybe"], k, sign, term)
+        if "commutator" in form:
             term -= product(y, ly, x, lx)
-            com = _accumulate(com, sign, term)
-    forms = {"aybe": res, "commutator": com}
-    return scale, {tag: forms[tag] for tag in tags}
+            _accumulate(form["commutator"], k, sign, term)
+    return scale, forms
 
 
 def _cybe_forms(values: np.ndarray, product: Callable) -> tuple:
-    """(scale, {"cybe": residual}) for the samples of the three values of
+    """(scale, residuals) for the samples of the three values of
     :func:`_cybe_points`, with the leg product ``product`` as in
-    :func:`_aybe_forms`: the residual is the sum of the three commutators,
-    the scale the largest Frobenius norm of their six products."""
+    :func:`_aybe_forms`: the one residual is the sum of the three
+    commutators, the scale the largest Frobenius norm of their six
+    products."""
     r12, r13, r23 = values
-    res = None
     scale = np.full(len(r12), 1e-300)
-    for x, lx, y, ly in ((r12, "12", r13, "13"), (r12, "12", r23, "23"), (r13, "13", r23, "23")):
+    for k, (x, lx, y, ly) in enumerate(
+        ((r12, "12", r13, "13"), (r12, "12", r23, "23"), (r13, "13", r23, "23"))
+    ):
         forward = product(x, lx, y, ly)
         backward = product(y, ly, x, lx)
         scale = np.maximum(scale, np.maximum(_frobenius(forward), _frobenius(backward)))
         forward -= backward
-        res = _accumulate(res, 1, forward)
-    return scale, {"cybe": res}
+        if k == 0:
+            forms = np.empty((1,) + forward.shape, dtype=complex)
+        _accumulate(forms[0], k, 1, forward)
+    return scale, forms
 
 
-def _accumulate(total: Optional[np.ndarray], sign: int, term: np.ndarray) -> np.ndarray:
-    """total + sign * term, in place; a C-contiguous copy of ``term`` when
-    ``total`` is None (the first term of a sum, with sign +1)."""
-    if total is None:
-        return term.copy()
-    if sign > 0:
+def _accumulate(total: np.ndarray, k: int, sign: int, term: np.ndarray) -> None:
+    """Term k of a sum into ``total``, in place: a copy of the first term
+    (k = 0, sign +1), then total + sign * term."""
+    if k == 0:
+        total[...] = term
+    elif sign > 0:
         total += term
     else:
         total -= term
-    return total
 
 
 def _aybe_form_at(h: SolutionHandle, sample: tuple, tag: str) -> MatrixTensor3:
     """One form of :func:`_aybe_forms` at one guarded sample."""
     _, forms = _aybe_forms(_guarded_values(h, _aybe_points, [sample]), (tag,), leg_product_array)
-    return MatrixTensor3(forms[tag][0])
+    return MatrixTensor3(forms[0, 0])
 
 
 def _eval_array(h: SolutionHandle, u: Optional[np.ndarray], v: np.ndarray) -> np.ndarray:
@@ -555,14 +564,14 @@ def _path(h: SolutionHandle) -> _Path:
     d = h.n
 
     def product(x: np.ndarray, legs_x: str, y: np.ndarray, legs_y: str) -> np.ndarray:
-        # np.take, not x[:, px]: the fancy index returns an array that is
+        # take, not x[:, px]: the fancy index returns an array that is
         # not C-contiguous, which _frobenius cannot view as floats
         px, py = _graded_plan(d, legs_x, legs_y)
-        return np.take(x, px, axis=1) * np.take(y, py, axis=1)
+        return x.take(px, axis=1) * y.take(py, axis=1)
 
     return _Path(
         lambda u, v: _values(h, u, v), (d * d,), product, d**4,
-        lambda x: np.take(x, _graded_swap(d), axis=1),
+        lambda x: x.take(_graded_swap(d), axis=1),
         lambda x: _twist_ranks(x.reshape(-1, d, d)),
         lambda x: _twist_project_sl(x.reshape(-1, d, d)).reshape(-1, d * d),
     )
@@ -571,8 +580,9 @@ def _path(h: SolutionHandle) -> _Path:
 def _frobenius(x: np.ndarray) -> np.ndarray:
     """Frobenius norm of each x[k].  The entries are read in memory order, so
     the permuted view a leg product returns costs no copy."""
-    axes = sorted(range(1, x.ndim), key=lambda k: -x.strides[k])
-    flat = x.transpose([0] + axes).reshape(len(x), math.prod(x.shape[1:])).view(float)
+    if not x.flags.c_contiguous:
+        x = x.transpose([0] + sorted(range(1, x.ndim), key=lambda k: -x.strides[k]))
+    flat = x.reshape(len(x), math.prod(x.shape[1:])).view(float)
     return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
@@ -614,25 +624,64 @@ def _sample_radius(h: SolutionHandle) -> float:
     return 0.4 if _FAMILIES[h.family].elliptic else 1.0
 
 
+class _Stream:
+    """The disc points of the uniform draws of ``default_rng(seed)``: point
+    i takes draws 2i and 2i + 1, r = radius*sqrt(x) and phi = 2*pi*x', and
+    a check of ``width`` points reads its candidates as consecutive groups
+    of ``width`` of them.  Every check reads the points from the start, so
+    a run draws them once, ``size`` at first and more as a check reads past
+    them, and each check keeps its own cursor."""
+
+    def __init__(self, seed: int, size: int):
+        self._rng = np.random.default_rng(seed)
+        self._drawn = self._rng.uniform(size=2 * size)
+        self._points: dict = {}  # radius -> the points of all draws so far
+
+    def candidates(self, radius: float, start: int, m: int, width: int) -> np.ndarray:
+        """Candidates start .. start + m of a check of ``width`` points, (m, width)."""
+        lo, hi = width * start, width * (start + m)
+        if 2 * hi > len(self._drawn):
+            more = self._rng.uniform(size=2 * hi - len(self._drawn))
+            self._drawn = np.concatenate((self._drawn, more))
+        points = self._points.get(radius)
+        if points is None or len(points) < hi:
+            x = self._drawn.reshape(-1, 2)
+            # r*exp(i*phi) is (r*cos(phi), r*sin(phi)) bit for bit: exp of an
+            # imaginary number is (cos, sin), and the products with the real
+            # r add exact zeros
+            points = np.exp(x[:, 1] * _TWO_PI_J)
+            points *= radius * np.sqrt(x[:, 0])
+            self._points[radius] = points
+        return points[lo:hi].reshape(m, width)
+
+
+class _Sampling(NamedTuple):
+    """What a sampled check draws: ``count`` samples of ``width`` disc
+    points whose ``points`` (:func:`_aybe_points` and its kin) all keep
+    clear of the poles of ``handle`` by ``guard``."""
+
+    handle: SolutionHandle
+    points: Callable
+    count: int
+    width: int
+    guard: float
+
+
 def _accept(
-    rng: np.random.Generator,
-    radius: float,
-    count: int,
-    width: int,
-    clear: Callable[..., np.ndarray],
+    stream: _Stream, sampling: _Sampling, candidates: np.ndarray, cleared: np.ndarray,
     max_draws: int,
 ) -> Tuple[List[tuple], int]:
-    """Draw `count` tuples of `width` disc points that `clear` accepts, and
-    count the rejects before the last accepted one.
+    """Draw ``sampling.count`` samples whose points keep clear, and count
+    the rejects before the last accepted one.
 
-    Candidates are drawn in blocks, ``count`` first and then twice the last
-    block, with one ``rng.uniform`` call per block: each point takes two
-    draws, r = radius*sqrt(x) and phi = 2*pi*x', in that order.
-    ``clear(*columns)`` gets the block's `width` columns of points, (m,)
-    arrays, and returns its (m,) boolean array; candidates are accepted in
-    draw order.  Drawing past the last accepted candidate changes no result,
-    because each check owns its generator.  NonConvergenceError is raised
-    once `max_draws` candidates hold fewer than `count` accepted ones."""
+    Candidates are read from ``stream`` in blocks, ``count`` first and then
+    twice the last block; ``candidates`` holds the first block and
+    ``cleared`` its flags.  Candidates are accepted in draw order.
+    Reading past the last accepted candidate changes no result, because
+    each check reads the stream from its own cursor.  NonConvergenceError
+    is raised once ``max_draws`` candidates hold fewer than ``count``
+    accepted ones."""
+    h, points, count, width, guard = sampling
     samples: List[tuple] = []
     skipped = draws = 0
     block = count
@@ -642,14 +691,11 @@ def _accept(
                 f"rejection sampling exhausted {max_draws} draws"
             )
         m = min(block, max_draws - draws)
-        x = rng.uniform(size=(m, width, 2))
-        # r*exp(i*phi) is (r*cos(phi), r*sin(phi)) bit for bit: exp of an
-        # imaginary number is (cos, sin), and the products with the real r
-        # add exact zeros
-        points = np.exp(x[..., 1] * _TWO_PI_J)
-        points *= radius * np.sqrt(x[..., 0])
-        taken = clear(*points.T).nonzero()[0][:count - len(samples)]
-        samples += map(tuple, points[taken].tolist())
+        if draws:
+            candidates = stream.candidates(_sample_radius(h), draws, m, width)
+            cleared = _domain_mask(h, *points(*candidates.T), guard).all(axis=0)
+        taken = cleared.nonzero()[0][:count - len(samples)]
+        samples += map(tuple, candidates[taken].tolist())
         # the candidates this block used: up to the last accepted one when
         # it completes the samples
         used = int(taken[-1]) + 1 if len(samples) == count else m
@@ -659,75 +705,112 @@ def _accept(
     return samples, skipped
 
 
-def _sample(
-    h: SolutionHandle, points: Callable, count: int, width: int, guard: float, config: SuiteConfig
-) -> Tuple[List[tuple], int]:
-    """:func:`_accept` on the check's own generator: `count` samples of
-    `width` points whose ``points`` all keep clear of the poles of ``h`` by
-    ``guard``, and the rejects; a handle of the wrong arity raises before
-    the first draw."""
-    _points_of(h, points, *(0j,) * width)
+def _sample_all(samplings: Sequence[_Sampling], max_draws: int, seed: int) -> list:
+    """(samples, rejects) of each of the ``samplings``, from one stream of
+    ``default_rng(seed)`` (:class:`_Stream`); a handle of the wrong arity
+    raises before the first draw.  The first blocks of the samplings on one
+    handle and guard are guarded by one :func:`_domain_mask` call."""
+    for s in samplings:
+        _points_of(s.handle, s.points, *(0j,) * s.width)
+    sizes = [min(s.count, max_draws) for s in samplings]
+    stream = _Stream(seed, max((s.width * m for s, m in zip(samplings, sizes)), default=0))
+    firsts = [
+        stream.candidates(_sample_radius(s.handle), 0, m, s.width)
+        for s, m in zip(samplings, sizes)
+    ]
+    cleared: list = [None] * len(samplings)
+    groups: dict = {}
+    for k, s in enumerate(samplings):
+        groups.setdefault((id(s.handle), s.guard), []).append(k)
+    for group in groups.values():
+        # the points of every first block, point-major, one after another
+        points = [samplings[k].points(*firsts[k].T) for k in group]
+        h, guard = samplings[group[0]].handle, samplings[group[0]].guard
+        u = None if h.is_cybe else np.concatenate([x for pu, _ in points for x in pu])
+        clear = _domain_mask(h, u, np.concatenate([x for _, pv in points for x in pv]), guard)
+        end = 0
+        for k, (_, v) in zip(group, points):
+            start, end = end, end + len(v) * len(firsts[k])
+            cleared[k] = clear[start:end].reshape(len(v), -1).all(axis=0)
+    return [
+        _accept(stream, s, first, flags, max_draws)
+        for s, first, flags in zip(samplings, firsts, cleared)
+    ]
 
-    def clear(*columns):
-        return _domain_mask(h, *points(*columns), guard).all(axis=0)
 
-    rng = np.random.default_rng(config.seed)
-    return _accept(rng, _sample_radius(h), count, width, clear, config.max_draws)
+class _Plan(NamedTuple):
+    """A sampled check before its draws: what it draws, and ``build``,
+    which takes its samples and rejects and returns the drawn check."""
+
+    sampling: _Sampling
+    build: Callable[[List[tuple], int], _Drawn]
 
 
-def _draw_aybe(h: SolutionHandle, config: SuiteConfig, tags: Tuple[str, ...]) -> _Drawn:
+def _draw(plans: Sequence[_Plan], config: SuiteConfig) -> List[_Drawn]:
+    """The ``plans``, drawn from one sampling stream (:func:`_sample_all`)."""
+    drawn = _sample_all([p.sampling for p in plans], config.max_draws, config.seed)
+    return [p.build(*d) for p, d in zip(plans, drawn)]
+
+
+def _plan_aybe(h: SolutionHandle, config: SuiteConfig, tags: Tuple[str, ...]) -> _Plan:
     """One seeded sampling pass of the two-variable identity with one report
     per form in ``tags``; the forms share the 6*N values, T1..T3 and the
     relative scale."""
-    samples, skipped = _sample(h, _aybe_points, config.n_aybe, 4, config.guard, config)
     path = _path(h)
 
-    def finish(values):
-        norms = _block_norms(
-            values.reshape((6, len(samples)) + path.shape),
-            lambda block: _aybe_forms(block, tags, path.product), path.entries,
-        )
-        return [
-            _make_report(tag, samples, *norms.get(tag, ([], [])), config.tol_aybe, skipped)
-            for tag in tags
-        ]
+    def build(samples, skipped):
+        def finish(values):
+            abs_res, rel_res = _block_norms(
+                values.reshape((6, len(samples)) + path.shape),
+                lambda block: _aybe_forms(block, tags, path.product), len(tags), path.entries,
+            )
+            return [
+                _make_report(tag, samples, abs_res[i], rel_res[i], config.tol_aybe, skipped)
+                for i, tag in enumerate(tags)
+            ]
 
-    return _Drawn((_request(h, _aybe_points, samples),), finish)
+        return _Drawn((_request(h, _aybe_points, samples),), finish)
+
+    return _Plan(_Sampling(h, _aybe_points, config.n_aybe, 4, config.guard), build)
 
 
-def _draw_cybe(h: SolutionHandle, config: SuiteConfig) -> _Drawn:
+def _plan_cybe(h: SolutionHandle, config: SuiteConfig) -> _Plan:
     tol = config.tol_cybe
     if tol is None:
         tol = 1e-8 if _FAMILIES[h.family].elliptic else 1e-10
-    samples, skipped = _sample(h, _cybe_points, config.n_cybe, 2, config.guard, config)
     path = _path(h)
 
-    def finish(values):
-        norms = _block_norms(
-            values.reshape((3, len(samples)) + path.shape),
-            lambda block: _cybe_forms(block, path.product), path.entries,
-        )
-        return [_make_report("cybe", samples, *norms.get("cybe", ([], [])), tol, skipped)]
+    def build(samples, skipped):
+        def finish(values):
+            (abs_res,), (rel_res,) = _block_norms(
+                values.reshape((3, len(samples)) + path.shape),
+                lambda block: _cybe_forms(block, path.product), 1, path.entries,
+            )
+            return [_make_report("cybe", samples, abs_res, rel_res, tol, skipped)]
 
-    return _Drawn((_request(h, _cybe_points, samples),), finish)
+        return _Drawn((_request(h, _cybe_points, samples),), finish)
+
+    return _Plan(_Sampling(h, _cybe_points, config.n_cybe, 2, config.guard), build)
 
 
-def _draw_unitarity(h: SolutionHandle, config: SuiteConfig) -> _Drawn:
+def _plan_unitarity(h: SolutionHandle, config: SuiteConfig) -> _Plan:
+    path = _path(h)
+
+    def build(samples, skipped):
+        def finish(values):
+            direct, negated = values.reshape((2, len(samples)) + path.shape)
+            swapped = path.swap(negated)
+            res = swapped + direct
+            scale = np.maximum(np.maximum(_frobenius(direct), _frobenius(swapped)), 1e-300)
+            return [_make_report(
+                "unitarity", samples, _max_abs(res), _frobenius(res) / scale,
+                config.tol_unitarity, skipped,
+            )]
+
+        return _Drawn((_request(h, _unitarity_points, samples),), finish)
+
     width = 1 if h.is_cybe else 2
-    samples, skipped = _sample(h, _unitarity_points, config.n_unitarity, width, config.guard, config)
-    path = _path(h)
-
-    def finish(values):
-        direct, negated = values.reshape((2, len(samples)) + path.shape)
-        swapped = path.swap(negated)
-        res = swapped + direct
-        scale = np.maximum(np.maximum(_frobenius(direct), _frobenius(swapped)), 1e-300)
-        return [_make_report(
-            "unitarity", samples, _max_abs(res), _frobenius(res) / scale,
-            config.tol_unitarity, skipped,
-        )]
-
-    return _Drawn((_request(h, _unitarity_points, samples),), finish)
+    return _Plan(_Sampling(h, _unitarity_points, config.n_unitarity, width, config.guard), build)
 
 
 def _rank_at_samples(h: SolutionHandle, samples: List[tuple], tolerance: float) -> _Drawn:
@@ -743,61 +826,71 @@ def _rank_at_samples(h: SolutionHandle, samples: List[tuple], tolerance: float) 
     return _Drawn((_request(h, _rank_points, samples),), finish)
 
 
-def _draw_rank(h: SolutionHandle, config: SuiteConfig) -> _Drawn:
+def _plan_rank(h: SolutionHandle, config: SuiteConfig) -> _Plan:
     width = 1 if h.is_cybe else 2
-    samples, _ = _sample(h, _rank_points, config.n_rank, width, config.guard, config)
-    return _rank_at_samples(h, samples, 0.5)
+    return _Plan(
+        _Sampling(h, _rank_points, config.n_rank, width, config.guard),
+        lambda samples, _: _rank_at_samples(h, samples, 0.5),
+    )
 
 
-def _draw_limit(h: SolutionHandle, config: SuiteConfig) -> _Drawn:
+def _plan_limit(h: SolutionHandle, config: SuiteConfig) -> _Plan:
     paired = paired_cybe_handle(h)
+    # the partner of a graded handle is graded, and of a dense one dense
+    path = _path(h)
+
+    def build(samples, skipped):
+        targets = _request(paired, _rank_points, samples)
+        u_nodes, v_nodes, _ = _limit_nodes(h, targets.v)
+
+        def finish(node_values, target_values):
+            target_values = target_values.reshape((len(samples),) + path.shape)
+            # the u -> 0 limits: project_sl of the means over the nodes
+            limits = path.project(node_values.reshape(u_nodes.shape + path.shape).mean(axis=1))
+            res = limits - target_values
+            scale = np.maximum(_frobenius(target_values), 1e-300)
+            return [_make_report(
+                "limit", samples, _max_abs(res), _frobenius(res) / scale, config.tol_limit, skipped
+            )]
+
+        return _Drawn((_Request(h, u_nodes.reshape(-1), v_nodes.reshape(-1)), targets), finish)
+
     # keep v off the partner's poles: the limit's circle shrinks with the
     # distance R(v) from u = 0 to the nearest other u-pole, and this guard
     # keeps R(v) >= min(1e-2, r Im tau) / (d r) for the elliptic family.
     # The partner's sample radius is the handle's: both are elliptic or not
     guard = max(config.guard, 1e-2)
-    samples, skipped = _sample(paired, _rank_points, config.n_limit, 1, guard, config)
-    targets = _request(paired, _rank_points, samples)
-    u_nodes, v_nodes, _ = _limit_nodes(h, targets.v)
-    # the partner of a graded handle is graded, and of a dense one dense
-    path = _path(h)
+    return _Plan(_Sampling(paired, _rank_points, config.n_limit, 1, guard), build)
 
-    def finish(node_values, target_values):
-        target_values = target_values.reshape((len(samples),) + path.shape)
-        # the u -> 0 limits: project_sl of the means over the nodes
-        limits = path.project(node_values.reshape(u_nodes.shape + path.shape).mean(axis=1))
-        res = limits - target_values
-        scale = np.maximum(_frobenius(target_values), 1e-300)
-        return [_make_report(
-            "limit", samples, _max_abs(res), _frobenius(res) / scale, config.tol_limit, skipped
-        )]
 
-    return _Drawn((_Request(h, u_nodes.reshape(-1), v_nodes.reshape(-1)), targets), finish)
+def _check(plan: _Plan, config: SuiteConfig) -> ResidualReport:
+    """The one report of a check run alone."""
+    return _run(_draw([plan], config))[0]
 
 
 def check_aybe(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> ResidualReport:
     """Sampled two-variable identity residual, relative to the product terms."""
-    return _run([_draw_aybe(h, config, ("aybe",))])[0]
+    return _check(_plan_aybe(h, config, ("aybe",)), config)
 
 
 def check_aybe_commutator(
     h: SolutionHandle, config: SuiteConfig = SuiteConfig()
 ) -> ResidualReport:
     """Sampled commutator form of the two-variable identity."""
-    return _run([_draw_aybe(h, config, ("commutator",))])[0]
+    return _check(_plan_aybe(h, config, ("commutator",)), config)
 
 
 def check_cybe(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> ResidualReport:
     """Sampled one-variable identity residual, relative to the commutator
     operands (the six products making up the three commutators)."""
-    return _run([_draw_cybe(h, config)])[0]
+    return _check(_plan_cybe(h, config), config)
 
 
 def check_unitarity(
     h: SolutionHandle, config: SuiteConfig = SuiteConfig()
 ) -> ResidualReport:
     """Sampled unitarity residual, relative to the operand norms."""
-    return _run([_draw_unitarity(h, config)])[0]
+    return _check(_plan_unitarity(h, config), config)
 
 
 def nondegeneracy_check(
@@ -820,23 +913,23 @@ def nondegeneracy_check(
 
 def check_rank(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> ResidualReport:
     """Seeded :func:`nondegeneracy_check`."""
-    return _run([_draw_rank(h, config)])[0]
+    return _check(_plan_rank(h, config), config)
 
 
 def check_limit_consistency(
     h: SolutionHandle, config: SuiteConfig = SuiteConfig()
 ) -> ResidualReport:
     """Sampled comparison of the u -> 0 limit against the paired family."""
-    return _run([_draw_limit(h, config)])[0]
+    return _check(_plan_limit(h, config), config)
 
 
-_DRAWS = {
-    "aybe": lambda h, config: _draw_aybe(h, config, ("aybe",)),
-    "commutator": lambda h, config: _draw_aybe(h, config, ("commutator",)),
-    "cybe": _draw_cybe,
-    "unitarity": _draw_unitarity,
-    "rank": _draw_rank,
-    "limit": _draw_limit,
+_PLANS = {
+    "aybe": lambda h, config: _plan_aybe(h, config, ("aybe",)),
+    "commutator": lambda h, config: _plan_aybe(h, config, ("commutator",)),
+    "cybe": _plan_cybe,
+    "unitarity": _plan_unitarity,
+    "rank": _plan_rank,
+    "limit": _plan_limit,
 }
 
 
@@ -852,20 +945,21 @@ def _applicable_checks(h: SolutionHandle) -> Tuple[str, ...]:
 def run_suite(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> List[ResidualReport]:
     """Run every applicable check; deterministic given (handle, config).
 
-    Each check draws its samples from its own generator, as it does alone;
-    then the points of all checks are evaluated together, one call per
-    block of at most _BLOCK entries on the handle and one on the CYBE
-    partner of the limit check, and each check finishes its reports from
-    its values.  The reports equal those of the separate check functions."""
+    Each check draws the samples it draws alone, every one from the same
+    sampling stream (:func:`_sample_all`); then the points of all checks
+    are evaluated together, one call per block of at most _BLOCK entries
+    on the handle and one on the CYBE partner of the limit check, and
+    each check finishes its reports from its values.  The reports equal
+    those of the separate check functions."""
     names = _applicable_checks(h)
     if config.checks is not None:
         unknown = set(config.checks) - set(CHECK_NAMES)
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
         names = tuple(c for c in names if c in config.checks)
-    drawn = []
+    plans = []
     if "aybe" in names and "commutator" in names:
         # both forms lead every two-variable check list and share one pass
-        drawn.append(_draw_aybe(h, config, ("aybe", "commutator")))
+        plans.append(_plan_aybe(h, config, ("aybe", "commutator")))
         names = names[2:]
-    return _run(drawn + [_DRAWS[name](h, config) for name in names])
+    return _run(_draw(plans + [_PLANS[name](h, config) for name in names], config))

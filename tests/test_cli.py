@@ -5,6 +5,7 @@ and output, so failures carry real tracebacks; one smoke test runs
 ``python -m aybe.cli`` in a fresh interpreter.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -158,6 +159,30 @@ def test_eval_pole_proximity_is_reported_not_fatal(capsys):
     lines = out.strip().splitlines()
     assert lines[0].endswith("pole-proximity")
     assert "point u=3.000000000000e-01" in out
+
+
+def test_eval_evaluates_the_clear_points_in_one_array_call(monkeypatch, capsys):
+    # two poles (u = 0), two overflows (u = 800) and two clear points in one
+    # call: the clear points are evaluated in one call, which raises, and
+    # then one point at a time, so each point gets its own status
+    calls = []
+
+    def counting_eval(h, u, v, real_eval=aybe.cli.eval_aybe_array):
+        calls.append(len(v))
+        return real_eval(h, u, v)
+
+    monkeypatch.setattr(aybe.cli, "eval_aybe_array", counting_eval)
+    code, out, _ = run_cli(["eval", "--family", "trig1", "--u", "0,800,0.3", "--v", "0.5,0.4", "--csv"], capsys)
+    rows = out.splitlines()[1:]
+    assert code == 0
+    assert [row.rsplit(",", 1)[1] for row in rows[:4]] == ["pole-proximity"] * 2 + ["overflow"] * 2
+    assert len(rows) == 4 + 2 * 16 and all(row.endswith(",ok") for row in rows[4:])
+    assert calls == [4]
+    # with every point clear, one call and nothing else
+    calls.clear()
+    code, clear_out, _ = run_cli(["eval", "--family", "trig1", "--u", "0.3", "--v", "0.5,0.4", "--csv"], capsys)
+    assert (code, calls) == (0, [2])
+    assert clear_out.splitlines()[1:] == rows[4:]
 
 
 @pytest.mark.parametrize("family", ["trig1", "scalar-trig"])
@@ -782,6 +807,29 @@ def test_config_without_value_is_usage_error(capsys):
     assert message == "aybe: error: argument --config: expected one argument"
 
 
+@pytest.mark.parametrize("option", ["--conf", "--config=", "--conf="])
+def test_an_abbreviated_config_option_reads_the_file(option, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"family": "scalar-rational", "a": "2", "b": "3", "u": "0.5", "v": "0.25"}
+    ))
+    args = [option + str(cfg)] if option.endswith("=") else [option, str(cfg)]
+    assert run_cli(["eval", *args], capsys) == run_cli(["eval", "--config", str(cfg)], capsys)
+
+
+def test_a_command_line_without_a_config_option_is_parsed_once(monkeypatch, capsys):
+    # --check and --csv start like --config but cannot abbreviate it
+    def unreachable():
+        raise AssertionError("ran the --config pre-parser")
+
+    monkeypatch.setattr(aybe.cli, "_config_parser", unreachable)
+    code, out, _ = run_cli(
+        ["verify", "--family", "trig1", "--points", "2", "--check", "rank", "--csv"], capsys
+    )
+    assert code == 0
+    assert out.splitlines()[1].startswith("rank,2,0,0.0,0.0,0.5,1")
+
+
 def test_repeated_main_calls_match_calls_on_fresh_parsers(tmp_path, capsys):
     # main builds its parsers once per process; calls that share them must
     # print and return exactly what each call does on newly built ones
@@ -919,3 +967,39 @@ def test_missing_family_argument_message(args, message, capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# byte-identical output: the exit status and the sha256 of stdout (first 16
+# hex digits) of fixed commands, frozen before the verify jobs shared one
+# sampling stream and summed theta with the points innermost
+# ---------------------------------------------------------------------------
+
+CLI_DIGESTS = [
+    ("verify --family elliptic --d 2 --r 1 --tau=0.1+0.9i --seed 4 --points 3", 0, "6288728eaf79a4ed"),
+    ("verify --family elliptic --d 3 --r 2 --tau=0.2+1.1i --seed 5 --points 4", 0, "01d38ae08d02c9ad"),
+    ("verify --family elliptic --d 4 --r 3 --tau=-0.3+0.8i --seed 6 --points 3", 0, "31245259d4c9adee"),
+    ("verify --family elliptic --d 5 --r 2 --tau=0.4+1.3i --seed 7 --points 2", 0, "9d881a881d4c511c"),
+    ("verify --family elliptic --d 6 --r 5 --tau=0.1+0.6i --seed 8 --points 1", 0, "61d88e7c0ff85100"),
+    ("verify --family elliptic --d 7 --r 3 --tau i --seed 9 --points 1 --csv", 0, "a04fdbe38fcb41bc"),
+    ("verify --family elliptic-cybe --d 2 --r 1 --tau=0.3+0.7i --seed 10 --points 4", 0, "a4d2f23f003b0c31"),
+    ("verify --family elliptic-cybe --d 3 --r 1 --tau=0.1+0.9i --seed 11 --points 4", 0, "9df269569cc4ce40"),
+    ("verify --family elliptic-cybe --d 4 --r 1 --tau=0.2+1.4i --seed 12 --points 3 --csv", 0, "bbac049be9f4b49f"),
+    ("verify --family elliptic-cybe --d 5 --r 3 --tau=-0.1+0.5i --seed 13 --points 2", 0, "c9e27e2fffc0143f"),
+    ("verify --family elliptic-cybe --d 6 --r 1 --tau=0.5+1.0i --seed 14 --points 1", 0, "d3a86698688e2d05"),
+    ("verify --family elliptic-cybe --d 7 --r 2 --tau=0.2+1.1i --seed 15 --points 1", 0, "f02f7acf89f9b109"),
+    ("verify --family scalar-kronecker --tau=0.1+0.9i --seed 3", 0, "73b1186937397d71"),
+    ("verify --family trig1 --seed 2 --points 6", 0, "b2a6c0517585df1b"),
+    ("classify --family scalar-kronecker --tau=0.2+1.1i", 0, "c49a2c164a825685"),
+    ("sweep --quantity C --family scalar-kronecker --grid i,0.1+0.9i --csv", 0, "788029b5ae9fa2ec"),
+    ("eval --family elliptic --d 3 --r 1 --tau=0.2+1.1i --u 0.1,-0.2+0.1i,0 --v 0.3,0.05i", 0, "17f41fe32ac66beb"),
+    ("eval --family trig1 --u 0,800,0.3 --v 0.5,0.4 --csv", 0, "7ef5cd7377531dc9"),
+    ("eval --family elliptic-cybe --d 2 --r 1 --tau i --v 0.3,0,0.1+0.2i", 0, "0e7c21614774f427"),
+    ("oracle --case 1 --seed 4 --samples 6", 0, "53a8054991354edf"),
+]
+
+
+@pytest.mark.parametrize("command,code,digest", CLI_DIGESTS, ids=[c for c, _, _ in CLI_DIGESTS])
+def test_cli_output_is_byte_identical(command, code, digest, capsys):
+    got, out, _ = run_cli(command.split(), capsys)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()[:16]) == (code, digest)

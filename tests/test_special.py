@@ -3,9 +3,11 @@
 Every comparison here pits the production path (lattice reduction +
 truncated theta quotients) against a head-on summation of the defining
 series from :mod:`aybe.bruteforce`; nothing is shared between the two.
+The last tests pin the bits of the theta and twist kernels by digests.
 """
 
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -24,9 +26,12 @@ from aybe.errors import DomainError, PoleProximityError
 from aybe.special import (
     Characteristic,
     ModularParam,
+    _kronecker_twist_grid,
     _lattice_distance_grid,
     _reduced_distance_grid,
     _split_lattice_grid,
+    _theta_grid_terms,
+    _theta_raw_grid,
     eisenstein_G,
     j_invariant,
     kronecker_F,
@@ -411,3 +416,62 @@ def test_F_zeta_expansion_identity(d, k, ell, m_square, rng):
         if count == 10:
             break
     assert count == 10
+
+
+# ---------------------------------------------------------------------------
+# the kernels' bits: sha256 digests (first 16 hex digits) of the outputs at
+# seeded points, frozen from the implementation that summed theta with the
+# term index innermost.  A change that keeps every operand and operation
+# order keeps them; one that does not must list its changed digits.
+# ---------------------------------------------------------------------------
+
+def _digest(arrays) -> str:
+    return hashlib.sha256(b"".join(np.asarray(a).tobytes() for a in arrays)).hexdigest()[:16]
+
+
+def _kernel_points(tau: complex, count: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-1.5, 1.5, count) + rng.uniform(-1.5, 1.5, count) * tau
+
+
+# tau, its number of theta terms K, and the digests at orders (0,), (0, 1), (1, 3)
+THETA_DIGESTS = [
+    (0.1+0.025j, 28, ("79e00bb393913266", "26fd4b0d0ec41c64", "f1c7f64df6474e7c")),
+    (-0.2+0.08j, 17, ("88445307e3293264", "92a6bcfed43e278a", "acdf7c947a68953f")),
+    (0.3+0.5j, 9, ("413b4728d7aeea11", "74405cd28bf46b41", "97dff3e39473a146")),
+    (-0.2+1.1j, 8, ("d4b5495b90381d32", "27c7e5b0aa209d1a", "970c2fb912ef1d2f")),
+    (0.5+3j, 6, ("e13ba7a3ff5df722", "5c965f6a00bfa856", "39b8d1cf6b042bbc")),
+    (0.4+9j, 5, ("561e923cc6ece3e8", "a33d919f5f935933", "0bbbb64e7c0bae6b")),
+]
+
+
+@pytest.mark.parametrize("tau,terms,digests", THETA_DIGESTS, ids=str)
+def test_theta_kernel_bits_are_pinned(tau, terms, digests):
+    assert len(_theta_grid_terms(tau)[0]) == terms
+    # 300 reduced points, 0 and the cell's corners among them
+    u0 = _split_lattice_grid(_kernel_points(tau, 295, 41), tau)[0]
+    u0 = np.concatenate([u0, [0.0, 0.5, -0.5, 0.5 * tau, 0.5 + 0.5 * tau]])
+    got = [_digest(_theta_raw_grid(u0, tau, orders)) for orders in ((0,), (0, 1), (1, 3))]
+    assert tuple(got) == digests
+
+
+# (d, tau) and the digests of the tables at first = 0 and at first = 1, and
+# of the CYBE call (u = 0, first = 1, with zeta)
+TWIST_DIGESTS = [
+    (2, 0.1+0.9j, ("4f7005910b0e180b", "5c469abcf09645c1", "b60381616c0d3733")),
+    (3, -0.3+2.4j, ("e91f7c1920bb543b", "bf490212abb3b4a9", "115e88ae598fb1e8")),
+    (4, 0.2+0.7j, ("4cd42c4a23ef3309", "0d5cad580b7f7742", "37d435c22ee61b3c")),
+    (5, 0.45+1.3j, ("a9113eaf2026799a", "05b17eee9402ea4c", "9570821f03abf170")),
+    (6, -0.1+7.5j, ("b402e3315fdb5556", "c5f7964412f0a925", "cd3f8ff72268494f")),
+    (7, 0.25+1.1j, ("43111dd4ababb5dc", "c158f441e60dadb4", "52a425ed2c4bdf7d")),
+]
+
+
+@pytest.mark.parametrize("d,tau,digests", TWIST_DIGESTS, ids=str)
+def test_twist_grid_bits_are_pinned(d, tau, digests):
+    m = modular_param(tau)
+    u, v = _kernel_points(tau, 40, d), _kernel_points(tau, 40, d + 100)
+    got = [
+        _digest([_kronecker_twist_grid(u, v, d, m, first=first)]) for first in (0, 1)
+    ] + [_digest(_kronecker_twist_grid(0.0, v, d, m, first=1, zeta=True))]
+    assert tuple(got) == digests

@@ -402,18 +402,33 @@ def _cli_config(seed, points):
 ], ids=lambda x: getattr(x, "family", "") + str(getattr(x, "d", "")))
 def test_suite_makes_one_evaluation_call_per_handle(h, config, monkeypatch):
     # every check's points in one call on the handle, and the limit check's
-    # targets in one call on its CYBE partner
+    # targets in one call on its CYBE partner; and the first candidate
+    # blocks of all checks guarded by one domain test per handle
     aybe_calls = _count_evaluated_points(monkeypatch)
     cybe_calls = _count_evaluated_points(monkeypatch, "eval_cybe_array")
+    mask_calls = []
+    real_mask = aybe.verify._domain_mask
+
+    def counting_mask(handle, u, v, guard):
+        mask_calls.append((handle.family, np.size(v)))
+        return real_mask(handle, u, v, guard)
+
+    monkeypatch.setattr(aybe.verify, "_domain_mask", counting_mask)
     reports = run_suite(h, config)
     counts = {rep.tag: len(rep.points) for rep in reports}
+    assert all(rep.skipped == 0 for rep in reports)
     if h.is_cybe:
         assert aybe_calls == [] and cybe_calls == [3 * counts["cybe"] + 2 * counts["unitarity"]]
+        assert mask_calls == [(h.family, 3 * counts["cybe"] + 2 * counts["unitarity"])]
     else:
         assert aybe_calls == [
             6 * counts["aybe"] + 2 * counts["unitarity"] + counts["rank"] + 8 * counts["limit"]
         ]
         assert cybe_calls == [counts["limit"]]
+        assert mask_calls == [
+            (h.family, 6 * counts["aybe"] + 2 * counts["unitarity"] + counts["rank"]),
+            (paired_cybe_handle(h).family, counts["limit"]),
+        ]
 
 
 def test_no_evaluation_call_holds_more_than_a_block(monkeypatch):
@@ -469,11 +484,11 @@ def test_a_dense_check_drops_its_values_before_the_next_call(monkeypatch):
     reports = run_suite(h, _cli_config(5, 400))
     assert all(rep.passed for rep in reports)
     # each check finishes as soon as the call holding its last point
-    # returns, with that call's values freed unless they hold later points,
-    # and its own values are freed before the next call; the aybe points
-    # end a call of their own
+    # returns, with that call's values freed even when they hold later
+    # points, and its own values are freed before the next call; the aybe
+    # points end a call of their own
     assert events == [
-        1618, 782, (["aybe", "commutator"], False), 845, (["unitarity"], True), (["rank"], True),
+        1618, 782, (["aybe", "commutator"], False), 845, (["unitarity"], False), (["rank"], False),
         5, (["limit"], False),
     ]
     assert all(ref() is None for ref in finished)
@@ -773,23 +788,19 @@ def test_max_draws_is_the_same_budget(h, guard):
 def test_no_candidate_clears_a_huge_guard():
     # every candidate is rejected: the blocks grow, and the budget still ends
     # the draws after exactly max_draws candidates
-    rng_calls = []
-    default_rng = np.random.default_rng
+    blocks = []
+    candidates = aybe.verify._Stream.candidates
 
-    class CountingGenerator:
-        def __init__(self, seed):
-            self.rng = default_rng(seed)
-
-        def uniform(self, size):
-            rng_calls.append(size)
-            return self.rng.uniform(size=size)
+    def counting_candidates(stream, radius, start, m, width):
+        blocks.append(m)
+        return candidates(stream, radius, start, m, width)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(aybe.verify.np.random, "default_rng", CountingGenerator)
+        mp.setattr(aybe.verify._Stream, "candidates", counting_candidates)
         with pytest.raises(NonConvergenceError, match="exhausted 10000 draws"):
             check_unitarity(trig_aybe(1), SuiteConfig(guard=10.0))
-    assert sum(size[0] for size in rng_calls) == 10_000
-    assert len(rng_calls) <= 10
+    assert sum(blocks) == 10_000
+    assert len(blocks) <= 10
 
 
 def test_guard_errors_name_the_first_offending_point():
