@@ -700,16 +700,21 @@ def _config_tokens(path: str) -> List[str]:
     return tokens
 
 
-# the option parts (before any "=") of the tokens argparse can read as
-# --config: the option and its abbreviations ("--" only with an "=")
-_CONFIG_HEADS = frozenset("--config"[:k] for k in range(2, 9))
+# the option parts (before any "=") of the tokens the full parser reads as
+# --config: the option and its abbreviations down to --co.  The pre-parser
+# alone would also read "--c" (--csv in every subcommand) and "--" with an
+# "=" (any option); the full parser refuses both as ambiguous, so a command
+# line that holds one is left to it and no file is read
+_CONFIG_HEADS = frozenset("--config"[:k] for k in range(4, 9))
+_AMBIGUOUS_HEADS = frozenset(("--", "--c"))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     config = None
     # a command line with no such token is parsed once, by the full parser
-    if any(tok.partition("=")[0] in _CONFIG_HEADS and tok != "--" for tok in argv):
+    heads = {tok.partition("=")[0] for tok in argv if tok != "--"}
+    if heads & _CONFIG_HEADS and not heads & _AMBIGUOUS_HEADS:
         try:
             config = _config_parser().parse_known_args(argv)[0].config
         except SystemExit as exc:

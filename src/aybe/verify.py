@@ -12,6 +12,15 @@ and a sampled flavour returning a :class:`ResidualReport`.  Sampling is
 seeded and deterministic; points that fall inside a pole guard are redrawn
 and counted in the report's ``skipped`` field.
 
+Each sampled check is one record of the table :data:`_CHECKS`
+(:class:`_Check`): the tags it reports, its points and their width, its
+:class:`SuiteConfig` count and tolerance, the handles :func:`run_suite`
+runs it on, and one function from the values of its points to residuals
+per sample.  The ``aybe`` and ``commutator`` forms are one record that
+reports the tags asked for, and the ``limit`` record draws on the CYBE
+partner.  One draw, one finish and one report builder serve every record
+(:func:`_run`).
+
 Each check declares its points once (:func:`_aybe_points` and its kin):
 its draw guards them (:func:`_sample_all`), it evaluates them
 (:func:`_request`), and the pointwise residuals guard them at 1e-9
@@ -35,14 +44,14 @@ then, so no check's values outlive its finish.  Each public ``check_*``
 is the same path with one check.
 
 One choice, :func:`_path`, sets how every check holds and combines the
-values of a handle.  An elliptic handle with no gauge or a scalar one is
-evaluated to the d x d twist table of each value; its products form only
-the d^4 entries whose first index is 0, one multiplication each, its
-ranks come from a d x d DFT of the table and its u -> 0 limits from the
-table's row 0.  Any other handle is evaluated to its dense values, forms
-each product of a block of samples as one batched BLAS matrix product,
-and takes one SVD per rank.  The pointwise residuals are dense for every
-handle.
+values of a handle, and a run makes it once per handle.  An elliptic
+handle with no gauge or a scalar one is evaluated to the d x d twist
+table of each value; its products form only the d^4 entries whose first
+index is 0, one multiplication each, its ranks come from a d x d DFT of
+the table and its u -> 0 limits from the table's row 0.  Any other
+handle is evaluated to its dense values, forms each product of a block
+of samples as one batched BLAS matrix product, and takes one SVD per
+rank.  The pointwise residuals are dense for every handle.
 """
 
 from __future__ import annotations
@@ -57,6 +66,7 @@ import numpy as np
 from .errors import DomainError, NonConvergenceError
 from .solutions import (
     _FAMILIES,
+    _LIMIT_NODES,
     SolutionHandle,
     _domain_mask,
     _graded,
@@ -306,22 +316,12 @@ class _Request:
     v: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class _Drawn:
-    """A sampled check between its draws and its finish: the requests whose
-    values it needs, and ``finish``, which takes one (P, entries) array of
-    values per request and returns the check's reports."""
-
-    requests: Tuple[_Request, ...]
-    finish: Callable[..., List[ResidualReport]]
-
-
 def _evaluate_requests(
-    requests: Sequence[_Request], store: Callable[[int, np.ndarray], None]
+    requests: Sequence[_Request], paths: dict, store: Callable[[int, np.ndarray], None]
 ) -> None:
     """Calls ``store(k, values)`` with the values of request k, (P, entries
-    of one value on the handle's :func:`_path`), as soon as they are
-    complete.
+    of one value on the handle's :func:`_path`, ``paths[id(handle)]``), as
+    soon as they are complete.
 
     The points of all requests on one handle are evaluated together, with
     one call of the path's evaluation per block of at most _BLOCK entries
@@ -334,7 +334,7 @@ def _evaluate_requests(
     handles = {id(r.handle): r.handle for r in requests}
     for key, h in handles.items():
         group = [k for k, r in enumerate(requests) if id(r.handle) == key]
-        path = _path(h)
+        path = paths[key]
         size = math.prod(path.shape)
 
         def empty(r: _Request) -> np.ndarray:
@@ -377,29 +377,6 @@ def _evaluate_requests(
                 store(k, filling.pop(k))
 
 
-def _run(checks: Sequence[_Drawn]) -> List[ResidualReport]:
-    """The reports of the drawn ``checks``, in order, from one
-    :func:`_evaluate_requests` of all their requests.  A check finishes as
-    soon as the values of its last request are stored, and drops them then,
-    so no check's values outlive its finish: while a check finishes, the
-    values alive are its own, the limit check's node values if they wait
-    for its partner's, and those of later requests that the same block
-    held."""
-    index = [(i, j) for i, c in enumerate(checks) for j in range(len(c.requests))]
-    values: list = [[None] * len(c.requests) for c in checks]
-    reports: List[List[ResidualReport]] = [[] for _ in checks]
-
-    def store(k: int, vals: np.ndarray) -> None:
-        i, j = index[k]
-        values[i][j] = vals
-        if all(x is not None for x in values[i]):
-            reports[i] = checks[i].finish(*values[i])
-            values[i] = None
-
-    _evaluate_requests([r for c in checks for r in c.requests], store)
-    return [rep for reps in reports for rep in reps]
-
-
 def _request(h: SolutionHandle, points: Callable, samples: Sequence[tuple]) -> _Request:
     """The points of every sample, point-major: value k*N + s is point k of
     sample s."""
@@ -420,8 +397,8 @@ def _points_of(h: SolutionHandle, points: Callable, *columns) -> tuple:
     return u, v
 
 
-def _block_norms(values: np.ndarray, forms: Callable, count: int, entries: int) -> tuple:
-    """(max_abs, relative Frobenius), each (count, N), of the ``count``
+def _block_norms(values: np.ndarray, forms: Callable, count: int, entries: int) -> list:
+    """(max_abs, relative Frobenius), each (N,), of each of the ``count``
     forms of the samples of ``values`` (k, N, ...), where ``forms(block)``
     gives (scale, residuals (count, n, ...)) for a block of n samples.  A
     block holds _BLOCK // ``entries`` samples, ``entries`` the size of one
@@ -430,8 +407,8 @@ def _block_norms(values: np.ndarray, forms: Callable, count: int, entries: int) 
     step = max(1, _BLOCK // entries)
     norms = [_norms(*forms(values[:, s:s + step])) for s in range(0, values.shape[1], step)]
     if not norms:
-        return np.zeros((count, 0)), np.zeros((count, 0))
-    return tuple(np.concatenate(x, axis=1) for x in zip(*norms))
+        return [(np.zeros(0), np.zeros(0))] * count
+    return list(zip(*(np.concatenate(x, axis=1) for x in zip(*norms))))
 
 
 def _norms(scale: np.ndarray, residuals: np.ndarray) -> tuple:
@@ -530,9 +507,10 @@ class _Path(NamedTuple):
     product: Callable
     # the entries of one sample's product
     entries: int
-    # swap_legs, the rank as a map and project_sl of each value
+    # swap_legs, the rank deficit n^2 - rank as a map and project_sl of
+    # each value
     swap: Callable
-    ranks: Callable
+    deficits: Callable
     project: Callable
 
 
@@ -559,7 +537,7 @@ def _path(h: SolutionHandle) -> _Path:
     if not _graded(h):
         return _Path(
             lambda u, v: _eval_array(h, u, v), (h.n,) * 4, leg_product_array, h.n**6,
-            _swap_dense, _ranks_as_maps, _project_sl,
+            _swap_dense, lambda x: h.n * h.n - _ranks_as_maps(x), _project_sl,
         )
     d = h.n
 
@@ -572,7 +550,7 @@ def _path(h: SolutionHandle) -> _Path:
     return _Path(
         lambda u, v: _values(h, u, v), (d * d,), product, d**4,
         lambda x: x.take(_graded_swap(d), axis=1),
-        lambda x: _twist_ranks(x.reshape(-1, d, d)),
+        lambda x: d * d - _twist_ranks(x.reshape(-1, d, d)),
         lambda x: _twist_project_sl(x.reshape(-1, d, d)).reshape(-1, d * d),
     )
 
@@ -614,9 +592,6 @@ class SuiteConfig:
     checks: Optional[Tuple[str, ...]] = None  # subset of CHECK_NAMES
 
 
-CHECK_NAMES = ("aybe", "commutator", "cybe", "unitarity", "rank", "limit")
-
-
 _TWO_PI_J = 2j * math.pi
 
 
@@ -655,24 +630,13 @@ class _Stream:
         return points[lo:hi].reshape(m, width)
 
 
-class _Sampling(NamedTuple):
-    """What a sampled check draws: ``count`` samples of ``width`` disc
-    points whose ``points`` (:func:`_aybe_points` and its kin) all keep
-    clear of the poles of ``handle`` by ``guard``."""
-
-    handle: SolutionHandle
-    points: Callable
-    count: int
-    width: int
-    guard: float
-
-
 def _accept(
-    stream: _Stream, sampling: _Sampling, candidates: np.ndarray, cleared: np.ndarray,
+    stream: _Stream, sampling: tuple, candidates: np.ndarray, cleared: np.ndarray,
     max_draws: int,
 ) -> Tuple[List[tuple], int]:
-    """Draw ``sampling.count`` samples whose points keep clear, and count
-    the rejects before the last accepted one.
+    """Draw the ``count`` samples of ``sampling`` (see :func:`_sample_all`)
+    whose points keep clear, and count the rejects before the last accepted
+    one.
 
     Candidates are read from ``stream`` in blocks, ``count`` first and then
     twice the last block; ``candidates`` holds the first block and
@@ -705,31 +669,34 @@ def _accept(
     return samples, skipped
 
 
-def _sample_all(samplings: Sequence[_Sampling], max_draws: int, seed: int) -> list:
-    """(samples, rejects) of each of the ``samplings``, from one stream of
+def _sample_all(samplings: Sequence[tuple], max_draws: int, seed: int) -> list:
+    """(samples, rejects) of each of the ``samplings``, (handle, points,
+    count, width, guard): ``count`` samples of ``width`` disc points whose
+    ``points`` (:func:`_aybe_points` and its kin) all keep clear of the
+    poles of ``handle`` by ``guard``.  They come from one stream of
     ``default_rng(seed)`` (:class:`_Stream`); a handle of the wrong arity
     raises before the first draw.  The first blocks of the samplings on one
     handle and guard are guarded by one :func:`_domain_mask` call."""
-    for s in samplings:
-        _points_of(s.handle, s.points, *(0j,) * s.width)
-    sizes = [min(s.count, max_draws) for s in samplings]
-    stream = _Stream(seed, max((s.width * m for s, m in zip(samplings, sizes)), default=0))
+    for h, points, _, width, _ in samplings:
+        _points_of(h, points, *(0j,) * width)
+    sizes = [min(count, max_draws) for _, _, count, _, _ in samplings]
+    stream = _Stream(seed, max(
+        (width * m for (_, _, _, width, _), m in zip(samplings, sizes)), default=0
+    ))
     firsts = [
-        stream.candidates(_sample_radius(s.handle), 0, m, s.width)
-        for s, m in zip(samplings, sizes)
+        stream.candidates(_sample_radius(h), 0, m, width)
+        for (h, _, _, width, _), m in zip(samplings, sizes)
     ]
     cleared: list = [None] * len(samplings)
-    groups: dict = {}
-    for k, s in enumerate(samplings):
-        groups.setdefault((id(s.handle), s.guard), []).append(k)
-    for group in groups.values():
+    groups: dict = {}  # (handle, guard) -> (k, the points of first block k)
+    for k, (h, points, _, _, guard) in enumerate(samplings):
+        groups.setdefault((id(h), guard), (h, guard, []))[2].append((k, points(*firsts[k].T)))
+    for h, guard, group in groups.values():
         # the points of every first block, point-major, one after another
-        points = [samplings[k].points(*firsts[k].T) for k in group]
-        h, guard = samplings[group[0]].handle, samplings[group[0]].guard
-        u = None if h.is_cybe else np.concatenate([x for pu, _ in points for x in pu])
-        clear = _domain_mask(h, u, np.concatenate([x for _, pv in points for x in pv]), guard)
+        u = None if h.is_cybe else np.concatenate([x for _, (pu, _) in group for x in pu])
+        clear = _domain_mask(h, u, np.concatenate([x for _, (_, pv) in group for x in pv]), guard)
         end = 0
-        for k, (_, v) in zip(group, points):
+        for k, (_, v) in group:
             start, end = end, end + len(v) * len(firsts[k])
             cleared[k] = clear[start:end].reshape(len(v), -1).all(axis=0)
     return [
@@ -738,159 +705,196 @@ def _sample_all(samplings: Sequence[_Sampling], max_draws: int, seed: int) -> li
     ]
 
 
-class _Plan(NamedTuple):
-    """A sampled check before its draws: what it draws, and ``build``,
-    which takes its samples and rejects and returns the drawn check."""
-
-    sampling: _Sampling
-    build: Callable[[List[tuple], int], _Drawn]
 
 
-def _draw(plans: Sequence[_Plan], config: SuiteConfig) -> List[_Drawn]:
-    """The ``plans``, drawn from one sampling stream (:func:`_sample_all`)."""
-    drawn = _sample_all([p.sampling for p in plans], config.max_draws, config.seed)
-    return [p.build(*d) for p, d in zip(plans, drawn)]
+# ---------------------------------------------------------------------------
+# the sampled checks: one record each
+# ---------------------------------------------------------------------------
 
-
-def _plan_aybe(h: SolutionHandle, config: SuiteConfig, tags: Tuple[str, ...]) -> _Plan:
-    """One seeded sampling pass of the two-variable identity with one report
-    per form in ``tags``; the forms share the 6*N values, T1..T3 and the
-    relative scale."""
-    path = _path(h)
-
-    def build(samples, skipped):
-        def finish(values):
-            abs_res, rel_res = _block_norms(
-                values.reshape((6, len(samples)) + path.shape),
-                lambda block: _aybe_forms(block, tags, path.product), len(tags), path.entries,
-            )
-            return [
-                _make_report(tag, samples, abs_res[i], rel_res[i], config.tol_aybe, skipped)
-                for i, tag in enumerate(tags)
-            ]
-
-        return _Drawn((_request(h, _aybe_points, samples),), finish)
-
-    return _Plan(_Sampling(h, _aybe_points, config.n_aybe, 4, config.guard), build)
-
-
-def _plan_cybe(h: SolutionHandle, config: SuiteConfig) -> _Plan:
-    tol = config.tol_cybe
-    if tol is None:
-        tol = 1e-8 if _FAMILIES[h.family].elliptic else 1e-10
-    path = _path(h)
-
-    def build(samples, skipped):
-        def finish(values):
-            (abs_res,), (rel_res,) = _block_norms(
-                values.reshape((3, len(samples)) + path.shape),
-                lambda block: _cybe_forms(block, path.product), 1, path.entries,
-            )
-            return [_make_report("cybe", samples, abs_res, rel_res, tol, skipped)]
-
-        return _Drawn((_request(h, _cybe_points, samples),), finish)
-
-    return _Plan(_Sampling(h, _cybe_points, config.n_cybe, 2, config.guard), build)
-
-
-def _plan_unitarity(h: SolutionHandle, config: SuiteConfig) -> _Plan:
-    path = _path(h)
-
-    def build(samples, skipped):
-        def finish(values):
-            direct, negated = values.reshape((2, len(samples)) + path.shape)
-            swapped = path.swap(negated)
-            res = swapped + direct
-            scale = np.maximum(np.maximum(_frobenius(direct), _frobenius(swapped)), 1e-300)
-            return [_make_report(
-                "unitarity", samples, _max_abs(res), _frobenius(res) / scale,
-                config.tol_unitarity, skipped,
-            )]
-
-        return _Drawn((_request(h, _unitarity_points, samples),), finish)
-
-    width = 1 if h.is_cybe else 2
-    return _Plan(_Sampling(h, _unitarity_points, config.n_unitarity, width, config.guard), build)
-
-
-def _rank_at_samples(h: SolutionHandle, samples: List[tuple], tolerance: float) -> _Drawn:
-    """The full-rank check at the (v,) or (u, v) ``samples``: the recorded
-    residual is the rank deficit n^2 - rank."""
-    path = _path(h)
-
-    def finish(values):
-        ranks = path.ranks(values.reshape((len(samples),) + path.shape))
-        deficits = [float(h.n * h.n - rank) for rank in ranks]
-        return [_make_report("rank", samples, deficits, deficits, tolerance, 0)]
-
-    return _Drawn((_request(h, _rank_points, samples),), finish)
-
-
-def _plan_rank(h: SolutionHandle, config: SuiteConfig) -> _Plan:
-    width = 1 if h.is_cybe else 2
-    return _Plan(
-        _Sampling(h, _rank_points, config.n_rank, width, config.guard),
-        lambda samples, _: _rank_at_samples(h, samples, 0.5),
+def _aybe_residuals(path: _Path, tags: Tuple[str, ...], count: int, values: np.ndarray) -> list:
+    """The forms ``tags`` of :func:`_aybe_forms`, which share the values,
+    T1..T3 and the relative scale."""
+    return _block_norms(
+        values.reshape((6, count) + path.shape),
+        lambda block: _aybe_forms(block, tags, path.product), len(tags), path.entries,
     )
 
 
-def _plan_limit(h: SolutionHandle, config: SuiteConfig) -> _Plan:
-    paired = paired_cybe_handle(h)
-    # the partner of a graded handle is graded, and of a dense one dense
-    path = _path(h)
-
-    def build(samples, skipped):
-        targets = _request(paired, _rank_points, samples)
-        u_nodes, v_nodes, _ = _limit_nodes(h, targets.v)
-
-        def finish(node_values, target_values):
-            target_values = target_values.reshape((len(samples),) + path.shape)
-            # the u -> 0 limits: project_sl of the means over the nodes
-            limits = path.project(node_values.reshape(u_nodes.shape + path.shape).mean(axis=1))
-            res = limits - target_values
-            scale = np.maximum(_frobenius(target_values), 1e-300)
-            return [_make_report(
-                "limit", samples, _max_abs(res), _frobenius(res) / scale, config.tol_limit, skipped
-            )]
-
-        return _Drawn((_Request(h, u_nodes.reshape(-1), v_nodes.reshape(-1)), targets), finish)
-
-    # keep v off the partner's poles: the limit's circle shrinks with the
-    # distance R(v) from u = 0 to the nearest other u-pole, and this guard
-    # keeps R(v) >= min(1e-2, r Im tau) / (d r) for the elliptic family.
-    # The partner's sample radius is the handle's: both are elliptic or not
-    guard = max(config.guard, 1e-2)
-    return _Plan(_Sampling(paired, _rank_points, config.n_limit, 1, guard), build)
+def _cybe_residuals(path: _Path, tags: Tuple[str, ...], count: int, values: np.ndarray) -> list:
+    return _block_norms(
+        values.reshape((3, count) + path.shape),
+        lambda block: _cybe_forms(block, path.product), 1, path.entries,
+    )
 
 
-def _check(plan: _Plan, config: SuiteConfig) -> ResidualReport:
-    """The one report of a check run alone."""
-    return _run(_draw([plan], config))[0]
+def _swap_residuals(path: _Path, tags: Tuple[str, ...], count: int, values: np.ndarray) -> list:
+    """Unitarity, relative to the operand norms."""
+    direct, negated = values.reshape((2, count) + path.shape)
+    swapped = path.swap(negated)
+    res = swapped + direct
+    scale = np.maximum(np.maximum(_frobenius(direct), _frobenius(swapped)), 1e-300)
+    return [(_max_abs(res), _frobenius(res) / scale)]
+
+
+def _rank_residuals(path: _Path, tags: Tuple[str, ...], count: int, values: np.ndarray) -> list:
+    """The rank deficit n^2 - rank, as both residuals (Python numbers, which
+    the report's max reads faster than numpy scalars)."""
+    deficits = path.deficits(values.reshape((count,) + path.shape)).tolist()
+    return [(deficits, deficits)]
+
+
+def _limit_residuals(
+    path: _Path, tags: Tuple[str, ...], count: int, nodes: np.ndarray, targets: np.ndarray
+) -> list:
+    """The u -> 0 limits, project_sl of the means over the circle nodes of
+    each target, against the partner's values there (the partner of a
+    graded handle is graded, and of a dense one dense)."""
+    targets = targets.reshape((count,) + path.shape)
+    limits = path.project(nodes.reshape((count, len(_LIMIT_NODES)) + path.shape).mean(axis=1))
+    res = limits - targets
+    scale = np.maximum(_frobenius(targets), 1e-300)
+    return [(_max_abs(res), _frobenius(res) / scale)]
+
+
+class _Check(NamedTuple):
+    """One sampled check: the samples it draws, whose ``points`` keep clear
+    of the poles by the config's guard, and ``residuals(path, tags, N,
+    *values)``, the (abs, rel) residuals per sample of each tag it reports
+    from the run's :func:`_path` of the handle and the values of each of
+    its requests."""
+
+    tags: Tuple[str, ...]
+    points: Callable
+    # the points per sample on a one- and on a two-variable handle
+    widths: Tuple[int, int]
+    # the SuiteConfig field of its sample count
+    count: str
+    tolerance: Callable[[SolutionHandle, SuiteConfig], float]
+    # whether run_suite runs it on a handle
+    applies: Callable[[SolutionHandle], bool]
+    residuals: Callable
+    # draws on the CYBE partner at a guard of at least 1e-2, and requests
+    # the handle's values at the u-circle nodes of each target before the
+    # partner's values at the targets
+    partner: bool = False
+    # the rank report counts no rejects
+    counts_rejects: bool = True
+
+
+def _cybe_tolerance(h: SolutionHandle, config: SuiteConfig) -> float:
+    if config.tol_cybe is not None:
+        return config.tol_cybe
+    return 1e-8 if _FAMILIES[h.family].elliptic else 1e-10
+
+
+# the limit's guard keeps v off the partner's poles: its circle shrinks with
+# the distance R(v) from u = 0 to the nearest other u-pole, and the guard
+# keeps R(v) >= min(1e-2, r Im tau) / (d r) for the elliptic family.  The
+# partner's sample radius is the handle's: both are elliptic or not
+_CHECKS = (
+    _Check(("aybe", "commutator"), _aybe_points, (4, 4), "n_aybe",
+           lambda h, config: config.tol_aybe, lambda h: not h.is_cybe, _aybe_residuals),
+    _Check(("cybe",), _cybe_points, (2, 2), "n_cybe",
+           _cybe_tolerance, lambda h: h.is_cybe, _cybe_residuals),
+    _Check(("unitarity",), _unitarity_points, (1, 2), "n_unitarity",
+           lambda h, config: config.tol_unitarity, lambda h: True, _swap_residuals),
+    _Check(("rank",), _rank_points, (1, 2), "n_rank",
+           lambda h, config: 0.5, lambda h: not h.is_cybe, _rank_residuals, counts_rejects=False),
+    _Check(("limit",), _rank_points, (1, 1), "n_limit", lambda h, config: config.tol_limit,
+           lambda h: not h.is_cybe and _FAMILIES[h.family].partner is not None and h.n > 1,
+           _limit_residuals, partner=True),
+)
+
+CHECK_NAMES = tuple(tag for check in _CHECKS for tag in check.tags)
+
+
+def _applicable_checks(h: SolutionHandle) -> Tuple[str, ...]:
+    return tuple(tag for check in _CHECKS if check.applies(h) for tag in check.tags)
+
+
+def _finish(drawn: tuple, path: _Path, values: list) -> List[ResidualReport]:
+    """The reports of a drawn check, (check, tags, samples, rejects,
+    tolerance), from the values of its requests."""
+    check, tags, samples, skipped, tolerance = drawn
+    residuals = check.residuals(path, tags, len(samples), *values)
+    return [
+        _make_report(tag, samples, abs_res, rel_res, tolerance, skipped)
+        for tag, (abs_res, rel_res) in zip(tags, residuals)
+    ]
+
+
+def _run(
+    h: SolutionHandle, config: SuiteConfig, tags: Sequence[str],
+    drawn: Optional[list] = None, tolerance: Optional[float] = None,
+) -> List[ResidualReport]:
+    """The reports of the checks of :data:`_CHECKS` that report ``tags``,
+    in table order, on one :func:`_path` per handle (see the module
+    docstring).  ``drawn`` gives each check's (samples, rejects) in place
+    of its draw, and ``tolerance`` replaces each check's own.  While a
+    check finishes, the values alive are its own, the limit check's node
+    values if they wait for its partner's, and those of later requests
+    that the same block held."""
+    checks, partner = [], None  # (check, its tags, the handle it draws on)
+    for c in _CHECKS:
+        t = [tag for tag in c.tags if tag in tags]
+        if t:
+            if c.partner:
+                partner = paired_cybe_handle(h)
+            checks.append((c, t, partner if c.partner else h))
+    if drawn is None:
+        drawn = _sample_all([
+            (target, c.points, getattr(config, c.count), c.widths[not target.is_cybe],
+             max(config.guard, 1e-2) if c.partner else config.guard)
+            for c, _, target in checks
+        ], config.max_draws, config.seed)
+    requests, index, finishes = [], [], []
+    for i, ((c, t, target), (samples, skipped)) in enumerate(zip(checks, drawn)):
+        request = _request(target, c.points, samples)
+        if c.partner:
+            u_nodes, v_nodes, _ = _limit_nodes(h, request.v)
+            requests.append(_Request(h, u_nodes.reshape(-1), v_nodes.reshape(-1)))
+        requests.append(request)
+        index += [(i, j) for j in range(1 + c.partner)]
+        tol = c.tolerance(h, config) if tolerance is None else tolerance
+        finishes.append((c, t, samples, skipped if c.counts_rejects else 0, tol))
+    paths = {id(x): _path(x) for x in (h, partner) if x is not None}
+    values: list = [[None] * (1 + c.partner) for c, _, _ in checks]
+    reports: List[List[ResidualReport]] = [[] for _ in checks]
+
+    def store(k: int, vals: np.ndarray) -> None:
+        i, j = index[k]
+        values[i][j] = vals
+        if all(x is not None for x in values[i]):
+            reports[i] = _finish(finishes[i], paths[id(h)], values[i])
+            values[i] = None
+
+    _evaluate_requests(requests, paths, store)
+    return [rep for reps in reports for rep in reps]
 
 
 def check_aybe(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> ResidualReport:
     """Sampled two-variable identity residual, relative to the product terms."""
-    return _check(_plan_aybe(h, config, ("aybe",)), config)
+    return _run(h, config, ("aybe",))[0]
 
 
 def check_aybe_commutator(
     h: SolutionHandle, config: SuiteConfig = SuiteConfig()
 ) -> ResidualReport:
     """Sampled commutator form of the two-variable identity."""
-    return _check(_plan_aybe(h, config, ("commutator",)), config)
+    return _run(h, config, ("commutator",))[0]
 
 
 def check_cybe(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> ResidualReport:
     """Sampled one-variable identity residual, relative to the commutator
     operands (the six products making up the three commutators)."""
-    return _check(_plan_cybe(h, config), config)
+    return _run(h, config, ("cybe",))[0]
 
 
 def check_unitarity(
     h: SolutionHandle, config: SuiteConfig = SuiteConfig()
 ) -> ResidualReport:
     """Sampled unitarity residual, relative to the operand norms."""
-    return _check(_plan_unitarity(h, config), config)
+    return _run(h, config, ("unitarity",))[0]
 
 
 def nondegeneracy_check(
@@ -908,58 +912,31 @@ def nondegeneracy_check(
     if not h.is_cybe and any(u is None for u, _ in pairs):
         raise DomainError("two-variable families need (u, v) points")
     samples = [(v,) if h.is_cybe else (u, v) for u, v in pairs]
-    return _run([_rank_at_samples(h, samples, tolerance)])[0]
+    return _run(h, SuiteConfig(), ("rank",), [(samples, 0)], tolerance)[0]
 
 
 def check_rank(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> ResidualReport:
     """Seeded :func:`nondegeneracy_check`."""
-    return _check(_plan_rank(h, config), config)
+    return _run(h, config, ("rank",))[0]
 
 
 def check_limit_consistency(
     h: SolutionHandle, config: SuiteConfig = SuiteConfig()
 ) -> ResidualReport:
     """Sampled comparison of the u -> 0 limit against the paired family."""
-    return _check(_plan_limit(h, config), config)
-
-
-_PLANS = {
-    "aybe": lambda h, config: _plan_aybe(h, config, ("aybe",)),
-    "commutator": lambda h, config: _plan_aybe(h, config, ("commutator",)),
-    "cybe": _plan_cybe,
-    "unitarity": _plan_unitarity,
-    "rank": _plan_rank,
-    "limit": _plan_limit,
-}
-
-
-def _applicable_checks(h: SolutionHandle) -> Tuple[str, ...]:
-    if h.is_cybe:
-        return ("cybe", "unitarity")
-    checks = ("aybe", "commutator", "unitarity", "rank")
-    if _FAMILIES[h.family].partner is not None and h.n > 1:
-        checks += ("limit",)
-    return checks
+    return _run(h, config, ("limit",))[0]
 
 
 def run_suite(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> List[ResidualReport]:
     """Run every applicable check; deterministic given (handle, config).
 
-    Each check draws the samples it draws alone, every one from the same
-    sampling stream (:func:`_sample_all`); then the points of all checks
-    are evaluated together, one call per block of at most _BLOCK entries
-    on the handle and one on the CYBE partner of the limit check, and
-    each check finishes its reports from its values.  The reports equal
-    those of the separate check functions."""
+    All checks share one draw, one evaluation pass and one finish
+    (:func:`_run`), and the reports equal those of the separate check
+    functions."""
     names = _applicable_checks(h)
     if config.checks is not None:
         unknown = set(config.checks) - set(CHECK_NAMES)
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
         names = tuple(c for c in names if c in config.checks)
-    plans = []
-    if "aybe" in names and "commutator" in names:
-        # both forms lead every two-variable check list and share one pass
-        plans.append(_plan_aybe(h, config, ("aybe", "commutator")))
-        names = names[2:]
-    return _run(_draw(plans + [_PLANS[name](h, config) for name in names], config))
+    return _run(h, config, names)

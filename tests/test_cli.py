@@ -817,6 +817,22 @@ def test_an_abbreviated_config_option_reads_the_file(option, tmp_path, capsys):
     assert run_cli(["eval", *args], capsys) == run_cli(["eval", "--config", str(cfg)], capsys)
 
 
+@pytest.mark.parametrize("head", ["--", "--c"])
+def test_an_ambiguous_config_abbreviation_reads_no_file(head, tmp_path, capsys, monkeypatch):
+    # "--=FILE" and "--c=FILE" abbreviate --config for a parser that knows
+    # no other option; the full parser refuses them as ambiguous, with or
+    # without a readable file, and the file is never opened
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "scalar-rational", "u": "0.5", "v": "0.25"}))
+    for path in (tmp_path / "missing.json", cfg):
+        code, out, err = run_cli(["eval", f"{head}={path}"], capsys)
+        assert (code, out) == (2, "")
+        assert f"error: ambiguous option: {head}={path} could match " in err
+    monkeypatch.setattr(aybe.cli, "_config_tokens", None)
+    code, _, err = run_cli(["eval", "--conf", str(cfg), f"{head}={cfg}"], capsys)
+    assert code == 2 and "ambiguous option" in err
+
+
 def test_a_command_line_without_a_config_option_is_parsed_once(monkeypatch, capsys):
     # --check and --csv start like --config but cannot abbreviate it
     def unreachable():
@@ -996,6 +1012,14 @@ CLI_DIGESTS = [
     ("eval --family trig1 --u 0,800,0.3 --v 0.5,0.4 --csv", 0, "7ef5cd7377531dc9"),
     ("eval --family elliptic-cybe --d 2 --r 1 --tau i --v 0.3,0,0.1+0.2i", 0, "0e7c21614774f427"),
     ("oracle --case 1 --seed 4 --samples 6", 0, "53a8054991354edf"),
+    # frozen before the sampled checks became one record each: a FAIL run,
+    # --check subsets (with the cybe-partner line), a nonzero skipped count
+    ("verify --family trig2 --seed 1 --points 5", 1, "d6b462e4fa8ffbec"),
+    ("verify --family elliptic --d 3 --r 1 --tau=0.2+1.1i --seed 5 --points 3"
+     " --check commutator --check limit", 0, "60f0c66a2ae94003"),
+    ("verify --family trig1 --seed 2 --points 4 --check cybe --check rank", 0, "a74cba7026debb9f"),
+    ("verify --family scalar-trig --seed 3 --points 4 --guard 0.05", 0, "defd6a75769b3722"),
+    ("verify --family trig-cybe2 --seed 3 --points 4 --csv", 0, "150a13810d3c99d8"),
 ]
 
 
@@ -1003,3 +1027,24 @@ CLI_DIGESTS = [
 def test_cli_output_is_byte_identical(command, code, digest, capsys):
     got, out, _ = run_cli(command.split(), capsys)
     assert (got, hashlib.sha256(out.encode()).hexdigest()[:16]) == (code, digest)
+
+
+# verify on handle files, frozen before the sampled checks became one record
+# each: a constant gauge keeps an elliptic handle dense, and a rescale keeps
+# it graded
+HANDLE_DIGESTS = [
+    ("dense", {**handle_to_dict(elliptic_aybe(3, 1, 0.2 + 1.1j)),
+               "gauge": {"kind": "constant", "matrix": _pairs(np.diag([1.0, 1.1, 0.9]) + 0.2)}},
+     "--seed 2 --points 3", "1662cb91cd8607c6"),
+    ("rescaled", {**handle_to_dict(elliptic_aybe(3, 2, 0.2 + 1.1j)),
+                  "rescale": [[1.2, 0.1], [0.3, 0], [1.1, 0.3], [0.9, -0.2]]},
+     "--seed 4 --points 3 --csv", "e21ed3c0e40ccfa1"),
+]
+
+
+@pytest.mark.parametrize("name,data,args,digest", HANDLE_DIGESTS, ids=[c[0] for c in HANDLE_DIGESTS])
+def test_verify_on_a_handle_file_is_byte_identical(name, data, args, digest, tmp_path, capsys):
+    path = tmp_path / "handle.json"
+    path.write_text(json.dumps(data))
+    got, out, _ = run_cli(["verify", "--handle-json", str(path)] + args.split(), capsys)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()[:16]) == (0, digest)

@@ -431,6 +431,25 @@ def test_suite_makes_one_evaluation_call_per_handle(h, config, monkeypatch):
         ]
 
 
+@pytest.mark.parametrize("h", [
+    elliptic_aybe(5, 2, 0.2 + 1.1j), trig_aybe(1), elliptic_cybe(3, 1, 0.2 + 1.1j),
+], ids=lambda h: h.family)
+def test_a_run_builds_one_path_per_handle(h, monkeypatch):
+    # every check of the handle shares its path, and the limit check's
+    # targets use the partner's
+    built = []
+    real_path = aybe.verify._path
+
+    def counting_path(handle):
+        built.append(handle.family)
+        return real_path(handle)
+
+    monkeypatch.setattr(aybe.verify, "_path", counting_path)
+    reports = run_suite(h, _cli_config(3, 2))
+    assert all(rep.passed for rep in reports)
+    assert built == [h.family] + ([] if h.is_cybe else [paired_cybe_handle(h).family])
+
+
 def test_no_evaluation_call_holds_more_than_a_block(monkeypatch):
     # `aybe verify --points 400` at d = 7: 3,250 points (elliptic) and
     # 2,000 (elliptic-cybe) of 49 twist-table entries each (2,401 dense),
@@ -466,21 +485,15 @@ def test_a_dense_check_drops_its_values_before_the_next_call(monkeypatch):
             return values
 
         monkeypatch.setattr(aybe.verify, name, logging_eval)
-    real_run = aybe.verify._run
+    real_finish = aybe.verify._finish
 
-    def logging_run(checks):
-        def logged(check):
-            def finish(*values):
-                reports = check.finish(*values)
-                events.append(([rep.tag for rep in reports], blocks[-1]() is not None))
-                finished.extend(map(weakref.ref, values))
-                return reports
+    def logging_finish(drawn, path, values):
+        reports = real_finish(drawn, path, values)
+        events.append(([rep.tag for rep in reports], blocks[-1]() is not None))
+        finished.extend(map(weakref.ref, values))
+        return reports
 
-            return replace(check, finish=finish)
-
-        return real_run([logged(check) for check in checks])
-
-    monkeypatch.setattr(aybe.verify, "_run", logging_run)
+    monkeypatch.setattr(aybe.verify, "_finish", logging_finish)
     reports = run_suite(h, _cli_config(5, 400))
     assert all(rep.passed for rep in reports)
     # each check finishes as soon as the call holding its last point
