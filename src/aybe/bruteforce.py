@@ -557,9 +557,9 @@ def check_samples_pointwise(h: SolutionHandle, check: str, config) -> tuple:
     the :class:`aybe.verify.SuiteConfig` ``config``: candidates drawn one at
     a time, one point after another (r = radius*sqrt(x), then phi =
     2*pi*x'), each guarded point by point with :func:`in_domain_pointwise`.
-    The reference for the block sampling of ``verify._accept``; raises
-    :class:`NonConvergenceError` once ``config.max_draws`` candidates hold
-    too few accepted ones."""
+    The reference for the block sampling of :func:`aybe.verify._sample_all`;
+    raises :class:`NonConvergenceError` once ``config.max_draws`` candidates
+    hold too few accepted ones."""
     rng = np.random.default_rng(config.seed)
     radius = 0.4 if h.family in ("elliptic_aybe", "elliptic_cybe", "scalar_kronecker") else 1.0
     target, guard = h, config.guard

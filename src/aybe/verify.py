@@ -23,25 +23,25 @@ partner.  One draw, one finish and one report builder serve every record
 
 Each check declares its points once (:func:`_aybe_points` and its kin):
 its draw guards them (:func:`_sample_all`), it evaluates them
-(:func:`_request`), and the pointwise residuals guard them at 1e-9
-(:func:`_guarded_values`).  Only the limit's circle nodes are not drawn.
-Points without u need a CYBE family and points with u a two-variable
-one: the draw and the evaluation both reject a handle of the other arity
-(:func:`_points_of`).
+(:func:`_request`), and the pointwise residuals and
+:func:`nondegeneracy_check` guard them at 1e-9 (:func:`_guarded_values`).
+Only the limit's circle nodes are not drawn.  Points without u need a
+CYBE family and points with u a two-variable one: the draw and the
+evaluation both reject a handle of the other arity (:func:`_points_of`).
 
-A sampled check runs in three steps: it draws its samples, its points
-are evaluated, and it finishes its reports from their values.  Every
+A sampled check runs in three steps, draw, evaluation and finish, and
+each step is one loop over the checks of a run (:func:`_run`).  Every
 check reads the uniform stream of ``default_rng(seed)`` from its start,
-so :func:`run_suite` draws that stream once and gives each check a
-cursor into it (:class:`_Stream`), and guards the first candidate
-blocks of all checks on one handle with one domain test
-(:func:`_sample_all`).  Then it evaluates the points of all checks with
-one array call on the handle per block of at most ``_BLOCK`` entries
-(one call unless the checks are large), plus one on the CYBE partner
-for the limit check's targets.  A check finishes as soon as the block
-holding its last point is copied out and freed, and drops its values
-then, so no check's values outlive its finish.  Each public ``check_*``
-is the same path with one check.
+so a run draws that stream once and gives each check a cursor into it
+(:class:`_Stream`).  Each round of the draw reads the next candidate
+block of every check still short, and guards the blocks on one handle
+with one domain test (:func:`_sample_all`).  The points of all checks on
+one handle are then packed whole, in order, into runs of at most
+``_BLOCK`` entries (one run unless the checks are large), and a run is
+one array call per ``_BLOCK`` entries, plus one run on the CYBE partner
+for the limit check's targets (:func:`_evaluate_requests`).  A check finishes as soon as the
+run holding its last point is evaluated, and drops its values then.
+Each public ``check_*`` is the same path with one check.
 
 One choice, :func:`_path`, sets how every check holds and combines the
 values of a handle, and a run makes it once per handle.  An elliptic
@@ -51,11 +51,13 @@ index is 0, one multiplication each, its ranks come from a d x d DFT of
 the table and its u -> 0 limits from the table's row 0.  Any other
 handle is evaluated to its dense values, forms each product of a block
 of samples as one batched BLAS matrix product, and takes one SVD per
-rank.  The pointwise residuals are dense for every handle.
+rank.  The pointwise residuals and :func:`nondegeneracy_check` are dense
+for every handle.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -88,8 +90,8 @@ from .tensors import (
     leg_product_array,
 )
 
-# entries per block of the sampled checks: about 2 MB per array.  A block
-# of points is evaluated at once (n^4 entries per point; d^2 on the graded
+# entries per array of the sampled checks: about 2 MB.  A run of points
+# is evaluated into one array (n^4 entries per point; d^2 on the graded
 # path), and the products of a block of samples are formed at once (n^6
 # entries per sample, one sample per block at n = 7; d^4 on the graded
 # path)
@@ -271,7 +273,8 @@ def _guarded_values(h: SolutionHandle, points: Callable, samples: Sequence[tuple
         if u is None:
             raise DomainError(f"point {v[k]} is outside the domain of {h.family}")
         raise DomainError(f"evaluation point ({u[k]}, {v[k]}) hits a pole of {h.family}")
-    return _eval_array(h, request.u, request.v).reshape((-1, len(samples)) + (h.n,) * 4)
+    k = len(request.v) // max(len(samples), 1)
+    return _eval_array(h, request.u, request.v).reshape((k, len(samples)) + (h.n,) * 4)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +312,7 @@ def _rank_points(*sample) -> tuple:
 @dataclass(frozen=True, eq=False)
 class _Request:
     """The points (u[k], v[k]) at which a check needs the values of one
-    handle, 1-d arrays (u None or ignored on a one-variable handle)."""
+    handle, 1-d arrays (u None on a one-variable handle)."""
 
     handle: SolutionHandle
     u: Optional[np.ndarray]
@@ -321,67 +324,46 @@ def _evaluate_requests(
 ) -> None:
     """Calls ``store(k, values)`` with the values of request k, (P, entries
     of one value on the handle's :func:`_path`, ``paths[id(handle)]``), as
-    soon as they are complete.
+    soon as they are evaluated.
 
-    The points of all requests on one handle are evaluated together, with
-    one call of the path's evaluation per block of at most _BLOCK entries
-    (one call unless the checks are large).  A request that spans several
-    blocks ends its last one.  A request's array is allocated at its first
-    block; each block is copied into its requests and freed, and then the
-    requests it completes are handed to ``store``.  So when ``store`` frees
-    what it is done with, the values alive are those of the requests not
-    yet taken up, and no block."""
-    handles = {id(r.handle): r.handle for r in requests}
-    for key, h in handles.items():
-        group = [k for k, r in enumerate(requests) if id(r.handle) == key]
+    The requests on one handle are packed whole, in order, into runs of at
+    most _BLOCK entries; a larger request is a run of its own.  A run is
+    evaluated into an array of its own, with one call of the path's
+    evaluation per _BLOCK entries (one call but for a larger request), and
+    each of its requests gets its slice of that array.  So the values alive
+    are those of the runs whose requests are not all taken up, and no
+    call's output outlives its copy into the run."""
+    for key in dict.fromkeys(id(r.handle) for r in requests):
         path = paths[key]
         size = math.prod(path.shape)
-
-        def empty(r: _Request) -> np.ndarray:
-            return np.empty((len(r.v), size), dtype=complex)
-
-        for k in group:
-            if not len(requests[k].v):
-                store(k, empty(requests[k]))
-        v = np.concatenate([requests[k].v for k in group])
-        u = None if h.is_cybe else np.concatenate([requests[k].u for k in group])
-        ends = np.cumsum([len(requests[k].v) for k in group]).tolist()
         step = max(1, _BLOCK // size)
-        # the calls [s, e): at most step points, and a request that spans
-        # several calls ends its last one
-        bounds, s = [], 0
-        for k, end in zip(group, ends):
-            while end - s > step:
-                bounds.append((s, s + step))
-                s += step
-            if end - len(requests[k].v) < s < end:
-                bounds.append((s, end))
-                s = end
-        if s < len(v):
-            bounds.append((s, len(v)))
-        filling = {}
-        for s, e in bounds:
-            block = path.values(None if u is None else u[s:e], v[s:e]).reshape(e - s, size)
-            complete = []
-            for k, end in zip(group, ends):
-                start = end - len(requests[k].v)
-                lo, hi = max(start, s), min(end, e)
-                if lo < hi:
-                    if k not in filling:
-                        filling[k] = empty(requests[k])
-                    filling[k][lo - start:hi - start] = block[lo - s:hi - s]
-                    if hi == end:
-                        complete.append(k)
-            del block
-            for k in complete:
-                store(k, filling.pop(k))
+        runs: List[list] = []
+        for k, r in enumerate(requests):
+            if id(r.handle) == key:
+                if not runs or sum(len(requests[j].v) for j in runs[-1]) + len(r.v) > step:
+                    runs.append([])
+                runs[-1].append(k)
+        for run in runs:
+            v = np.concatenate([requests[k].v for k in run])
+            u = None if requests[run[0]].u is None else np.concatenate([requests[k].u for k in run])
+            values = np.empty((len(v), size), dtype=complex)
+            for s in range(0, len(v), step):
+                values[s:s + step] = path.values(
+                    None if u is None else u[s:s + step], v[s:s + step]
+                ).reshape(-1, size)
+            end = 0
+            for k in run:
+                start, end = end, end + len(requests[k].v)
+                store(k, values[start:end])
+            del values  # alive now only through the slices not yet freed
 
 
 def _request(h: SolutionHandle, points: Callable, samples: Sequence[tuple]) -> _Request:
     """The points of every sample, point-major: value k*N + s is point k of
     sample s."""
     if not samples:
-        return _Request(h, np.empty(0, dtype=complex), np.empty(0, dtype=complex))
+        empty = np.empty(0, dtype=complex)
+        return _Request(h, None if h.is_cybe else empty, empty)
     u, v = _points_of(h, points, *np.array(samples, dtype=complex).T)
     return _Request(h, None if u is None else np.concatenate(u), np.concatenate(v))
 
@@ -630,81 +612,58 @@ class _Stream:
         return points[lo:hi].reshape(m, width)
 
 
-def _accept(
-    stream: _Stream, sampling: tuple, candidates: np.ndarray, cleared: np.ndarray,
-    max_draws: int,
-) -> Tuple[List[tuple], int]:
-    """Draw the ``count`` samples of ``sampling`` (see :func:`_sample_all`)
-    whose points keep clear, and count the rejects before the last accepted
-    one.
-
-    Candidates are read from ``stream`` in blocks, ``count`` first and then
-    twice the last block; ``candidates`` holds the first block and
-    ``cleared`` its flags.  Candidates are accepted in draw order.
-    Reading past the last accepted candidate changes no result, because
-    each check reads the stream from its own cursor.  NonConvergenceError
-    is raised once ``max_draws`` candidates hold fewer than ``count``
-    accepted ones."""
-    h, points, count, width, guard = sampling
-    samples: List[tuple] = []
-    skipped = draws = 0
-    block = count
-    while len(samples) < count:
-        if draws >= max_draws:
-            raise NonConvergenceError(
-                f"rejection sampling exhausted {max_draws} draws"
-            )
-        m = min(block, max_draws - draws)
-        if draws:
-            candidates = stream.candidates(_sample_radius(h), draws, m, width)
-            cleared = _domain_mask(h, *points(*candidates.T), guard).all(axis=0)
-        taken = cleared.nonzero()[0][:count - len(samples)]
-        samples += map(tuple, candidates[taken].tolist())
-        # the candidates this block used: up to the last accepted one when
-        # it completes the samples
-        used = int(taken[-1]) + 1 if len(samples) == count else m
-        skipped += used - len(taken)
-        draws += m
-        block = 2 * m
-    return samples, skipped
-
-
 def _sample_all(samplings: Sequence[tuple], max_draws: int, seed: int) -> list:
     """(samples, rejects) of each of the ``samplings``, (handle, points,
     count, width, guard): ``count`` samples of ``width`` disc points whose
     ``points`` (:func:`_aybe_points` and its kin) all keep clear of the
     poles of ``handle`` by ``guard``.  They come from one stream of
     ``default_rng(seed)`` (:class:`_Stream`); a handle of the wrong arity
-    raises before the first draw.  The first blocks of the samplings on one
-    handle and guard are guarded by one :func:`_domain_mask` call."""
+    raises before the first draw.
+
+    The draw is one loop of rounds.  Round i reads the next block of
+    candidates of every sampling still short, ``count`` << i of them, and
+    guards the blocks that share a handle and guard with one
+    :func:`_domain_mask` call.  Candidates are accepted in draw order, and
+    the rejects are counted up to the last accepted one.  Reading past it
+    changes no result, because each sampling reads the stream from its own
+    cursor.  NonConvergenceError is raised once ``max_draws`` candidates of
+    a sampling hold fewer than ``count`` accepted ones."""
     for h, points, _, width, _ in samplings:
         _points_of(h, points, *(0j,) * width)
-    sizes = [min(count, max_draws) for _, _, count, _, _ in samplings]
     stream = _Stream(seed, max(
-        (width * m for (_, _, _, width, _), m in zip(samplings, sizes)), default=0
+        (width * min(count, max_draws) for _, _, count, width, _ in samplings), default=0
     ))
-    firsts = [
-        stream.candidates(_sample_radius(h), 0, m, width)
-        for (h, _, _, width, _), m in zip(samplings, sizes)
-    ]
-    cleared: list = [None] * len(samplings)
-    groups: dict = {}  # (handle, guard) -> (k, the points of first block k)
-    for k, (h, points, _, _, guard) in enumerate(samplings):
-        groups.setdefault((id(h), guard), (h, guard, []))[2].append((k, points(*firsts[k].T)))
-    for h, guard, group in groups.values():
-        # the points of every first block, point-major, one after another
-        u = None if h.is_cybe else np.concatenate([x for _, (pu, _) in group for x in pu])
-        clear = _domain_mask(h, u, np.concatenate([x for _, (_, pv) in group for x in pv]), guard)
-        end = 0
-        for k, (_, v) in group:
-            start, end = end, end + len(v) * len(firsts[k])
-            cleared[k] = clear[start:end].reshape(len(v), -1).all(axis=0)
-    return [
-        _accept(stream, s, first, flags, max_draws)
-        for s, first, flags in zip(samplings, firsts, cleared)
-    ]
-
-
+    samples: List[list] = [[] for _ in samplings]
+    skipped = [0] * len(samplings)
+    draws = [0] * len(samplings)
+    for i in itertools.count():
+        groups: dict = {}  # (handle, guard) -> (k, candidates, their points)
+        for k, (h, points, count, width, guard) in enumerate(samplings):
+            if len(samples[k]) < count:
+                if draws[k] >= max_draws:
+                    raise NonConvergenceError(f"rejection sampling exhausted {max_draws} draws")
+                m = min(count << i, max_draws - draws[k])
+                candidates = stream.candidates(_sample_radius(h), draws[k], m, width)
+                draws[k] += m
+                group = groups.setdefault((id(h), guard), (h, guard, []))[2]
+                group.append((k, candidates, points(*candidates.T)))
+        if not groups:
+            return list(zip(samples, skipped))
+        for h, guard, group in groups.values():
+            # the points of every block, point-major, one after another
+            u = None if h.is_cybe else np.concatenate([x for _, _, (pu, _) in group for x in pu])
+            clear = _domain_mask(h, u, np.concatenate([x for _, _, (_, pv) in group for x in pv]), guard)
+            end = 0
+            for k, candidates, (_, v) in group:
+                start, end = end, end + len(v) * len(candidates)
+                cleared = clear[start:end].reshape(len(v), -1).all(axis=0)
+                count = samplings[k][2]
+                taken = cleared.nonzero()[0][:count - len(samples[k])]
+                samples[k] += map(tuple, candidates[taken].tolist())
+                # the candidates this block used: up to the last accepted
+                # one when it completes the samples
+                used = int(taken[-1]) + 1 if len(samples[k]) == count else len(candidates)
+                skipped[k] += used - len(taken)
 
 
 # ---------------------------------------------------------------------------
@@ -777,8 +736,6 @@ class _Check(NamedTuple):
     # the handle's values at the u-circle nodes of each target before the
     # partner's values at the targets
     partner: bool = False
-    # the rank report counts no rejects
-    counts_rejects: bool = True
 
 
 def _cybe_tolerance(h: SolutionHandle, config: SuiteConfig) -> float:
@@ -799,7 +756,7 @@ _CHECKS = (
     _Check(("unitarity",), _unitarity_points, (1, 2), "n_unitarity",
            lambda h, config: config.tol_unitarity, lambda h: True, _swap_residuals),
     _Check(("rank",), _rank_points, (1, 2), "n_rank",
-           lambda h, config: 0.5, lambda h: not h.is_cybe, _rank_residuals, counts_rejects=False),
+           lambda h, config: 0.5, lambda h: not h.is_cybe, _rank_residuals),
     _Check(("limit",), _rank_points, (1, 1), "n_limit", lambda h, config: config.tol_limit,
            lambda h: not h.is_cybe and _FAMILIES[h.family].partner is not None and h.n > 1,
            _limit_residuals, partner=True),
@@ -823,17 +780,15 @@ def _finish(drawn: tuple, path: _Path, values: list) -> List[ResidualReport]:
     ]
 
 
-def _run(
-    h: SolutionHandle, config: SuiteConfig, tags: Sequence[str],
-    drawn: Optional[list] = None, tolerance: Optional[float] = None,
-) -> List[ResidualReport]:
+def _run(h: SolutionHandle, config: SuiteConfig, tags: Sequence[str]) -> List[ResidualReport]:
     """The reports of the checks of :data:`_CHECKS` that report ``tags``,
     in table order, on one :func:`_path` per handle (see the module
-    docstring).  ``drawn`` gives each check's (samples, rejects) in place
-    of its draw, and ``tolerance`` replaces each check's own.  While a
-    check finishes, the values alive are its own, the limit check's node
-    values if they wait for its partner's, and those of later requests
-    that the same block held."""
+    docstring): one draw of all checks (:func:`_sample_all`), one pass of
+    evaluation runs (:func:`_evaluate_requests`) and one finish per check
+    (:func:`_finish`) as soon as its values are in.  While a check
+    finishes, the values alive are those of its run, of the runs that hold
+    the limit check's node values if they wait for its partner's, and no
+    call's output."""
     checks, partner = [], None  # (check, its tags, the handle it draws on)
     for c in _CHECKS:
         t = [tag for tag in c.tags if tag in tags]
@@ -841,12 +796,11 @@ def _run(
             if c.partner:
                 partner = paired_cybe_handle(h)
             checks.append((c, t, partner if c.partner else h))
-    if drawn is None:
-        drawn = _sample_all([
-            (target, c.points, getattr(config, c.count), c.widths[not target.is_cybe],
-             max(config.guard, 1e-2) if c.partner else config.guard)
-            for c, _, target in checks
-        ], config.max_draws, config.seed)
+    drawn = _sample_all([
+        (target, c.points, getattr(config, c.count), c.widths[not target.is_cybe],
+         max(config.guard, 1e-2) if c.partner else config.guard)
+        for c, _, target in checks
+    ], config.max_draws, config.seed)
     requests, index, finishes = [], [], []
     for i, ((c, t, target), (samples, skipped)) in enumerate(zip(checks, drawn)):
         request = _request(target, c.points, samples)
@@ -855,8 +809,7 @@ def _run(
             requests.append(_Request(h, u_nodes.reshape(-1), v_nodes.reshape(-1)))
         requests.append(request)
         index += [(i, j) for j in range(1 + c.partner)]
-        tol = c.tolerance(h, config) if tolerance is None else tolerance
-        finishes.append((c, t, samples, skipped if c.counts_rejects else 0, tol))
+        finishes.append((c, t, samples, skipped, c.tolerance(h, config)))
     paths = {id(x): _path(x) for x in (h, partner) if x is not None}
     values: list = [[None] * (1 + c.partner) for c, _, _ in checks]
     reports: List[List[ResidualReport]] = [[] for _ in checks]
@@ -907,12 +860,16 @@ def nondegeneracy_check(
     ``pts`` holds (u, v) pairs for two-variable families or bare v values
     for one-variable families.  The recorded residual is the rank deficit
     n^2 - rank, so a report passes exactly when every point has full rank.
+    The points are guarded at 1e-9 and ranked dense, as the pointwise
+    residuals are (:func:`_guarded_values`).
     """
     pairs = [p if isinstance(p, tuple) else (None, p) for p in pts]
     if not h.is_cybe and any(u is None for u, _ in pairs):
         raise DomainError("two-variable families need (u, v) points")
     samples = [(v,) if h.is_cybe else (u, v) for u, v in pairs]
-    return _run(h, SuiteConfig(), ("rank",), [(samples, 0)], tolerance)[0]
+    values = _guarded_values(h, _rank_points, samples)
+    deficits = (h.n * h.n - _ranks_as_maps(values.reshape((-1,) + (h.n,) * 4))).tolist()
+    return _make_report("rank", samples, deficits, deficits, tolerance, 0)
 
 
 def check_rank(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> ResidualReport:

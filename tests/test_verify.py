@@ -190,6 +190,12 @@ def test_identity_tensor_fails_nondegeneracy():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("h", [trig_aybe(1), trig_cybe(1), elliptic_cybe(2, 1, 1j)], ids=str)
+def test_nondegeneracy_check_of_no_points_passes(h):
+    report = nondegeneracy_check(h, [])
+    assert (report.passed, report.points, report.max_rel_residual) == (True, (), 0.0)
+
+
 def test_perturbed_fixture_fails_limit_consistency(monkeypatch):
     # Serialized-orbit perturbations keep every equation identity (the orbit
     # is the symmetry group) but break agreement with the canonical
@@ -465,6 +471,56 @@ def test_no_evaluation_call_holds_more_than_a_block(monkeypatch):
         expected = sum(len(rep.points) * per_sample.get(rep.tag, 0) for rep in reports)
         assert sum(aybe_calls) + sum(cybe_calls) == expected
         assert max(aybe_calls + cybe_calls) * 7**2 <= aybe.verify._BLOCK
+
+
+def test_an_evaluation_call_holds_whole_requests(monkeypatch):
+    # `aybe verify --points 400` at d = 7, graded: the 2,400 aybe points fill
+    # a call of their own, and unitarity, rank and the limit's nodes share
+    # the next; no request is split across two calls
+    aybe_calls = _count_evaluated_points(monkeypatch)
+    cybe_calls = _count_evaluated_points(monkeypatch, "eval_cybe_array")
+    reports = run_suite(elliptic_aybe(7, 3, 0.2 + 1.1j), _cli_config(5, 400))
+    assert all(rep.passed for rep in reports)
+    counts = {rep.tag: len(rep.points) for rep in reports}
+    assert aybe_calls == [
+        6 * counts["aybe"], 2 * counts["unitarity"] + counts["rank"] + 8 * counts["limit"]
+    ] == [2400, 845]
+    assert cybe_calls == [counts["limit"]]
+
+
+def test_each_round_of_the_draw_guards_a_handle_once(monkeypatch):
+    # a guard that rejects many candidates takes several rounds: each round
+    # reads the next block, twice the last, of every check still short, and
+    # guards the blocks on one handle with one domain test
+    h, config = trig_aybe(1), SuiteConfig(seed=3, guard=0.5)
+    calls = []
+    real_mask = aybe.verify._domain_mask
+
+    def counting_mask(handle, u, v, guard):
+        calls.append((handle.family, np.size(v)))
+        return real_mask(handle, u, v, guard)
+
+    monkeypatch.setattr(aybe.verify, "_domain_mask", counting_mask)
+    reports = run_suite(h, config)
+    assert all(rep.passed for rep in reports)
+    # (family, points per sample, count, the candidates up to the last
+    # accepted one) of each drawn check
+    drawn = []
+    for check, k in (("aybe", 6), ("unitarity", 2), ("rank", 1), ("limit", 1)):
+        points, skipped = bruteforce.check_samples_pointwise(h, check, config)
+        family = paired_cybe_handle(h).family if check == "limit" else h.family
+        drawn.append((family, k, len(points), len(points) + skipped))
+    expected, i = [], 0
+    while True:
+        sizes = {}  # family -> the points this round guards
+        for family, k, count, needed in drawn:
+            if count * ((1 << i) - 1) < needed:
+                sizes[family] = sizes.get(family, 0) + k * (count << i)
+        if not sizes:
+            break
+        expected += sizes.items()
+        i += 1
+    assert i == 3 and calls == expected
 
 
 def test_a_dense_check_drops_its_values_before_the_next_call(monkeypatch):
@@ -773,9 +829,18 @@ def test_block_sampling_matches_the_pointwise_reference(h):
             got = _draws_or_error(
                 lambda: (lambda rep: (rep.points, rep.skipped))(CHECK_FNS[check](h, config))
             )
-            if check == "rank" and isinstance(got, tuple):  # its report counts no draws
-                got, expected = got[0], expected[0]
             assert got == expected, (check, seed)
+
+
+def test_the_rank_report_counts_its_rejects():
+    # as the skipped field of every report does; the suite's rank line too
+    h, config = elliptic_aybe(2, 1, 1j), SuiteConfig(seed=8, n_rank=5, guard=0.3)
+    points, skipped = bruteforce.check_samples_pointwise(h, "rank", config)
+    assert skipped == 8
+    report = check_rank(h, config)
+    assert (report.points, report.skipped) == (tuple(points), 8)
+    suite = run_suite(h, replace(config, checks=("rank",)))
+    assert [(rep.tag, rep.skipped) for rep in suite] == [("rank", 8)]
 
 
 @pytest.mark.parametrize("h,guard", [
@@ -825,6 +890,15 @@ def test_guard_errors_name_the_first_offending_point():
         unitarity_residual(trig_aybe(1), 0.2, 2j * math.pi)
     with pytest.raises(DomainError, match=r"evaluation point \(0\.0, 0\.75\) hits a pole"):
         aybe_residual(scalar_rational(), 0.3, -0.3, 0.25, 0.5)
+    # nondegeneracy_check guards its points as the residuals do
+    with pytest.raises(DomainError, match=r"evaluation point \(0\.3, 6\.283185307179586j\) hits a pole of trig_aybe1"):
+        nondegeneracy_check(trig_aybe(1), [(0.1, 0.2), (0.3, 2j * math.pi)])
+    with pytest.raises(DomainError, match=r"evaluation point \(0\.0, 0\.3\) hits a pole of trig_aybe1"):
+        nondegeneracy_check(trig_aybe(1), [(0.0, 0.3)])
+    with pytest.raises(DomainError, match=r"evaluation point \(0\.0, 0\.3\) hits a pole of elliptic_aybe"):
+        nondegeneracy_check(elliptic_aybe(2, 1, 1j), [(0.0, 0.3)])
+    with pytest.raises(DomainError, match=r"point 0\.0 is outside the domain of trig_cybe1"):
+        nondegeneracy_check(trig_cybe(1), [0.4, 0.0])
 
 
 @pytest.mark.parametrize(
