@@ -30,12 +30,15 @@ goes to stdout or ``--out`` and is byte-identical for a fixed
 numbers use fixed formats.
 
 Exit status: 0 when every requested check passed, 1 when at least one
-check failed, 2 on configuration or usage errors and on typed numerical
-failures (a domain violation, or a procedure that did not converge, such
-as rejection sampling that ran out of draws).  Pole-proximate
+check failed, 2 on any failure: a configuration or usage error, an
+output file that cannot be written, or a typed numerical failure (a
+domain violation, or a procedure that did not converge, such as
+rejection sampling that ran out of draws).  Every failure prints one
+``error:`` line on stderr and nothing on stdout.  Pole-proximate
 evaluation points (``pole-proximity``) and points whose value overflows a
 float (``overflow``) are reported per point and do not change the exit
-status.
+status.  Each ``_cmd_*`` function returns its output lines and exit
+status; :func:`main` alone writes output and maps failures.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import sys
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -149,10 +152,13 @@ def _fmt_c(z: complex) -> str:
 
 def _write(lines: Sequence[str], out: Optional[str]) -> None:
     text = "\n".join(lines) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write output file: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +178,7 @@ _OPTIONAL_ARGS = ("a", "b")
 
 
 def _build_handle(ns: argparse.Namespace) -> SolutionHandle:
-    if getattr(ns, "handle_json", None):
+    if ns.handle_json:
         try:
             data = json.loads(Path(ns.handle_json).read_text())
         except (OSError, json.JSONDecodeError) as exc:
@@ -181,25 +187,20 @@ def _build_handle(ns: argparse.Namespace) -> SolutionHandle:
             return handle_from_dict(data)
         except (ValueError, KeyError, TypeError) as exc:
             raise CliError(f"bad handle file: {exc}") from exc
-    name = getattr(ns, "family", None)
+    name = ns.family
     if name is None:
         raise CliError("one of --family or --handle-json is required")
-    family = _CLI_FAMILIES.get(name)
-    if family is None:
-        raise CliError(f"unknown family {name!r}")
+    family = _CLI_FAMILIES[name]
     spec = _FAMILIES[family]
     fields = {} if spec.n is None else {"d": spec.n}
     for arg in spec.cli_args:
-        value = getattr(ns, arg, None)
+        value = getattr(ns, arg)
         if value is None:
             if arg in _OPTIONAL_ARGS:
                 continue
             raise CliError(f"family {name!r} requires --{arg}")
         fields[arg] = _ARG_TYPES[arg](value)
-    try:
-        return SolutionHandle(family=family, **fields)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return SolutionHandle(family=family, **fields)
 
 
 def _add_family_args(sub: argparse.ArgumentParser) -> None:
@@ -266,7 +267,7 @@ def _eval_points(h: SolutionHandle, points: list) -> list:
     return out
 
 
-def _cmd_eval(ns: argparse.Namespace) -> int:
+def _cmd_eval(ns: argparse.Namespace) -> Tuple[List[str], int]:
     h = _build_handle(ns)
     if ns.v is None:
         raise CliError("eval requires --v")
@@ -303,8 +304,7 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
             for idx in np.ndindex(n, n, n, n):
                 i, j, k, l = idx
                 lines.append(f"  [{i},{j},{k},{l}] = {_fmt_c(coeffs[idx])}")
-    _write(lines, ns.out)
-    return 0
+    return lines, 0
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +313,13 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
 
 def _suite_config(ns: argparse.Namespace, checks: Optional[tuple]) -> SuiteConfig:
     config = SuiteConfig(seed=ns.seed, checks=checks)
-    overrides = {}
-    for name in ("tol_aybe", "tol_cybe", "tol_unitarity", "tol_limit", "guard"):
-        value = getattr(ns, name, None)
-        if value is not None:
-            overrides[name] = float(value)
-    if getattr(ns, "points", None) is not None:
-        n = int(ns.points)
+    overrides = {
+        name: getattr(ns, name)
+        for name in ("tol_aybe", "tol_cybe", "tol_unitarity", "tol_limit", "guard")
+        if getattr(ns, name) is not None
+    }
+    n = ns.points
+    if n is not None:
         if n <= 0:
             raise CliError("--points must be positive")
         overrides.update(
@@ -328,7 +328,7 @@ def _suite_config(ns: argparse.Namespace, checks: Optional[tuple]) -> SuiteConfi
     return replace(config, **overrides) if overrides else config
 
 
-def _cmd_verify(ns: argparse.Namespace) -> int:
+def _cmd_verify(ns: argparse.Namespace) -> Tuple[List[str], int]:
     h = _build_handle(ns)
     requested = tuple(ns.check) if ns.check else None
     if requested:
@@ -340,11 +340,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     if requested and "cybe" in requested and not h.is_cybe:
         # On a two-variable family the one-variable equation is checked on
         # the u -> 0 partner solution.
-        try:
-            partner = paired_cybe_handle(h)
-        except DomainError as exc:
-            raise CliError(str(exc)) from exc
-        rep = check_cybe(partner, config)
+        rep = check_cybe(paired_cybe_handle(h), config)
         reports.append(replace(rep, tag="cybe-partner"))
     if not reports:
         raise CliError("no requested check applies to this family")
@@ -360,20 +356,15 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
             )
     else:
         lines.extend(rep.summary_line() for rep in reports)
-    _write(lines, ns.out)
-    return 0 if all(rep.passed for rep in reports) else 1
+    return lines, 0 if all(rep.passed for rep in reports) else 1
 
 
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
 
-def _cmd_classify(ns: argparse.Namespace) -> int:
-    h = _build_handle(ns)
-    try:
-        result = classify_scalar(h, radius=ns.radius)
-    except (DomainError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+def _cmd_classify(ns: argparse.Namespace) -> Tuple[List[str], int]:
+    result = classify_scalar(_build_handle(ns), radius=ns.radius)
     if result.C is None:
         c_str = "none"
     elif result.C == INFINITY:
@@ -400,8 +391,7 @@ def _cmd_classify(ns: argparse.Namespace) -> int:
             f"c5={_fmt_c(result.c5)}",
             f"C={c_str}",
         ]
-    _write(lines, ns.out)
-    return 0
+    return lines, 0
 
 
 # ---------------------------------------------------------------------------
@@ -427,13 +417,10 @@ def _oracle_samples(rng: np.random.Generator, n: int):
         yield s, t, w1, w2, g1, g2
 
 
-def _cmd_oracle(ns: argparse.Namespace) -> int:
-    case = int(ns.case)
+def _cmd_oracle(ns: argparse.Namespace) -> Tuple[List[str], int]:
+    case, samples = ns.case, ns.samples
     if case not in (1, 2):
         raise CliError("--case must be 1 or 2")
-    if ns.trivialization not in TRIVIALIZATIONS:
-        raise CliError(f"--trivialization must be one of {TRIVIALIZATIONS}")
-    samples = int(ns.samples)
     if samples <= 0:
         raise CliError("--samples must be positive")
     constant = ns.trivialization == "constant"
@@ -482,8 +469,7 @@ def _cmd_oracle(ns: argparse.Namespace) -> int:
             "(constant trivialization leaves the composite tied to the raw "
             "parameters; not a check failure)"
         )
-        _write(lines, ns.out)
-        return 0
+        return lines, 0
     max_closed = float(closed_devs.max())
     ok_closed = max_closed < tol_closed
     ok_dep = max_dep < tol_dep
@@ -495,22 +481,21 @@ def _cmd_oracle(ns: argparse.Namespace) -> int:
         f"{'PASS' if ok_dep else 'FAIL'} dependence: "
         f"max_rel={_fmt_f(max_dep)} tol={tol_dep:.1e}"
     )
-    _write(lines, ns.out)
-    return 0 if (ok_closed and ok_dep) else 1
+    return lines, 0 if (ok_closed and ok_dep) else 1
 
 
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
 
-def _cmd_sweep(ns: argparse.Namespace) -> int:
+def _cmd_sweep(ns: argparse.Namespace) -> Tuple[List[str], int]:
     quantity = ns.quantity
     grid_tokens = _tokens(ns.grid)
     grid = [parse_complex(t) for t in grid_tokens]
     lines: List[str] = []
 
     if quantity in ("C", "j-deviation"):
-        if getattr(ns, "family", None) != "scalar-kronecker":
+        if ns.family != "scalar-kronecker":
             raise CliError(
                 f"sweep {quantity} expects --family scalar-kronecker "
                 "(the grid is a list of tau values)"
@@ -521,11 +506,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
                 else "tau,C_re,C_im"
             )
         for token, tau in zip(grid_tokens, grid):
-            try:
-                result = classify_scalar(scalar_kronecker(tau), radius=ns.radius)
-            except ValueError as exc:
-                raise CliError(str(exc)) from exc
-            c_val = complex(result.C)
+            c_val = complex(classify_scalar(scalar_kronecker(tau), radius=ns.radius).C)
             if quantity == "C":
                 if ns.csv:
                     lines.append(f"{token},{c_val.real!r},{c_val.imag!r}")
@@ -541,8 +522,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
                     lines.append(
                         f"tau={token} C={_fmt_c(c_val)} deviation={_fmt_f(dev)}"
                     )
-        _write(lines, ns.out)
-        return 0
+        return lines, 0
 
     h = _build_handle(ns)
     u = None
@@ -563,33 +543,29 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
         values = eval_cybe_array(h, grid) if u is None else eval_aybe_array(h, u, grid)
         for token, rank in zip(grid_tokens, _ranks_as_maps(values)):
             lines.append(f"{token},{rank}" if ns.csv else f"v={token} rank={rank}")
-        _write(lines, ns.out)
-        return 0
+        return lines, 0
 
-    if quantity == "unitarity":
-        tol = float(ns.tol) if ns.tol is not None else 1e-10
+    # unitarity
+    tol = 1e-10 if ns.tol is None else ns.tol
+    if ns.csv:
+        lines.append("v,residual,passed")
+    all_ok = True
+    residuals = _max_abs(_unitarity_residuals(h, [(u, v) for v in grid]))
+    for token, residual in zip(grid_tokens, map(float, residuals)):
+        ok = residual < tol
+        all_ok = all_ok and ok
         if ns.csv:
-            lines.append("v,residual,passed")
-        all_ok = True
-        residuals = _max_abs(_unitarity_residuals(h, [(u, v) for v in grid]))
-        for token, residual in zip(grid_tokens, map(float, residuals)):
-            ok = residual < tol
-            all_ok = all_ok and ok
-            if ns.csv:
-                lines.append(f"{token},{residual!r},{int(ok)}")
-            else:
-                lines.append(
-                    f"v={token} residual={_fmt_f(residual)} "
-                    f"{'PASS' if ok else 'FAIL'}"
-                )
-        if not ns.csv:
+            lines.append(f"{token},{residual!r},{int(ok)}")
+        else:
             lines.append(
-                f"{'PASS' if all_ok else 'FAIL'} unitarity sweep: tol={tol:.1e}"
+                f"v={token} residual={_fmt_f(residual)} "
+                f"{'PASS' if ok else 'FAIL'}"
             )
-        _write(lines, ns.out)
-        return 0 if all_ok else 1
-
-    raise CliError(f"unknown sweep quantity {quantity!r}")
+    if not ns.csv:
+        lines.append(
+            f"{'PASS' if all_ok else 'FAIL'} unitarity sweep: tol={tol:.1e}"
+        )
+    return lines, 0 if all_ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -711,38 +687,29 @@ _AMBIGUOUS_HEADS = frozenset(("--", "--c"))
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    config = None
     # a command line with no such token is parsed once, by the full parser
     heads = {tok.partition("=")[0] for tok in argv if tok != "--"}
-    if heads & _CONFIG_HEADS and not heads & _AMBIGUOUS_HEADS:
-        try:
+    try:
+        if heads & _CONFIG_HEADS and not heads & _AMBIGUOUS_HEADS:
             config = _config_parser().parse_known_args(argv)[0].config
-        except SystemExit as exc:
-            return int(exc.code or 0)
-    if config:
-        try:
-            extra = _config_tokens(config)
-        except CliError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        # Insert right after the subcommand so explicit flags override.
-        split = next(
-            (k + 1 for k, tok in enumerate(argv) if not tok.startswith("-")),
-            len(argv),
-        )
-        argv = argv[:split] + extra + argv[split:]
-
-    try:
+            if config:
+                # Insert right after the subcommand so explicit flags override.
+                split = next(
+                    (k + 1 for k, tok in enumerate(argv) if not tok.startswith("-")),
+                    len(argv),
+                )
+                argv = argv[:split] + _config_tokens(config) + argv[split:]
         ns = _build_parser().parse_args(_attach_negative_values(argv))
-    except SystemExit as exc:
+        lines, code = ns.func(ns)
+        _write(lines, ns.out)
+        return code
+    except SystemExit as exc:  # argparse: usage errors and --help
         return int(exc.code or 0)
-
-    # OverflowError and ZeroDivisionError are the float errors of a family
-    # evaluation (solutions._FLOAT_ERRORS)
-    try:
-        return ns.func(ns)
-    except (CliError, PoleProximityError, DomainError, NonConvergenceError,
-            OverflowError, ZeroDivisionError) as exc:
+    # every ValueError (CliError, DomainError, PoleProximityError and the
+    # library's bad-input errors), a procedure that did not converge, and
+    # the float errors of a family evaluation (solutions._FLOAT_ERRORS);
+    # any other exception is a bug and keeps its traceback
+    except (ValueError, NonConvergenceError, OverflowError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -487,10 +487,9 @@ def _twist_pole_error(z: np.ndarray, near: np.ndarray, pair_m: np.ndarray,
                       guard: float, tau: complex) -> PoleProximityError:
     """The error of the first point at which some pair's :func:`kronecker_F`
     raises, naming its first offending argument in the order u + (j/d)*tau,
-    v + (k/d)*tau, then the pairs' sums, as a loop over the points and pairs
-    would; ``z`` and ``near`` are the (N, 3d - first) arguments of
-    :func:`_kronecker_twist_grid` and their guard flags, ``pair_m`` the sum
-    of each pair."""
+    v + (k/d)*tau, then the pairs' sums; ``z`` and ``near`` are the
+    (N, 3d - first) arguments of :func:`_kronecker_twist_grid` and their
+    guard flags, ``pair_m`` the sum of each pair."""
     rows, d = pair_m.shape
     pair_near = near[:, rows + d:][:, pair_m].reshape(len(z), -1)
     near = np.concatenate((near[:, :rows + d], pair_near), axis=1)

@@ -926,6 +926,45 @@ def test_negative_seed_is_usage_error(args, capsys):
     assert err.splitlines()[-1].endswith("error: argument --seed: must be non-negative, not -1")
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["eval", "--family", "elliptic", "--d", "0", "--r", "1", "--tau", "i",
+          "--u", "0.2", "--v", "0.3"], "d must be >= 1"),
+        (["verify", "--family", "elliptic", "--d", "2", "--r", "1", "--tau=0.3-0.5i"],
+         "elliptic families need tau with Im tau > 0"),
+        (["classify", "--family", "elliptic", "--d", "2", "--r", "1", "--tau", "i"],
+         "elliptic_aybe is not a scalar family"),
+        (["verify", "--family", "scalar-trig", "--check", "cybe"],
+         "no CYBE partner for family scalar_trig"),
+    ],
+)
+def test_a_library_error_is_one_error_line(args, message, capsys):
+    # a ValueError of the library (a bad handle, a family without a scalar
+    # form or a CYBE partner) prints its message alone and exits 2
+    assert run_cli(args, capsys) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_an_unwritable_out_file_is_an_error_line(target, tmp_path, capsys):
+    out = tmp_path if target == "directory" else tmp_path / "missing" / "x"
+    code, stdout, err = run_cli(
+        ["eval", "--family", "trig1", "--u", "0.1", "--v", "0.2", "--out", str(out)], capsys
+    )
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: cannot write output file: ") and err.count("\n") == 1
+    assert str(out) in err
+
+
+def test_a_j_deviation_past_the_discriminant_is_an_error_line(capsys):
+    # at tau = 8i the discriminant g2^3 - 27 g3^2 cancels to zero in floats
+    code, out, err = run_cli(
+        ["sweep", "--quantity", "j-deviation", "--family", "scalar-kronecker", "--grid", "8i"],
+        capsys,
+    )
+    assert (code, out, err) == (2, "", "error: discriminant vanishes numerically; tau too extreme\n")
+
+
 def test_unknown_family_rejected_by_parser(capsys):
     assert main(["eval", "--family", "nope", "--u", "1", "--v", "2"]) == 2
     capsys.readouterr()
@@ -1020,6 +1059,21 @@ CLI_DIGESTS = [
     ("verify --family trig1 --seed 2 --points 4 --check cybe --check rank", 0, "a74cba7026debb9f"),
     ("verify --family scalar-trig --seed 3 --points 4 --guard 0.05", 0, "defd6a75769b3722"),
     ("verify --family trig-cybe2 --seed 3 --points 4 --csv", 0, "150a13810d3c99d8"),
+    # frozen before the commands returned their lines to main: the output
+    # branches no other test runs, and each tolerance flag on a FAIL run
+    ("classify --family scalar-trig --radius 1.5 --csv", 0, "3411eaea2a15704a"),
+    ("classify --family scalar-rational --csv", 0, "622570b1a6095b7d"),
+    ("oracle --case 2 --seed 4 --samples 6 --csv", 0, "59281e48099c1c51"),
+    ("oracle --case 1 --seed 3 --samples 4 --trivialization constant --csv", 0, "8c1f836c7cdb96a6"),
+    ("sweep --quantity j-deviation --family scalar-kronecker --grid i,2i", 0, "cba0fdcb123a90ea"),
+    ("sweep --quantity rank --family trig1 --u 0.31 --grid 0.4,0.2 --csv", 0, "a80360d17b3ac628"),
+    ("sweep --quantity unitarity --family trig1 --u 0.31 --grid 0.4,0.2 --csv", 0, "1f1380cbe5115c6e"),
+    ("sweep --quantity unitarity --family trig1 --u 0.31 --grid 0.4,0.2 --csv --tol 1e-30", 1, "82c60f246d87a271"),
+    ("sweep --quantity unitarity --family trig1 --u 0.31 --grid 0.4,0.2 --tol 1e-30", 1, "dfc7fbd81fa565bc"),
+    ("verify --family trig2 --seed 1 --points 5 --tol-aybe 1e-30", 1, "aa2720df9933441f"),
+    ("verify --family trig-cybe2 --seed 3 --points 4 --tol-cybe 1e-30", 1, "1874273705ac84be"),
+    ("verify --family trig2 --seed 1 --points 5 --tol-unitarity 1e-30", 1, "d90ddf6a2eee72c4"),
+    ("verify --family trig2 --seed 1 --points 5 --tol-limit 1e-30", 1, "7b8e33cce5b9a047"),
 ]
 
 

@@ -241,6 +241,51 @@ def test_zeta_matches_mpmath_jtheta(tau):
             assert abs(weierstrass_zeta(x, m) - ref) < 1e-12 * max(1.0, abs(ref))
 
 
+@pytest.mark.parametrize(
+    "tau,u,v",
+    [
+        (0.2 + 1.1j, 0.13 + 0.07j, -0.21 + 0.05j),
+        (-0.4 + 0.95j, -0.17 + 0.11j, 0.23 - 0.06j),
+        (0.5 + 0.87j, 0.19 - 0.04j, 0.08 + 0.15j),
+        (2j, -0.09 - 0.12j, 0.27 + 0.1j),
+    ],
+)
+def test_twist_tables_and_zeta_rows_match_mpmath_jtheta(tau, u, v):
+    # whole values, not identities between them: for p = j/d, q = k/d,
+    # F_{p,q}(u, v) = exp(2 pi i (p q tau + p v + q u)) theta'(0) theta(u' + v')
+    #                 / (2 pi i theta(u') theta(v')), u' = u + p tau, v' = v + q tau,
+    # and the elliptic-cybe row zeta(v') - q eta2, with theta(z) =
+    # i theta_1(pi z, q) at 40 digits and eta1 = -theta'''(0) / (3 theta'(0))
+    mpmath = pytest.importorskip("mpmath")
+    m = modular_param(tau)
+    with mpmath.workdps(40):
+        pi, T, U, V = mpmath.pi, mpmath.mpc(tau), mpmath.mpc(u), mpmath.mpc(v)
+        nome = mpmath.exp(1j * pi * T)
+
+        def theta(z, k=0):
+            return 1j * pi**k * mpmath.jtheta(1, pi * z, nome, k)
+
+        eta1 = -theta(0, 3) / (3 * theta(0, 1))
+        eta2 = eta1 * T - 2j * pi
+        for d in range(2, 8):
+            table = _kronecker_twist_grid(u, v, d, m)[0]
+            (zetas,) = _kronecker_twist_grid(0.0, np.array([v]), d, m, first=1, zeta=True)[1]
+            shift = [mpmath.mpf(k) / d for k in range(2 * d - 1)]
+            tu = [theta(U + s * T) for s in shift[:d]]
+            tv = [theta(V + s * T) for s in shift[:d]]
+            tw = [theta(U + V + s * T) for s in shift]
+            for j in range(d):
+                for k in range(d):
+                    p, q = shift[j], shift[k]
+                    ref = complex(mpmath.exp(2j * pi * (p * q * T + p * V + q * U)) * theta(0, 1)
+                                  * tw[j + k] / (2j * pi * tu[j] * tv[k]))
+                    assert abs(table[j, k] - ref) <= 1e-13 * abs(ref)
+            for k in range(d):
+                x = V + shift[k] * T
+                ref = complex(eta1 * x + theta(x, 1) / theta(x) - shift[k] * eta2)
+                assert abs(zetas[k] - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
 # ---------------------------------------------------------------------------
 # contour extraction against the one-count-per-call reference
 

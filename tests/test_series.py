@@ -11,6 +11,7 @@ import aybe.series
 from aybe.errors import DomainError, PoleProximityError
 from aybe.series import (
     INFINITY,
+    ScalarClassification,
     _contour_coefficients,
     check_aux4,
     check_aux5,
@@ -158,6 +159,18 @@ def test_classify_infinity_marker():
 
     result = classify_scalar(custom_handle(fn, 1))
     assert result.C == INFINITY
+
+
+@pytest.mark.parametrize(
+    "C,expected",
+    [(0.25 - 0.5j, [0.25, -0.5]), (INFINITY, "infinity"), (None, None)],
+    ids=["complex", "infinity", "none"],
+)
+def test_classification_to_dict(C, expected):
+    result = ScalarClassification(c3=1.5 + 0.25j, c5=-2j, C=C, family_verdict="elliptic-like")
+    assert result.to_dict() == {
+        "c3": [1.5, 0.25], "c5": [0.0, -2.0], "C": expected, "family_verdict": "elliptic-like"
+    }
 
 
 @pytest.mark.parametrize(

@@ -722,6 +722,20 @@ def test_a_v_column_is_bitwise_the_broadcast_points(h, rng):
     assert eval_aybe_array(h, u, v).tobytes() == flat.tobytes()
 
 
+def test_rows_longer_than_a_base_call_are_bitwise_the_points():
+    # a 64-node contour at d = 7 passes (3, 64) nodes u against a (3, 1)
+    # column v: a row holds more than the 2048 / 49 = 41 points of a base
+    # call, so the family evaluates the flattened points, in 41-point calls
+    h = elliptic_aybe(7, 3, 0.2 + 1.1j)
+    u = np.tile(0.05 * np.exp(2j * np.pi * np.arange(64) / 64), (3, 1))
+    v = np.array([[0.11 + 0.05j], [-0.2j], [0.3]])
+    values = eval_aybe_array(h, u, v)
+    assert values.shape == (192,) + (7,) * 4
+    rows = np.concatenate([eval_aybe_array(h, u[k], v[k]) for k in range(3)])
+    points = np.concatenate([eval_aybe_array(h, a, b) for a, b in np.broadcast(u, v)])
+    assert values.tobytes() == rows.tobytes() == points.tobytes()
+
+
 def _first_error(fn, points):
     for p in points:
         try:
