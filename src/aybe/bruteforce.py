@@ -595,6 +595,7 @@ def contour_coefficients_doubling(
     tol: float = 1e-10,
     n_start: int = 8,
     n_max: int = 4096,
+    guards: int = 0,
 ) -> Tuple[List[np.ndarray], np.ndarray]:
     """Coefficients at the given powers of one function per row, by the
     trapezoid rule on the circle of radius ``radius[k]`` for row k, with the
@@ -603,7 +604,8 @@ def contour_coefficients_doubling(
     Every row starts at ``n_start`` nodes; each node count is one ``fn``
     call on the odd nodes of the rows that have not settled (the even nodes
     are the previous count's), and a row settles once two successive
-    estimates agree to ``tol`` in the sup metric on its circle."""
+    estimates of the powers after the first ``guards`` agree to ``tol`` in
+    the sup metric on its circle."""
     radius = np.asarray(radius, dtype=float).reshape(-1)
     powers = np.asarray(powers)
     active = np.arange(radius.size)
@@ -623,13 +625,14 @@ def contour_coefficients_doubling(
             merged[:, 0::2] = values
             merged[:, 1::2] = fresh
             values = merged
-        flat = values.reshape(active.size, n, -1)
+        flat = values.reshape(active.size, n, math.prod(shape))
         phase = theta[(-powers[:, None] * np.arange(n)) % n]
         weights = np.exp(1j * phase) * r[:, :, None] ** -powers[:, None]
         current = np.matmul(weights / n, flat)
         if previous is not None:
             scale = np.maximum(np.max(np.abs(flat), axis=(1, 2)), 1.0)
-            gap = np.max(np.abs(current - previous) * (r**powers)[:, :, None], axis=(1, 2))
+            drift = np.abs(current - previous)[:, guards:]
+            gap = np.max(drift * (r ** powers[guards:])[:, :, None], axis=(1, 2))
             done = gap <= tol * scale
             coeffs[active[done]] = current[done].reshape((-1, powers.size) + shape)
             nodes[active[done]] = n

@@ -22,7 +22,11 @@ imaginary unit (``i``, ``2i``, ``0.5+0.9i``).  The value of ``--u``,
 ``--v``, ``--tau``, ``--grid``, ``--a`` or ``--b`` may start with ``-``,
 either as the next argument (``--u -0.3i``) or attached (``--u=-0.3i``):
 a next argument that starts with ``-`` and then a digit, ``.``, ``i`` or
-``j`` is taken as that option's value.  A JSON config file passed
+``j`` is taken as that option's value.  A command line is parsed in one
+pass: when its first token names a subcommand, by that subcommand's
+parser alone, with the full parser's usage error for what is left over;
+any other command line (none, ``-h``, an unknown command) by the full
+parser.  A JSON config file passed
 via ``--config`` may supply any long option of the subcommand (keys with
 dashes or underscores); explicit command line flags override it.  Output
 goes to stdout or ``--out`` and is byte-identical for a fixed
@@ -44,6 +48,7 @@ status; :func:`main` alone writes output and maps failures.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import replace
@@ -294,16 +299,14 @@ def _cmd_eval(ns: argparse.Namespace) -> Tuple[List[str], int]:
         if isinstance(coeffs, str):
             lines.append(f"{head},,,,,,,{coeffs}" if ns.csv else f"{head} n={n} {coeffs}")
             continue
+        entries = zip(itertools.product(range(n), repeat=4), coeffs.reshape(-1).tolist())
         if ns.csv:
-            for idx in np.ndindex(n, n, n, n):
-                z = complex(coeffs[idx])
-                i, j, k, l = idx
+            for (i, j, k, l), z in entries:
                 lines.append(f"{head},{i},{j},{k},{l},{z.real!r},{z.imag!r},ok")
         else:
             lines.append(f"{head} n={n}")
-            for idx in np.ndindex(n, n, n, n):
-                i, j, k, l = idx
-                lines.append(f"  [{i},{j},{k},{l}] = {_fmt_c(coeffs[idx])}")
+            for (i, j, k, l), z in entries:
+                lines.append(f"  [{i},{j},{k},{l}] = {_fmt_c(z)}")
     return lines, 0
 
 
@@ -398,23 +401,29 @@ def _cmd_classify(ns: argparse.Namespace) -> Tuple[List[str], int]:
 # oracle
 # ---------------------------------------------------------------------------
 
-def _oracle_samples(rng: np.random.Generator, n: int):
+# the bounds of one sample's 14 uniform draws, in draw order: |Re s|, the
+# sign of Re s (positive below 0.5) and Im s; the same three for t; then
+# Re and Im of w1, w2, g1 and g2
+_ORACLE_LOW, _ORACLE_HIGH = np.array([
+    (0.35, 1.2), (0.0, 1.0), (-1.0, 1.0),
+    (0.35, 1.2), (0.0, 1.0), (-1.0, 1.0),
+    (-0.4, 0.4), (-0.8, 0.8), (-0.4, 0.4), (-0.8, 0.8),
+    (-0.3, 0.3), (-0.5, 0.5), (-0.3, 0.3), (-0.5, 0.5),
+]).T
+
+
+def _oracle_samples(rng: np.random.Generator, n: int) -> np.ndarray:
     """Cut-safe parameter draws: all logs stay well inside the principal
-    branch so the exp-sqrt framing factors compose exactly."""
-    for _ in range(n):
-        s = complex(
-            float(rng.uniform(0.35, 1.2)) * (1.0 if rng.uniform() < 0.5 else -1.0),
-            float(rng.uniform(-1.0, 1.0)),
-        )
-        t = complex(
-            float(rng.uniform(0.35, 1.2)) * (1.0 if rng.uniform() < 0.5 else -1.0),
-            float(rng.uniform(-1.0, 1.0)),
-        )
-        w1 = complex(float(rng.uniform(-0.4, 0.4)), float(rng.uniform(-0.8, 0.8)))
-        w2 = complex(float(rng.uniform(-0.4, 0.4)), float(rng.uniform(-0.8, 0.8)))
-        g1 = complex(float(rng.uniform(-0.3, 0.3)), float(rng.uniform(-0.5, 0.5)))
-        g2 = complex(float(rng.uniform(-0.3, 0.3)), float(rng.uniform(-0.5, 0.5)))
-        yield s, t, w1, w2, g1, g2
+    branch so the exp-sqrt framing factors compose exactly.
+
+    Rows s, t, w1, w2, g1, g2, one column per sample, from one call that
+    reads the stream as 14 scalar draws per sample would."""
+    draws = rng.uniform(np.tile(_ORACLE_LOW, n), np.tile(_ORACLE_HIGH, n)).reshape(n, 14)
+    draws[:, [0, 3]] *= np.where(draws[:, [1, 4]] < 0.5, 1.0, -1.0)
+    samples = np.empty((n, 6), dtype=complex)
+    samples.real = draws[:, [0, 3, 6, 8, 10, 12]]
+    samples.imag = draws[:, [2, 5, 7, 9, 11, 13]]
+    return samples.T
 
 
 def _cmd_oracle(ns: argparse.Namespace) -> Tuple[List[str], int]:
@@ -429,7 +438,7 @@ def _cmd_oracle(ns: argparse.Namespace) -> Tuple[List[str], int]:
     tol_dep = 1e-12
 
     rng = np.random.default_rng(ns.seed)
-    s, t, w1, w2, g1, g2 = np.array(list(_oracle_samples(rng, samples))).T
+    s, t, w1, w2, g1, g2 = _oracle_samples(rng, samples)
     l1, l2, y1, y2 = np.exp(w1), np.exp(w1 - s), np.exp(w2), np.exp(w2 - t)
     tensor = tensors_from_maps(composite_stack(l1, l2, y1, y2, case, ns.trivialization))
     shift1, shift2 = np.exp(g1), np.exp(g2)
@@ -582,7 +591,10 @@ def _config_parser() -> argparse.ArgumentParser:
 
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    """The full parser, built once per process: parsing leaves it unchanged."""
+    """The full parser, built once per process: parsing leaves it unchanged.
+
+    ``parser.commands`` maps each subcommand to the parser ``add_parser``
+    returned for it, which :func:`_parse` runs alone."""
     parser = argparse.ArgumentParser(
         prog="aybe",
         description="Evaluate, verify, classify and sweep Yang-Baxter solution families.",
@@ -650,7 +662,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.set_defaults(func=_cmd_sweep)
 
+    parser.commands = {
+        "eval": p_eval, "verify": p_verify, "classify": p_classify,
+        "oracle": p_oracle, "sweep": p_sweep,
+    }
     return parser
+
+
+def _parse(argv: List[str]) -> argparse.Namespace:
+    """What ``_build_parser().parse_args(argv)`` returns or raises, in one
+    parser pass when ``argv[0]`` names a subcommand: the full parser would
+    hand everything after it to that subcommand's parser and refuse what
+    that parser leaves over."""
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # no argv, -h or an unknown command
+        return parser.parse_args(argv)
+    ns, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return ns
 
 
 def _config_tokens(path: str) -> List[str]:
@@ -699,7 +730,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     len(argv),
                 )
                 argv = argv[:split] + _config_tokens(config) + argv[split:]
-        ns = _build_parser().parse_args(_attach_negative_values(argv))
+        ns = _parse(_attach_negative_values(argv))
         lines, code = ns.func(ns)
         _write(lines, ns.out)
         return code

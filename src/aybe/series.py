@@ -179,7 +179,9 @@ def _contour_coefficients(
     Each row doubles its node count until two successive estimates agree to
     _CONTOUR_TOL (relative).  The first call evaluates 2*_N_START nodes, whose
     even nodes give the _N_START estimate, so a row that settles at the
-    first comparison costs one call.  The first ``guards`` powers are
+    first comparison costs one call; when every row does, the estimates are
+    returned as they are, and the per-row bookkeeping of the rows still
+    active starts only once some row lags.  The first ``guards`` powers are
     estimated on the same nodes but left out of the agreement test: they
     guard coefficients that should vanish, and the test for that need not
     hold the other powers to more nodes.  Returns one array of shape
@@ -188,33 +190,39 @@ def _contour_coefficients(
     radius = np.asarray(radius, dtype=float).reshape(-1)
     powers = tuple(int(m) for m in powers)
     m = np.asarray(powers)
-    r_neg = radius[:, None] ** -m
-    r_pos = radius[:, None] ** m[guards:]
-    active = np.arange(radius.size)
-    nodes = np.zeros(radius.size, dtype=int)
+    # radius^-m per (row, power, node) and radius^m per (row, tested power, entry)
+    r_neg = (radius[:, None] ** -m)[:, :, None]
+    r_pos = (radius[:, None] ** m[guards:])[:, :, None]
 
     n = 2 * _N_START
-    values = np.asarray(fn(active, radius[:, None] * _unit_nodes(n)), dtype=complex)
+    values = np.asarray(fn(np.arange(radius.size), radius[:, None] * _unit_nodes(n)), dtype=complex)
     shape = values.shape[2:]
     width = math.prod(shape)  # the entries of a value, also for no rows
-    coeffs = np.empty((radius.size, m.size) + shape, dtype=complex)
 
-    def estimate(values: np.ndarray, n: int) -> np.ndarray:
+    def estimate(values: np.ndarray, n: int, r_neg: np.ndarray) -> np.ndarray:
         # weights[row, power, node] = e^{-i m theta} / n * radius^-m
-        weights = r_neg[active][:, :, None] * _unit_weights(n, powers)
-        return np.matmul(weights, values.reshape(active.size, n, width))
+        weights = r_neg * _unit_weights(n, powers)
+        return np.matmul(weights, values.reshape(len(values), n, width))
 
-    # the even nodes of n are the nodes of n/2
-    previous = estimate(np.ascontiguousarray(values[:, 0::2]), n // 2)
-    while True:
-        current = estimate(values, n)
+    def settled(values, n, current, previous, r_pos) -> np.ndarray:
         # compare successive estimates in the sup metric on the circle
         # (weight c_m by radius^m) so the test is radius-independent
-        flat = values.reshape(active.size, n, width)
-        scale = np.maximum(np.max(np.abs(flat), axis=(1, 2)), 1.0)
+        scale = np.maximum(np.abs(values.reshape(len(values), n, width)).max(axis=(1, 2)), 1.0)
         drift = np.abs(current[:, guards:] - previous[:, guards:])
-        gap = np.max(drift * r_pos[active][:, :, None], axis=(1, 2))
-        done = gap <= _CONTOUR_TOL * scale
+        return (drift * r_pos).max(axis=(1, 2)) <= _CONTOUR_TOL * scale
+
+    # the even nodes of n are the nodes of n/2
+    previous = estimate(np.ascontiguousarray(values[:, 0::2]), n // 2, r_neg)
+    current = estimate(values, n, r_neg)
+    done = settled(values, n, current, previous, r_pos)
+    if done.all():
+        coeffs = current.reshape((radius.size, m.size) + shape)
+        return [coeffs[:, i] for i in range(m.size)], np.full(radius.size, n)
+
+    coeffs = np.empty((radius.size, m.size) + shape, dtype=complex)
+    nodes = np.zeros(radius.size, dtype=int)
+    active = np.arange(radius.size)
+    while True:
         coeffs[active[done]] = current[done].reshape((-1, m.size) + shape)
         nodes[active[done]] = n
         keep = ~done
@@ -233,6 +241,8 @@ def _contour_coefficients(
         merged[:, 0::2] = values
         merged[:, 1::2] = fresh
         values = merged
+        current = estimate(values, n, r_neg[active])
+        done = settled(values, n, current, previous, r_pos[active])
 
 
 def _u_coeffs(

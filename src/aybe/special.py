@@ -358,16 +358,21 @@ def eisenstein_G(k: int, m: ModularParam) -> complex:
 def j_invariant(m: ModularParam) -> complex:
     """Classical j-invariant, normalised so that j(i) = 1728.
 
-    Computed from g2 = 20*(2*pi)^4*G4 and g3 = -(7/3)*(2*pi)^6*G6 as
-    j = 1728*g2^3 / (g2^3 - 27*g3^2).
+    Computed as j = 1728*g2^3 / Delta from g2 = 20*(2*pi)^4*G4 and Jacobi's
+    product Delta = (2*pi)^12 * q * prod_{n>=1} (1 - q^n)^24, which, unlike
+    g2^3 - 27*g3^2 (and 1728 + 46656*g3^2/Delta near tau = e^{2 pi i/3}),
+    does not cancel.  Only a q that underflows to 0 leaves no Delta.
     """
+    q = m.q
+    if q == 0:
+        raise ValueError(f"q = exp(2 pi i tau) underflows to 0 at tau = {m.tau!r}")
     g2 = 20.0 * (2.0 * math.pi) ** 4 * m.eisenstein[4]
-    g3 = -(7.0 / 3.0) * (2.0 * math.pi) ** 6 * m.eisenstein[6]
-    num = g2**3
-    disc = num - 27.0 * g3**2
-    if abs(disc) <= 1e-30 * max(abs(num), abs(27.0 * g3**2), 1e-300):
-        raise ValueError("discriminant vanishes numerically; tau too extreme")
-    return 1728.0 * num / disc
+    product, qn = 1.0 + 0.0j, q
+    while abs(qn) > 1e-18:
+        product *= 1.0 - qn
+        qn *= q
+    disc = (2.0 * math.pi) ** 12 * q * product**24
+    return 1728.0 * g2**3 / disc
 
 
 # ---------------------------------------------------------------------------

@@ -625,6 +625,36 @@ def test_oracle_rejects_bad_case(capsys):
     assert "case" in err
 
 
+def _oracle_samples_one_by_one(rng, n):
+    """The reference draw: 14 scalar uniform draws per sample, in order."""
+    samples = []
+    for _ in range(n):
+        s = complex(
+            float(rng.uniform(0.35, 1.2)) * (1.0 if rng.uniform() < 0.5 else -1.0),
+            float(rng.uniform(-1.0, 1.0)),
+        )
+        t = complex(
+            float(rng.uniform(0.35, 1.2)) * (1.0 if rng.uniform() < 0.5 else -1.0),
+            float(rng.uniform(-1.0, 1.0)),
+        )
+        w1 = complex(float(rng.uniform(-0.4, 0.4)), float(rng.uniform(-0.8, 0.8)))
+        w2 = complex(float(rng.uniform(-0.4, 0.4)), float(rng.uniform(-0.8, 0.8)))
+        g1 = complex(float(rng.uniform(-0.3, 0.3)), float(rng.uniform(-0.5, 0.5)))
+        g2 = complex(float(rng.uniform(-0.3, 0.3)), float(rng.uniform(-0.5, 0.5)))
+        samples.append((s, t, w1, w2, g1, g2))
+    return np.array(samples).T
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 20])
+def test_oracle_samples_are_the_scalar_draws_bit_for_bit(n):
+    for seed in range(50):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, ref = aybe.cli._oracle_samples(rng, n), _oracle_samples_one_by_one(ref_rng, n)
+        assert got.shape == ref.shape == (6, n)
+        assert got.tobytes() == ref.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -846,6 +876,61 @@ def test_a_command_line_without_a_config_option_is_parsed_once(monkeypatch, caps
     assert out.splitlines()[1].startswith("rank,2,0,0.0,0.0,0.5,1")
 
 
+# command lines whose parse by the subcommand's parser alone must match the
+# full parser's: each subcommand, help, usage errors, "--" and --config forms
+PARSE_CASES = [
+    ["eval", "--family", "trig1", "--u", "0.1,0.2", "--v=-0.3i", "--csv"],
+    ["verify", "--family", "elliptic", "--d", "3", "--r", "1", "--tau", "i", "--points", "4",
+     "--check", "aybe", "--check", "rank", "--tol-aybe", "1e-9", "--seed", "5"],
+    ["classify", "--family", "scalar-trig", "--radius", "1.5"],
+    ["oracle", "--case", "1", "--samples", "4", "--trivialization", "constant"],
+    ["sweep", "--quantity", "C", "--family", "scalar-kronecker", "--grid", "i,2i", "--out", "x"],
+    ["-h"],
+    ["--help"],
+    ["verify", "--help"],
+    ["oracle", "-h", "--case", "1"],
+    ["verify", "--family", "trig1", "--bogus"],
+    ["verify", "--family", "trig1", "extra"],
+    ["classify", "--family", "scalar-trig", "x", "--z", "y"],
+    ["verify", "--family", "trig1", "--", "--points", "2"],
+    ["verify", "--"],
+    ["verify", "--family", "trig1", "--c", "x"],
+    ["eval", "--config", "cfg.json", "--u", "0.1"],
+    ["eval", "--config=cfg.json"],
+    ["eval", "--conf", "cfg.json", "--config", "other.json"],
+    ["verify", "--config"],
+    ["verify", "--family", "nope"],
+    ["verify", "--family", "trig1", "--points", "x"],
+    ["verify", "--seed", "-1"],
+    ["oracle"],
+    ["sweep", "--quantity", "C"],
+    [],
+    ["nope", "--family", "trig1"],
+    ["--family", "trig1", "verify"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=[" ".join(a) or "<none>" for a in PARSE_CASES])
+def test_the_one_parser_pass_matches_the_full_parser(argv, capsys):
+    def outcome(parse):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+        return result, capsys.readouterr()
+
+    assert outcome(aybe.cli._parse) == outcome(_build_parser().parse_args)
+
+
+def test_a_subcommand_line_is_parsed_by_its_parser_alone(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran the full parser")
+
+    monkeypatch.setattr(_build_parser(), "parse_known_args", unreachable)
+    ns = aybe.cli._parse(["verify", "--family", "trig1", "--points", "2"])
+    assert (ns.command, ns.family, ns.points, ns.func) == ("verify", "trig1", 2, aybe.cli._cmd_verify)
+
+
 def test_repeated_main_calls_match_calls_on_fresh_parsers(tmp_path, capsys):
     # main builds its parsers once per process; calls that share them must
     # print and return exactly what each call does on newly built ones
@@ -956,13 +1041,25 @@ def test_an_unwritable_out_file_is_an_error_line(target, tmp_path, capsys):
     assert str(out) in err
 
 
-def test_a_j_deviation_past_the_discriminant_is_an_error_line(capsys):
-    # at tau = 8i the discriminant g2^3 - 27 g3^2 cancels to zero in floats
+def test_a_j_deviation_where_g2_cubed_minus_27_g3_squared_cancels_is_finite(capsys):
+    # at tau = 8i g2^3 - 27 g3^2 cancels to zero in floats; the discriminant
+    # is taken from Jacobi's product, which does not cancel
     code, out, err = run_cli(
-        ["sweep", "--quantity", "j-deviation", "--family", "scalar-kronecker", "--grid", "8i"],
+        ["sweep", "--quantity", "j-deviation", "--family", "scalar-kronecker", "--grid", "8i",
+         "--csv"],
         capsys,
     )
-    assert (code, out, err) == (2, "", "error: discriminant vanishes numerically; tau too extreme\n")
+    assert (code, err) == (0, "")
+    assert float(out.splitlines()[1].rsplit(",", 1)[1]) < 1e-6
+
+
+def test_a_j_deviation_where_q_underflows_is_an_error_line(capsys):
+    code, out, err = run_cli(
+        ["sweep", "--quantity", "j-deviation", "--family", "scalar-kronecker", "--grid", "120i"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: q = exp(2 pi i tau) underflows to 0 at tau = 120j\n"
 
 
 def test_unknown_family_rejected_by_parser(capsys):
@@ -1065,7 +1162,7 @@ CLI_DIGESTS = [
     ("classify --family scalar-rational --csv", 0, "622570b1a6095b7d"),
     ("oracle --case 2 --seed 4 --samples 6 --csv", 0, "59281e48099c1c51"),
     ("oracle --case 1 --seed 3 --samples 4 --trivialization constant --csv", 0, "8c1f836c7cdb96a6"),
-    ("sweep --quantity j-deviation --family scalar-kronecker --grid i,2i", 0, "cba0fdcb123a90ea"),
+    ("sweep --quantity j-deviation --family scalar-kronecker --grid i,2i", 0, "87cb4ad7130c9007"),
     ("sweep --quantity rank --family trig1 --u 0.31 --grid 0.4,0.2 --csv", 0, "a80360d17b3ac628"),
     ("sweep --quantity unitarity --family trig1 --u 0.31 --grid 0.4,0.2 --csv", 0, "1f1380cbe5115c6e"),
     ("sweep --quantity unitarity --family trig1 --u 0.31 --grid 0.4,0.2 --csv --tol 1e-30", 1, "82c60f246d87a271"),

@@ -290,6 +290,51 @@ def test_twist_tables_and_zeta_rows_match_mpmath_jtheta(tau, u, v):
 # contour extraction against the one-count-per-call reference
 
 
+def _rational_rows(rows, width=()):
+    """Radii and ``fn`` of rows z^-q_k + sum_j a_j/(z - p_j), every p_j
+    outside row k's circle, from (radius, [(|p_j|/radius, angle, a_j)], q_k)
+    per row, and the list of ``fn``'s node shapes, one per call; without
+    poles, or with far ones, a row settles at the first comparison."""
+    radius = np.array([r for r, _, _ in rows], dtype=float)
+    pad = max([len(poles) for _, poles, _ in rows] + [1])
+    poles = np.full((len(rows), pad), 1e3 + 0j)
+    residues = np.zeros((len(rows), pad), dtype=complex)
+    for k, (r, row_poles, _) in enumerate(rows):
+        for j, (ratio, angle, residue) in enumerate(row_poles):
+            poles[k, j] = cmath.rect(ratio * r, angle)
+            residues[k, j] = residue
+    order = np.array([q for _, _, q in rows], dtype=int)
+    calls = []
+
+    def fn(rows_, z):
+        calls.append(z.shape)
+        value = z ** -order[rows_, None].astype(float)
+        value = value + np.sum(
+            residues[rows_, None, :] / (z[:, :, None] - poles[rows_, None, :]), axis=2
+        )
+        return value.reshape(z.shape + (1,) * len(width)) * np.ones(width)
+
+    return radius, fn, calls
+
+
+def _assert_contours_match(rows, powers, width=(), guards=0):
+    """The batched extraction equals the doubling reference bit for bit, in
+    one call fewer; returns the node counts."""
+    radius, fn, calls = _rational_rows(rows, width)
+    fast, fast_nodes = series._contour_coefficients(fn, powers, radius, guards=guards)
+    fast_calls, calls[:] = len(calls), []
+    ref, ref_nodes = contour_coefficients_doubling(
+        fn, powers, radius, n_start=series._N_START, n_max=series._N_MAX, guards=guards
+    )
+    assert np.array_equal(fast_nodes, ref_nodes)
+    for a, b in zip(fast, ref):
+        assert a.shape == b.shape == (len(rows),) + width
+        assert np.array_equal(a, b)
+    # the fast path evaluates the first two counts in one call
+    assert fast_calls == len(calls) - 1
+    return fast_nodes
+
+
 @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @hypothesis.given(
     rows=st.lists(
@@ -308,38 +353,34 @@ def test_twist_tables_and_zeta_rows_match_mpmath_jtheta(tau, u, v):
     width=st.sampled_from([(), (2,)]),
 )
 def test_contour_coefficients_match_the_doubling_reference(rows, powers, width):
-    # row k is z^-q_k + sum_j a_j/(z - p_j) with every p_j outside the circle;
-    # without poles, or with far ones, a row settles at the first comparison
-    radius = np.array([r for r, _, _ in rows])
-    pad = max(max(len(poles) for _, poles, _ in rows), 1)
-    poles = np.full((len(rows), pad), 1e3 + 0j)
-    residues = np.zeros((len(rows), pad), dtype=complex)
-    for k, (r, row_poles, _) in enumerate(rows):
-        for j, (ratio, angle, residue) in enumerate(row_poles):
-            poles[k, j] = cmath.rect(ratio * r, angle)
-            residues[k, j] = residue
-    order = np.array([q for _, _, q in rows])
-    calls = []
+    _assert_contours_match(rows, powers, width)
 
-    def fn(rows_, z):
-        calls.append(z.shape)
-        value = z ** -order[rows_, None].astype(float)
-        value = value + np.sum(
-            residues[rows_, None, :] / (z[:, :, None] - poles[rows_, None, :]), axis=2
-        )
-        return value.reshape(z.shape + (1,) * len(width)) * np.ones(width)
 
-    fast, fast_nodes = series._contour_coefficients(fn, powers, radius)
-    fast_calls, calls[:] = len(calls), []
-    ref, ref_nodes = contour_coefficients_doubling(
-        fn, powers, radius, n_start=series._N_START, n_max=series._N_MAX
-    )
-    assert np.array_equal(fast_nodes, ref_nodes)
-    for a, b in zip(fast, ref):
-        assert a.shape == b.shape == (len(rows),) + width
-        assert np.array_equal(a, b)
-    # the fast path evaluates the first two counts in one call
-    assert fast_calls == len(calls) - 1
+def test_contour_rows_that_all_settle_at_the_first_comparison():
+    rows = [(0.3, [], 2), (1.5, [], 0), (2.0, [(250.0, 1.0, 2 + 1j)], 1)]
+    nodes = _assert_contours_match(rows, [-2, 0, 1], (2,))
+    assert nodes.tolist() == [16, 16, 16]
+
+
+def test_contour_one_row_of_several_lags():
+    rows = [(0.3, [], 2), (0.8, [(3.0, 0.5, 1.0)], 0), (1.5, [], 1), (0.5, [], 3)]
+    nodes = _assert_contours_match(rows, [-1, 0, 2])
+    assert nodes.tolist() == [16, 64, 16, 16]
+
+
+def test_contour_of_no_rows():
+    radius, fn, _ = _rational_rows([])
+    assert radius.shape == (0,)
+    _assert_contours_match([], [0, 1], (2,))
+
+
+def test_contour_guard_powers_stay_out_of_the_agreement_test():
+    # a pole at 5 radii leaves c_-4 (weighted by r^-4) 5^4 times further
+    # from settling than c_0 and c_1: guarding it saves a doubling
+    rows = [(0.5, [(5.0, 2.0, 1.5 - 1j)], 1), (1.0, [], 0)]
+    guarded = _assert_contours_match(rows, [-4, 0, 1], guards=1)
+    tested = _assert_contours_match(rows, [-4, 0, 1])
+    assert guarded.tolist() == [32, 16] and tested.tolist() == [64, 16]
 
 
 @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -298,6 +298,25 @@ def test_j_invariant_special_values(m_square, m_tall):
     assert abs(j_invariant(m_tall) - 66.0**3) < 1e-6 * 66.0**3
 
 
+@pytest.mark.parametrize(
+    "tau",
+    [1j, 2j, 0.5 + 0.9j, 0.1 + 0.6j, 0.1 + 5j, 0.1 + 7j, 7j, 0.1 + 8j, 10j, 30j, 0.45 + 0.3j],
+)
+def test_j_invariant_matches_mpmath_without_cancellation(tau):
+    # g2^3 - 27 g3^2 cancelled to a wrong value at 0.1+7i and to 0 at 7i;
+    # Jacobi's product for the discriminant does not cancel
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        ref = complex(1728 * mpmath.kleinj(mpmath.mpc(tau.real, tau.imag)))
+    assert abs(j_invariant(modular_param(tau)) - ref) <= 1e-12 * abs(ref)
+
+
+def test_j_invariant_refuses_a_q_that_underflows():
+    assert modular_param(120j).q == 0
+    with pytest.raises(ValueError, match="underflows to 0"):
+        j_invariant(modular_param(120j))
+
+
 def test_lattice_distance_reduction():
     assert lattice_distance(3.0 + 2.0 * (0.5 + 0.9j), 0.5 + 0.9j) < 1e-12
     assert lattice_distance(0.5, 1j) == pytest.approx(0.5)
