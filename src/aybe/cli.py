@@ -22,13 +22,16 @@ imaginary unit (``i``, ``2i``, ``0.5+0.9i``).  The value of ``--u``,
 ``--v``, ``--tau``, ``--grid``, ``--a`` or ``--b`` may start with ``-``,
 either as the next argument (``--u -0.3i``) or attached (``--u=-0.3i``):
 a next argument that starts with ``-`` and then a digit, ``.``, ``i`` or
-``j`` is taken as that option's value.  A command line is parsed in one
-pass: when its first token names a subcommand, by that subcommand's
-parser alone, with the full parser's usage error for what is left over;
-any other command line (none, ``-h``, an unknown command) by the full
-parser.  A JSON config file passed
-via ``--config`` may supply any long option of the subcommand (keys with
-dashes or underscores); explicit command line flags override it.  Output
+``j`` is taken as that option's value.  ``--check`` takes a
+comma-separated list too.  A command line is parsed once: when its first
+token names a subcommand, by that subcommand's parser alone, with the
+full parser's usage error for what is left over; any other command line
+(none, ``-h``, an unknown command) by the full parser.  The subcommand's
+parser also reads ``--config``, a JSON object whose keys name long
+options of the subcommand (with dashes or underscores; true stands for a
+bare flag, false and null for none, a list for a comma-separated value).
+Only then is the command line parsed again, with the file's options
+right after the subcommand, so explicit flags override them.  Output
 goes to stdout or ``--out`` and is byte-identical for a fixed
 (configuration, seed): points are processed in input/grid order and all
 numbers use fixed formats.
@@ -333,11 +336,7 @@ def _suite_config(ns: argparse.Namespace, checks: Optional[tuple]) -> SuiteConfi
 
 def _cmd_verify(ns: argparse.Namespace) -> Tuple[List[str], int]:
     h = _build_handle(ns)
-    requested = tuple(ns.check) if ns.check else None
-    if requested:
-        bad = sorted(set(requested) - set(CHECK_NAMES))
-        if bad:
-            raise CliError(f"unknown checks: {', '.join(bad)}")
+    requested = tuple(t for arg in ns.check for t in _tokens(arg)) if ns.check else None
     config = _suite_config(ns, requested)
     reports = run_suite(h, config)
     if requested and "cybe" in requested and not h.is_cybe:
@@ -499,6 +498,8 @@ def _cmd_oracle(ns: argparse.Namespace) -> Tuple[List[str], int]:
 
 def _cmd_sweep(ns: argparse.Namespace) -> Tuple[List[str], int]:
     quantity = ns.quantity
+    if quantity is None or ns.grid is None:
+        raise CliError("sweep requires --quantity and --grid")
     grid_tokens = _tokens(ns.grid)
     grid = [parse_complex(t) for t in grid_tokens]
     lines: List[str] = []
@@ -582,14 +583,6 @@ def _cmd_sweep(ns: argparse.Namespace) -> Tuple[List[str], int]:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _config_parser() -> argparse.ArgumentParser:
-    """Reads ``--config`` alone, before the full parse."""
-    pre = argparse.ArgumentParser(prog="aybe", add_help=False)
-    pre.add_argument("--config", default=None)
-    return pre
-
-
-@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The full parser, built once per process: parsing leaves it unchanged.
 
@@ -615,7 +608,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--check",
         action="append",
         metavar="NAME",
-        help=f"check to run (repeatable); one of {', '.join(CHECK_NAMES)}",
+        help=f"checks to run, comma-separated and repeatable; each one of {', '.join(CHECK_NAMES)}",
     )
     p_verify.add_argument("--points", type=int, help="sample count override")
     p_verify.add_argument("--tol-aybe", type=float, dest="tol_aybe")
@@ -637,7 +630,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "oracle", help="curve composites vs closed trigonometric forms"
     )
     _add_common_args(p_oracle)
-    p_oracle.add_argument("--case", type=int, required=True, help="bundle case, 1 or 2")
+    p_oracle.add_argument("--case", type=int, help="bundle case, 1 or 2")
     p_oracle.add_argument("--samples", type=int, default=20)
     p_oracle.add_argument(
         "--trivialization", choices=TRIVIALIZATIONS, default="exp-sqrt"
@@ -647,14 +640,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="tabulate a quantity over a grid")
     _add_family_args(p_sweep)
     _add_common_args(p_sweep)
-    p_sweep.add_argument(
-        "--quantity",
-        required=True,
-        choices=("C", "j-deviation", "rank", "unitarity"),
-    )
-    p_sweep.add_argument(
-        "--grid", required=True, help="comma-separated grid tokens (tau or v values)"
-    )
+    p_sweep.add_argument("--quantity", choices=("C", "j-deviation", "rank", "unitarity"))
+    p_sweep.add_argument("--grid", help="comma-separated grid tokens (tau or v values)")
     p_sweep.add_argument("--u", help="fixed u token for two-variable families")
     p_sweep.add_argument("--tol", type=float, help="pass threshold for unitarity")
     p_sweep.add_argument(
@@ -707,30 +694,15 @@ def _config_tokens(path: str) -> List[str]:
     return tokens
 
 
-# the option parts (before any "=") of the tokens the full parser reads as
-# --config: the option and its abbreviations down to --co.  The pre-parser
-# alone would also read "--c" (--csv in every subcommand) and "--" with an
-# "=" (any option); the full parser refuses both as ambiguous, so a command
-# line that holds one is left to it and no file is read
-_CONFIG_HEADS = frozenset("--config"[:k] for k in range(4, 9))
-_AMBIGUOUS_HEADS = frozenset(("--", "--c"))
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # a command line with no such token is parsed once, by the full parser
-    heads = {tok.partition("=")[0] for tok in argv if tok != "--"}
     try:
-        if heads & _CONFIG_HEADS and not heads & _AMBIGUOUS_HEADS:
-            config = _config_parser().parse_known_args(argv)[0].config
-            if config:
-                # Insert right after the subcommand so explicit flags override.
-                split = next(
-                    (k + 1 for k, tok in enumerate(argv) if not tok.startswith("-")),
-                    len(argv),
-                )
-                argv = argv[:split] + _config_tokens(config) + argv[split:]
         ns = _parse(_attach_negative_values(argv))
+        if ns.config:
+            # argv[0] is the subcommand: the file's options go right after
+            # it, so explicit flags override them
+            argv[1:1] = _config_tokens(ns.config)
+            ns = _parse(_attach_negative_values(argv))
         lines, code = ns.func(ns)
         _write(lines, ns.out)
         return code

@@ -61,7 +61,7 @@ from .errors import DomainError, NonConvergenceError, PoleProximityError
 from .solutions import SolutionHandle, _u_circle_radii, eval_aybe_array
 from .special import POLE_GUARD, _pole_error
 from .tensors import MatrixTensor2, MatrixTensor3, _embed_array, leg_product_array
-from .verify import ResidualReport, _frobenius, _make_report, _max_abs
+from .verify import ResidualReport, _aybe_forms, _frobenius, _make_report, _max_abs
 
 __all__ = [
     "INFINITY",
@@ -542,17 +542,10 @@ def check_r1_relation(
     hn = _normal_form_handle(h)
     v_all = np.array(pts, dtype=complex)
     r0_all, r1_all = (c.reshape(v_all.shape) for c in _u_coeffs(hn, v_all, [0, 1]))
-    r0p_all = scalar_r0_derivative(hn, v_all)
-    abs_res, rel_res, samples = [], [], []
-    for v, r0, r1, r0p in zip(pts, r0_all, r1_all, r0p_all):
-        r0, r1, r0p = complex(r0), complex(r1), complex(r0p)
-        expected = 0.5 * (r0p + r0 * r0)
-        res = abs(r1 - expected)
-        scale = max(abs(r1), abs(expected), 1.0)
-        samples.append((v,))
-        abs_res.append(res)
-        rel_res.append(res / scale)
-    return _make_report("r1-relation", samples, abs_res, rel_res, 1e-8, 0)
+    expected = 0.5 * (scalar_r0_derivative(hn, v_all) + r0_all * r0_all)
+    res = np.abs(r1_all - expected)
+    scale = np.maximum(np.maximum(np.abs(r1_all), np.abs(expected)), 1.0)
+    return _make_report("r1-relation", [(v,) for v in pts], res, res / scale, 1e-8, 0)
 
 
 def check_aux4(h: SolutionHandle, v: complex, vp: complex) -> complex:
@@ -592,11 +585,7 @@ def check_aux5(
     with all leg embeddings trivial)."""
     hn = pole_normalized_handle(h)
     (a0, b0, c0), (a1, b1, c1) = _legged_coeffs(hn, [(v, vp)], 1, radius)
-    lhs = (
-        leg_product_array(a0, "12", b0, "13")
-        - leg_product_array(c0, "23", a0, "12")
-        + leg_product_array(b0, "13", c0, "23")
-    )
+    _, (lhs,) = _aybe_forms((a0, b0, c0, a0, b0, c0), ("aybe",), leg_product_array)
     rhs = _embed_array(a1, "12") + _embed_array(c1, "23") + _embed_array(b1, "13")
     return MatrixTensor3((lhs - rhs)[0])
 

@@ -49,7 +49,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -284,15 +284,13 @@ class ModularParam:
 
     ``eta1`` is obtained from the theta route
     ``eta1 = -theta11'''(0)/(3*theta11'(0))`` and ``eta2`` from the Legendre
-    relation ``eta1*tau - eta2 = 2*pi*i``; ``eisenstein`` maps weight k in
-    {2, 4, 6} to G_k(tau).
+    relation ``eta1*tau - eta2 = 2*pi*i``.
     """
 
     tau: complex
     q: complex
     eta1: complex
     eta2: complex
-    eisenstein: Mapping[int, complex]
     theta_prime0: complex
 
     @classmethod
@@ -318,8 +316,7 @@ class ModularParam:
             )
         eta1 = -tppp / (3.0 * tp)
         eta2 = eta1 * tau - TWO_PI_I
-        eis = {k: _eisenstein_series(k, q) for k in (2, 4, 6)}
-        return cls(tau=tau, q=q, eta1=eta1, eta2=eta2, eisenstein=eis, theta_prime0=tp)
+        return cls(tau=tau, q=q, eta1=eta1, eta2=eta2, theta_prime0=tp)
 
 
 @lru_cache(maxsize=512)
@@ -349,10 +346,9 @@ def _eisenstein_series(k: int, q: complex) -> complex:
 
 def eisenstein_G(k: int, m: ModularParam) -> complex:
     """Eisenstein series G_k(tau) for k in {2, 4, 6}."""
-    try:
-        return m.eisenstein[k]
-    except KeyError:
-        raise ValueError(f"Eisenstein weight must be one of 2, 4, 6, got {k}") from None
+    if k not in (2, 4, 6):
+        raise ValueError(f"Eisenstein weight must be one of 2, 4, 6, got {k}")
+    return _eisenstein_series(k, m.q)
 
 
 def j_invariant(m: ModularParam) -> complex:
@@ -366,7 +362,7 @@ def j_invariant(m: ModularParam) -> complex:
     q = m.q
     if q == 0:
         raise ValueError(f"q = exp(2 pi i tau) underflows to 0 at tau = {m.tau!r}")
-    g2 = 20.0 * (2.0 * math.pi) ** 4 * m.eisenstein[4]
+    g2 = 20.0 * (2.0 * math.pi) ** 4 * eisenstein_G(4, m)
     product, qn = 1.0 + 0.0j, q
     while abs(qn) > 1e-18:
         product *= 1.0 - qn

@@ -187,13 +187,15 @@ class ResidualReport:
 def _make_report(
     tag: str,
     samples: Sequence[tuple],
-    abs_residuals: Sequence[float],
-    rel_residuals: Sequence[float],
+    abs_residuals: np.ndarray,
+    rel_residuals: np.ndarray,
     tolerance: float,
     skipped: int,
 ) -> ResidualReport:
-    max_abs = max(abs_residuals) if len(abs_residuals) else 0.0
-    max_rel = max(rel_residuals) if len(rel_residuals) else 0.0
+    # numpy's max, unlike Python's, carries a NaN at any place through, so
+    # a NaN residual fails
+    max_abs = np.asarray(abs_residuals).max(initial=0.0)
+    max_rel = np.asarray(rel_residuals).max(initial=0.0)
     return ResidualReport(
         tag=tag,
         points=tuple(samples),
@@ -696,9 +698,8 @@ def _swap_residuals(path: _Path, tags: Tuple[str, ...], count: int, values: np.n
 
 
 def _rank_residuals(path: _Path, tags: Tuple[str, ...], count: int, values: np.ndarray) -> list:
-    """The rank deficit n^2 - rank, as both residuals (Python numbers, which
-    the report's max reads faster than numpy scalars)."""
-    deficits = path.deficits(values.reshape((count,) + path.shape)).tolist()
+    """The rank deficit n^2 - rank, as both residuals."""
+    deficits = path.deficits(values.reshape((count,) + path.shape))
     return [(deficits, deficits)]
 
 
@@ -868,7 +869,7 @@ def nondegeneracy_check(
         raise DomainError("two-variable families need (u, v) points")
     samples = [(v,) if h.is_cybe else (u, v) for u, v in pairs]
     values = _guarded_values(h, _rank_points, samples)
-    deficits = (h.n * h.n - _ranks_as_maps(values.reshape((-1,) + (h.n,) * 4))).tolist()
+    deficits = h.n * h.n - _ranks_as_maps(values.reshape((-1,) + (h.n,) * 4))
     return _make_report("rank", samples, deficits, deficits, tolerance, 0)
 
 
@@ -894,6 +895,6 @@ def run_suite(h: SolutionHandle, config: SuiteConfig = SuiteConfig()) -> List[Re
     if config.checks is not None:
         unknown = set(config.checks) - set(CHECK_NAMES)
         if unknown:
-            raise ValueError(f"unknown checks: {sorted(unknown)}")
+            raise ValueError(f"unknown checks: {', '.join(sorted(unknown))}")
         names = tuple(c for c in names if c in config.checks)
     return _run(h, config, names)

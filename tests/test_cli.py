@@ -20,7 +20,7 @@ import aybe.cli
 import aybe.solutions
 import aybe.verify
 from aybe.cli import (
-    FAMILY_NAMES, CliError, _build_handle, _build_parser, _config_parser, main,
+    FAMILY_NAMES, CliError, _build_handle, _build_parser, main,
     parse_complex,
 )
 from aybe.solutions import (
@@ -828,13 +828,13 @@ def test_missing_config_file_is_usage_error(capsys):
 
 
 def test_config_without_value_is_usage_error(capsys):
-    # the --config pre-parser's usage error returns 2 like every other one,
-    # under the program's name
+    # the subcommand's parser reads --config, so its usage error returns 2
+    # like every other one, under the subcommand's name
     code, out, err = run_cli(["eval", "--config"], capsys)
     assert (code, out) == (2, "")
-    usage, message = err.splitlines()[:2]
-    assert usage.startswith("usage: aybe ")
-    assert message == "aybe: error: argument --config: expected one argument"
+    lines = err.splitlines()
+    assert lines[0].startswith("usage: aybe eval ")
+    assert lines[-1] == "aybe eval: error: argument --config: expected one argument"
 
 
 @pytest.mark.parametrize("option", ["--conf", "--config=", "--conf="])
@@ -849,9 +849,9 @@ def test_an_abbreviated_config_option_reads_the_file(option, tmp_path, capsys):
 
 @pytest.mark.parametrize("head", ["--", "--c"])
 def test_an_ambiguous_config_abbreviation_reads_no_file(head, tmp_path, capsys, monkeypatch):
-    # "--=FILE" and "--c=FILE" abbreviate --config for a parser that knows
-    # no other option; the full parser refuses them as ambiguous, with or
-    # without a readable file, and the file is never opened
+    # "--=FILE" and "--c=FILE" could abbreviate --config, but the
+    # subcommand's parser refuses them as ambiguous, with or without a
+    # readable file, and the file is never opened
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"family": "scalar-rational", "u": "0.5", "v": "0.25"}))
     for path in (tmp_path / "missing.json", cfg):
@@ -863,17 +863,95 @@ def test_an_ambiguous_config_abbreviation_reads_no_file(head, tmp_path, capsys, 
     assert code == 2 and "ambiguous option" in err
 
 
+def _count_parses_and_reads(monkeypatch, command):
+    """Lists that record each run of ``command``'s parser and each config
+    file read, as main makes them."""
+    parser, parses, reads = _build_parser().commands[command], [], []
+    parse_known_args, config_tokens = parser.parse_known_args, aybe.cli._config_tokens
+
+    def counted_parse(*args, **kwargs):
+        parses.append(args[0])
+        return parse_known_args(*args, **kwargs)
+
+    def counted_read(path):
+        reads.append(path)
+        return config_tokens(path)
+
+    monkeypatch.setattr(parser, "parse_known_args", counted_parse)
+    monkeypatch.setattr(aybe.cli, "_config_tokens", counted_read)
+    return parses, reads
+
+
 def test_a_command_line_without_a_config_option_is_parsed_once(monkeypatch, capsys):
     # --check and --csv start like --config but cannot abbreviate it
-    def unreachable():
-        raise AssertionError("ran the --config pre-parser")
-
-    monkeypatch.setattr(aybe.cli, "_config_parser", unreachable)
+    parses, reads = _count_parses_and_reads(monkeypatch, "verify")
     code, out, _ = run_cli(
         ["verify", "--family", "trig1", "--points", "2", "--check", "rank", "--csv"], capsys
     )
     assert code == 0
     assert out.splitlines()[1].startswith("rank,2,0,0.0,0.0,0.5,1")
+    assert (len(parses), reads) == (1, [])
+
+
+def test_a_command_line_with_a_config_option_is_parsed_twice_and_reads_it_once(
+    tmp_path, monkeypatch, capsys
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "trig1", "points": 2, "check": "rank"}))
+    parses, reads = _count_parses_and_reads(monkeypatch, "verify")
+    code, out, _ = run_cli(["verify", "--conf", str(cfg), "--csv"], capsys)
+    assert code == 0
+    assert out.splitlines()[1].startswith("rank,2,0,0.0,0.0,0.5,1")
+    assert reads == [str(cfg)]
+    # the second run reads the file's options first, then the command line
+    assert parses == [
+        ["--conf", str(cfg), "--csv"],
+        ["--family", "trig1", "--points", "2", "--check", "rank", "--conf", str(cfg), "--csv"],
+    ]
+
+
+def test_a_config_file_of_every_value_kind_matches_its_flags(tmp_path, capsys):
+    # true is the bare flag, false and null are left out, and a list is one
+    # comma-separated value, which --check splits as --u and --v do
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "family": "trig1", "check": ["aybe", "rank"], "points": 3, "csv": True,
+        "tol_aybe": None, "out": False,
+    }))
+    flags = ["verify", "--family", "trig1", "--points", "3", "--csv"]
+    expected = run_cli(flags + ["--check", "aybe", "--check", "rank"], capsys)
+    assert expected[0] == 0
+    assert [line.split(",")[0] for line in expected[1].splitlines()] == ["tag", "aybe", "rank"]
+    assert run_cli(["verify", "--config", str(cfg)], capsys) == expected
+    assert run_cli(flags + ["--check", "aybe,rank"], capsys) == expected
+
+
+def test_a_config_file_may_supply_the_options_a_subcommand_needs(tmp_path, capsys):
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"quantity": "rank", "grid": "0.3,0.4", "family": "trig-cybe1"}))
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text(json.dumps({"case": 2, "samples": 3}))
+    assert run_cli(["sweep", "--config", str(sweep)], capsys) == run_cli(
+        ["sweep", "--quantity", "rank", "--grid", "0.3,0.4", "--family", "trig-cybe1"], capsys
+    ) == (0, "v=0.3 rank=3\nv=0.4 rank=3\n", "")
+    code, out, err = run_cli(["oracle", "--config", str(oracle)], capsys)
+    assert (code, len(out.splitlines()), err) == (0, 5, "")
+    assert run_cli(["oracle", "--case", "2", "--samples", "3"], capsys) == (code, out, err)
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["sweep", "--family", "trig1", "--u", "0.3", "--grid", "0.4"],
+         "sweep requires --quantity and --grid"),
+        (["sweep", "--quantity", "C", "--family", "scalar-kronecker"],
+         "sweep requires --quantity and --grid"),
+        (["oracle", "--samples", "3"], "--case must be 1 or 2"),
+    ],
+    ids=["sweep-without-quantity", "sweep-without-grid", "oracle-without-case"],
+)
+def test_a_missing_subcommand_option_is_a_usage_error(args, message, capsys):
+    assert run_cli(args, capsys) == (2, "", f"error: {message}\n")
 
 
 # command lines whose parse by the subcommand's parser alone must match the
@@ -947,7 +1025,6 @@ def test_repeated_main_calls_match_calls_on_fresh_parsers(tmp_path, capsys):
     ]
     fresh = []
     for args in commands:
-        _config_parser.cache_clear()
         _build_parser.cache_clear()
         fresh.append(run_cli(args, capsys))
     assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0]

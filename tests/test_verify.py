@@ -259,6 +259,34 @@ def test_report_validates_consistency():
         )
 
 
+def test_a_nan_residual_at_any_place_fails_the_report():
+    for residuals in ([1e-12, math.nan], [math.nan, 1e-12]):
+        rep = aybe.verify._make_report("x", [(0.1,), (0.2,)], residuals, residuals, 1e-8, 0)
+        assert not rep.passed
+        assert (math.isnan(rep.max_abs_residual), math.isnan(rep.max_rel_residual)) == (True, True)
+        assert "max_rel=nan" in rep.summary_line()
+
+
+def test_a_handle_that_returns_nan_fails_unitarity():
+    # NaN wherever |u| > 0.5; with seed 3 that is 14 of the 20 samples, the
+    # first of them after a finite one
+    trig = trig_aybe(1)
+
+    def fn(u, v):
+        value = eval_aybe(trig, u, v)
+        return MatrixTensor2(np.full_like(value.coeffs, np.nan)) if abs(u) > 0.5 else value
+
+    (rep,) = run_suite(custom_handle(fn, 2), SuiteConfig(seed=3, checks=("unitarity",)))
+    assert abs(rep.points[0][0]) <= 0.5 < max(abs(p[0]) for p in rep.points)
+    assert not rep.passed
+    assert math.isnan(rep.max_rel_residual)
+
+
+def test_an_unknown_check_is_named_in_the_error():
+    with pytest.raises(ValueError, match=r"^unknown checks: bogus, nope$"):
+        run_suite(trig_aybe(1), SuiteConfig(checks=("nope", "aybe", "bogus")))
+
+
 def test_seed_determinism():
     a = check_aybe(elliptic_aybe(2, 1, 1j), SuiteConfig(seed=11, n_aybe=5))
     b = check_aybe(elliptic_aybe(2, 1, 1j), SuiteConfig(seed=11, n_aybe=5))
