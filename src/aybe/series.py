@@ -61,7 +61,7 @@ from .errors import DomainError, NonConvergenceError, PoleProximityError
 from .solutions import SolutionHandle, _u_circle_radii, eval_aybe_array
 from .special import POLE_GUARD, _pole_error
 from .tensors import MatrixTensor2, MatrixTensor3, _embed_array, leg_product_array
-from .verify import ResidualReport, _aybe_forms, _frobenius, _make_report, _max_abs
+from .verify import ResidualReport, _frobenius, _make_report, _max_abs, _product_forms
 
 __all__ = [
     "INFINITY",
@@ -573,6 +573,11 @@ def _legged_coeffs(
     return [c.reshape(pts.shape + (h.n,) * 4) for c in coeffs]
 
 
+# the left side of :func:`check_aux5` as a term table of
+# :func:`aybe.verify._product_forms` on r0 at the points of legs 12, 13 and 23
+_AUX5_TERMS = ((1, 0, "12", 1, "13"), (-1, 2, "23", 0, "12"), (1, 1, "13", 2, "23"))
+
+
 def check_aux5(
     h: SolutionHandle, v: complex, vp: complex, radius: float = 0.04
 ) -> MatrixTensor3:
@@ -584,8 +589,8 @@ def check_aux5(
     on the pole-normalized handle (for n = 1 this is the scalar identity
     with all leg embeddings trivial)."""
     hn = pole_normalized_handle(h)
-    (a0, b0, c0), (a1, b1, c1) = _legged_coeffs(hn, [(v, vp)], 1, radius)
-    _, (lhs,) = _aybe_forms((a0, b0, c0, a0, b0, c0), ("aybe",), leg_product_array)
+    r0, (a1, b1, c1) = _legged_coeffs(hn, [(v, vp)], 1, radius)
+    _, (lhs,) = _product_forms(r0, _AUX5_TERMS, ("aybe",), leg_product_array)
     rhs = _embed_array(a1, "12") + _embed_array(c1, "23") + _embed_array(b1, "13")
     return MatrixTensor3((lhs - rhs)[0])
 

@@ -210,10 +210,12 @@ def _project_sl(c: np.ndarray) -> np.ndarray:
 
 def _ranks_as_maps(coeffs: np.ndarray) -> np.ndarray:
     """:meth:`MatrixTensor2.rank_as_map` of every coeffs[k] of an
-    (N, n, n, n, n) stack, from one batched SVD."""
+    (N, n, n, n, n) stack, from one batched SVD.  A map with an entry that
+    is not finite is ranked as the zero map, 0, as in :func:`_twist_ranks`."""
     n = coeffs.shape[-1]
     maps = coeffs.transpose(0, 3, 4, 2, 1).reshape(len(coeffs), n * n, n * n)
-    return _numerical_ranks(np.linalg.svd(maps, compute_uv=False), n)
+    finite = np.isfinite(maps).all(axis=(1, 2), keepdims=True)
+    return _numerical_ranks(np.linalg.svd(np.where(finite, maps, 0), compute_uv=False), n)
 
 
 def _numerical_ranks(sigma: np.ndarray, n: int) -> np.ndarray:

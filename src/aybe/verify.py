@@ -7,6 +7,10 @@ Four checks are implemented on top of :mod:`aybe.solutions`:
 * unitarity (leg swap at the negated point),
 * non-degeneracy (full rank of the tensor viewed as a map).
 
+Each identity is a term table of signed one-leg products r_ab r_cd of the
+values of its points (:data:`_AYBE_TERMS`, :data:`_CYBE_TERMS`), and one
+loop forms every table's residuals (:func:`_product_forms`).
+
 Each check comes in a pointwise flavour returning the raw residual tensor
 and a sampled flavour returning a :class:`ResidualReport`.  Sampling is
 seeded and deterministic; points that fall inside a pole guard are redrawn
@@ -51,12 +55,14 @@ index is 0, one multiplication each, its ranks come from a d x d DFT of
 the table and its u -> 0 limits from the table's row 0.  Any other
 handle is evaluated to its dense values, forms each product of a block
 of samples as one batched BLAS matrix product, and takes one SVD per
-rank.  The pointwise residuals and :func:`nondegeneracy_check` are dense
+rank of a finite value; a value that is not finite has rank 0 on both
+paths.  The pointwise residuals and :func:`nondegeneracy_check` are dense
 for every handle.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -221,7 +227,7 @@ def aybe_residual(
         T2 = r23(u+u', v')    r12(u, v)
         T3 = r13(u, v+v')     r23(u', v')
     """
-    return _aybe_form_at(h, (u, up, v, vp), "aybe")
+    return _form_at(h, _aybe_points, _AYBE_TERMS, (u, up, v, vp), "aybe")
 
 
 def aybe_commutator_residual(
@@ -237,13 +243,12 @@ def aybe_commutator_residual(
 
     which is the mechanical step behind the classical limit.
     """
-    return _aybe_form_at(h, (u, up, v, vp), "commutator")
+    return _form_at(h, _aybe_points, _AYBE_TERMS, (u, up, v, vp), "commutator")
 
 
 def cybe_residual(h: SolutionHandle, v: complex, vp: complex) -> MatrixTensor3:
     """Residual [r12(v), r13(v+v')] + [r12(v), r23(v')] + [r13(v+v'), r23(v')]."""
-    _, forms = _cybe_forms(_guarded_values(h, _cybe_points, [(v, vp)]), leg_product_array)
-    return MatrixTensor3(forms[0, 0])
+    return _form_at(h, _cybe_points, _CYBE_TERMS, (v, vp), "cybe")
 
 
 def _unitarity_residuals(h: SolutionHandle, pairs: Sequence[tuple]) -> np.ndarray:
@@ -294,6 +299,12 @@ def _aybe_points(u, up, v, vp) -> tuple:
 def _cybe_points(v, vp) -> tuple:
     """r12, r13 and r23 of :func:`cybe_residual`."""
     return None, (v, v + vp, vp)
+
+
+# the identities as term tables for :func:`_product_forms`: rows (sign, x,
+# legs_x, y, legs_y), x and y indexing the values of the points above
+_AYBE_TERMS = ((1, 0, "12", 1, "13"), (-1, 2, "23", 3, "12"), (1, 4, "13", 5, "23"))
+_CYBE_TERMS = ((1, 0, "12", 1, "13"), (1, 0, "12", 2, "23"), (1, 1, "13", 2, "23"))
 
 
 def _unitarity_points(*sample) -> tuple:
@@ -381,20 +392,6 @@ def _points_of(h: SolutionHandle, points: Callable, *columns) -> tuple:
     return u, v
 
 
-def _block_norms(values: np.ndarray, forms: Callable, count: int, entries: int) -> list:
-    """(max_abs, relative Frobenius), each (N,), of each of the ``count``
-    forms of the samples of ``values`` (k, N, ...), where ``forms(block)``
-    gives (scale, residuals (count, n, ...)) for a block of n samples.  A
-    block holds _BLOCK // ``entries`` samples, ``entries`` the size of one
-    sample's product, and only one block's three-leg arrays are alive at a
-    time."""
-    step = max(1, _BLOCK // entries)
-    norms = [_norms(*forms(values[:, s:s + step])) for s in range(0, values.shape[1], step)]
-    if not norms:
-        return [(np.zeros(0), np.zeros(0))] * count
-    return list(zip(*(np.concatenate(x, axis=1) for x in zip(*norms))))
-
-
 def _norms(scale: np.ndarray, residuals: np.ndarray) -> tuple:
     # a function of its own, so that a block's residuals are freed before
     # the next block's products are formed; every form's norms in one pass
@@ -403,69 +400,43 @@ def _norms(scale: np.ndarray, residuals: np.ndarray) -> tuple:
     return _max_abs(flat).reshape(shape), _frobenius(flat).reshape(shape) / scale
 
 
-def _aybe_forms(values: np.ndarray, tags: Tuple[str, ...], product: Callable) -> tuple:
-    """(scale, residuals) for the samples of the six values of
-    :func:`_aybe_points`, with ``product(x, legs_x, y, legs_y)`` the leg
-    product on them (see :func:`_path`): ``residuals[i]`` is the form
-    ``tags[i]`` at every sample.  Each sample's scale is the largest
-    Frobenius norm of T1..T3.  The forms are ``aybe``, T1 - T2 + T3, and
-    ``commutator``, the same with every product replaced by a commutator.
-    Each product is added into its residual as soon as it is formed, so
-    besides the residuals at most two three-leg arrays per sample are alive
-    at a time."""
-    a, b, c, d, e, f = values
-    scale = np.full(len(a), 1e-300)
-    for k, (sign, x, lx, y, ly) in enumerate(
-        ((1, a, "12", b, "13"), (-1, c, "23", d, "12"), (1, e, "13", f, "23"))
-    ):
-        term = product(x, lx, y, ly)
+def _product_forms(values: np.ndarray, terms: tuple, tags: Tuple[str, ...], product: Callable) -> tuple:
+    """(scale, residuals) for the samples of ``values`` (k, N, ...), the
+    values of the points of an identity with term table ``terms`` (rows
+    (sign, x, legs_x, y, legs_y), x and y indexing ``values``), and the leg
+    product ``product`` of :func:`_path`.  ``residuals[i]`` is the form
+    ``tags[i]``: ``aybe`` sums sign * x y, and ``commutator`` or ``cybe``
+    (after ``aybe``) sums sign * [x, y].  A sample's scale is the largest
+    Frobenius norm of the products x y, and for ``cybe`` of the reversed
+    products y x too.  Each product is copied or added into its forms as
+    soon as it is formed, so besides the residuals at most two three-leg
+    arrays per sample are alive at a time, three for ``cybe``, which keeps
+    its reversed product for the scale."""
+    scale = np.full(values.shape[1], 1e-300)
+    for k, (sign, i, legs_x, j, legs_y) in enumerate(terms):
+        term = product(values[i], legs_x, values[j], legs_y)
         scale = np.maximum(scale, _frobenius(term))
         if k == 0:
             forms = np.empty((len(tags),) + term.shape, dtype=complex)
-            form = {tag: forms[i] for i, tag in enumerate(tags)}
-        if "aybe" in form:
-            _accumulate(form["aybe"], k, sign, term)
-        if "commutator" in form:
-            term -= product(y, ly, x, lx)
-            _accumulate(form["commutator"], k, sign, term)
+        for form, tag in zip(forms, tags):
+            if tag == "cybe":
+                backward = product(values[j], legs_y, values[i], legs_x)
+                scale = np.maximum(scale, _frobenius(backward))
+                term -= backward
+            elif tag == "commutator":
+                term -= product(values[j], legs_y, values[i], legs_x)
+            if k == 0:
+                form[...] = term
+            elif sign > 0:
+                form += term
+            else:
+                form -= term
     return scale, forms
 
 
-def _cybe_forms(values: np.ndarray, product: Callable) -> tuple:
-    """(scale, residuals) for the samples of the three values of
-    :func:`_cybe_points`, with the leg product ``product`` as in
-    :func:`_aybe_forms`: the one residual is the sum of the three
-    commutators, the scale the largest Frobenius norm of their six
-    products."""
-    r12, r13, r23 = values
-    scale = np.full(len(r12), 1e-300)
-    for k, (x, lx, y, ly) in enumerate(
-        ((r12, "12", r13, "13"), (r12, "12", r23, "23"), (r13, "13", r23, "23"))
-    ):
-        forward = product(x, lx, y, ly)
-        backward = product(y, ly, x, lx)
-        scale = np.maximum(scale, np.maximum(_frobenius(forward), _frobenius(backward)))
-        forward -= backward
-        if k == 0:
-            forms = np.empty((1,) + forward.shape, dtype=complex)
-        _accumulate(forms[0], k, 1, forward)
-    return scale, forms
-
-
-def _accumulate(total: np.ndarray, k: int, sign: int, term: np.ndarray) -> None:
-    """Term k of a sum into ``total``, in place: a copy of the first term
-    (k = 0, sign +1), then total + sign * term."""
-    if k == 0:
-        total[...] = term
-    elif sign > 0:
-        total += term
-    else:
-        total -= term
-
-
-def _aybe_form_at(h: SolutionHandle, sample: tuple, tag: str) -> MatrixTensor3:
-    """One form of :func:`_aybe_forms` at one guarded sample."""
-    _, forms = _aybe_forms(_guarded_values(h, _aybe_points, [sample]), (tag,), leg_product_array)
+def _form_at(h: SolutionHandle, points: Callable, terms: tuple, sample: tuple, tag: str) -> MatrixTensor3:
+    """The form ``tag`` of :func:`_product_forms` at one guarded sample."""
+    _, forms = _product_forms(_guarded_values(h, points, [sample]), terms, (tag,), leg_product_array)
     return MatrixTensor3(forms[0, 0])
 
 
@@ -517,7 +488,9 @@ def _path(h: SolutionHandle) -> _Path:
     (:func:`aybe.tensors._twist_ranks`) and project_sl shifts its row 0
     (:func:`aybe.tensors._twist_project_sl`).  Any other handle is
     evaluated dense, forms n^6 entries per product as one BLAS matrix
-    product and takes one SVD per rank."""
+    product and takes one SVD per rank of a finite value
+    (:func:`aybe.tensors._ranks_as_maps`).  Both products serve the term
+    tables of :func:`_product_forms`."""
     if not _graded(h):
         return _Path(
             lambda u, v: _eval_array(h, u, v), (h.n,) * 4, leg_product_array, h.n**6,
@@ -579,48 +552,44 @@ class SuiteConfig:
 _TWO_PI_J = 2j * math.pi
 
 
-def _sample_radius(h: SolutionHandle) -> float:
-    return 0.4 if _FAMILIES[h.family].elliptic else 1.0
-
-
 class _Stream:
     """The disc points of the uniform draws of ``default_rng(seed)``: point
     i takes draws 2i and 2i + 1, r = radius*sqrt(x) and phi = 2*pi*x', and
     a check of ``width`` points reads its candidates as consecutive groups
     of ``width`` of them.  Every check reads the points from the start, so
     a run draws them once, ``size`` at first and more as a check reads past
-    them, and each check keeps its own cursor."""
+    them, and each check keeps its own cursor.  A run draws at one radius:
+    the CYBE partner's is the handle's."""
 
-    def __init__(self, seed: int, size: int):
+    def __init__(self, seed: int, radius: float, size: int):
         self._rng = np.random.default_rng(seed)
+        self._radius = radius
         self._drawn = self._rng.uniform(size=2 * size)
-        self._points: dict = {}  # radius -> the points of all draws so far
+        self._points = np.empty(0, dtype=complex)  # the points of all draws so far
 
-    def candidates(self, radius: float, start: int, m: int, width: int) -> np.ndarray:
+    def candidates(self, start: int, m: int, width: int) -> np.ndarray:
         """Candidates start .. start + m of a check of ``width`` points, (m, width)."""
         lo, hi = width * start, width * (start + m)
         if 2 * hi > len(self._drawn):
             more = self._rng.uniform(size=2 * hi - len(self._drawn))
             self._drawn = np.concatenate((self._drawn, more))
-        points = self._points.get(radius)
-        if points is None or len(points) < hi:
+        if len(self._points) < hi:
             x = self._drawn.reshape(-1, 2)
             # r*exp(i*phi) is (r*cos(phi), r*sin(phi)) bit for bit: exp of an
             # imaginary number is (cos, sin), and the products with the real
             # r add exact zeros
-            points = np.exp(x[:, 1] * _TWO_PI_J)
-            points *= radius * np.sqrt(x[:, 0])
-            self._points[radius] = points
-        return points[lo:hi].reshape(m, width)
+            self._points = np.exp(x[:, 1] * _TWO_PI_J)
+            self._points *= self._radius * np.sqrt(x[:, 0])
+        return self._points[lo:hi].reshape(m, width)
 
 
-def _sample_all(samplings: Sequence[tuple], max_draws: int, seed: int) -> list:
+def _sample_all(samplings: Sequence[tuple], radius: float, max_draws: int, seed: int) -> list:
     """(samples, rejects) of each of the ``samplings``, (handle, points,
-    count, width, guard): ``count`` samples of ``width`` disc points whose
-    ``points`` (:func:`_aybe_points` and its kin) all keep clear of the
-    poles of ``handle`` by ``guard``.  They come from one stream of
-    ``default_rng(seed)`` (:class:`_Stream`); a handle of the wrong arity
-    raises before the first draw.
+    count, width, guard): ``count`` samples of ``width`` points of the disc
+    of ``radius`` whose ``points`` (:func:`_aybe_points` and its kin) all
+    keep clear of the poles of ``handle`` by ``guard``.  They come from one
+    stream of ``default_rng(seed)`` (:class:`_Stream`); a handle of the
+    wrong arity raises before the first draw.
 
     The draw is one loop of rounds.  Round i reads the next block of
     candidates of every sampling still short, ``count`` << i of them, and
@@ -632,7 +601,7 @@ def _sample_all(samplings: Sequence[tuple], max_draws: int, seed: int) -> list:
     a sampling hold fewer than ``count`` accepted ones."""
     for h, points, _, width, _ in samplings:
         _points_of(h, points, *(0j,) * width)
-    stream = _Stream(seed, max(
+    stream = _Stream(seed, radius, max(
         (width * min(count, max_draws) for _, _, count, width, _ in samplings), default=0
     ))
     samples: List[list] = [[] for _ in samplings]
@@ -645,7 +614,7 @@ def _sample_all(samplings: Sequence[tuple], max_draws: int, seed: int) -> list:
                 if draws[k] >= max_draws:
                     raise NonConvergenceError(f"rejection sampling exhausted {max_draws} draws")
                 m = min(count << i, max_draws - draws[k])
-                candidates = stream.candidates(_sample_radius(h), draws[k], m, width)
+                candidates = stream.candidates(draws[k], m, width)
                 draws[k] += m
                 group = groups.setdefault((id(h), guard), (h, guard, []))[2]
                 group.append((k, candidates, points(*candidates.T)))
@@ -672,20 +641,22 @@ def _sample_all(samplings: Sequence[tuple], max_draws: int, seed: int) -> list:
 # the sampled checks: one record each
 # ---------------------------------------------------------------------------
 
-def _aybe_residuals(path: _Path, tags: Tuple[str, ...], count: int, values: np.ndarray) -> list:
-    """The forms ``tags`` of :func:`_aybe_forms`, which share the values,
-    T1..T3 and the relative scale."""
-    return _block_norms(
-        values.reshape((6, count) + path.shape),
-        lambda block: _aybe_forms(block, tags, path.product), len(tags), path.entries,
-    )
-
-
-def _cybe_residuals(path: _Path, tags: Tuple[str, ...], count: int, values: np.ndarray) -> list:
-    return _block_norms(
-        values.reshape((3, count) + path.shape),
-        lambda block: _cybe_forms(block, path.product), 1, path.entries,
-    )
+def _product_residuals(
+    terms: tuple, path: _Path, tags: Tuple[str, ...], count: int, values: np.ndarray
+) -> list:
+    """The forms ``tags`` of :func:`_product_forms` of the identity
+    ``terms``, which share the values, the products and the relative scale.
+    A block of _BLOCK // ``path.entries`` samples is formed at a time (an
+    empty one for no samples), so only one block's three-leg arrays are
+    alive at a time."""
+    width = 1 + max(max(i, j) for _, i, _, j, _ in terms)
+    values = values.reshape((width, count) + path.shape)
+    step = max(1, _BLOCK // path.entries)
+    norms = [
+        _norms(*_product_forms(values[:, s:s + step], terms, tags, path.product))
+        for s in range(0, max(count, 1), step)
+    ]
+    return list(zip(*(np.concatenate(x, axis=1) for x in zip(*norms))))
 
 
 def _swap_residuals(path: _Path, tags: Tuple[str, ...], count: int, values: np.ndarray) -> list:
@@ -750,10 +721,10 @@ def _cybe_tolerance(h: SolutionHandle, config: SuiteConfig) -> float:
 # keeps R(v) >= min(1e-2, r Im tau) / (d r) for the elliptic family.  The
 # partner's sample radius is the handle's: both are elliptic or not
 _CHECKS = (
-    _Check(("aybe", "commutator"), _aybe_points, (4, 4), "n_aybe",
-           lambda h, config: config.tol_aybe, lambda h: not h.is_cybe, _aybe_residuals),
-    _Check(("cybe",), _cybe_points, (2, 2), "n_cybe",
-           _cybe_tolerance, lambda h: h.is_cybe, _cybe_residuals),
+    _Check(("aybe", "commutator"), _aybe_points, (4, 4), "n_aybe", lambda h, config: config.tol_aybe,
+           lambda h: not h.is_cybe, functools.partial(_product_residuals, _AYBE_TERMS)),
+    _Check(("cybe",), _cybe_points, (2, 2), "n_cybe", _cybe_tolerance,
+           lambda h: h.is_cybe, functools.partial(_product_residuals, _CYBE_TERMS)),
     _Check(("unitarity",), _unitarity_points, (1, 2), "n_unitarity",
            lambda h, config: config.tol_unitarity, lambda h: True, _swap_residuals),
     _Check(("rank",), _rank_points, (1, 2), "n_rank",
@@ -801,7 +772,7 @@ def _run(h: SolutionHandle, config: SuiteConfig, tags: Sequence[str]) -> List[Re
         (target, c.points, getattr(config, c.count), c.widths[not target.is_cybe],
          max(config.guard, 1e-2) if c.partner else config.guard)
         for c, _, target in checks
-    ], config.max_draws, config.seed)
+    ], 0.4 if _FAMILIES[h.family].elliptic else 1.0, config.max_draws, config.seed)
     requests, index, finishes = [], [], []
     for i, ((c, t, target), (samples, skipped)) in enumerate(zip(checks, drawn)):
         request = _request(target, c.points, samples)

@@ -30,6 +30,7 @@ from aybe.special import (
     _lattice_distance_grid,
     _reduced_distance_grid,
     _split_lattice_grid,
+    _sum_terms,
     _theta_grid_terms,
     _theta_raw_grid,
     eisenstein_G,
@@ -435,6 +436,16 @@ def test_F_zeta_expansion_identity(d, k, ell, m_square, rng):
         if count == 10:
             break
     assert count == 10
+
+
+def test_sum_terms_is_bitwise_numpys_contiguous_sum():
+    # numpy's pairwise sum splits a contiguous axis of more than 64 complex
+    # terms in two halves, as the > 64-term branch does
+    rng = np.random.default_rng(17)
+    for count in range(4, 400):
+        terms = rng.normal(size=(count, 3)) + 1j * rng.normal(size=(count, 3))
+        total = _sum_terms(terms)
+        assert np.array_equal(total.view(float), np.ascontiguousarray(terms.T).sum(axis=1).view(float))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from aybe.tensors import (
     _graded_layout,
     _graded_plan,
     _graded_slice,
+    _ranks_as_maps,
+    _twist_ranks,
     from_pair,
     identity2,
     leg_product,
@@ -44,6 +46,18 @@ def test_linear_ops(rng):
     assert np.allclose((x - y).coeffs, x.coeffs - y.coeffs)
     assert np.allclose((2.5j * x).coeffs, 2.5j * x.coeffs)
     assert np.allclose((-x).coeffs, -x.coeffs)
+
+
+def test_three_leg_linear_ops_are_coefficient_arithmetic(rng):
+    for n in (1, 2, 3):
+        coeffs = rng.normal(size=(n,) * 6) + 1j * rng.normal(size=(n,) * 6)
+        x = MatrixTensor3(coeffs)
+        assert x.n == n
+        assert np.array_equal((-x).coeffs, -coeffs)
+        for scalar in (2.5j, -0.75, 3):
+            assert np.array_equal((x * scalar).coeffs, coeffs * scalar)
+            assert np.array_equal((scalar * x).coeffs, scalar * coeffs)
+            assert isinstance(scalar * x, MatrixTensor3)
 
 
 def test_mul_is_factorwise(rng):
@@ -216,6 +230,20 @@ def test_rank_as_map():
                 casimir = casimir + from_pair(matrix_unit(n, i, j), matrix_unit(n, j, i))
         assert casimir.rank_as_map() == n * n
     assert MatrixTensor2.zeros(2).rank_as_map() == 0
+
+
+def test_a_value_that_is_not_finite_has_rank_zero(rng):
+    # the dense SVD does not converge on a NaN map; the DFT ranks of a twist
+    # table read 0 there, and the dense path agrees
+    stack = np.stack([random_tensor(rng, 2).coeffs for _ in range(4)])
+    stack[1, 0, 1, 1, 0] = np.nan
+    stack[2, 1, 1, 0, 0] = np.inf
+    assert _ranks_as_maps(stack).tolist() == [4, 0, 0, 4]
+    assert _ranks_as_maps(stack[1:3]).tolist() == [0, 0]
+    assert _ranks_as_maps(stack[:0]).tolist() == []
+    tables = rng.normal(size=(2, 3, 3)) + 0j
+    tables[1, 2, 0] = np.nan
+    assert _twist_ranks(tables).tolist() == [9, 0]
 
 
 def test_rank_counts_independent_terms():

@@ -282,6 +282,21 @@ def test_a_handle_that_returns_nan_fails_unitarity():
     assert math.isnan(rep.max_rel_residual)
 
 
+def test_a_handle_that_returns_nan_fails_rank():
+    # the same handle: with seed 3, three of the five rank samples are NaN,
+    # and each has rank 0 instead of stopping the dense SVD
+    trig = trig_aybe(1)
+
+    def fn(u, v):
+        value = eval_aybe(trig, u, v)
+        return MatrixTensor2(np.full_like(value.coeffs, np.nan)) if abs(u) > 0.5 else value
+
+    (rep,) = run_suite(custom_handle(fn, 2), SuiteConfig(seed=3, checks=("rank",)))
+    assert sum(abs(p[0]) > 0.5 for p in rep.points) == 3
+    assert not rep.passed
+    assert (rep.max_abs_residual, rep.max_rel_residual) == (4.0, 4.0)
+
+
 def test_an_unknown_check_is_named_in_the_error():
     with pytest.raises(ValueError, match=r"^unknown checks: bogus, nope$"):
         run_suite(trig_aybe(1), SuiteConfig(checks=("nope", "aybe", "bogus")))
@@ -732,10 +747,10 @@ def _report_scale(h, report):
     count = len(report.points)
     if report.tag == "cybe":
         values = aybe.verify._guarded_values(h, aybe.verify._cybe_points, report.points)
-        scale, _ = aybe.verify._cybe_forms(values, leg_product_array)
+        scale, _ = aybe.verify._product_forms(values, aybe.verify._CYBE_TERMS, ("cybe",), leg_product_array)
     elif report.tag in ("aybe", "commutator"):
         values = aybe.verify._guarded_values(h, aybe.verify._aybe_points, report.points)
-        scale, _ = aybe.verify._aybe_forms(values, ("aybe",), leg_product_array)
+        scale, _ = aybe.verify._product_forms(values, aybe.verify._AYBE_TERMS, ("aybe",), leg_product_array)
     else:
         target = paired_cybe_handle(h) if report.tag == "limit" else h
         values = aybe.verify._guarded_values(target, aybe.verify._rank_points, report.points)
@@ -897,9 +912,9 @@ def test_no_candidate_clears_a_huge_guard():
     blocks = []
     candidates = aybe.verify._Stream.candidates
 
-    def counting_candidates(stream, radius, start, m, width):
+    def counting_candidates(stream, start, m, width):
         blocks.append(m)
-        return candidates(stream, radius, start, m, width)
+        return candidates(stream, start, m, width)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(aybe.verify._Stream, "candidates", counting_candidates)
