@@ -50,6 +50,7 @@ which is what check_reconstruction_chain verifies.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -463,16 +464,22 @@ def classify_scalar(h: SolutionHandle, radius: float = 0.3) -> ScalarClassificat
     0.806 at tau = 0.1+0.8i.  The default 0.3 is not wide: for
     scalar-trig it gives C = -4.081632663461e-01+2.9e-9j, 3.1e-9 from
     -20/49 (the rounding of r0 on 16 nodes, over 0.3^5), while
-    ``radius=1.5`` gives C within 1.1e-14 of it.
+    ``radius=1.5`` gives C within 1.1e-14 of it.  A c3, c5 or C that is
+    not finite raises DomainError instead of a verdict.
     """
     series, _ = normalize_scalar_r0(h, order=5, radius=radius)
     c3 = series.coefficient(3)
     c5 = series.coefficient(5)
+    # every comparison with NaN is false: no window decides on such a C
+    if not (cmath.isfinite(c3) and cmath.isfinite(c5)):
+        raise DomainError(f"c3 = {c3!r} and c5 = {c5!r} give no finite C")
     if abs(c3) < 1e-12:
         if abs(c5) > 1e-10:
             return ScalarClassification(c3, c5, INFINITY, "elliptic-like")
         return ScalarClassification(c3, c5, None, "rational-like")
     big_c = c5 * c5 / (c3 * c3 * c3)
+    if not cmath.isfinite(big_c):
+        raise DomainError(f"C = c5^2/c3^3 overflows at c3 = {c3!r}, c5 = {c5!r}")
     if abs(big_c - _TRIG_POINT) < 1e-8 * max(1.0, abs(big_c)):
         verdict = "trigonometric-like"
     else:

@@ -300,14 +300,11 @@ def _dist_to_two_pi_i(x: np.ndarray) -> np.ndarray:
     return np.hypot(x.real, x.imag - _TWO_PI * np.rint(x.imag / _TWO_PI))
 
 
-def _clear_of_two_pi_i(h: SolutionHandle, uu: np.ndarray, vv: np.ndarray, guard: float) -> np.ndarray:
-    return (_dist_to_two_pi_i(uu) > guard) & (_dist_to_two_pi_i(vv) > guard)
-
-
-def _clear_of_two_pi_i_v(
+def _clear_of_two_pi_i(
     h: SolutionHandle, uu: Optional[np.ndarray], vv: np.ndarray, guard: float
 ) -> np.ndarray:
-    return _dist_to_two_pi_i(vv) > guard
+    clear = _dist_to_two_pi_i(vv) > guard
+    return clear if uu is None else (_dist_to_two_pi_i(uu) > guard) & clear
 
 
 def _clear_of_lattice(tau: complex, guard: float, *points: np.ndarray) -> np.ndarray:
@@ -402,11 +399,11 @@ _FAMILIES = {
     ),
     "trig_cybe1": _Family(
         base=lambda h, v: _trig_cybe_coeffs(1, v),
-        domain=_clear_of_two_pi_i_v, n=2, two_variable=False, cli_name="trig-cybe1",
+        domain=_clear_of_two_pi_i, n=2, two_variable=False, cli_name="trig-cybe1",
     ),
     "trig_cybe2": _Family(
         base=lambda h, v: _trig_cybe_coeffs(2, v),
-        domain=_clear_of_two_pi_i_v, n=2, two_variable=False, cli_name="trig-cybe2",
+        domain=_clear_of_two_pi_i, n=2, two_variable=False, cli_name="trig-cybe2",
     ),
     "scalar_kronecker": _Family(
         base=_scalar(lambda h, u, v: kronecker_F(u, v, modular_param(h.tau))),
@@ -675,15 +672,11 @@ def _u_circle_radii(h: SolutionHandle, v: np.ndarray, share: float) -> Optional[
 def _limit_nodes(h: SolutionHandle, v: np.ndarray) -> tuple:
     """(u, v) of the nodes on the circle |u| = R(v)/50 at each of the N points
     of the 1-d array ``v``, each (N, 8), and the radii (N,).  A family
-    without u-pole data or without a CYBE partner, a callable gauge and a v
-    on the polar locus of the CYBE partner raise DomainError."""
+    without u-pole data or without a CYBE partner and a callable gauge raise
+    DomainError; v is not guarded."""
     radii = _u_circle_radii(h, v, 50.0)
     if radii is None or _FAMILIES[h.family].partner is None:
         raise DomainError(f"no u-pole data or CYBE partner for family {h.family}")
-    # the circle keeps clear of the u-poles, so this tests the v-locus
-    clear = _domain_mask(h, radii, v, guard=1e-9)
-    if not clear.all():
-        raise DomainError(f"v={v[clear.argmin()]} lies on the polar locus of the CYBE partner")
     return radii[:, None] * _LIMIT_NODES, np.repeat(v[:, None], len(_LIMIT_NODES), axis=1), radii
 
 
@@ -704,7 +697,11 @@ def cybe_limit_of_aybe(h: SolutionHandle, v: complex) -> LimitResult:
     CYBE partner, a callable gauge and a v on the polar locus of the CYBE
     partner raise DomainError.
     """
-    u_nodes, v_nodes, radii = _limit_nodes(h, np.array([complex(v)]))
+    v = np.array([complex(v)])
+    u_nodes, v_nodes, radii = _limit_nodes(h, v)
+    # the circle keeps clear of the u-poles, so this tests the v-locus
+    if not _domain_mask(h, radii, v, guard=1e-9)[0]:
+        raise DomainError(f"v={v[0]} lies on the polar locus of the CYBE partner")
     values = eval_aybe_array(h, u_nodes, v_nodes).reshape(u_nodes.shape + (h.n,) * 4)
     limits = _limit_means(values)
     # the gap: the relative distance to the mean over the 4 even nodes

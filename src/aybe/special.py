@@ -38,8 +38,9 @@ The theta series is summed in one place, over an array of reduced points
 at once, by powers: one exp(pi*i*u0) and one exp(-pi*i*u0) per point and a
 recurrence whose factors have modulus < 1.  F and its twists take one path
 for points and arrays (``_kronecker_twist_grid``); theta11, zeta, wp and
-the lattice constants read the series at one point.  Only per-tau
-constants are cached, no per-point values.
+the lattice constants read the series at one point.  Three caches hold
+constants, no per-point values: :func:`modular_param` and
+:func:`_theta_grid_terms` per tau, and :func:`_pair_plan` per (d, first).
 """
 
 from __future__ import annotations
@@ -139,22 +140,14 @@ _CORNER_DA = np.repeat([-1.0, 0.0, 1.0], 3)
 _CORNER_DB = np.tile([-1.0, 0.0, 1.0], 3)
 
 
-@lru_cache(maxsize=256)
-def _cell_offsets(tau: complex) -> tuple:
-    """da, and the real and imaginary parts of db*tau, of the nine cell
-    corners."""
-    return _CORNER_DA, _CORNER_DB * tau.real, _CORNER_DB * tau.imag
-
-
 def _reduced_distance_grid(x0: np.ndarray, tau: complex) -> np.ndarray:
     """:func:`lattice_distance` of the points whose reductions are ``x0``,
     bit for bit: the corners are subtracted in its order, (x0 - da) - db*tau,
     and the modulus is ``hypot``, as Python's ``abs`` forms it (numpy's
     complex ``abs`` can differ in the last bit)."""
-    da, db_re, db_im = _cell_offsets(tau)
-    re = x0.real[..., None] - da
-    re -= db_re
-    return np.minimum.reduce(np.hypot(re, x0.imag[..., None] - db_im), axis=-1)
+    re = x0.real[..., None] - _CORNER_DA
+    re -= _CORNER_DB * tau.real
+    return np.minimum.reduce(np.hypot(re, x0.imag[..., None] - _CORNER_DB * tau.imag), axis=-1)
 
 
 def _lattice_distance_grid(x: np.ndarray, tau: complex) -> np.ndarray:
@@ -476,14 +469,6 @@ def _pair_plan(d: int, first: int) -> _PairPlan:
     )
 
 
-@lru_cache(maxsize=256)
-def _twist_plan(d: int, first: int, tau: complex) -> tuple:
-    """The pair plan, the shifts shift_frac*tau of the arguments of a point,
-    as :func:`kronecker_F_char` forms p*tau and q*tau, and 2*pi*i*p*q*tau."""
-    pairs = _pair_plan(d, first)
-    return pairs, pairs.shift_frac * tau, TWO_PI_I * (pairs.pq * tau)
-
-
 def _twist_pole_error(z: np.ndarray, near: np.ndarray, pair_m: np.ndarray,
                       guard: float, tau: complex) -> PoleProximityError:
     """The error of the first point at which some pair's :func:`kronecker_F`
@@ -536,7 +521,9 @@ def _kronecker_twist_grid(u, v, d: int, m: ModularParam, *, first: int = 0,
         u, v = np.broadcast_arrays(u, v)
     zero_u = u.ndim == 0 and u == 0
     tau = m.tau
-    pairs, shift, pq_tau_2pi_i = _twist_plan(d, first, tau)
+    pairs = _pair_plan(d, first)
+    # the shifts of the arguments, as kronecker_F_char forms p*tau and q*tau
+    shift = pairs.shift_frac * tau
     rows = d - first
     groups = [u[..., None] + shift[:rows], v[..., None] + shift[rows:rows + d]]
     if not zero_u:
@@ -580,7 +567,7 @@ def _kronecker_twist_grid(u, v, d: int, m: ModularParam, *, first: int = 0,
     bw += pairs.carry
     exponent = -1j * math.pi * (bw * bw - bu * bu - bv * bv) * tau - TWO_PI_I * (
         bw * w0 - bu * u0 - bv * v0
-    ) + (pq_tau_2pi_i + pairs.p_2pi_i * v[..., None, None])
+    ) + (TWO_PI_I * (pairs.pq * tau) + pairs.p_2pi_i * v[..., None, None])
     if not zero_u:
         exponent += pairs.q_2pi_i * u[..., None, None]
     tuv = tw * pairs.carry_sign

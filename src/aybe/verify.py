@@ -9,7 +9,10 @@ Four checks are implemented on top of :mod:`aybe.solutions`:
 
 Each identity is a term table of signed one-leg products r_ab r_cd of the
 values of its points (:data:`_AYBE_TERMS`, :data:`_CYBE_TERMS`), and one
-loop forms every table's residuals (:func:`_product_forms`).
+loop forms every table's residuals (:func:`_product_forms`).  A sampled
+residual first scales each sample's values by a power of two
+(:func:`_unit_scaled`), so no norm overflows and no relative residual
+changes.
 
 Each check comes in a pointwise flavour returning the raw residual tensor
 and a sampled flavour returning a :class:`ResidualReport`.  Sampling is
@@ -76,12 +79,11 @@ from .solutions import (
     _FAMILIES,
     _LIMIT_NODES,
     SolutionHandle,
+    _dense_values,
     _domain_mask,
     _graded,
     _limit_nodes,
     _values,
-    eval_aybe_array,
-    eval_cybe_array,
     paired_cybe_handle,
 )
 from .tensors import (
@@ -281,7 +283,7 @@ def _guarded_values(h: SolutionHandle, points: Callable, samples: Sequence[tuple
             raise DomainError(f"point {v[k]} is outside the domain of {h.family}")
         raise DomainError(f"evaluation point ({u[k]}, {v[k]}) hits a pole of {h.family}")
     k = len(request.v) // max(len(samples), 1)
-    return _eval_array(h, request.u, request.v).reshape((k, len(samples)) + (h.n,) * 4)
+    return _dense_values(h, request.u, request.v).reshape((k, len(samples)) + (h.n,) * 4)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +386,8 @@ def _request(h: SolutionHandle, points: Callable, samples: Sequence[tuple]) -> _
 def _points_of(h: SolutionHandle, points: Callable, *columns) -> tuple:
     """``points(*columns)``, once ``h`` takes them: points without u need a
     CYBE family and points with u a two-variable one; else DomainError with
-    the message of :func:`eval_cybe_array` or :func:`eval_aybe_array`."""
+    the message of :func:`aybe.solutions.eval_cybe_array` or
+    :func:`aybe.solutions.eval_aybe_array`."""
     u, v = points(*columns)
     if (u is None) != h.is_cybe:
         kind = "a CYBE" if u is None else "a two-variable (AYBE)"
@@ -392,12 +395,31 @@ def _points_of(h: SolutionHandle, points: Callable, *columns) -> tuple:
     return u, v
 
 
-def _norms(scale: np.ndarray, residuals: np.ndarray) -> tuple:
+def _unit_scaled(values: Sequence[np.ndarray], axis: int = 1) -> tuple:
+    """(e, scaled values) of the N samples along ``axis`` of each array of
+    ``values``.  e is, per sample, np.frexp's exponent of the largest value
+    modulus over all of them (at least -1023, so that 2^-e is finite), and
+    each array is scaled by 2^-e.  The scaled moduli are below 1, so no
+    product or norm of them overflows, and a power of two changes no bit of
+    a relative residual unless a value underflows."""
+    top = functools.reduce(np.maximum, [
+        np.abs(x).max(axis=tuple(k for k in range(x.ndim) if k != axis), initial=0.0) for x in values
+    ])
+    e = np.maximum(np.frexp(top)[1], -1023)
+    factor = np.ldexp(1.0, -e)
+    return e, [x * factor.reshape((-1,) + (1,) * (x.ndim - axis - 1)) for x in values]
+
+
+@np.errstate(over="ignore")
+def _norms(scale: np.ndarray, residuals: np.ndarray, e: np.ndarray) -> tuple:
+    """(max_abs, rel) of each form and sample of ``residuals`` (forms, N,
+    ...), formed from values scaled by 2^-e (:func:`_unit_scaled`): the
+    max_abs scaled back by 2^e, and inf past the float range."""
     # a function of its own, so that a block's residuals are freed before
     # the next block's products are formed; every form's norms in one pass
     flat = residuals.reshape((-1,) + residuals.shape[2:])
     shape = residuals.shape[:2]
-    return _max_abs(flat).reshape(shape), _frobenius(flat).reshape(shape) / scale
+    return np.ldexp(_max_abs(flat).reshape(shape), e), _frobenius(flat).reshape(shape) / scale
 
 
 def _product_forms(values: np.ndarray, terms: tuple, tags: Tuple[str, ...], product: Callable) -> tuple:
@@ -438,11 +460,6 @@ def _form_at(h: SolutionHandle, points: Callable, terms: tuple, sample: tuple, t
     """The form ``tag`` of :func:`_product_forms` at one guarded sample."""
     _, forms = _product_forms(_guarded_values(h, points, [sample]), terms, (tag,), leg_product_array)
     return MatrixTensor3(forms[0, 0])
-
-
-def _eval_array(h: SolutionHandle, u: Optional[np.ndarray], v: np.ndarray) -> np.ndarray:
-    """eval_cybe_array (u None) or eval_aybe_array at the points."""
-    return eval_cybe_array(h, v) if u is None else eval_aybe_array(h, u, v)
 
 
 def _swap_dense(values: np.ndarray) -> np.ndarray:
@@ -493,7 +510,7 @@ def _path(h: SolutionHandle) -> _Path:
     tables of :func:`_product_forms`."""
     if not _graded(h):
         return _Path(
-            lambda u, v: _eval_array(h, u, v), (h.n,) * 4, leg_product_array, h.n**6,
+            lambda u, v: _dense_values(h, u, v), (h.n,) * 4, leg_product_array, h.n**6,
             _swap_dense, lambda x: h.n * h.n - _ranks_as_maps(x), _project_sl,
         )
     d = h.n
@@ -648,24 +665,27 @@ def _product_residuals(
     ``terms``, which share the values, the products and the relative scale.
     A block of _BLOCK // ``path.entries`` samples is formed at a time (an
     empty one for no samples), so only one block's three-leg arrays are
-    alive at a time."""
+    alive at a time.  Each sample's values are scaled by 2^-e
+    (:func:`_unit_scaled`) before its products, and the max_abs of its
+    forms, of degree 2 in the values, by 2^2e after."""
     width = 1 + max(max(i, j) for _, i, _, j, _ in terms)
     values = values.reshape((width, count) + path.shape)
     step = max(1, _BLOCK // path.entries)
-    norms = [
-        _norms(*_product_forms(values[:, s:s + step], terms, tags, path.product))
-        for s in range(0, max(count, 1), step)
-    ]
+    norms = []
+    for s in range(0, max(count, 1), step):
+        e, (block,) = _unit_scaled([values[:, s:s + step]])
+        norms.append(_norms(*_product_forms(block, terms, tags, path.product), 2 * e))
     return list(zip(*(np.concatenate(x, axis=1) for x in zip(*norms))))
 
 
 def _swap_residuals(path: _Path, tags: Tuple[str, ...], count: int, values: np.ndarray) -> list:
-    """Unitarity, relative to the operand norms."""
-    direct, negated = values.reshape((2, count) + path.shape)
+    """Unitarity, relative to the operand norms, on the values scaled by
+    2^-e per sample (:func:`_unit_scaled`)."""
+    e, ((direct, negated),) = _unit_scaled([values.reshape((2, count) + path.shape)])
     swapped = path.swap(negated)
     res = swapped + direct
     scale = np.maximum(np.maximum(_frobenius(direct), _frobenius(swapped)), 1e-300)
-    return [(_max_abs(res), _frobenius(res) / scale)]
+    return list(zip(*_norms(scale, res[None], e)))
 
 
 def _rank_residuals(path: _Path, tags: Tuple[str, ...], count: int, values: np.ndarray) -> list:
@@ -679,12 +699,13 @@ def _limit_residuals(
 ) -> list:
     """The u -> 0 limits, project_sl of the means over the circle nodes of
     each target, against the partner's values there (the partner of a
-    graded handle is graded, and of a dense one dense)."""
-    targets = targets.reshape((count,) + path.shape)
-    limits = path.project(nodes.reshape((count, len(_LIMIT_NODES)) + path.shape).mean(axis=1))
-    res = limits - targets
+    graded handle is graded, and of a dense one dense).  A sample's nodes
+    and target are scaled by 2^-e (:func:`_unit_scaled`)."""
+    nodes = nodes.reshape((count, len(_LIMIT_NODES)) + path.shape)
+    e, (nodes, targets) = _unit_scaled([nodes, targets.reshape((count,) + path.shape)], axis=0)
+    res = path.project(nodes.mean(axis=1)) - targets
     scale = np.maximum(_frobenius(targets), 1e-300)
-    return [(_max_abs(res), _frobenius(res) / scale)]
+    return list(zip(*_norms(scale, res[None], e)))
 
 
 class _Check(NamedTuple):
@@ -718,8 +739,10 @@ def _cybe_tolerance(h: SolutionHandle, config: SuiteConfig) -> float:
 
 # the limit's guard keeps v off the partner's poles: its circle shrinks with
 # the distance R(v) from u = 0 to the nearest other u-pole, and the guard
-# keeps R(v) >= min(1e-2, r Im tau) / (d r) for the elliptic family.  The
-# partner's sample radius is the handle's: both are elliptic or not
+# keeps R(v) >= min(1e-2, r Im tau) / (d r) for the elliptic family, and
+# the circle at least 0.98 * 1e-2 / 50 clear of every pole, so its nodes
+# need no guard of their own.  The partner's sample radius is the
+# handle's: both are elliptic or not
 _CHECKS = (
     _Check(("aybe", "commutator"), _aybe_points, (4, 4), "n_aybe", lambda h, config: config.tol_aybe,
            lambda h: not h.is_cybe, functools.partial(_product_residuals, _AYBE_TERMS)),

@@ -11,18 +11,21 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import aybe.cli
+import aybe.series
 import aybe.solutions
 import aybe.verify
 from aybe.cli import (
     FAMILY_NAMES, CliError, _build_handle, _build_parser, main,
     parse_complex,
 )
+from aybe.series import LaurentSeries
 from aybe.solutions import (
     elliptic_aybe,
     elliptic_cybe,
@@ -569,6 +572,20 @@ def test_classify_matrix_family_is_usage_error(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "c3,c5", [(math.nan, 0.5), (1e-13, math.nan), (1e-11, 1e160)], ids=["nan_c3", "nan_c5", "c_overflows"]
+)
+def test_classify_refuses_a_c_that_is_not_finite(c3, c5, monkeypatch, capsys):
+    # every comparison with NaN is false: a NaN c3 printed
+    # verdict=elliptic-like and a NaN c5 rational-like, each with exit 0
+    series = LaurentSeries(leading_order=-1, coeffs=(1, 0, 0, 0, complex(c3), 0, complex(c5)), radius=0.3)
+    monkeypatch.setattr(aybe.series, "normalize_scalar_r0", lambda h, order, radius: (series, ()))
+    code, out, err = run_cli(["classify", "--family", "scalar-trig"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"c3 = {complex(c3)!r}" in err and f"c5 = {complex(c5)!r}" in err
+
+
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
@@ -617,6 +634,23 @@ def test_oracle_builds_each_composite_stack_with_one_solve(case, monkeypatch, ca
     assert len(out.strip().splitlines()) == 22
     assert solves == [20, 20]
     assert evals == [20]
+
+
+def test_oracle_fails_on_a_nan_residual(monkeypatch, capsys):
+    # a NaN closed form at the second sample: numpy's max carries it
+    # through, where Python's max would drop it
+    evaluate = aybe.cli.eval_aybe_array
+
+    def with_nan(h, u, v):
+        values = evaluate(h, u, v)
+        values[1] = np.nan
+        return values
+
+    monkeypatch.setattr(aybe.cli, "eval_aybe_array", with_nan)
+    code, out, _ = run_cli(["oracle", "--case", "1", "--samples", "4", "--seed", "7"], capsys)
+    assert code == 1
+    assert out.splitlines()[1].startswith("sample 01: closed_rel=nan ")
+    assert "FAIL closed-form: max_rel=nan " in out
 
 
 def test_oracle_rejects_bad_case(capsys):
@@ -709,6 +743,28 @@ def test_sweep_unitarity_pass(capsys):
     assert out.strip().splitlines()[-1].startswith("PASS unitarity sweep:")
 
 
+def test_sweep_unitarity_fails_on_a_nan_residual(monkeypatch, capsys):
+    # a NaN value at the second grid point makes its residual NaN
+    evaluate = aybe.solutions._values
+
+    def with_nan(h, u, v):
+        values = evaluate(h, u, v)
+        values[1] = np.nan
+        return values
+
+    monkeypatch.setattr(aybe.solutions, "_values", with_nan)
+    code, out, _ = run_cli(
+        ["sweep", "--quantity", "unitarity", "--family", "trig1", "--u", "0.31",
+         "--grid", "0.4,0.5,0.6i"],
+        capsys,
+    )
+    assert code == 1
+    lines = out.splitlines()
+    assert [line.split()[-1] for line in lines[:3]] == ["PASS", "FAIL", "PASS"]
+    assert lines[1] == "v=0.5 residual=nan FAIL"
+    assert lines[-1].startswith("FAIL unitarity sweep:")
+
+
 @pytest.mark.parametrize("quantity", ["rank", "unitarity"])
 @pytest.mark.parametrize(
     "family_args", [("--family", "trig1", "--u", "0.31"), ("--family", "trig-cybe1")]
@@ -766,8 +822,8 @@ def test_sweep_evaluates_its_grid_in_one_call(quantity, monkeypatch, capsys):
         sizes.append(np.broadcast(u, v).size)
         return evaluate(h, u, v)
 
-    for module in (aybe.cli, aybe.verify):
-        monkeypatch.setattr(module, "eval_aybe_array", counting)
+    for module, name in ((aybe.cli, "eval_aybe_array"), (aybe.verify, "_dense_values")):
+        monkeypatch.setattr(module, name, counting)
     code, out, _ = run_cli(
         ["sweep", "--quantity", quantity, "--family", "trig1", "--u", "0.31",
          "--grid", "0.4,0.5,0.6i"],
@@ -1276,3 +1332,21 @@ def test_verify_on_a_handle_file_is_byte_identical(name, data, args, digest, tmp
     path.write_text(json.dumps(data))
     got, out, _ = run_cli(["verify", "--handle-json", str(path)] + args.split(), capsys)
     assert (got, hashlib.sha256(out.encode()).hexdigest()[:16]) == (0, digest)
+
+
+# verify on trig_aybe(1) rescaled by c1 = 1e154, frozen once each sample was
+# scaled by a power of two before its products and norms: the squared
+# entries overflowed, so aybe and commutator FAILed with nan, unitarity and
+# limit PASSed at max_rel 0, and numpy warned on stderr
+RESCALED_1E154_DIGESTS = [("--seed 3", "67404fb69005a631"), ("--seed 3 --csv", "60a15c80b293ce25")]
+
+
+@pytest.mark.parametrize("args,digest", RESCALED_1E154_DIGESTS, ids=["text", "csv"])
+def test_verify_on_a_handle_rescaled_by_1e154_is_byte_identical(args, digest, tmp_path, capsys):
+    path = tmp_path / "handle.json"
+    rescale = [[1e154, 0], [0, 0], [1, 0], [1, 0]]
+    path.write_text(json.dumps({**handle_to_dict(trig_aybe(1)), "rescale": rescale}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run_cli(["verify", "--handle-json", str(path)] + args.split(), capsys)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()[:16], err) == (0, digest, "")

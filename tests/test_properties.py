@@ -1,6 +1,7 @@
 """Property tests of theta11, the Kronecker function, the Weierstrass
-functions, the lattice guard, the twist-table rank and projection and the
-batched contour extraction, and mpmath oracles.
+functions, the lattice guard, the twist-table rank and projection, the
+batched contour extraction and the scale invariance of the sampled checks,
+and mpmath oracles.
 
 Both third-party libraries are optional test dependencies (the ``test``
 extra); each test is skipped when its library is missing.
@@ -8,6 +9,7 @@ extra); each test is skipped when its library is missing.
 
 import cmath
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 from aybe import series
 from aybe.bruteforce import contour_coefficients_doubling, theta11_series
 from aybe.errors import PoleProximityError
-from aybe.solutions import _place_twists
+from aybe.solutions import _place_twists, elliptic_aybe, trig_aybe
 from aybe.special import (
     Characteristic,
     _kronecker_twist_grid,
@@ -36,6 +38,7 @@ from aybe.special import (
     zeta_char,
 )
 from aybe.tensors import _project_sl, _ranks_as_maps, _twist_project_sl, _twist_ranks, _twist_singular_values
+from aybe.verify import SuiteConfig, run_suite
 
 TWO_PI_I = 2j * math.pi
 
@@ -432,3 +435,23 @@ def test_twist_table_rank_and_projection_match_the_placed_tensor(d, seed, log_sc
     assert ranks.tolist() == _ranks_as_maps(dense).tolist() == [d * (d - zero_rows)] * 3
     projected = _place_twists(_twist_project_sl(tables), d).reshape(dense.shape)
     assert np.abs(projected - _project_sl(dense)).max() <= 1e-15 * np.abs(tables).max()
+
+
+SCALED_HANDLES = [elliptic_aybe(2, 1, 0.1 + 0.9j), trig_aybe(1)]  # graded, dense
+SCALED_CONFIG = SuiteConfig(seed=3, n_aybe=8, n_unitarity=8, n_rank=3, n_limit=3)
+UNSCALED_RESIDUALS = {}
+
+
+@pytest.mark.parametrize("h", SCALED_HANDLES, ids=lambda h: h.family)
+@hypothesis.settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@hypothesis.given(k=st.integers(-1000, 1000))
+@hypothesis.example(k=-1000)
+@hypothesis.example(k=1000)
+def test_relative_residuals_ignore_a_power_of_two_rescale(h, k):
+    # the checks scale each sample by a power of two before its products
+    # and norms, which is exact: every relative residual is the unscaled
+    # one bit for bit, where the squared norms used to overflow past 2^510
+    if h.family not in UNSCALED_RESIDUALS:
+        UNSCALED_RESIDUALS[h.family] = [rep.max_rel_residual for rep in run_suite(h, SCALED_CONFIG)]
+    reports = run_suite(replace(h, rescale=(2**k, 0, 1, 1)), SCALED_CONFIG)
+    assert [rep.max_rel_residual for rep in reports] == UNSCALED_RESIDUALS[h.family]

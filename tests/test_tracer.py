@@ -54,7 +54,8 @@ def test_tracer_counts_a_verify_job_and_restores_every_binding(capsys):
     assert code == 0
     assert tracer.calls["cli.main"] == 1
     assert tracer.calls["verify.run_suite"] == 1
-    assert tracer.calls["solutions.eval_aybe_array"] > 0
+    # a solutions function that verify imported by value is counted
+    assert tracer.calls["solutions.paired_cybe_handle"] > 0
     assert tracer.layer_spans["verify"] > 0 and tracer.layer_spans["solutions"] > 0
     metrics = tracer.layer_metrics()
     assert metrics["cli.jobs"] == 1 and metrics["cli.raised"] == 0

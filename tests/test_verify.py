@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -324,24 +325,21 @@ COMMUTATOR_HANDLES = [elliptic_aybe(3, 1, 1j), trig_aybe(1)]
 
 def _count_evaluated_points(monkeypatch, name="eval_aybe_array"):
     """Record the number of points of every array evaluation the checks make
-    through ``name``: eval_aybe_array (u, v) or eval_cybe_array (v), or on a
-    graded handle through the twist-table evaluator ``_values`` with (u, v)
-    or (None, v) in their place."""
+    of the points that ``name`` takes: (u, v) for eval_aybe_array or (v,)
+    for eval_cybe_array, through the dense evaluator ``_dense_values`` or on
+    a graded handle through the twist-table evaluator ``_values``, each with
+    (u, v) or (None, v)."""
     calls = []
-    real_eval = getattr(aybe.verify, name)
-    real_values = aybe.verify._values
 
-    def counting_eval(h, *points):
-        calls.append(np.broadcast(*map(np.asarray, points)).size)
-        return real_eval(h, *points)
+    def counting(real):
+        def evaluate(h, u, v):
+            if (u is None) == (name == "eval_cybe_array"):
+                calls.append(np.broadcast(*(np.asarray(x) for x in (u, v) if x is not None)).size)
+            return real(h, u, v)
+        return evaluate
 
-    def counting_values(h, u, v):
-        if (u is None) == (name == "eval_cybe_array"):
-            calls.append(np.broadcast(*(np.asarray(x) for x in (u, v) if x is not None)).size)
-        return real_values(h, u, v)
-
-    monkeypatch.setattr(aybe.verify, name, counting_eval)
-    monkeypatch.setattr(aybe.verify, "_values", counting_values)
+    for evaluator in ("_dense_values", "_values"):
+        monkeypatch.setattr(aybe.verify, evaluator, counting(getattr(aybe.verify, evaluator)))
     return calls
 
 
@@ -574,16 +572,16 @@ def test_a_dense_check_drops_its_values_before_the_next_call(monkeypatch):
     events = []
     blocks = []  # weak references to the values each call returned
     finished = []  # weak references to the values of the finished checks
-    for name in ("eval_aybe_array", "eval_cybe_array"):
-        def logging_eval(h, *points, real_eval=getattr(aybe.verify, name)):
-            assert all(ref() is None for ref in finished)
-            events.append(len(points[-1]))
-            # C order, so that the block verify keeps is a view of it
-            values = np.ascontiguousarray(real_eval(h, *points))
-            blocks.append(weakref.ref(values))
-            return values
 
-        monkeypatch.setattr(aybe.verify, name, logging_eval)
+    def logging_eval(h, *points, real_eval=aybe.verify._dense_values):
+        assert all(ref() is None for ref in finished)
+        events.append(len(points[-1]))
+        # C order, so that the block verify keeps is a view of it
+        values = np.ascontiguousarray(real_eval(h, *points))
+        blocks.append(weakref.ref(values))
+        return values
+
+    monkeypatch.setattr(aybe.verify, "_dense_values", logging_eval)
     real_finish = aybe.verify._finish
 
     def logging_finish(drawn, path, values):
@@ -631,7 +629,7 @@ def test_every_evaluated_point_was_guarded(h, monkeypatch):
         return mask(h, u, v, guard)
 
     monkeypatch.setattr(aybe.verify, "_domain_mask", recording_mask)
-    for name in ("eval_aybe_array", "eval_cybe_array", "_values"):
+    for name in ("_dense_values", "_values"):
         def recording_eval(h, *points, real=getattr(aybe.verify, name)):
             evaluated.update(_keyed(h, *(None, *points)[-2:]))
             return real(h, *points)
@@ -691,6 +689,44 @@ def test_limit_passes_on_rescaled_handles(h):
     # partner carries the rescale (c1, 0, 1, c4)
     rep = check_limit_consistency(h, SuiteConfig(seed=0))
     assert rep.passed and rep.max_rel_residual < 1e-13, rep.summary_line()
+
+
+@pytest.mark.parametrize("guard", [1e-3, 1e-2, 0.05])
+@pytest.mark.parametrize(
+    "h", [h for h in SUITE_HANDLES if "limit" in aybe.verify._applicable_checks(h)], ids=str
+)
+def test_every_limit_target_clears_the_guard_of_cybe_limit_of_aybe(h, guard):
+    # run_suite evaluates the circle nodes without the 1e-9 guard that
+    # cybe_limit_of_aybe keeps for a v from outside: a target drawn g =
+    # max(guard, 1e-2) clear on the CYBE partner keeps the limit's point
+    # (R(v)/50, v) at least 0.98 g / 50 clear of every pole of the handle
+    g = max(guard, 1e-2)
+    for seed in range(3):
+        (rep,) = run_suite(h, SuiteConfig(seed=seed, n_limit=20, guard=guard, checks=("limit",)))
+        v = np.array([v for (v,) in rep.points])
+        radii = aybe.solutions._u_circle_radii(h, v, 50.0)
+        assert aybe.solutions._domain_mask(h, radii, v, 1e-9).all()
+        assert aybe.solutions._domain_mask(h, radii, v, 0.98 * g / 50).all()
+
+
+@pytest.mark.parametrize("c1", [1e154, 1e150])
+def test_a_large_rescale_reads_the_unscaled_relative_residuals(c1):
+    # the squared entries of the Frobenius norms overflowed: at 1e154
+    # unitarity and limit PASSed at max_rel 0 and aybe and commutator read
+    # nan, and at 1e150 aybe read nan with overflow warnings
+    config = SuiteConfig(seed=3)
+    unscaled = run_suite(trig_aybe(1), config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = run_suite(replace(trig_aybe(1), rescale=(c1, 0, 1, 1)), config)
+    assert [rep.tag for rep in reports] == [rep.tag for rep in unscaled]
+    for rep, ref in zip(reports, unscaled):
+        assert rep.passed and math.isfinite(rep.max_abs_residual), rep.summary_line()
+        if rep.tag == "rank":
+            assert rep.max_rel_residual == ref.max_rel_residual == 0
+        else:
+            # c1 is no power of two, so the values round differently
+            assert 0.5 < rep.max_rel_residual / ref.max_rel_residual < 2, rep.summary_line()
 
 
 # ---------------------------------------------------------------------------
