@@ -29,9 +29,10 @@ time.  Its circle is R(v)/16, or the fixed radius a public function takes.
 The nested contours (r0' is a contour of r0, the v-series of r0 is
 another) pass their whole outer x inner node grid down as rows of one
 extraction, and the matrix relations (aux5, reconstruction) extract v,
-v + v' and v' of all their pairs as rows of one extraction and form their
-products on the stacks with :func:`aybe.tensors.leg_product_array`, the
-product path of :mod:`aybe.verify`.  On top of the extraction sit:
+v + v' and v' of all their pairs as rows of one extraction and form all
+their products on the stacks with one batched matrix product
+(:func:`aybe.verify._dense_products`, the dense product path of
+:mod:`aybe.verify`).  On top of the extraction sit:
 
 * the scalar normal form r0(v) = 1/v + c3*v^3 + c5*v^5 + ... and the
   classification invariant C = c5^2 / c3^3,
@@ -61,8 +62,8 @@ import numpy as np
 from .errors import DomainError, NonConvergenceError, PoleProximityError
 from .solutions import SolutionHandle, _u_circle_radii, eval_aybe_array
 from .special import POLE_GUARD, _pole_error
-from .tensors import MatrixTensor2, MatrixTensor3, _embed_array, leg_product_array
-from .verify import ResidualReport, _frobenius, _make_report, _max_abs, _product_forms
+from .tensors import MatrixTensor2, MatrixTensor3, _embed_array
+from .verify import ResidualReport, _dense_products, _frobenius, _make_report, _max_abs, _product_forms
 
 __all__ = [
     "INFINITY",
@@ -597,9 +598,18 @@ def check_aux5(
     with all leg embeddings trivial)."""
     hn = pole_normalized_handle(h)
     r0, (a1, b1, c1) = _legged_coeffs(hn, [(v, vp)], 1, radius)
-    _, (lhs,) = _product_forms(r0, _AUX5_TERMS, ("aybe",), leg_product_array)
+    _, (lhs,) = _product_forms(r0, _AUX5_TERMS, ("aybe",), _dense_products)
     rhs = _embed_array(a1, "12") + _embed_array(c1, "23") + _embed_array(b1, "13")
-    return MatrixTensor3((lhs - rhs)[0])
+    return MatrixTensor3((lhs.reshape(rhs.shape) - rhs)[0])
+
+
+# the six products of :func:`_reconstruction_from_coeffs`, rows (x, legs_x,
+# y, legs_y) of :func:`aybe.verify._dense_products` on A0, B0, C0, A1, B1
+# and C1: A0 B1, A1 B0, C1 A0, C0 A1, B1 C0 and B0 C1
+_RECONSTRUCTION_ROWS = (
+    (0, "12", 4, "13"), (3, "12", 1, "13"), (5, "23", 0, "12"),
+    (2, "23", 3, "12"), (4, "13", 2, "23"), (1, "13", 5, "23"),
+)
 
 
 def _reconstruction_from_coeffs(coeffs: List[np.ndarray]) -> Tuple[tuple, np.ndarray]:
@@ -617,14 +627,9 @@ def _reconstruction_from_coeffs(coeffs: List[np.ndarray]) -> Tuple[tuple, np.nda
     where the third is the sum of the first two.  All three residuals
     (LHS - RHS) are returned, each (P, n, n, n, n, n, n).
     """
-    (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = coeffs
-    a2, b2, c2 = _embed_array(a2, "12"), _embed_array(b2, "13"), _embed_array(c2, "23")
-    a0b1 = leg_product_array(a0, "12", b1, "13")
-    a1b0 = leg_product_array(a1, "12", b0, "13")
-    c1a0 = leg_product_array(c1, "23", a0, "12")
-    c0a1 = leg_product_array(c0, "23", a1, "12")
-    b1c0 = leg_product_array(b1, "13", c0, "23")
-    b0c1 = leg_product_array(b0, "13", c1, "23")
+    _, product = _dense_products(np.concatenate(coeffs[:2]), _RECONSTRUCTION_ROWS, 0)
+    a2, b2, c2 = map(_embed_array, coeffs[2], ("12", "13", "23"))
+    a0b1, a1b0, c1a0, c0a1, b1c0, b0c1 = (product(r).reshape(a2.shape) for r in range(6))
 
     lhs1 = b2 * 2.0 + c2 + a2
     rhs1 = a0b1 - c1a0 - c0a1 + b1c0

@@ -11,7 +11,9 @@ one (n^3, n) x (n, n^3) matrix product, O(n^7) against the O(n^9) of the
 full three-leg product.  It is a BLAS product, so its entries differ from
 the ``einsum`` contraction of :mod:`aybe.bruteforce` by rounding, within
 1e-14 of the product's Frobenius norm.  :func:`leg_product_array` does
-the same for stacks of tensors, one batched product per call.
+the same for stacks of tensors, one batched product per call, and
+:func:`_leg_gathers` lays out many products of stacked values, with
+other leg pairs, for one batched product together.
 
 Graded products.  Give the matrix unit e_ab of End(C^d) the charge
 b - a mod d, and a tensor of matrix units the sum of its legs' charges.
@@ -345,6 +347,26 @@ def _leg_plan(spec: str) -> tuple:
 
 
 _LEG_PRODUCT_PLANS = {legs: _leg_plan(spec) for legs, spec in _LEG_PRODUCT_SPECS.items()}
+
+
+@lru_cache(maxsize=64)
+def _leg_gathers(n: int, rows: tuple) -> tuple:
+    """Flat index arrays (operands, order) that form the leg products of
+    the ``rows`` (x, legs_x, y, legs_y) of stacked values in one matrix
+    product.  Value k of a sample sits at k n^4 of its row of values.
+    ``operands`` gathers the x of every row as the (n^3, n) matrix of
+    :func:`leg_product_array`, and then the y of every row as its (n, n^3)
+    matrix; ``order[r]`` takes row r's product, out of the R (n^3, n^3)
+    matrix products of a sample, in output order."""
+    value = np.arange(n**4).reshape((n,) * 4)
+    product = np.arange(n**6).reshape((n,) * 6)
+    ix, iy, order = [], [], []
+    for r, (x, legs_x, y, legs_y) in enumerate(rows):
+        x_axes, y_axes, perm = _LEG_PRODUCT_PLANS[(legs_x, legs_y)]
+        ix.append(x * n**4 + value.transpose(x_axes).reshape(-1))
+        iy.append(y * n**4 + value.transpose(y_axes).reshape(-1))
+        order.append(r * n**6 + product.transpose(perm).reshape(-1))
+    return np.concatenate(ix + iy), np.stack(order)
 
 
 def leg_product_array(x: np.ndarray, legs_x: str, y: np.ndarray, legs_y: str) -> np.ndarray:

@@ -56,11 +56,11 @@ handle with no gauge or a scalar one is evaluated to the d x d twist
 table of each value; its products form only the d^4 entries whose first
 index is 0, one multiplication each, its ranks come from a d x d DFT of
 the table and its u -> 0 limits from the table's row 0.  Any other
-handle is evaluated to its dense values, forms each product of a block
-of samples as one batched BLAS matrix product, and takes one SVD per
-rank of a finite value; a value that is not finite has rank 0 on both
-paths.  The pointwise residuals and :func:`nondegeneracy_check` are dense
-for every handle.
+handle is evaluated to its dense values, forms every product of an
+identity for a block of samples with one batched BLAS matrix product,
+and takes one SVD per rank of a finite value; a value that is not finite
+has rank 0 on both paths.  The pointwise residuals and
+:func:`nondegeneracy_check` are dense for every handle.
 """
 
 from __future__ import annotations
@@ -91,18 +91,19 @@ from .tensors import (
     MatrixTensor3,
     _graded_plan,
     _graded_swap,
+    _leg_gathers,
     _project_sl,
     _ranks_as_maps,
     _twist_project_sl,
     _twist_ranks,
-    leg_product_array,
 )
 
 # entries per array of the sampled checks: about 2 MB.  A run of points
 # is evaluated into one array (n^4 entries per point; d^2 on the graded
-# path), and the products of a block of samples are formed at once (n^6
-# entries per sample, one sample per block at n = 7; d^4 on the graded
-# path)
+# path).  The R products of a block of samples are formed at once on the
+# dense path, R n^6 entries per sample: one sample per block from n = 5
+# (n = 6 for R = 3), and one sample's rows alone exceed _BLOCK from n = 6.
+# The graded path forms one product of d^4 entries per sample at a time
 _BLOCK = 1 << 17
 
 __all__ = [
@@ -422,31 +423,48 @@ def _norms(scale: np.ndarray, residuals: np.ndarray, e: np.ndarray) -> tuple:
     return np.ldexp(_max_abs(flat).reshape(shape), e), _frobenius(flat).reshape(shape) / scale
 
 
-def _product_forms(values: np.ndarray, terms: tuple, tags: Tuple[str, ...], product: Callable) -> tuple:
+@functools.lru_cache(maxsize=None)
+def _rows(terms: tuple, tags: Tuple[str, ...]) -> tuple:
+    """The rows (x, legs_x, y, legs_y) of the products x y of the term
+    table ``terms`` and, for a ``commutator`` or ``cybe`` form among
+    ``tags``, of the reversed products y x after them."""
+    rows = tuple((i, legs_x, j, legs_y) for _, i, legs_x, j, legs_y in terms)
+    if "commutator" in tags or "cybe" in tags:
+        rows += tuple((j, legs_y, i, legs_x) for _, i, legs_x, j, legs_y in terms)
+    return rows
+
+
+def _product_forms(values: np.ndarray, terms: tuple, tags: Tuple[str, ...], products: Callable) -> tuple:
     """(scale, residuals) for the samples of ``values`` (k, N, ...), the
     values of the points of an identity with term table ``terms`` (rows
-    (sign, x, legs_x, y, legs_y), x and y indexing ``values``), and the leg
-    product ``product`` of :func:`_path`.  ``residuals[i]`` is the form
+    (sign, x, legs_x, y, legs_y), x and y indexing ``values``), from one
+    call ``products(values, rows, normed)`` of :func:`_path`.
+
+    ``rows`` are :func:`_rows`, and ``normed`` is the number of leading
+    rows whose Frobenius norms the scale reads: the products x y, and for
+    ``cybe`` the reversed ones too.  The call returns (scale, product):
+    per sample the largest of those norms, at least 1e-300, and
+    ``product(r)``, the product of row r.  ``residuals[i]`` is the form
     ``tags[i]``: ``aybe`` sums sign * x y, and ``commutator`` or ``cybe``
-    (after ``aybe``) sums sign * [x, y].  A sample's scale is the largest
-    Frobenius norm of the products x y, and for ``cybe`` of the reversed
-    products y x too.  Each product is copied or added into its forms as
-    soon as it is formed, so besides the residuals at most two three-leg
-    arrays per sample are alive at a time, three for ``cybe``, which keeps
-    its reversed product for the scale."""
-    scale = np.full(values.shape[1], 1e-300)
-    for k, (sign, i, legs_x, j, legs_y) in enumerate(terms):
-        term = product(values[i], legs_x, values[j], legs_y)
-        scale = np.maximum(scale, _frobenius(term))
+    (after ``aybe``) sums sign * [x, y].  Each row is read once, x y and
+    then y x of each term in turn, and copied or added into its forms at
+    once; the graded path forms it only then."""
+    m, rows = len(terms), _rows(terms, tags)
+    scale, product = products(values, rows, len(rows) if "cybe" in tags else m)
+    for k, (sign, *_) in enumerate(terms):
+        term = product(k)
         if k == 0:
             forms = np.empty((len(tags),) + term.shape, dtype=complex)
         for form, tag in zip(forms, tags):
             if tag == "cybe":
-                backward = product(values[j], legs_y, values[i], legs_x)
-                scale = np.maximum(scale, _frobenius(backward))
+                # named, so that it stays alive until the next term's
+                # replaces it, while the commutator frees its own at once:
+                # the lifetimes with the fewest page faults of a large
+                # graded run (d = 7, 400 samples)
+                backward = product(m + k)
                 term -= backward
             elif tag == "commutator":
-                term -= product(values[j], legs_y, values[i], legs_x)
+                term -= product(m + k)
             if k == 0:
                 form[...] = term
             elif sign > 0:
@@ -456,10 +474,39 @@ def _product_forms(values: np.ndarray, terms: tuple, tags: Tuple[str, ...], prod
     return scale, forms
 
 
+def _dense_products(values: np.ndarray, rows: tuple, normed: int) -> tuple:
+    """The products of :func:`_product_forms` on dense values (k, N, n, n,
+    n, n), product(r) of shape (N, n^6).
+
+    Each operand side is gathered once from the sample-major values
+    (:func:`aybe.tensors._leg_gathers`), and one ``np.matmul`` forms every
+    row of every sample.  The norms are read off its output in the memory
+    order in which :func:`_frobenius` reads a
+    :func:`aybe.tensors.leg_product_array`.  product(r) gathers row r in
+    output order, so that the form sums run on contiguous rows; one row at
+    a time, since a second array the size of the matmul output made glibc
+    give back and fault in its pages on every ``verify`` of a trig family.
+    The products are those of ``leg_product_array`` bit for bit, and so
+    are the norms, but for a lone sample at n >= 5, whose norm
+    ``_frobenius`` sums in numpy's chunks of 8192 floats."""
+    n, count, width = values.shape[-1], values.shape[1], len(rows)
+    operands, order = _leg_gathers(n, rows)
+    flat = values.reshape(len(values), count, n**4).swapaxes(0, 1).reshape(count, len(values) * n**4)
+    xy = flat.take(operands, axis=1)
+    out = np.matmul(
+        xy[:, :width * n**4].reshape(count, width, n**3, n),
+        xy[:, width * n**4:].reshape(count, width, n, n**3),
+    )
+    head = out.reshape(count, width, n**6)[:, :normed].view(float)
+    scale = np.sqrt(np.einsum("ijk,ijk->ij", head, head)).max(axis=1, initial=1e-300)
+    out = out.reshape(count, width * n**6)
+    return scale, lambda r: out.take(order[r], axis=1)
+
+
 def _form_at(h: SolutionHandle, points: Callable, terms: tuple, sample: tuple, tag: str) -> MatrixTensor3:
     """The form ``tag`` of :func:`_product_forms` at one guarded sample."""
-    _, forms = _product_forms(_guarded_values(h, points, [sample]), terms, (tag,), leg_product_array)
-    return MatrixTensor3(forms[0, 0])
+    _, forms = _product_forms(_guarded_values(h, points, [sample]), terms, (tag,), _dense_products)
+    return MatrixTensor3(forms[0, 0].reshape((h.n,) * 6))
 
 
 def _swap_dense(values: np.ndarray) -> np.ndarray:
@@ -475,10 +522,10 @@ class _Path(NamedTuple):
     # (u, v) -> the values at the points (u None on a one-variable handle)
     values: Callable
     shape: tuple
-    # (x, legs_x, y, legs_y) -> the leg product x_{legs_x} y_{legs_y}
-    product: Callable
-    # the entries of one sample's product
-    entries: int
+    # (values, rows, normed) -> (scale, product) (see _product_forms)
+    products: Callable
+    # R -> the samples per block of an identity of R product rows
+    step: Callable[[int], int]
     # swap_legs, the rank deficit n^2 - rank as a map and project_sl of
     # each value
     swap: Callable
@@ -501,28 +548,43 @@ def _path(h: SolutionHandle) -> _Path:
     other shift of the first index: the max modulus is the same, and every
     Frobenius norm is 1/sqrt(d) of the full one, which the relative
     residual cancels.  The same holds for a table against its dense value.
-    The swap permutes the table, a rank comes from its DFT
-    (:func:`aybe.tensors._twist_ranks`) and project_sl shifts its row 0
-    (:func:`aybe.tensors._twist_project_sl`).  Any other handle is
-    evaluated dense, forms n^6 entries per product as one BLAS matrix
-    product and takes one SVD per rank of a finite value
-    (:func:`aybe.tensors._ranks_as_maps`).  Both products serve the term
-    tables of :func:`_product_forms`."""
+    It forms each product when :func:`_product_forms` reads it, so a
+    block holds at most two products besides its forms (three for
+    ``cybe``), and a block is _BLOCK // d^4 samples.  The swap permutes
+    the table, a rank comes from its DFT (:func:`aybe.tensors._twist_ranks`)
+    and project_sl shifts its row 0 (:func:`aybe.tensors._twist_project_sl`).
+
+    Any other handle is evaluated dense.  All R products of an identity
+    block, n^6 entries each, come from one batched BLAS matrix product
+    (:func:`_dense_products`), so a block is _BLOCK // (R n^6) samples, at
+    least one.  It takes one SVD per rank of a finite value
+    (:func:`aybe.tensors._ranks_as_maps`)."""
     if not _graded(h):
         return _Path(
-            lambda u, v: _dense_values(h, u, v), (h.n,) * 4, leg_product_array, h.n**6,
+            lambda u, v: _dense_values(h, u, v), (h.n,) * 4, _dense_products,
+            lambda rows: max(1, _BLOCK // (rows * h.n**6)),
             _swap_dense, lambda x: h.n * h.n - _ranks_as_maps(x), _project_sl,
         )
     d = h.n
 
-    def product(x: np.ndarray, legs_x: str, y: np.ndarray, legs_y: str) -> np.ndarray:
-        # take, not x[:, px]: the fancy index returns an array that is
-        # not C-contiguous, which _frobenius cannot view as floats
-        px, py = _graded_plan(d, legs_x, legs_y)
-        return x.take(px, axis=1) * y.take(py, axis=1)
+    def products(values: np.ndarray, rows: tuple, normed: int) -> tuple:
+        # one row at a time, when it is read (see _path)
+        scale = np.full(values.shape[1], 1e-300)
+
+        def product(r: int) -> np.ndarray:
+            # take, not x[:, px]: the fancy index returns an array that is
+            # not C-contiguous, which _frobenius cannot view as floats
+            i, legs_x, j, legs_y = rows[r]
+            px, py = _graded_plan(d, legs_x, legs_y)
+            out = values[i].take(px, axis=1) * values[j].take(py, axis=1)
+            if r < normed:
+                np.maximum(scale, _frobenius(out), out=scale)
+            return out
+
+        return scale, product
 
     return _Path(
-        lambda u, v: _values(h, u, v), (d * d,), product, d**4,
+        lambda u, v: _values(h, u, v), (d * d,), products, lambda rows: max(1, _BLOCK // d**4),
         lambda x: x.take(_graded_swap(d), axis=1),
         lambda x: d * d - _twist_ranks(x.reshape(-1, d, d)),
         lambda x: _twist_project_sl(x.reshape(-1, d, d)).reshape(-1, d * d),
@@ -663,18 +725,18 @@ def _product_residuals(
 ) -> list:
     """The forms ``tags`` of :func:`_product_forms` of the identity
     ``terms``, which share the values, the products and the relative scale.
-    A block of _BLOCK // ``path.entries`` samples is formed at a time (an
-    empty one for no samples), so only one block's three-leg arrays are
-    alive at a time.  Each sample's values are scaled by 2^-e
-    (:func:`_unit_scaled`) before its products, and the max_abs of its
-    forms, of degree 2 in the values, by 2^2e after."""
+    A block of ``path.step(R)`` samples is formed at a time, R the rows of
+    :func:`_rows` (an empty block for no samples), so only one block's
+    three-leg arrays are alive at a time.  Each sample's values are scaled
+    by 2^-e (:func:`_unit_scaled`) before its products, and the max_abs of
+    its forms, of degree 2 in the values, by 2^2e after."""
     width = 1 + max(max(i, j) for _, i, _, j, _ in terms)
     values = values.reshape((width, count) + path.shape)
-    step = max(1, _BLOCK // path.entries)
+    step = path.step(len(_rows(terms, tags)))
     norms = []
     for s in range(0, max(count, 1), step):
         e, (block,) = _unit_scaled([values[:, s:s + step]])
-        norms.append(_norms(*_product_forms(block, terms, tags, path.product), 2 * e))
+        norms.append(_norms(*_product_forms(block, terms, tags, path.products), 2 * e))
     return list(zip(*(np.concatenate(x, axis=1) for x in zip(*norms))))
 
 
@@ -786,7 +848,7 @@ def _run(h: SolutionHandle, config: SuiteConfig, tags: Sequence[str]) -> List[Re
     call's output."""
     checks, partner = [], None  # (check, its tags, the handle it draws on)
     for c in _CHECKS:
-        t = [tag for tag in c.tags if tag in tags]
+        t = tuple(tag for tag in c.tags if tag in tags)
         if t:
             if c.partner:
                 partner = paired_cybe_handle(h)

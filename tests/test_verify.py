@@ -783,10 +783,10 @@ def _report_scale(h, report):
     count = len(report.points)
     if report.tag == "cybe":
         values = aybe.verify._guarded_values(h, aybe.verify._cybe_points, report.points)
-        scale, _ = aybe.verify._product_forms(values, aybe.verify._CYBE_TERMS, ("cybe",), leg_product_array)
+        scale, _ = aybe.verify._product_forms(values, aybe.verify._CYBE_TERMS, ("cybe",), aybe.verify._dense_products)
     elif report.tag in ("aybe", "commutator"):
         values = aybe.verify._guarded_values(h, aybe.verify._aybe_points, report.points)
-        scale, _ = aybe.verify._product_forms(values, aybe.verify._AYBE_TERMS, ("aybe",), leg_product_array)
+        scale, _ = aybe.verify._product_forms(values, aybe.verify._AYBE_TERMS, ("aybe",), aybe.verify._dense_products)
     else:
         target = paired_cybe_handle(h) if report.tag == "limit" else h
         values = aybe.verify._guarded_values(target, aybe.verify._rank_points, report.points)
@@ -846,6 +846,80 @@ def test_graded_suites_place_no_table_and_take_no_svd(h, monkeypatch):
     assert all(rep.passed for rep in reports)
     with pytest.raises(AssertionError, match="dense work"):
         _dense_suite(h, FAST, monkeypatch)
+
+
+DENSE_IDENTITY_HANDLES = [
+    trig_aybe(1),
+    equivalence_transform(elliptic_aybe(3, 1, 0.2 + 1.1j), np.diag([1.0, 1.1, 0.9]) + 0.2),
+]
+
+
+@pytest.mark.parametrize("checks,rows", [(None, 6), (("aybe",), 3), (("commutator",), 6)])
+@pytest.mark.parametrize("h", DENSE_IDENTITY_HANDLES, ids=str)
+def test_dense_suites_form_an_identity_block_with_one_matmul(h, checks, rows, monkeypatch):
+    # every product of the identity forms of a block of samples comes from
+    # one batched matrix product of all its rows, the reversed products only
+    # for the commutator, and no product is formed pair by pair; 60 samples
+    # are one block at n = 2 and two or three at n = 3
+    def refuse(*args, **kwargs):
+        raise AssertionError("a leg product formed pair by pair")
+
+    config = SuiteConfig(seed=3, n_aybe=60, n_unitarity=8, n_rank=3, n_limit=3, checks=checks)
+    expected = run_suite(h, config)
+    shapes = []
+    real_matmul = np.matmul
+
+    def counting_matmul(x, y, *args, **kwargs):
+        shapes.append(x.shape[:2])
+        return real_matmul(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(aybe.tensors, "leg_product_array", refuse)
+    monkeypatch.setattr(np, "matmul", counting_matmul)
+    reports = run_suite(h, config)
+    assert reports == expected
+    assert all(rep.passed for rep in reports)
+    step = aybe.verify._BLOCK // (rows * h.n**6)
+    assert shapes == [(min(step, 60 - s), rows) for s in range(0, 60, step)]
+
+
+@pytest.mark.parametrize("h", DENSE_IDENTITY_HANDLES + [
+    trig_cybe(1),
+    equivalence_transform(elliptic_cybe(3, 1, 0.2 + 1.1j), np.diag([1.0, 1.1, 0.9]) + 0.2),
+], ids=str)
+def test_dense_identity_checks_without_samples_pass_empty(h):
+    config = SuiteConfig(seed=2, n_aybe=0, n_cybe=0, checks=("aybe", "commutator", "cybe"))
+    reports = run_suite(h, config)
+    assert [rep.tag for rep in reports] == (["cybe"] if h.is_cybe else ["aybe", "commutator"])
+    for rep in reports:
+        assert rep.passed and rep.points == () and rep.skipped == 0
+        assert rep.max_abs_residual == rep.max_rel_residual == 0.0
+
+
+LEG_PAIRS = [("12", "13"), ("13", "12"), ("12", "23"), ("23", "12"), ("13", "23"), ("23", "13")]
+
+
+@pytest.mark.parametrize("count", [0, 1, 25])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dense_products_are_leg_product_array_bit_for_bit(n, count):
+    # the six ordered leg pairs as the rows of one batched call on three
+    # values per sample: each row's products and norms are those of
+    # leg_product_array and _frobenius, bit for bit
+    rng = np.random.default_rng(10 * n + count)
+    shape = (3, count) + (n,) * 4
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rows = tuple((k % 3, legs_x, (k + 1) % 3, legs_y) for k, (legs_x, legs_y) in enumerate(LEG_PAIRS))
+    scale, product = aybe.verify._dense_products(values, rows, len(rows))
+    norms = []
+    for r, (x, legs_x, y, legs_y) in enumerate(rows):
+        expected = leg_product_array(values[x], legs_x, values[y], legs_y)
+        norms.append(aybe.verify._frobenius(expected))
+        got = product(r)
+        assert got.shape == (count, n**6)
+        assert np.array_equal(got.view(float), np.ascontiguousarray(expected).reshape(got.shape).view(float))
+        # the row alone, and its norm as the scale
+        alone, _ = aybe.verify._dense_products(values, rows[r:r + 1], 1)
+        assert np.array_equal(alone, np.maximum(norms[-1], 1e-300))
+    assert np.array_equal(scale, np.maximum.reduce(norms + [np.full(count, 1e-300)]))
 
 
 def test_constant_gauge_elliptic_stays_dense_and_green():
